@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from mpmath import iv
 
-from .hensel import is_probable_prime
+from .hensel import require_prime
 from .rigor import Comparison, PowProd, enclosure_str, rigorous_compare
 
 F = Fraction
@@ -181,8 +181,7 @@ def certify(D: int, p: int, x0: int, n0: int, sigma: Fraction,
         raise ValueError(f"sigma must lie in (0, {SIGMA_MAX}), got {sigma}")
     if x0 < 1 or n0 < 1 or D < 1:
         raise ValueError("x0, n0, D must be positive")
-    if not is_probable_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    require_prime(p)
     if p == 2 and n0 < 3:
         raise ValueError("p = 2 requires n0 >= 3 for a nontrivial beta")
 

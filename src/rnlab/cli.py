@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+import tempfile
 from fractions import Fraction
 
 from . import certifier, decomposer, hensel, pade, survey
@@ -69,6 +71,21 @@ def payload_to_tsv(payload: dict) -> str:
     if payload.get("schema") == "rnlab.hensel/1":
         return "\n".join(["root"] + list(payload["roots"]))
     return _canonical_json(payload)
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Replace path with text so that a crash leaves the old file or the
+    new one, never a truncated one."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=os.path.basename(path) + ".",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _fraction_str(fr: Fraction) -> str:
@@ -134,8 +151,7 @@ def _cmd_survey(args) -> int:
             resume_state = None
 
         def checkpoint_cb(state):
-            with open(args.resume, "w") as fh:
-                fh.write(survey.checkpoint(state))
+            _write_atomic(args.resume, survey.checkpoint(state))
 
     rep = survey.run_survey(args.D, args.p, args.sigma, args.n_max,
                             resume=resume_state,

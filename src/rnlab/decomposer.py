@@ -32,6 +32,10 @@ class NeitherBranchError(RuntimeError):
     for valid inputs)."""
 
 
+class LevelSplitError(RuntimeError):
+    """n = n0*k + l with 0 <= l < 5*n0 failed (should be impossible)."""
+
+
 class BothBranchesVanishError(RuntimeError):
     """Q mu - P conj(mu) vanished for both g values (should be impossible)."""
 
@@ -75,7 +79,8 @@ def decompose(D: int, p: int, x0: int, n0: int, x: int, n: int) -> Decomposition
     j = n // (5 * n0)
     k = 5 * j
     l = n - n0 * k
-    assert 0 <= l < 5 * n0
+    if not 0 <= l < 5 * n0:
+        raise LevelSplitError(f"l = {l} outside [0, {5 * n0}) at n = {n}")
     m = (x * x + D) // pn
 
     if p == 2:

@@ -654,7 +654,8 @@ def kernel_extrema(b: Fraction) -> KernelReport:
     hi = Fraction(9, 8)
     while _feval(fp, hi) == 0:
         hi += Fraction(1, 8)
-    assert _feval(fp, Fraction(0)) != 0
+    if _feval(fp, Fraction(0)) == 0:
+        raise PadeError("f'(0) = 0: the Sturm count from t = 0 would miss a root")
     tol = Fraction(1, 2 ** 40)
     intervals = _isolate_roots(chain, Fraction(0), hi, tol)
 
@@ -743,8 +744,9 @@ def q_prefactor_bound(j: int) -> bool:
         raise ValueError(f"j must be >= 1, got {j}")
     num = math.factorial(9 * j)
     den = math.factorial(j - 1) * math.factorial(4 * j) ** 2
-    assert num % den == 0
-    lhs = num // den
+    lhs, rem = divmod(num, den)
+    if rem:
+        raise PadeError(f"(9j)!/((j-1)! ((4j)!)^2) is not an integer at j = {j}")
     target = Fraction(3 ** (18 * j + 1), 8 * lhs * 2 ** (16 * j))
 
     def pi_builder():

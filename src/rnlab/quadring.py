@@ -28,6 +28,10 @@ class MixedDError(QuadRingError):
     """Operands live in different quadratic rings."""
 
 
+class RingInvariantError(RuntimeError):
+    """An exact halving left a remainder (internal bug)."""
+
+
 def _is_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 
@@ -132,7 +136,8 @@ class QuadInt:
         # because the factors satisfy the parity invariant.
         uu = self.u * o.u - self.D * self.v * o.v
         vv = self.u * o.v + self.v * o.u
-        assert uu % 2 == 0 and vv % 2 == 0
+        if uu % 2 or vv % 2:
+            raise RingInvariantError(f"odd product numerators ({uu}, {vv})")
         return QuadInt(uu // 2, vv // 2, self.D)
 
     __rmul__ = __mul__
@@ -159,7 +164,8 @@ class QuadInt:
     def norm(self) -> int:
         """The field norm (u^2 + D*v^2)/4, always an exact nonnegative integer."""
         n4 = self.u * self.u + self.D * self.v * self.v
-        assert n4 % 4 == 0
+        if n4 % 4:
+            raise RingInvariantError(f"4 * norm = {n4} is not divisible by 4")
         return n4 // 4
 
     def exact_div(self, other: int | QuadInt) -> QuadInt | None:

@@ -1,12 +1,15 @@
 """Per-exponent survey of m = (x^2 + D)/p^n against m > x^sigma.
 
 For each n up to n_max the Hensel roots are enumerated (two per level for
-an odd split prime, up to four for p = 2), the cofactor m is computed
-exactly, and the test m > x^(a/b) is decided by exact integer powers with
-a bit-length shortcut.  Only residues 0 < x < p^n are tested: any larger
-x in the class has m > x^2/p^n >= x > x^sigma automatically.
+an odd split prime, up to four for p = 2) with their exact cofactors m,
+which the lift carries from level to level (the complement p^n - r has
+cofactor p^n - 2r + m), and the test m > x^(a/b) is decided by exact
+integer powers with a bit-length shortcut.  Only residues 0 < x < p^n are
+tested: any larger x in the class has m > x^2/p^n >= x > x^sigma
+automatically.
 
-Long runs checkpoint the lift state as a small versioned JSON blob.
+Long runs checkpoint the lift state as a small versioned JSON blob; the
+cofactors are not stored but recomputed, and thereby verified, on restore.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hensel import (LiftState, NoRootError, is_probable_prime, legendre,
-                     lift_step_odd, lift_two_step, roots_mod_pn)
+from .hensel import (HenselError, LiftState, NoRootError, legendre,
+                     lift_step_odd, lift_two_step, require_prime,
+                     roots_mod_pn)
 
 BLOB_VERSION = 1
 
@@ -105,20 +109,6 @@ class SurveyReport:
         }
 
 
-def _pair_records(n: int, pn: int, D: int, r: int) -> list[tuple[int, int]]:
-    """(x, m) for the residue pair {r, p^n - r}; m of the complement comes
-    from the identity (p^n - r)^2 + D = p^n (p^n - 2r + m)."""
-    f = r * r + D
-    m1, rem = divmod(f, pn)
-    if rem != 0:
-        raise RuntimeError(f"root {r} invalid at level {n}")
-    out = [(r, m1)]
-    x2 = pn - r
-    if x2 != r:
-        out.append((x2, pn - 2 * r + m1))
-    return out
-
-
 def run_survey(D: int, p: int, sigma: Fraction, n_max: int,
                resume: LiftState | None = None,
                checkpoint_cb=None, checkpoint_every: int = 200) -> SurveyReport:
@@ -132,8 +122,7 @@ def run_survey(D: int, p: int, sigma: Fraction, n_max: int,
     sigma = Fraction(sigma)
     if not 0 < sigma < 1:
         raise InvalidSigmaError(f"sigma must lie in (0, 1), got {sigma}")
-    if not is_probable_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    require_prime(p)
     if D < 1:
         raise ValueError(f"D must be positive, got {D}")
     if D % p == 0:
@@ -156,7 +145,13 @@ def run_survey(D: int, p: int, sigma: Fraction, n_max: int,
             raise CorruptBlobError(
                 f"resume state is for (D={resume.D}, p={resume.p}), "
                 f"requested (D={D}, p={p})")
-        resume.verify()
+        if resume.n > n_max:
+            raise CorruptBlobError(
+                f"resume state is at n = {resume.n}, past n_max = {n_max}")
+        try:
+            resume.verify()
+        except HenselError as exc:
+            raise CorruptBlobError(f"resume state is invalid: {exc}") from exc
         state = resume
     else:
         state = roots_mod_pn(D, p, 1)
@@ -166,11 +161,13 @@ def run_survey(D: int, p: int, sigma: Fraction, n_max: int,
     records = 0
     min_margin: dict | None = None
     ladder_end_note = ""
-    pn = p ** state.n
     while True:
-        n = state.n
-        for r in state.min_roots:
-            for x, m in _pair_records(n, pn, D, r):
+        n, pn = state.n, state.pn
+        for r, mr in zip(state.min_roots, state.cofactors, strict=True):
+            pair = [(r, mr)]
+            if 2 * r != pn:  # (p^n - r)^2 + D = p^n (p^n - 2r + m_r)
+                pair.append((pn - r, pn - 2 * r + mr))
+            for x, m in pair:
                 records += 1
                 passed = power_compare(m, x, a, b)
                 if not passed:
@@ -188,7 +185,6 @@ def run_survey(D: int, p: int, sigma: Fraction, n_max: int,
         except NoRootError as exc:
             ladder_end_note = f"; ladder ends at n = {n}: {exc}"
             break
-        pn *= p
     if checkpoint_cb is not None:
         checkpoint_cb(state)
 
@@ -212,7 +208,11 @@ def checkpoint(state: LiftState) -> str:
 
 def restore(blob: str, expect_D: int | None = None,
             expect_p: int | None = None) -> LiftState:
-    """Rebuild a lift state from a blob, validating every stored root."""
+    """Rebuild a lift state from a blob, validating every stored root.
+
+    The stored roots must be the complete minimal set for level n; each
+    cofactor is recomputed by one exact division, which verifies its root.
+    """
     try:
         data = json.loads(blob)
         version = data["version"]
@@ -226,9 +226,16 @@ def restore(blob: str, expect_D: int | None = None,
         raise CorruptBlobError(f"blob D = {D}, expected {expect_D}")
     if expect_p is not None and p != expect_p:
         raise CorruptBlobError(f"blob p = {p}, expected {expect_p}")
-    state = LiftState(p=p, D=D, n=n, min_roots=roots)
+    if n < 1 or p < 2:
+        raise CorruptBlobError(f"blob has level n = {n}, p = {p}")
+    # a root r at level n has r^2 + D >= p^n: bound n by the stored digits
+    # before p^n is formed
+    if roots and n * (p.bit_length() - 1) >= \
+            (max(roots) ** 2 + D).bit_length():
+        raise CorruptBlobError(f"blob level n = {n} exceeds its roots' size")
     try:
-        state.verify()
-    except Exception as exc:
-        raise CorruptBlobError(f"blob roots fail their congruence: {exc}") from exc
+        state = LiftState(p=p, D=D, n=n, min_roots=roots)
+        state.check_ladder()
+    except HenselError as exc:
+        raise CorruptBlobError(f"blob roots are invalid: {exc}") from exc
     return state

@@ -80,6 +80,14 @@ def test_certify_sigma_range():
         certify(76, 101, 1015, 3, F("0.85"))
 
 
+def test_certify_refuses_unproven_primes():
+    from rnlab.hensel import CompositeModulusError, PrimeBoundError
+    with pytest.raises(CompositeModulusError):
+        certify(7, 318665857834031151167461, 1, 1, F(1, 10))
+    with pytest.raises(PrimeBoundError):
+        certify(7, 2 ** 89 - 1, 1, 1, F(1, 10))
+
+
 def test_thresholds():
     cert = certify(76, 101, 1015, 3, F(1, 10))
     M, x_star, x_min = thresholds(cert)

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import pytest
 
+import rnlab
 from rnlab.cli import main
+
+PSI12 = "318665857834031151167461"  # 399165290221 * 798330580441
 
 
 def run_cli(capsys, *argv):
@@ -197,3 +204,84 @@ def test_internal_invariant_violation_exit_4(monkeypatch, capsys):
                              "--abc-max", "1")
     assert code == 4
     assert payload["error"] == "internal_invariant_violation"
+
+
+def test_psi12_refused_exit_2(capsys):
+    for argv in (["survey", "--sigma", "1/2", "--n-max", "3"],
+                 ["hensel", "--n", "3"],
+                 ["certify", "--x0", "1", "--n0", "1", "--sigma", "1/10"]):
+        code, payload = run_json(capsys, argv[0], "--D", "7", "--p", PSI12,
+                                 *argv[1:])
+        assert code == 2, argv
+        assert payload["error"] == "invalid_input"
+        assert "not prime" in payload["message"]
+    code, payload = run_json(capsys, "survey", "--D", "7", "--p",
+                             str(2 ** 89 - 1), "--sigma", "1/2", "--n-max", "3")
+    assert code == 2 and "cannot be proven" in payload["message"]
+
+
+def test_resume_incomplete_blob_exit_2(tmp_path, capsys):
+    blob_path = tmp_path / "survey.ckpt"
+    blob_path.write_text('{"version":1,"D":76,"p":101,"n":5,"roots":[]}')
+    code, payload = run_json(capsys, "survey", "--D", "76", "--p", "101",
+                             "--sigma", "7/50", "--n-max", "750",
+                             "--resume", str(blob_path))
+    assert code == 2 and payload["error"] == "invalid_input"
+
+
+def test_resume_past_n_max_exit_2(tmp_path, capsys):
+    blob_path = tmp_path / "survey.ckpt"
+    run_json(capsys, "survey", "--D", "76", "--p", "101", "--sigma", "7/50",
+             "--n-max", "50", "--resume", str(blob_path))
+    code, payload = run_json(capsys, "survey", "--D", "76", "--p", "101",
+                             "--sigma", "7/50", "--n-max", "10",
+                             "--resume", str(blob_path))
+    assert code == 2 and payload["error"] == "invalid_input"
+
+
+def test_checkpoint_write_is_atomic(tmp_path, capsys, monkeypatch):
+    blob_path = tmp_path / "survey.ckpt"
+    run_json(capsys, "survey", "--D", "76", "--p", "101", "--sigma", "7/50",
+             "--n-max", "10", "--resume", str(blob_path))
+    before = blob_path.read_text()
+
+    def crash(src, dst):
+        raise OSError("simulated crash before the rename")
+
+    monkeypatch.setattr(os, "replace", crash)
+    code, _ = run_json(capsys, "survey", "--D", "76", "--p", "101",
+                       "--sigma", "7/50", "--n-max", "20",
+                       "--resume", str(blob_path))
+    assert code == 2
+    assert blob_path.read_text() == before
+    assert os.listdir(tmp_path) == ["survey.ckpt"]
+
+
+def test_tampered_cofactor_exit_4(capsys, monkeypatch):
+    from rnlab import survey
+    real = survey.roots_mod_pn
+
+    def tampered(D, p, n):
+        state = real(D, p, n)
+        return replace(state, cofactors=(state.cofactors[0] + 1,))
+
+    monkeypatch.setattr(survey, "roots_mod_pn", tampered)
+    code, payload = run_json(capsys, "survey", "--D", "76", "--p", "101",
+                             "--sigma", "7/50", "--n-max", "5")
+    assert code == 4
+    assert payload["error"] == "internal_invariant_violation"
+
+
+def test_audit_same_under_python_O():
+    # the invariant checks must not be asserts that -O strips
+    argv = ["-m", "rnlab", "audit", "--D", "76", "--p", "101", "--x0", "1015",
+            "--n0", "3", "--n", "16", "--format", "json"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rnlab.__file__)))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    outs = [subprocess.run([sys.executable, *flags, *argv], env=env,
+                           capture_output=True, text=True, check=True,
+                           timeout=300).stdout
+            for flags in ([], ["-O"])]
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["certificate_status"] == "certified"

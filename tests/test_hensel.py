@@ -1,11 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from rnlab.hensel import (CompositeModulusError, LiftState, NoRootError,
-                          NoSplitError, is_probable_prime, legendre,
-                          lift_step_odd, lift_two, roots_mod_pn, sqrt_mod_p)
+from rnlab.hensel import (PRIME_BOUND, CompositeModulusError, HenselError,
+                          LiftInvariantError, LiftState, NoRootError,
+                          NoSplitError, PrimeBoundError, is_probable_prime,
+                          legendre, lift_step_odd, lift_two, lift_two_step,
+                          roots_mod_pn, sqrt_mod_p)
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 101, 103]
+
+# psi_12: the least strong pseudoprime to the 12 prime bases 2..37
+PSI12 = 318665857834031151167461
 
 
 def brute_roots(D, p, n):
@@ -40,6 +47,20 @@ def test_is_probable_prime():
     assert is_probable_prime(2 ** 61 - 1)
     assert not is_probable_prime(1)
     assert not is_probable_prime(561)  # Carmichael
+    assert not is_probable_prime(PSI12)  # 399165290221 * 798330580441
+
+
+def test_primality_gate_refuses_beyond_proof_range():
+    with pytest.raises(CompositeModulusError):
+        roots_mod_pn(7, PSI12, 3)
+    for p in (PRIME_BOUND, 2 ** 89 - 1):  # 2^89 - 1 is prime
+        with pytest.raises(PrimeBoundError):
+            roots_mod_pn(7, p, 3)
+    below = 3317044064679887385961813  # the largest prime below the bound
+    try:
+        roots_mod_pn(7, below, 2)
+    except NoSplitError:
+        pass
 
 
 def test_lift_5_to_1015():
@@ -129,3 +150,75 @@ def test_congruence_asserted_after_every_lift():
     mod = 101 ** 40
     for r in state.all_roots():
         assert (r * r + 76) % mod == 0
+
+
+# ---------------------------------------------------------------------------
+# the digit recurrence against the lifts it replaced
+
+
+def newton_step_reference(p, D, n, min_roots):
+    """Level n -> n+1 by r - (r^2 + D) (2r)^-1 (mod p^(n+1)) for odd p, or
+    by keeping whichever of r, r + 2^(n-1) is a root mod 2^(n+1) for p = 2
+    (n >= 3)."""
+    mod = p ** (n + 1)
+    out = []
+    for r in min_roots:
+        if p == 2:
+            r2 = r if (r * r + D) % mod == 0 else r + 2 ** (n - 1)
+        else:
+            r2 = (r - (r * r + D) * pow(2 * r, -1, mod)) % mod
+        out.append(min(r2, mod - r2))
+    return tuple(sorted(out))
+
+
+DIFFERENTIAL_CASES = [(D, p) for p in (3, 5, 19, 101) for D in (7, 23, 47, 76)
+                      if D % p and legendre(-D % p, p) == 1]
+DIFFERENTIAL_CASES += [(7, 2), (15, 2), (23, 2)]
+
+
+@pytest.mark.parametrize("D,p", DIFFERENTIAL_CASES)
+def test_digit_recurrence_matches_newton_to_level_300(D, p):
+    # below n = 3 the 2-adic ladder is a table, checked by the oracle tests
+    n0 = 3 if p == 2 else 1
+    state = roots_mod_pn(D, p, n0)
+    ref = state.min_roots
+    step = lift_two_step if p == 2 else lift_step_odd
+    flips = 0  # levels whose lifted root is replaced by its complement
+    for n in range(n0, 300):
+        assert state.min_roots == ref, (D, p, n)
+        for r, m in zip(state.min_roots, state.cofactors, strict=True):
+            assert r * r + D == p ** n * m
+        assert state.pn == p ** n
+        ref = newton_step_reference(p, D, n, ref)
+        nxt = step(state)
+        flips += nxt.min_roots[0] % state.pn != state.min_roots[0]
+        state = nxt
+    assert state.n == 300 and state.min_roots == ref
+    assert flips > 0 or p == 2
+
+
+@pytest.mark.parametrize("D,p,step", [(76, 101, lift_step_odd),
+                                      (23, 3, lift_step_odd),
+                                      (7, 2, lift_two_step)])
+def test_tampered_cofactor_makes_next_lift_raise(D, p, step):
+    state = roots_mod_pn(D, p, 12)
+    step(state)  # the untouched state lifts
+    for delta in (1, -1, 2, p ** 12):
+        cofs = (state.cofactors[0] + delta,) + state.cofactors[1:]
+        with pytest.raises(LiftInvariantError):
+            step(replace(state, cofactors=cofs))
+
+
+def test_tampered_root_makes_next_lift_raise():
+    state = roots_mod_pn(76, 101, 12)
+    bad = replace(state, min_roots=(state.min_roots[0] + 101 ** 12,))
+    with pytest.raises(LiftInvariantError):
+        lift_step_odd(bad)
+
+
+def test_cofactors_derived_from_bare_roots():
+    state = roots_mod_pn(76, 101, 30)
+    bare = LiftState(p=101, D=76, n=30, min_roots=state.min_roots)
+    assert bare.cofactors == state.cofactors and bare.pn == 101 ** 30
+    with pytest.raises(HenselError):
+        LiftState(p=101, D=76, n=30, min_roots=(state.min_roots[0] + 1,))

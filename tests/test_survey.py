@@ -1,10 +1,12 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rnlab.hensel import roots_mod_pn
+from rnlab.hensel import (CompositeModulusError, LiftState, PrimeBoundError,
+                          roots_mod_pn)
 from rnlab.survey import (CorruptBlobError, InvalidSigmaError, checkpoint,
                           power_compare, restore, run_survey)
 
@@ -145,6 +147,14 @@ def test_survey_rejects_bad_inputs():
         run_survey(202, 101, F(1, 2), 5)
 
 
+def test_survey_refuses_unproven_primes():
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to bases 2..37
+    with pytest.raises(CompositeModulusError):
+        run_survey(7, 318665857834031151167461, F(1, 2), 3)
+    with pytest.raises(PrimeBoundError):
+        run_survey(7, 2 ** 89 - 1, F(1, 2), 3)
+
+
 def test_survey_min_margin_tracked():
     rep = run_survey(76, 101, F(7, 50), 10)
     assert rep.min_margin is not None
@@ -212,3 +222,70 @@ def test_survey_deterministic_reports():
     a = run_survey(76, 101, F(7, 50), 60).to_json_dict()
     b = run_survey(76, 101, F(7, 50), 60).to_json_dict()
     assert a == b
+
+
+def _blob(D, p, n, roots):
+    return json.dumps({"version": 1, "D": D, "p": p, "n": n,
+                       "roots": [str(r) for r in roots]})
+
+
+def test_restore_rejects_empty_root_list():
+    with pytest.raises(CorruptBlobError):
+        restore(_blob(76, 101, 5, []))
+
+
+def test_restore_rejects_missing_p2_root():
+    state = roots_mod_pn(7, 2, 40)
+    assert len(state.min_roots) == 2
+    for kept in state.min_roots:
+        with pytest.raises(CorruptBlobError):
+            restore(_blob(7, 2, 40, [kept]))
+    for n, count in ((1, 1), (2, 1), (3, 2)):
+        assert len(restore(checkpoint(roots_mod_pn(7, 2, n))).min_roots) == count
+
+
+def test_restore_rejects_repeated_or_complement_roots():
+    r, s = roots_mod_pn(7, 2, 40).min_roots
+    with pytest.raises(CorruptBlobError):
+        restore(_blob(7, 2, 40, [r, r]))
+    # both members of one +/- pair: valid roots, but half the set is missing
+    with pytest.raises(CorruptBlobError):
+        restore(_blob(7, 2, 40, [r, 2 ** 40 - r]))
+    (r,) = roots_mod_pn(76, 101, 7).min_roots
+    with pytest.raises(CorruptBlobError):
+        restore(_blob(76, 101, 7, [101 ** 7 - r]))
+
+
+def test_restore_rejects_level_below_one():
+    for n in (0, -3):
+        with pytest.raises(CorruptBlobError):
+            restore(_blob(76, 101, n, [5]))
+    with pytest.raises(CorruptBlobError):
+        restore(_blob(76, 0, 3, [5]))
+
+
+def test_restore_rejects_level_beyond_its_roots_quickly():
+    # forming 101^n first would take minutes for this 80-byte blob
+    with pytest.raises(CorruptBlobError):
+        restore(_blob(76, 101, 10 ** 9, [5]))
+    for p, D in ((101, 76), (2, 7), (3, 23)):
+        for n in (1, 2, 3, 50, 400):
+            state = roots_mod_pn(D, p, n)
+            assert restore(checkpoint(state)) == state
+
+
+def test_resume_past_n_max_rejected():
+    blob = checkpoint(roots_mod_pn(76, 101, 50))
+    with pytest.raises(CorruptBlobError):
+        run_survey(76, 101, F(7, 50), 10, resume=restore(blob))
+    # resuming exactly at n_max surveys that one level
+    rep = run_survey(76, 101, F(7, 50), 50, resume=restore(blob))
+    assert (rep.n_from, rep.records_checked) == (50, 2)
+
+
+def test_resume_state_with_wrong_cofactor_rejected():
+    state = roots_mod_pn(76, 101, 20)
+    bad = LiftState(p=101, D=76, n=20, min_roots=state.min_roots,
+                    cofactors=(state.cofactors[0] + 1,))
+    with pytest.raises(CorruptBlobError):
+        run_survey(76, 101, F(7, 50), 30, resume=bad)
