@@ -190,8 +190,7 @@ def _cmd_hensel(args) -> int:
     return EXIT_OK
 
 
-def _verify_one_diagonal(arg):
-    j, g = arg
+def _verify_one_diagonal(j: int, g: int) -> dict:
     sys_jg = pade.build_diagonal(j, g)
     starred = pade.normalize(sys_jg)
     return {"j": j, "g": g, "identity": sys_jg.identity_holds(),
@@ -199,8 +198,7 @@ def _verify_one_diagonal(arg):
             "content": starred.content}
 
 
-def _verify_one_general(arg):
-    a, b, c = arg
+def _verify_one_general(a: int, b: int, c: int) -> dict:
     return {"A": a, "B": b, "C": c,
             "identity": pade.build_general(a, b, c).identity_holds()}
 
@@ -208,19 +206,10 @@ def _verify_one_general(arg):
 def _cmd_pade(args) -> int:
     if args.pade_cmd != "verify":
         raise ValueError(f"unknown pade subcommand {args.pade_cmd!r}")
-    diag_args = [(j, g) for j in range(1, args.j_max + 1) for g in (0, 1)]
-    gen_args = [(a, b, c)
-                for a in range(1, args.abc_max + 1)
-                for b in range(1, args.abc_max + 1)
-                for c in range(1, args.abc_max + 1)]
-    if args.threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            diag = list(pool.map(_verify_one_diagonal, diag_args))
-            gen = list(pool.map(_verify_one_general, gen_args))
-    else:
-        diag = [_verify_one_diagonal(x) for x in diag_args]
-        gen = [_verify_one_general(x) for x in gen_args]
+    abc = range(1, args.abc_max + 1)
+    diag = [_verify_one_diagonal(j, g)
+            for j in range(1, args.j_max + 1) for g in (0, 1)]
+    gen = [_verify_one_general(a, b, c) for a in abc for b in abc for c in abc]
     crosses = []
     for j in range(1, args.j_max + 1):
         c = pade.cross_constant(pade.build_diagonal(j, 1),
@@ -275,10 +264,11 @@ def _cmd_audit(args) -> int:
     xs = ([args.x] if args.x is not None
           else list(hensel.roots_mod_pn(args.D, args.p, args.n).all_roots()))
     audits = []
+    systems = {}  # starred systems by (j, g), built once per invocation
     for x in xs:
         dec = decomposer.decompose(args.D, args.p, args.x0, args.n0, x, args.n)
         for g in (0, 1):
-            rep = decomposer.audit_theorem1_chain(cert, dec, g)
+            rep = decomposer.audit_theorem1_chain(cert, dec, g, systems)
             audits.append({
                 "x": str(x), "g": g, "j": rep.j, "k": rep.k, "r": rep.r,
                 "branch": dec.branch,
@@ -353,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "tsv", "human"),
                        default="human")
         p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument("--threads", type=int, default=1)
 
     c = sub.add_parser("certify", help="evaluate the huge-solution condition")
     c.add_argument("--D", type=int, required=True)

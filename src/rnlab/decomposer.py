@@ -139,9 +139,14 @@ class AuditReport:
         return self.nonzero_this_g or self.nonzero_other_g
 
 
-def _combination(dec: Decomposition, g: int):
-    """(Q mu - P conj(mu), ev_q, E4) for the starred system at (j, g)."""
-    sys = normalize(build_diagonal(dec.j, g))
+def _combination(dec: Decomposition, g: int, systems: dict):
+    """(Q mu - P conj(mu), ev_q, E4) for the starred system at (j, g).
+
+    The system is taken from systems, keyed by (j, g), or built, verified
+    and stored there."""
+    sys = systems.get((dec.j, g))
+    if sys is None:
+        sys = systems[dec.j, g] = normalize(build_diagonal(dec.j, g))
     r, k = sys.r, sys.k
     ev_p = eval_at_z0(sys.P, dec.beta, r, dec.lam)
     ev_q = eval_at_z0(sys.Q, dec.beta, r, dec.lam)
@@ -154,8 +159,13 @@ def _combination(dec: Decomposition, g: int):
 
 
 def audit_theorem1_chain(cert: HugeSolutionCertificate, dec: Decomposition,
-                         g: int) -> AuditReport:
+                         g: int, systems: dict | None = None) -> AuditReport:
     """Replay the cofactor-bound inequality chain on one decomposition.
+
+    systems maps (j, g) to the starred diagonal system; a caller auditing
+    several roots or both g passes one dict so that each system is built
+    once.  Its lifetime is the caller's: nothing is kept between calls
+    that do not share it.
 
     With exact norms throughout: (i) Q mu - P conj(mu) is nonzero for at
     least one g; (ii) |beta|^k <= |Q||lambda| + |E||conj(mu)| on this
@@ -171,8 +181,10 @@ def audit_theorem1_chain(cert: HugeSolutionCertificate, dec: Decomposition,
         raise ValueError(f"g must be 0 or 1, got {g}")
     if cert.D != dec.D or cert.p != dec.p:
         raise ValueError("certificate and decomposition disagree on (D, p)")
-    sys, ev_q, e4, z, assembled_ok = _combination(dec, g)
-    _, _, _, z_other, assembled_other = _combination(dec, 1 - g)
+    if systems is None:
+        systems = {}
+    sys, ev_q, e4, z, assembled_ok = _combination(dec, g, systems)
+    _, _, _, z_other, assembled_other = _combination(dec, 1 - g, systems)
     if not (assembled_ok and assembled_other):
         raise RuntimeError("assembled identity failed (internal bug)")
     if z.is_zero() and z_other.is_zero():

@@ -13,6 +13,19 @@ B = k - r - 1 (E is unchanged); both conventions are forced by their
 identities, which are re-verified by exact polynomial arithmetic before a
 system is handed out.
 
+The coefficients are products of binomials; each factor runs along the
+index by its ratio recurrence, e.g. C(n, i+1) = C(n, i) (n-i)/(i+1), with
+every division exact.  (1-z)^k for the identity check is built the same
+way, c_(i+1) = -c_i (k-i)/(i+1).
+
+IntPolynomial multiplies by Kronecker substitution: a factor with
+coefficients a_i is packed into the one integer sum a_i 2^(w i), with
+byte-aligned slots of w bits chosen so that w exceeds the bit length of
+the largest possible product coefficient plus a sign bit; one big-integer
+product then holds every coefficient of the product polynomial in its own
+slot, and a bias of 2^(w-1) per slot lets each be read back independently.
+The work is one CPython big-integer multiplication plus linear passes.
+
 All bound checks compare exact integers (denominators cleared), or fall
 back to directed-rounding enclosures when pi or a square root appears.
 """
@@ -22,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from mpmath import iv
 
@@ -62,6 +76,17 @@ def binom(n: int, k: int) -> int:
 # dense exact-integer polynomials
 
 
+def _pack(coeffs, width: int) -> int:
+    """sum(c_i * 2^(8*width*i)) for signed c_i with |c_i| < 2^(8*width),
+    as the difference of the packings of the positive and negative parts."""
+    zero = bytes(width)
+    pos = b"".join(c.to_bytes(width, "little") if c > 0 else zero
+                   for c in coeffs)
+    neg = b"".join((-c).to_bytes(width, "little") if c < 0 else zero
+                   for c in coeffs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
 class IntPolynomial:
     """Dense polynomial with exact integer coefficients, index i <-> z^i."""
 
@@ -75,6 +100,16 @@ class IntPolynomial:
             if not isinstance(c, int):
                 raise TypeError(f"integer coefficients required, got {c!r}")
         self.coeffs = tuple(cs)
+
+    @classmethod
+    def _of(cls, cs: list[int]) -> IntPolynomial:
+        """From a list of ints that needs no type check; trailing zeros
+        are stripped in place."""
+        while cs and cs[-1] == 0:
+            cs.pop()
+        poly = object.__new__(cls)
+        poly.coeffs = tuple(cs)
+        return poly
 
     @classmethod
     def zero(cls) -> IntPolynomial:
@@ -95,28 +130,41 @@ class IntPolynomial:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __add__(self, other: IntPolynomial) -> IntPolynomial:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial(self.coeff(i) + other.coeff(i) for i in range(n))
+        return IntPolynomial._of(
+            [a + b for a, b in zip_longest(self.coeffs, other.coeffs,
+                                           fillvalue=0)])
 
     def __sub__(self, other: IntPolynomial) -> IntPolynomial:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial(self.coeff(i) - other.coeff(i) for i in range(n))
+        return IntPolynomial._of(
+            [a - b for a, b in zip_longest(self.coeffs, other.coeffs,
+                                           fillvalue=0)])
 
     def __neg__(self) -> IntPolynomial:
-        return IntPolynomial(-c for c in self.coeffs)
+        return IntPolynomial._of([-c for c in self.coeffs])
 
     def __mul__(self, other: IntPolynomial | int) -> IntPolynomial:
+        """Product by Kronecker substitution (see the module docstring);
+        a scalar multiplies each coefficient."""
         if isinstance(other, int):
             return IntPolynomial(c * other for c in self.coeffs)
-        if self.is_zero() or other.is_zero():
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return IntPolynomial.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(out)
+        # |product coefficient| <= min(len) * max|a| * max|b| < 2^(bits - 2),
+        # which leaves the slot a spare bit and a sign bit
+        bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+                + min(len(a), len(b)).bit_length() + 2)
+        width = (bits + 7) // 8  # slot width in bytes
+        n = len(a) + len(b) - 1
+        packed = _pack(a, width) * _pack(b, width)
+        # add 2^(8*width - 1) to every slot so that each slot is a
+        # nonnegative integer below 2^(8*width) and reads back on its own
+        half = 1 << (8 * width - 1)
+        bias = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+        raw = (packed + bias).to_bytes(n * width, "little")
+        return IntPolynomial._of(
+            [int.from_bytes(raw[i:i + width], "little") - half
+             for i in range(0, n * width, width)])
 
     __rmul__ = __mul__
 
@@ -136,7 +184,7 @@ class IntPolynomial:
         """Multiply by z^m."""
         if self.is_zero():
             return self
-        return IntPolynomial((0,) * m + self.coeffs)
+        return IntPolynomial._of([0] * m + list(self.coeffs))
 
     def content(self) -> int:
         return math.gcd(*self.coeffs) if self.coeffs else 0
@@ -146,7 +194,7 @@ class IntPolynomial:
             raise ZeroDivisionError
         if any(c % d != 0 for c in self.coeffs):
             return None
-        return IntPolynomial(c // d for c in self.coeffs)
+        return IntPolynomial._of([c // d for c in self.coeffs])
 
     def __call__(self, x):
         acc = 0
@@ -167,6 +215,16 @@ class IntPolynomial:
 
 
 ONE_MINUS_Z = IntPolynomial((1, -1))
+
+
+def one_minus_z_pow(k: int) -> IntPolynomial:
+    """(1-z)^k from its binomial coefficients, c_(i+1) = -c_i (k-i)/(i+1)."""
+    if k < 0:
+        raise ValueError("negative polynomial powers are undefined here")
+    coeffs = [1]
+    for i in range(k):
+        coeffs.append(-coeffs[-1] * (k - i) // (i + 1))
+    return IntPolynomial._of(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -208,20 +266,52 @@ class PadeSystem:
         return self.A + self.C + 1
 
     def identity_holds(self) -> bool:
-        lhs = self.P - (ONE_MINUS_Z ** self.k) * self.Q
+        lhs = self.P - one_minus_z_pow(self.k) * self.Q
         rhs = (self.E * self.identity_sign()).shift(self.remainder_degree())
         return lhs == rhs
+
+
+def _comb_row(n: int, k: int, count: int) -> list[int]:
+    """count terms C(n, k), C(n, k+1), ...: C(n, t+1) = C(n, t)(n-t)/(t+1).
+
+    Here and in _comb_up and _comb_down every division is exact: the
+    dividend is the next binomial times the divisor."""
+    out = [math.comb(n, k)]
+    for t in range(k, k + count - 1):
+        out.append(out[-1] * (n - t) // (t + 1))
+    return out
+
+
+def _comb_up(n: int, k: int, count: int) -> list[int]:
+    """count terms C(n, k), C(n+1, k), ...: C(m+1, k) = C(m, k)(m+1)/(m+1-k)."""
+    out = [math.comb(n, k)]
+    for m in range(n, n + count - 1):
+        out.append(out[-1] * (m + 1) // (m + 1 - k))
+    return out
+
+
+def _comb_down(n: int, k: int, count: int) -> list[int]:
+    """count terms C(n, k), C(n-1, k), ...: C(m-1, k) = C(m, k)(m-k)/m."""
+    out = [math.comb(n, k)]
+    for m in range(n, n - count + 1, -1):
+        out.append(out[-1] * (m - k) // m)
+    return out
+
+
+def _termwise(xs: list[int], ys: list[int], alternate: bool) -> list[int]:
+    """x_i y_i, times (-1)^i when alternate."""
+    return [-x * y if alternate and i % 2 else x * y
+            for i, (x, y) in enumerate(zip(xs, ys))]
 
 
 def _general_triple(A: int, B: int, C: int):
     s = A + B + C + 1
     sign_c = -1 if C % 2 else 1
-    p = [sign_c * binom(s, i) * binom(A + C - i, A) * (-1 if i % 2 else 1)
-         for i in range(C + 1)]
-    q = [sign_c * binom(A + C - i, C) * binom(B + i, i) for i in range(A + 1)]
-    e = [binom(A + i, i) * binom(s, A + C + i + 1) * (-1 if i % 2 else 1)
-         for i in range(B + 1)]
-    return IntPolynomial(p), IntPolynomial(q), IntPolynomial(e)
+    p = _termwise(_comb_row(s, 0, C + 1), _comb_down(A + C, A, C + 1), True)
+    q = _termwise(_comb_down(A + C, C, A + 1), _comb_up(B, B, A + 1), False)
+    e = _termwise(_comb_up(A, A, B + 1), _comb_row(s, A + C + 1, B + 1), True)
+    return (IntPolynomial._of([sign_c * c for c in p]),
+            IntPolynomial._of([sign_c * c for c in q]), IntPolynomial._of(e))
 
 
 def build_general(A: int, B: int, C: int, allow_zero: bool = False) -> PadeSystem:
@@ -241,17 +331,22 @@ def build_general(A: int, B: int, C: int, allow_zero: bool = False) -> PadeSyste
     return sys
 
 
+def _diagonal_q(j: int, g: int) -> list[int]:
+    """C(8j-2g-i, r) C(j+g-1+i, i) for i = 0..r, where 8j - 2g = 2r."""
+    r = 4 * j - g
+    return _termwise(_comb_down(2 * r, r, r + 1),
+                     _comb_up(j + g - 1, j + g - 1, r + 1), False)
+
+
 def _diagonal_triple(j: int, g: int):
     k, r = 5 * j, 4 * j - g
-    p = [binom(9 * j - g, i) * binom(8 * j - 2 * g - i, 4 * j - g)
-         * (-1 if i % 2 else 1) for i in range(r + 1)]
-    q = [binom(8 * j - 2 * g - i, 4 * j - g) * binom(j + g - 1 + i, i)
-         for i in range(r + 1)]
+    n = 9 * j - g
+    p = _termwise(_comb_row(n, 0, r + 1), _comb_down(2 * r, r, r + 1), True)
     # the nominal top term i = j + g has binom(9j-g, 9j-g+1) = 0, so the
     # sum is truncated at deg E = k - r - 1
-    e = [binom(4 * j - g + i, i) * binom(9 * j - g, 8 * j - 2 * g + i + 1)
-         * (-1 if i % 2 else 1) for i in range(j + g)]
-    return IntPolynomial(p), IntPolynomial(q), IntPolynomial(e), k, r
+    e = _termwise(_comb_up(r, r, j + g), _comb_row(n, 2 * r + 1, j + g), True)
+    return (IntPolynomial._of(p), IntPolynomial._of(_diagonal_q(j, g)),
+            IntPolynomial._of(e), k, r)
 
 
 def build_diagonal(j: int, g: int) -> PadeSystem:
@@ -273,13 +368,7 @@ def content(j: int, g: int) -> int:
     """c_g(j): gcd of the diagonal Q coefficients (binomial products)."""
     if j < 1 or g not in (0, 1):
         raise ValueError(f"need j >= 1 and g in {{0,1}}: {(j, g)}")
-    acc = 0
-    for i in range(4 * j - g + 1):
-        acc = math.gcd(acc, binom(8 * j - 2 * g - i, 4 * j - g)
-                       * binom(j + g - 1 + i, i))
-        if acc == 1:
-            break
-    return acc
+    return math.gcd(*_diagonal_q(j, g))
 
 
 def normalize(sys: PadeSystem) -> PadeSystem:
@@ -307,8 +396,9 @@ def cross_constant(sys_r: PadeSystem, sys_r1: PadeSystem) -> int:
     """The constant c in P_r Q_{r+1} - Q_r P_{r+1} = c z^(2r+1).
 
     Both systems must share k and have adjacent degrees r and r + 1.  The
-    residual is computed by brute-force polynomial multiplication and must
-    be a nonzero monomial of the expected degree.
+    residual is computed exactly by two Kronecker-substitution products
+    (see IntPolynomial.__mul__) and must be a nonzero monomial of the
+    expected degree.
     """
     if sys_r.k != sys_r1.k:
         raise ValueError(f"mismatched k: {sys_r.k} vs {sys_r1.k}")
@@ -505,12 +595,14 @@ def beta_moment_identity_holds(r: int) -> bool:
 
 
 def _fmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
+    """Product through the integer core: clear each factor's denominators,
+    multiply, and divide the product by both common denominators."""
+    da = math.lcm(*(c.denominator for c in a))
+    db = math.lcm(*(c.denominator for c in b))
+    prod = (IntPolynomial._of([c.numerator * (da // c.denominator) for c in a])
+            * IntPolynomial._of([c.numerator * (db // c.denominator) for c in b]))
+    out = [Fraction(c, da * db) for c in prod.coeffs]
+    return out + [Fraction(0)] * (len(a) + len(b) - 1 - len(out))
 
 
 def _fdiff(a: list[Fraction]) -> list[Fraction]:

@@ -96,10 +96,12 @@ def test_pade_verify(capsys):
     assert payload["cross"][0]["degree"] == 7
 
 
-def test_pade_verify_threads(capsys):
-    code, payload = run_json(capsys, "pade", "verify", "--j-max", "2",
-                             "--abc-max", "2", "--threads", "2")
-    assert code == 0 and payload["all_ok"]
+def test_pade_verify_rejects_threads(capsys):
+    # the option was removed with the process pool: argparse refuses it
+    with pytest.raises(SystemExit) as exc:
+        main(["pade", "verify", "--j-max", "2", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_decompose(capsys):

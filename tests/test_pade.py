@@ -2,13 +2,16 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rnlab.pade import (BOUNDS, BOutOfRangeError, IntPolynomial, NotMonomialError,
-                        ONE_MINUS_Z, beta_moment_identity_holds, binom,
+                        ONE_MINUS_Z, PadeSystem, _diagonal_triple, _fmul,
+                        _general_triple, beta_moment_identity_holds, binom,
                         build_diagonal, build_general, check_e_bound,
                         check_q_bound, content, cross_constant, eval_at_z0,
                         assembled_identity_holds, factorial_ratio_bounds,
-                        kernel_extrema, normalize, q_prefactor_bound)
+                        kernel_extrema, normalize, one_minus_z_pow,
+                        q_prefactor_bound)
 from rnlab.quadring import QuadInt, lambda_element
 
 F = Fraction
@@ -106,6 +109,158 @@ def test_diagonal_matches_integral_oracle(j, g):
     got_e = _as_fractions(sys.E)
     assert got_e == oe[:len(got_e)]
     assert all(c == 0 for c in oe[len(got_e):])
+
+
+# ---------------------------------------------------------------------------
+# the Kronecker product against the schoolbook product it replaced
+
+
+def _schoolbook(a, b):
+    if a.is_zero() or b.is_zero():
+        return IntPolynomial.zero()
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return IntPolynomial(out)
+
+
+@st.composite
+def _polys(draw, max_len=24, max_bits=2000):
+    """Signed polynomials whose coefficients share one size of 0 to
+    max_bits bits, with zeros and the extreme values +-2^bits drawn often."""
+    bits = draw(st.integers(0, max_bits))
+    top = 2 ** bits
+    coeff = st.one_of(st.integers(-top, top), st.just(0),
+                      st.sampled_from((top, -top, top - 1, 1 - top)))
+    return IntPolynomial(draw(st.lists(coeff, min_size=1, max_size=max_len)))
+
+
+@given(_polys(), _polys())
+@example(IntPolynomial([5]), IntPolynomial([-3]))
+@example(IntPolynomial([1, 0, 0, -2 ** 2000]), IntPolynomial([-2 ** 1999, 0, 7]))
+@settings(max_examples=300, deadline=None)
+def test_mul_matches_schoolbook(a, b):
+    assert a * b == _schoolbook(a, b) == b * a
+
+
+@given(_polys(max_len=300), _polys(max_len=3))
+@settings(max_examples=100, deadline=None)
+def test_mul_matches_schoolbook_unequal_lengths(a, b):
+    assert a * b == _schoolbook(a, b) == b * a
+
+
+@pytest.mark.parametrize("bits", (0, 1, 7, 8, 9, 63, 64, 200))
+@pytest.mark.parametrize("n", (1, 3, 127, 255))
+@pytest.mark.parametrize("sign", (1, -1))
+def test_mul_worst_case_carries(bits, n, sign):
+    # equal-signed maximal coefficients: the middle product coefficient,
+    # n * top^2, is the largest any slot has to hold; at (bits, n) = (7, 3)
+    # and (8, 255) with top = 2^bits - 1 it needs all the slot's bits
+    for top in (2 ** bits, 2 ** bits - 1 or 1):
+        a = IntPolynomial([sign * top] * n)
+        b = IntPolynomial([top] * n)
+        assert a * b == _schoolbook(a, b)
+
+
+def test_mul_zero_and_scalar():
+    a = IntPolynomial([3, 0, -5])
+    assert a * IntPolynomial.zero() == IntPolynomial.zero() * a == IntPolynomial()
+    assert a * -2 == -2 * a == IntPolynomial([-6, 0, 10])
+    assert a * 0 == IntPolynomial()
+
+
+@given(_polys(max_len=8, max_bits=200), st.integers(0, 12))
+@settings(max_examples=100, deadline=None)
+def test_pow_matches_repeated_product(a, e):
+    acc = IntPolynomial([1])
+    for _ in range(e):
+        acc = _schoolbook(acc, a)
+    assert a ** e == acc
+
+
+def test_one_minus_z_pow_matches_power():
+    for k in range(201):
+        assert one_minus_z_pow(k) == ONE_MINUS_Z ** k
+    with pytest.raises(ValueError):
+        one_minus_z_pow(-1)
+
+
+_fractions = st.lists(st.builds(F, st.integers(-10 ** 6, 10 ** 6),
+                                st.integers(1, 10 ** 6)),
+                       min_size=1, max_size=8)
+
+
+@given(_fractions, _fractions)
+@settings(max_examples=100, deadline=None)
+def test_fraction_product_matches_schoolbook(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    assert _fmul(a, b) == out
+
+
+@pytest.mark.parametrize("g", (0, 1))
+def test_identity_check_sees_every_coefficient(g):
+    # +-1 on any one coefficient of P, Q or E must break the identity; the
+    # sign alternates with i + g, so each index parity gets both signs
+    sys = build_diagonal(40, g)
+    for name in ("P", "Q", "E"):
+        coeffs = list(getattr(sys, name).coeffs)
+        for i in range(len(coeffs)):
+            delta = 1 if (i + g) % 2 == 0 else -1
+            bent = coeffs[:]
+            bent[i] += delta
+            fields = {"P": sys.P, "Q": sys.Q, "E": sys.E,
+                      name: IntPolynomial(bent)}
+            mutant = PadeSystem(kind=sys.kind, k=sys.k, r=sys.r,
+                                j=sys.j, g=sys.g, **fields)
+            assert not mutant.identity_holds(), (name, i, delta)
+
+
+# ---------------------------------------------------------------------------
+# binomial ratio recurrences against independent math.comb formulas
+
+
+def _comb_diagonal(j, g):
+    r, n = 4 * j - g, 9 * j - g
+    p = [(-1) ** i * math.comb(n, i) * math.comb(2 * r - i, r)
+         for i in range(r + 1)]
+    q = [math.comb(2 * r - i, r) * math.comb(j + g - 1 + i, i)
+         for i in range(r + 1)]
+    e = [(-1) ** i * math.comb(r + i, i) * math.comb(n, 2 * r + 1 + i)
+         for i in range(j + g)]
+    return p, q, e
+
+
+def _comb_general(A, B, C):
+    s = A + B + C + 1
+    p = [(-1) ** (C + i) * math.comb(s, i) * math.comb(A + C - i, A)
+         for i in range(C + 1)]
+    q = [(-1) ** C * math.comb(A + C - i, C) * math.comb(B + i, i)
+         for i in range(A + 1)]
+    e = [(-1) ** i * math.comb(A + i, i) * math.comb(s, A + C + 1 + i)
+         for i in range(B + 1)]
+    return p, q, e
+
+
+def test_diagonal_recurrences_match_comb():
+    for j in range(1, 41):
+        for g in (0, 1):
+            p, q, e = _comb_diagonal(j, g)
+            P, Q, E, k, r = _diagonal_triple(j, g)
+            assert (list(P.coeffs), list(Q.coeffs), list(E.coeffs)) == (p, q, e)
+            assert (k, r) == (5 * j, 4 * j - g)
+            assert content(j, g) == math.gcd(*q)
+
+
+def test_general_recurrences_match_comb():
+    for A in range(7):
+        for B in range(7):
+            for C in range(7):
+                expected = [IntPolynomial(c) for c in _comb_general(A, B, C)]
+                assert list(_general_triple(A, B, C)) == expected, (A, B, C)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +378,6 @@ def test_cross_constant_order_enforced():
 
 
 def test_cross_constant_rejects_corrupt_system():
-    from rnlab.pade import PadeSystem
     lo, hi = build_diagonal(1, 1), build_diagonal(1, 0)
     bad = PadeSystem(kind="diagonal", k=lo.k, r=lo.r, P=lo.P + lo.Q,
                      Q=lo.Q, E=lo.E, j=1, g=1)
