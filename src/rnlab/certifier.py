@@ -3,8 +3,9 @@
 The size condition compares |beta| = p^(n0/2) (or 2^(n0/2-1) when p = 2)
 against C * D^eta, where eta and the exponent of C are exact rational
 functions of sigma.  Rational subexpressions are kept exact; enclosures
-enter only for the two rational-exponent powers, with precision escalated
-until the comparison separates.
+enter only for the logarithms of the two sides, with precision escalated
+until the comparison separates.  That the threshold increases in sigma,
+which max_sigma's bisection relies on, is proven in exact rationals.
 
 A certificate that fails still carries the thresholds M = 250*n0 and
 X* = p^(250*n0), so downstream surveys can proceed empirically.
@@ -40,7 +41,7 @@ class UndecidableError(RuntimeError):
 
 
 class NotMonotoneError(RuntimeError):
-    """The threshold grid failed its monotonicity pre-check."""
+    """The exact proof that the threshold increases in sigma failed."""
 
 
 @dataclass(frozen=True)
@@ -141,6 +142,16 @@ class HugeSolutionCertificate:
                 f"x^2 + {self.D} = {self.p}^n * m forces m > x^({self.sigma})")
 
 
+def _check_base_inputs(D: int, p: int, x0: int, n0: int) -> None:
+    """The input gates shared by certify and max_sigma (ValueError or a
+    HenselError from require_prime, so the CLI exits with 2)."""
+    if x0 < 1 or n0 < 1 or D < 1:
+        raise ValueError("x0, n0, D must be positive")
+    require_prime(p)
+    if p == 2 and n0 < 3:
+        raise ValueError("p = 2 requires n0 >= 3 for a nontrivial beta")
+
+
 def _beta_powprod(p: int, n0: int) -> PowProd:
     if p == 2:
         return PowProd.of(1, (F(2), F(n0 - 2, 2)))
@@ -179,11 +190,7 @@ def certify(D: int, p: int, x0: int, n0: int, sigma: Fraction,
     var = VARIANTS[variant]
     if not 0 < sigma < SIGMA_MAX:
         raise ValueError(f"sigma must lie in (0, {SIGMA_MAX}), got {sigma}")
-    if x0 < 1 or n0 < 1 or D < 1:
-        raise ValueError("x0, n0, D must be positive")
-    require_prime(p)
-    if p == 2 and n0 < 3:
-        raise ValueError("p = 2 requires n0 >= 3 for a nontrivial beta")
+    _check_base_inputs(D, p, x0, n0)
 
     eta = var.eta(sigma)
     expo = var.exponent(sigma)
@@ -271,12 +278,40 @@ class MaxSigmaResult:
 
 
 def _condition_holds(D: int, p: int, n0: int, sigma: Fraction,
-                     var: VariantConstants, cap_digits: int | None) -> bool:
+                     var: VariantConstants, cap_digits: int | None,
+                     logs: dict) -> bool:
     verdict = rigorous_compare(_beta_powprod(p, n0),
-                               threshold_powprod(D, p, sigma, var), cap_digits)
+                               threshold_powprod(D, p, sigma, var), cap_digits,
+                               logs)
     if verdict is Comparison.UNDECIDABLE:
         raise UndecidableError(f"size condition undecidable at sigma={sigma}")
     return verdict is Comparison.GREATER
+
+
+def check_threshold_monotone(D: int, p: int, var: VariantConstants) -> None:
+    """Prove in exact rationals that the threshold T(sigma) = C^exponent *
+    D^eta increases strictly on all of (0, SIGMA_MAX].
+
+    log T = exponent * log C + eta * log D, and a ratio (a - b s)/(c0 - c1 s)
+    has a derivative with the sign of a*c1 - b*c0 wherever c0 - c1 s != 0.
+    So T increases when the linear denominator is positive at both ends of
+    the range, exponent increases (b = 1), eta does not decrease, C > 1 and
+    D >= 1.  Raises NotMonotoneError naming the first fact that fails.
+    """
+    facts = (
+        (min(var.denominator(F(0)), var.denominator(SIGMA_MAX)) > 0,
+         f"denominator {var.den_const} - {var.den_slope}*sigma not positive "
+         f"on [0, {SIGMA_MAX}]"),
+        (var.exp_const * var.den_slope - var.den_const > 0,
+         "exponent of C not increasing in sigma"),
+        (var.eta_const * var.den_slope - var.eta_slope * var.den_const >= 0,
+         "eta decreasing in sigma"),
+        (var.c_base(p) > 1, f"C = {var.c_base(p)} is not above 1"),
+        (D >= 1, f"D = {D} is below 1"),
+    )
+    for holds, failure in facts:
+        if not holds:
+            raise NotMonotoneError(f"threshold not increasing: {failure}")
 
 
 def max_sigma(D: int, p: int, x0: int, n0: int, variant: str = "5j",
@@ -284,40 +319,36 @@ def max_sigma(D: int, p: int, x0: int, n0: int, variant: str = "5j",
               cap_digits: int | None = None) -> MaxSigmaResult:
     """Enclose the largest sigma satisfying the size condition.
 
-    Verifies threshold monotonicity on a sigma grid, then bisects the
-    condition down to the requested interval width.  The variant's beta
+    Runs certify's input gates, proves in exact rationals that the
+    threshold increases in sigma (check_threshold_monotone), then bisects
+    the condition down to the requested interval width.  All comparisons
+    of the call share one dict of log enclosures.  The variant's beta
     floor is reported as a separate flag (the condition itself does not
     include it).
     """
     var = VARIANTS[variant]
+    _check_base_inputs(D, p, x0, n0)
     if x0 * x0 + D != p ** n0:
         raise ValueError(f"({x0}, {n0}) does not solve x^2 + {D} = {p}^n")
     floor_ok = _beta_floor_ok(p, n0, var)
+    check_threshold_monotone(D, p, var)
 
-    # monotonicity pre-check: thresholds must increase along the grid
-    grid = [SIGMA_MAX * F(i, 16) for i in range(1, 16)]
-    for s1, s2 in zip(grid, grid[1:]):
-        t1 = threshold_powprod(D, p, s1, var)
-        t2 = threshold_powprod(D, p, s2, var)
-        if rigorous_compare(t1, t2, cap_digits) is not Comparison.LESS:
-            raise NotMonotoneError(
-                f"threshold not increasing between sigma={s1} and {s2}")
-
+    logs: dict = {}  # (base, iv.dps) -> log enclosure, for this call only
     lo = F(1, 10 ** 9)
     hi = SIGMA_MAX - F(1, 10 ** 9)
-    if not _condition_holds(D, p, n0, lo, var, cap_digits):
+    if not _condition_holds(D, p, n0, lo, var, cap_digits, logs):
         return MaxSigmaResult(D=D, p=p, x0=x0, n0=n0, variant=variant,
                               empty=True, lo=None, hi=None,
                               beta_floor_ok=floor_ok, monotone_checked=True,
                               reason=f"condition fails already at sigma={lo}")
-    if _condition_holds(D, p, n0, hi, var, cap_digits):
+    if _condition_holds(D, p, n0, hi, var, cap_digits, logs):
         return MaxSigmaResult(D=D, p=p, x0=x0, n0=n0, variant=variant,
                               empty=False, lo=hi, hi=SIGMA_MAX,
                               beta_floor_ok=floor_ok, monotone_checked=True,
                               reason="condition holds up to the sigma range limit")
     while hi - lo > width:
         mid = (lo + hi) / 2
-        if _condition_holds(D, p, n0, mid, var, cap_digits):
+        if _condition_holds(D, p, n0, mid, var, cap_digits, logs):
             lo = mid
         else:
             hi = mid

@@ -190,8 +190,8 @@ def _cmd_hensel(args) -> int:
     return EXIT_OK
 
 
-def _verify_one_diagonal(j: int, g: int) -> dict:
-    sys_jg = pade.build_diagonal(j, g)
+def _verify_one_diagonal(sys_jg: pade.PadeSystem) -> dict:
+    j, g = sys_jg.j, sys_jg.g
     starred = pade.normalize(sys_jg)
     return {"j": j, "g": g, "identity": sys_jg.identity_holds(),
             "starred_identity": starred.identity_holds(),
@@ -207,14 +207,14 @@ def _cmd_pade(args) -> int:
     if args.pade_cmd != "verify":
         raise ValueError(f"unknown pade subcommand {args.pade_cmd!r}")
     abc = range(1, args.abc_max + 1)
-    diag = [_verify_one_diagonal(j, g)
-            for j in range(1, args.j_max + 1) for g in (0, 1)]
-    gen = [_verify_one_general(a, b, c) for a in abc for b in abc for c in abc]
-    crosses = []
+    diag, crosses = [], []
     for j in range(1, args.j_max + 1):
-        c = pade.cross_constant(pade.build_diagonal(j, 1),
-                                pade.build_diagonal(j, 0))
+        # each diagonal system is built once, for its own checks and its cross
+        sys0, sys1 = pade.build_diagonal(j, 0), pade.build_diagonal(j, 1)
+        diag += [_verify_one_diagonal(sys0), _verify_one_diagonal(sys1)]
+        c = pade.cross_constant(sys1, sys0)
         crosses.append({"j": j, "degree": 8 * j - 1, "c": str(c)})
+    gen = [_verify_one_general(a, b, c) for a in abc for b in abc for c in abc]
     all_ok = (all(d["identity"] and d["starred_identity"] for d in diag)
               and all(g["identity"] for g in gen))
     payload = {"schema": "rnlab.pade-verify/1", "j_max": args.j_max,
@@ -333,17 +333,13 @@ def _cmd_scan_huge(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="rnlab",
-        description="exact tools for factorizations x^2 + D = p^n * m")
-    sub = ap.add_subparsers(dest="command", required=True)
+def _common(p) -> None:
+    p.add_argument("--format", choices=("json", "tsv", "human"),
+                   default="human")
+    p.add_argument("--out", default=None, help="write output to a file")
 
-    def common(p):
-        p.add_argument("--format", choices=("json", "tsv", "human"),
-                       default="human")
-        p.add_argument("--out", default=None, help="write output to a file")
 
+def _add_certify(sub) -> None:
     c = sub.add_parser("certify", help="evaluate the huge-solution condition")
     c.add_argument("--D", type=int, required=True)
     c.add_argument("--p", type=int, required=True)
@@ -351,9 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n0", type=int, required=True)
     c.add_argument("--sigma", type=_parse_sigma, required=True)
     c.add_argument("--variant", choices=("5j", "7j"), default="5j")
-    common(c)
+    _common(c)
     c.set_defaults(func=_cmd_certify)
 
+
+def _add_survey(sub) -> None:
     s = sub.add_parser("survey", help="survey m = (x^2+D)/p^n against x^sigma")
     s.add_argument("--D", type=int, required=True)
     s.add_argument("--p", type=int, required=True)
@@ -362,23 +360,29 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--resume", default=None,
                    help="checkpoint blob path (read if present, updated)")
     s.add_argument("--checkpoint-every", type=int, default=200)
-    common(s)
+    _common(s)
     s.set_defaults(func=_cmd_survey)
 
+
+def _add_hensel(sub) -> None:
     h = sub.add_parser("hensel", help="roots of x^2 + D = 0 (mod p^n)")
     h.add_argument("--D", type=int, required=True)
     h.add_argument("--p", type=int, required=True)
     h.add_argument("--n", type=int, required=True)
-    common(h)
+    _common(h)
     h.set_defaults(func=_cmd_hensel)
 
+
+def _add_pade(sub) -> None:
     pv = sub.add_parser("pade", help="polynomial identity sweeps")
     pv.add_argument("pade_cmd", choices=("verify",))
     pv.add_argument("--j-max", dest="j_max", type=int, default=8)
     pv.add_argument("--abc-max", dest="abc_max", type=int, default=4)
-    common(pv)
+    _common(pv)
     pv.set_defaults(func=_cmd_pade)
 
+
+def _add_decompose(sub) -> None:
     d = sub.add_parser("decompose", help="factor gamma over the base solution")
     d.add_argument("--D", type=int, required=True)
     d.add_argument("--p", type=int, required=True)
@@ -387,9 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--n", type=int, required=True)
     d.add_argument("--x", type=_parse_bigint, default=None,
                    help="specific root (default: all roots at level n)")
-    common(d)
+    _common(d)
     d.set_defaults(func=_cmd_decompose)
 
+
+def _add_audit(sub) -> None:
     a = sub.add_parser("audit", help="decompose + inequality-chain audit")
     a.add_argument("--D", type=int, required=True)
     a.add_argument("--p", type=int, required=True)
@@ -399,30 +405,63 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--x", type=_parse_bigint, default=None)
     a.add_argument("--sigma", type=_parse_sigma, default=Fraction(1, 10))
     a.add_argument("--variant", choices=("5j", "7j"), default="5j")
-    common(a)
+    _common(a)
     a.set_defaults(func=_cmd_audit)
 
+
+def _add_max_sigma(sub) -> None:
     ms = sub.add_parser("max-sigma", help="largest certifiable sigma")
     ms.add_argument("--D", type=int, required=True)
     ms.add_argument("--p", type=int, required=True)
     ms.add_argument("--x0", type=_parse_bigint, required=True)
     ms.add_argument("--n0", type=int, required=True)
     ms.add_argument("--variant", choices=("5j", "7j"), default="5j")
-    common(ms)
+    _common(ms)
     ms.set_defaults(func=_cmd_max_sigma)
 
+
+def _add_scan_huge(sub) -> None:
     sc = sub.add_parser("scan-huge", help="brute-force base solutions")
     sc.add_argument("--D", type=int, required=True)
     sc.add_argument("--p", type=int, required=True)
     sc.add_argument("--n0-max", dest="n0_max", type=int, required=True)
-    common(sc)
+    _common(sc)
     sc.set_defaults(func=_cmd_scan_huge)
 
+
+# subcommand name -> the function adding its subparser, in help order
+_SUBCOMMANDS = {
+    "certify": _add_certify, "survey": _add_survey, "hensel": _add_hensel,
+    "pade": _add_pade, "decompose": _add_decompose, "audit": _add_audit,
+    "max-sigma": _add_max_sigma, "scan-huge": _add_scan_huge,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The rnlab parser with every subcommand, or with only `command`."""
+    ap = argparse.ArgumentParser(
+        prog="rnlab",
+        description="exact tools for factorizations x^2 + D = p^n * m")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, add in _SUBCOMMANDS.items():
+        if command is None or name == command:
+            add(sub)
     return ap
 
 
+def _parse(argv: list) -> argparse.Namespace:
+    # Building one subparser instead of eight is most of a small call's
+    # parse cost.  Leftover arguments are reported by the full parser, so
+    # that the usage line of the error lists every subcommand.
+    if argv and argv[0] in _SUBCOMMANDS:
+        args, rest = build_parser(argv[0]).parse_known_args(argv)
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (certifier.UndecidableError,) as exc:

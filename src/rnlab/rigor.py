@@ -6,6 +6,15 @@ doubling the working precision until the enclosures separate.  Purely
 rational expressions short-circuit to an exact Fraction comparison, so a
 PASS on rational data never depends on floating point at all.
 
+Power products are compared in the log domain: log is strictly increasing
+on positive reals, so disjoint enclosures of log(lhs) = sum e_i log b_i
+and log(rhs) prove the order of lhs and rhs.  This takes one interval log
+per base and precision and no exp.  The logs live in a dict keyed by
+(base, iv.dps) that the caller owns and may pass to several comparisons:
+max_sigma passes one dict to every comparison of its bisection, so log p,
+log C and log D are computed once per precision for the whole call, and
+nothing is kept past it.
+
 The precision cap is read from RNLAB_PRECISION_CAP (decimal digits).
 """
 
@@ -86,6 +95,24 @@ class PowProd:
             acc = acc * iv_pow(base, exp)
         return acc
 
+    def log_enclosure(self, logs: dict):
+        """Enclosure of log(coeff) + sum(exp_i * log(base_i)) at the current
+        iv precision; logs maps (base, iv.dps) to an enclosure of log(base)
+        and is filled on demand."""
+        if self.coeff <= 0:
+            raise ValueError(
+                f"log_enclosure needs a positive coefficient, got {self.coeff}")
+        acc = iv.mpf(0)
+        for base, exp in ((self.coeff, Fraction(1)), *self.factors):
+            key = (base, iv.dps)
+            log_base = logs.get(key)
+            if log_base is None:
+                if base <= 0:
+                    raise ValueError(f"iv_pow needs a positive base, got {base}")
+                log_base = logs[key] = iv.log(iv_fraction(base))
+            acc += iv_fraction(exp) * log_base
+        return acc
+
     def scaled(self, factor) -> PowProd:
         return PowProd(self.coeff * Fraction(factor), self.factors)
 
@@ -122,11 +149,14 @@ def decide(build_lhs: Callable[[], object], build_rhs: Callable[[], object],
 
 
 def rigorous_compare(lhs: PowProd, rhs: PowProd,
-                     cap_digits: int | None = None) -> Comparison:
+                     cap_digits: int | None = None,
+                     logs: dict | None = None) -> Comparison:
     """Certified comparison of two power products.
 
     Exact-rational operands are compared exactly (so equal rationals report
-    EQUAL rather than exhausting precision).
+    EQUAL rather than exhausting precision).  Otherwise both must be
+    positive, and their log enclosures are compared; logs is the caller's
+    (base, iv.dps) -> log(base) dict, a fresh one when omitted.
     """
     lf, rf = lhs.as_fraction(), rhs.as_fraction()
     if lf is not None and rf is not None:
@@ -135,7 +165,10 @@ def rigorous_compare(lhs: PowProd, rhs: PowProd,
         if lf > rf:
             return Comparison.GREATER
         return Comparison.EQUAL
-    return decide(lhs.enclosure, rhs.enclosure, cap_digits)
+    if logs is None:
+        logs = {}
+    return decide(lambda: lhs.log_enclosure(logs),
+                  lambda: rhs.log_enclosure(logs), cap_digits)
 
 
 def enclosure_str(x, digits: int = 20) -> tuple[str, str]:

@@ -1,10 +1,13 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, log
 
-from rnlab.certifier import VARIANTS, certify, max_sigma, thresholds
-from rnlab.rigor import Comparison, PowProd, rigorous_compare
+from rnlab.certifier import (SIGMA_MAX, VARIANTS, NotMonotoneError,
+                             certify, check_threshold_monotone, max_sigma,
+                             threshold_powprod, thresholds)
+from rnlab.rigor import Comparison, PowProd, decide, rigorous_compare
 
 F = Fraction
 
@@ -179,3 +182,82 @@ def test_precision_cap_env(monkeypatch):
     assert rigor.precision_cap() == 123
     monkeypatch.setenv("RNLAB_PRECISION_CAP", "junk")
     assert rigor.precision_cap() == rigor.DEFAULT_PRECISION_CAP
+
+
+def _grid_monotone(D, p, var):
+    # the interval-grid pre-check max_sigma used to run, kept as reference:
+    # thresholds at 15 grid points compared in the linear domain
+    grid = [SIGMA_MAX * F(i, 16) for i in range(1, 16)]
+    return all(
+        decide(threshold_powprod(D, p, s1, var).enclosure,
+               threshold_powprod(D, p, s2, var).enclosure) is Comparison.LESS
+        for s1, s2 in zip(grid, grid[1:]))
+
+
+def _proof_holds(D, p, var):
+    try:
+        check_threshold_monotone(D, p, var)
+    except NotMonotoneError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("variant", ["5j", "7j"])
+@pytest.mark.parametrize("p", [2, 3, 101, 397])
+@pytest.mark.parametrize("D", [1, 13, 76, 500, 10 ** 6])
+def test_monotonicity_proof_agrees_with_grid(variant, p, D):
+    var = VARIANTS[variant]
+    assert _proof_holds(D, p, var)
+    assert _grid_monotone(D, p, var)
+
+
+def test_monotonicity_facts_of_both_variants():
+    # the rational facts of the proof, with the values they take
+    for name, den_end, exp_fact, eta_fact in (
+            ("5j", F("0.017"), F(10), F(40)),
+            ("7j", F("0.469"), F(14), F(84))):
+        v = VARIANTS[name]
+        assert v.denominator(SIGMA_MAX) == den_end
+        assert v.exp_const * v.den_slope - v.den_const == exp_fact
+        assert v.eta_const * v.den_slope - v.eta_slope * v.den_const == eta_fact
+
+
+@pytest.mark.parametrize("doctored", [
+    {"exp_const": F("0.5")},      # exponent of C decreases
+    {"den_const": F("7.623")},    # denominator vanishes at SIGMA_MAX
+    {"eta_slope": F(10)},         # eta decreases
+    {"base_odd": F(1)},           # C = 1
+])
+def test_doctored_variant_is_not_monotone(monkeypatch, doctored):
+    monkeypatch.setitem(VARIANTS, "5j", replace(VARIANTS["5j"], **doctored))
+    with pytest.raises(NotMonotoneError):
+        max_sigma(76, 101, 1015, 3, "5j")
+
+
+def test_max_sigma_anchor_enclosure_exact():
+    res = max_sigma(76, 101, 1015, 3, "5j")
+    assert res.lo == F(56529203890807, 524288000000000)
+    assert res.hi == F(28264813695403, 262144000000000)
+    assert res.monotone_checked
+
+
+def test_max_sigma_logs_once_per_base(monkeypatch):
+    # one interval log each of 1, 101, C and D for the whole bisection
+    from mpmath import iv
+    calls = []
+    real_log = iv.log
+    monkeypatch.setattr(iv, "log", lambda x: calls.append(x) or real_log(x))
+    max_sigma(76, 101, 1015, 3, "5j")
+    assert len(calls) == 4
+
+
+def test_max_sigma_runs_certify_gates():
+    from rnlab.hensel import CompositeModulusError
+    with pytest.raises(CompositeModulusError, match="p = 4 is not prime"):
+        max_sigma(7, 4, 3, 2)  # 3^2 + 7 = 4^2
+    with pytest.raises(ValueError, match="must be positive"):
+        max_sigma(0, 101, 101, 2)  # 101^2 + 0 = 101^2
+    with pytest.raises(ValueError, match="must be positive"):
+        max_sigma(76, 101, -1015, 3)
+    with pytest.raises(ValueError, match="n0 >= 3"):
+        max_sigma(7, 2, 1, 2)  # the gate runs before the solution check

@@ -141,6 +141,71 @@ def test_max_sigma(capsys):
     assert payload["beta_floor_ok"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["--D", "7", "--p", "4", "--x0", "3", "--n0", "2"],        # p composite
+    ["--D", "0", "--p", "101", "--x0", "101", "--n0", "2"],    # D = 0
+    ["--D", "76", "--p", "101", "--x0", "-1015", "--n0", "3"],
+])
+def test_max_sigma_input_gates_exit_2(capsys, argv):
+    code, payload = run_json(capsys, "max-sigma", *argv)
+    assert code == 2
+    assert payload["error"] == "invalid_input"
+
+
+def test_max_sigma_not_monotone_exit_4(capsys, monkeypatch):
+    from fractions import Fraction
+    from rnlab import certifier
+    monkeypatch.setitem(certifier.VARIANTS, "5j",
+                        replace(certifier.VARIANTS["5j"],
+                                exp_const=Fraction(1, 2)))
+    code, payload = run_json(capsys, "max-sigma", "--D", "76", "--p", "101",
+                             "--x0", "1015", "--n0", "3")
+    assert code == 4
+    assert payload["error"] == "internal_invariant_violation"
+
+
+def test_pade_verify_builds_each_diagonal_once(capsys, monkeypatch):
+    from rnlab import cli
+    built = []
+    real = cli.pade.build_diagonal
+
+    def counting(j, g):
+        built.append((j, g))
+        return real(j, g)
+
+    monkeypatch.setattr(cli.pade, "build_diagonal", counting)
+    code, payload = run_json(capsys, "pade", "verify", "--j-max", "3",
+                             "--abc-max", "1")
+    assert code == 0 and payload["all_ok"]
+    assert sorted(built) == [(j, g) for j in (1, 2, 3) for g in (0, 1)]
+    assert [(d["j"], d["g"]) for d in payload["diagonal"]] == sorted(built)
+
+
+_ANCHOR = ["--D", "76", "--p", "101", "--x0", "1015", "--n0", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h"], ["bogus"], ["bogus", "--D", "3"],
+    *([cmd, "--help"] for cmd in ("certify", "survey", "hensel", "pade",
+                                  "decompose", "audit", "max-sigma",
+                                  "scan-huge")),
+    ["certify", "--D", "76"], ["certify", "-h", "extra"],
+    ["pade", "bogus"], ["max-sigma", *_ANCHOR, "--threads", "2"],
+    ["certify", *_ANCHOR, "--sigma", "1/10", "extra"],
+    ["max-sigma", *_ANCHOR, "--variant", "9j"],
+])
+def test_help_and_usage_errors_match_full_parser(capsys, argv):
+    from rnlab.cli import build_parser
+
+    def outcome(fn):
+        with pytest.raises(SystemExit) as exc:
+            fn(list(argv))
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    assert outcome(main) == outcome(build_parser().parse_args)
+
+
 def test_scan_huge(capsys):
     code, payload = run_json(capsys, "scan-huge", "--D", "76", "--p", "101",
                              "--n0-max", "5")

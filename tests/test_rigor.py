@@ -1,6 +1,11 @@
+import re
 from fractions import Fraction
 
-from rnlab.rigor import Comparison, PowProd, rigorous_compare
+import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath import iv, mp
+
+from rnlab.rigor import Comparison, PowProd, decide, iv_pow, rigorous_compare
 
 F = Fraction
 
@@ -35,3 +40,77 @@ def test_powprod_as_fraction():
 def test_powprod_scaled():
     pp = PowProd.of(F(1, 2), (F(3), F(2)))
     assert pp.scaled(4).as_fraction() == F(18)
+
+
+_fractions = st.builds(F, st.integers(1, 10 ** 6), st.integers(1, 10 ** 4))
+_exponents = st.builds(F, st.integers(-60, 60), st.sampled_from([1, 2, 3, 6, 7, 100]))
+_powprods = st.builds(
+    lambda coeff, factors: PowProd.of(coeff, *factors),
+    _fractions, st.lists(st.tuples(_fractions, _exponents), max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_powprods, _powprods, st.sampled_from([None, 0, 12, 40]), st.booleans())
+def test_log_domain_agrees_with_linear_domain(lhs, rhs, digits, flip):
+    # rhs is drawn independently (None), equal to lhs (0), or lhs moved by
+    # 10^-digits, so that separating them needs more than the starting
+    # precision
+    if digits == 0:
+        rhs = lhs
+    elif digits is not None:
+        rhs = lhs.scaled(1 + F(1 if flip else -1, 10 ** digits))
+    cap = 120
+    log_verdict = rigorous_compare(lhs, rhs, cap)
+    # the linear-domain reference: enclosures of the products themselves
+    lin_verdict = decide(lhs.enclosure, rhs.enclosure, cap)
+    decided = {Comparison.LESS, Comparison.GREATER}
+    if log_verdict in decided and lin_verdict in decided:
+        assert log_verdict is lin_verdict
+
+
+def test_log_domain_equal_products_stay_undecidable():
+    # 2^(1/2) * 3^(2/3) against 8^(1/6) * 9^(1/3) at the full default cap
+    lhs = PowProd.of(1, (F(2), F(1, 2)), (F(3), F(2, 3)))
+    rhs = PowProd.of(1, (F(8), F(1, 6)), (F(9), F(1, 3)))
+    assert rigorous_compare(lhs, rhs, cap_digits=400) is Comparison.UNDECIDABLE
+
+
+@pytest.mark.parametrize("base", [F(0), F(-2), F(-1, 3)])
+def test_nonpositive_base_raises_same_error(base):
+    bad = PowProd.of(1, (base, F(1, 2)))
+    msg = f"iv_pow needs a positive base, got {base}"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        rigorous_compare(bad, PowProd.of(1, (F(2), F(1, 3))))
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        rigorous_compare(PowProd.of(1, (F(2), F(1, 3))), bad)
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        iv_pow(base, F(1, 2))
+
+
+def test_nonpositive_coefficient_raises():
+    with pytest.raises(ValueError, match="positive coefficient"):
+        rigorous_compare(PowProd.of(-1, (F(2), F(1, 2))), PowProd.of(1))
+
+
+def test_log_enclosure_computes_each_log_once_per_precision(monkeypatch):
+    calls = []
+    real_log = iv.log
+
+    def counting_log(x):
+        calls.append(iv.dps)
+        return real_log(x)
+
+    monkeypatch.setattr(iv, "log", counting_log)
+    logs = {}
+    pp = PowProd.of(3, (F(101), F(3, 2)), (F(76), F(7, 9)))
+    with mp.workdps(100):
+        exact = mp.log(3) + 1.5 * mp.log(101) + mp.mpf(7) / 9 * mp.log(76)
+    saved = iv.dps
+    try:
+        for dps in (30, 30, 60):
+            iv.dps = dps
+            assert exact in pp.log_enclosure(logs)
+    finally:
+        iv.dps = saved
+    assert calls == [30, 30, 30, 60, 60, 60]
+    assert set(logs) == {(b, d) for b in (F(3), F(101), F(76)) for d in (30, 60)}
