@@ -1,10 +1,10 @@
 """Command-line surface: certify, survey, hensel, pade, decompose,
 max-sigma, audit, scan-huge.
 
-Exit codes: 0 success, 2 invalid input, 3 undecidable rigorous comparison
-at the precision cap, 4 internal invariant violation.  Machine-readable
-output is canonical JSON (sorted keys, no whitespace), so repeated runs
-are byte-identical.
+Exit codes: 0 success, 1 stdout closed by its reader, 2 invalid input,
+3 undecidable rigorous comparison at the precision cap, 4 internal
+invariant violation.  Machine-readable output is canonical JSON (sorted
+keys, no whitespace), so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from fractions import Fraction
 from . import certifier, decomposer, hensel, pade, survey
 
 EXIT_OK = 0
+EXIT_STDOUT_CLOSED = 1
 EXIT_INVALID = 2
 EXIT_UNDECIDABLE = 3
 EXIT_INTERNAL = 4
@@ -58,19 +59,19 @@ def _emit(payload: dict, fmt: str, human_lines, out_path: str | None) -> None:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        # flushed here, so that a closed pipe fails inside main, not at exit
+        print(text, flush=True)
 
 
 def payload_to_tsv(payload: dict) -> str:
-    if payload.get("schema") == "rnlab.survey/1":
+    """The TSV form of a survey or a hensel report, the two that have one."""
+    if payload["schema"] == "rnlab.survey/1":
         lines = ["n\tx\tm\tdigits_x\tpassed"]
         for rec in payload["exceptions"]:
             lines.append(f"{rec['n']}\t{rec['x']}\t{rec['m']}"
                          f"\t{rec['digits_x']}\t{rec['passed']}")
         return "\n".join(lines)
-    if payload.get("schema") == "rnlab.hensel/1":
-        return "\n".join(["root"] + list(payload["roots"]))
-    return _canonical_json(payload)
+    return "\n".join(["root"] + list(payload["roots"]))
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -267,10 +268,9 @@ def _cmd_audit(args) -> int:
     systems = {}  # starred systems by (j, g), built once per invocation
     for x in xs:
         dec = decomposer.decompose(args.D, args.p, args.x0, args.n0, x, args.n)
-        for g in (0, 1):
-            rep = decomposer.audit_theorem1_chain(cert, dec, g, systems)
+        for rep in decomposer.audit_theorem1_chain(cert, dec, systems):
             audits.append({
-                "x": str(x), "g": g, "j": rep.j, "k": rep.k, "r": rep.r,
+                "x": str(x), "g": rep.g, "j": rep.j, "k": rep.k, "r": rep.r,
                 "branch": dec.branch,
                 "nonzero_this_g": rep.nonzero_this_g,
                 "nonzero_other_g": rep.nonzero_other_g,
@@ -333,9 +333,8 @@ def _cmd_scan_huge(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _common(p) -> None:
-    p.add_argument("--format", choices=("json", "tsv", "human"),
-                   default="human")
+def _common(p, formats=("json", "human")) -> None:
+    p.add_argument("--format", choices=formats, default="human")
     p.add_argument("--out", default=None, help="write output to a file")
 
 
@@ -360,7 +359,7 @@ def _add_survey(sub) -> None:
     s.add_argument("--resume", default=None,
                    help="checkpoint blob path (read if present, updated)")
     s.add_argument("--checkpoint-every", type=int, default=200)
-    _common(s)
+    _common(s, ("json", "tsv", "human"))
     s.set_defaults(func=_cmd_survey)
 
 
@@ -369,7 +368,7 @@ def _add_hensel(sub) -> None:
     h.add_argument("--D", type=int, required=True)
     h.add_argument("--p", type=int, required=True)
     h.add_argument("--n", type=int, required=True)
-    _common(h)
+    _common(h, ("json", "tsv", "human"))
     h.set_defaults(func=_cmd_hensel)
 
 
@@ -464,6 +463,11 @@ def main(argv=None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # as in the Python docs' note on SIGPIPE: point stdout at devnull,
+        # so that the flush at exit cannot fail again, and say nothing more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_STDOUT_CLOSED
     except (certifier.UndecidableError,) as exc:
         _print_error("undecidable", exc, args)
         return EXIT_UNDECIDABLE

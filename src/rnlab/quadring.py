@@ -103,9 +103,6 @@ class QuadInt:
     def is_zero(self) -> bool:
         return self.u == 0 and self.v == 0
 
-    def is_rational(self) -> bool:
-        return self.v == 0
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: int | QuadInt) -> QuadInt:
@@ -154,9 +151,6 @@ class QuadInt:
             base = base * base
             n >>= 1
         return result
-
-    def pow(self, e: int) -> QuadInt:
-        return self ** e
 
     def conj(self) -> QuadInt:
         return QuadInt(self.u, -self.v, self.D)

@@ -96,6 +96,15 @@ def test_pade_verify(capsys):
     assert payload["cross"][0]["degree"] == 7
 
 
+def test_certify_rejects_tsv(capsys):
+    # only survey and hensel have a TSV form
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--D", "76", "--p", "101", "--x0", "1015",
+              "--n0", "3", "--sigma", "1/10", "--format", "tsv"])
+    assert exc.value.code == 2
+    assert "tsv" in capsys.readouterr().err
+
+
 def test_pade_verify_rejects_threads(capsys):
     # the option was removed with the process pool: argparse refuses it
     with pytest.raises(SystemExit) as exc:
@@ -339,16 +348,38 @@ def test_tampered_cofactor_exit_4(capsys, monkeypatch):
     assert payload["error"] == "internal_invariant_violation"
 
 
+def _subprocess_env() -> dict:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rnlab.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+
+
 def test_audit_same_under_python_O():
     # the invariant checks must not be asserts that -O strips
     argv = ["-m", "rnlab", "audit", "--D", "76", "--p", "101", "--x0", "1015",
             "--n0", "3", "--n", "16", "--format", "json"]
-    src = os.path.dirname(os.path.dirname(os.path.abspath(rnlab.__file__)))
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    outs = [subprocess.run([sys.executable, *flags, *argv], env=env,
-                           capture_output=True, text=True, check=True,
-                           timeout=300).stdout
+    outs = [subprocess.run([sys.executable, *flags, *argv],
+                           env=_subprocess_env(), capture_output=True,
+                           text=True, check=True, timeout=300).stdout
             for flags in ([], ["-O"])]
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["certificate_status"] == "certified"
+
+
+@pytest.mark.parametrize("fmt", ["json", "human"])
+@pytest.mark.parametrize("n", [1, 3000])
+def test_closed_stdout_exits_1_quietly(fmt, n):
+    # the reader is gone before the report is written, as with `| head -c 0`;
+    # n = 1 writes less than a buffer, n = 3000 more
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rnlab", "hensel", "--D", "76", "--p",
+             "101", "--n", str(n), "--format", fmt],
+            env=_subprocess_env(), stdout=write_end, stderr=subprocess.PIPE,
+            timeout=300)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

@@ -1,3 +1,5 @@
+import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from rnlab.certifier import certify
 from rnlab.decomposer import (PreconditionFailError, audit_theorem1_chain,
                               decompose)
 from rnlab.hensel import roots_mod_pn
+from rnlab.pade import IntPolynomial, build_diagonal, normalize
 from rnlab.quadring import QuadInt
 from rnlab.survey import run_survey
 
@@ -86,8 +89,9 @@ def test_audit_chain_n16():
     state = roots_mod_pn(76, 101, 16)
     for x in state.all_roots():
         dec = decompose(76, 101, 1015, 3, x, 16)
-        for g in (0, 1):
-            rep = audit_theorem1_chain(CERT, dec, g)
+        reports = audit_theorem1_chain(CERT, dec)
+        assert [rep.g for rep in reports] == [0, 1]
+        for rep in reports:
             assert rep.nonzero_some_g
             assert rep.backbone_exact
             assert rep.ii_ok
@@ -99,7 +103,7 @@ def test_audit_iii_matches_survey_cofactor():
     state = roots_mod_pn(76, 101, 18)
     x = state.all_roots()[0]
     dec = decompose(76, 101, 1015, 3, x, 18)
-    rep = audit_theorem1_chain(CERT, dec, 0)
+    rep = audit_theorem1_chain(CERT, dec)[0]
     assert rep.iii_ok
     assert dec.m * 101 ** 14 >= dec.mu.norm()
 
@@ -109,9 +113,59 @@ def test_audit_rejects_mismatched_instance():
                     roots_mod_pn(76, 101, 16).all_roots()[0], 16)
     other = certify(23, 7, 22, 2, F(1, 10))
     with pytest.raises(ValueError):
-        audit_theorem1_chain(other, dec, 0)
+        audit_theorem1_chain(other, dec)
 
 
 def test_audit_lambda_norm_enters_exactly():
     # |lambda|^2 = 4 * 76 for the odd-p instance
     assert QuadInt.of(0, 2, 76).norm() == 4 * 76
+
+
+def _doctored(j, g):
+    """The starred system at (j, g) with 1 added to one P* coefficient."""
+    sys = normalize(build_diagonal(j, g))
+    return replace(sys, P=sys.P + IntPolynomial.monomial(1, 0))
+
+
+def test_audit_rejects_doctored_system():
+    x = roots_mod_pn(76, 101, 16).all_roots()[0]
+    dec = decompose(76, 101, 1015, 3, x, 16)
+    for g in (0, 1):
+        with pytest.raises(RuntimeError, match="assembled identity"):
+            audit_theorem1_chain(CERT, dec, {(1, g): _doctored(1, g)})
+
+
+def test_cli_audit_doctored_system_exit_4(capsys, monkeypatch):
+    from rnlab import decomposer
+    from rnlab.cli import main
+    real = decomposer.normalize
+
+    def doctored(sys):
+        return _doctored(sys.j, sys.g) if sys.g == 1 else real(sys)
+
+    monkeypatch.setattr(decomposer, "normalize", doctored)
+    code = main(["audit", "--D", "76", "--p", "101", "--x0", "1015",
+                 "--n0", "3", "--n", "16", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 4
+    assert payload["error"] == "internal_invariant_violation"
+
+
+def test_cli_audit_evaluates_each_system_once(capsys, monkeypatch):
+    from rnlab import decomposer, pade
+    from rnlab.cli import main
+    calls = []
+    real = pade.eval_at_z0
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (pade, decomposer):
+        monkeypatch.setattr(module, "eval_at_z0", counting)
+    x = roots_mod_pn(76, 101, 300).all_roots()[0]
+    code = main(["audit", "--D", "76", "--p", "101", "--x0", "1015",
+                 "--n0", "3", "--n", "300", "--x", str(x), "--format", "json"])
+    assert code == 0 and json.loads(capsys.readouterr().out)["audits"]
+    # P*, Q* and E* at g = 0 and at g = 1
+    assert len(calls) == 6

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from rnlab.pade import (BOUNDS, BOutOfRangeError, IntPolynomial, NotMonomialErro
                         check_q_bound, content, cross_constant, eval_at_z0,
                         assembled_identity_holds, factorial_ratio_bounds,
                         kernel_extrema, normalize, one_minus_z_pow,
-                        q_prefactor_bound)
+                        q_prefactor_bound, starred_at_z0)
 from rnlab.quadring import QuadInt, lambda_element
 
 F = Fraction
@@ -425,6 +426,32 @@ def test_assembled_identity_halved_beta():
     beta = QuadInt.half(181, 1, 7)
     assert assembled_identity_holds(1, 0, beta)
     assert assembled_identity_holds(1, 1, beta)
+
+
+def _power(x, e):
+    """x^e by e - 1 products, apart from QuadInt.__pow__."""
+    out = QuadInt.from_int(1, x.D)
+    for _ in range(e):
+        out = out * x
+    return out
+
+
+@pytest.mark.parametrize("beta", [BETA76, QuadInt.half(181, 1, 7)],
+                         ids=["integral", "halved"])
+@pytest.mark.parametrize("j", range(1, 11))
+@pytest.mark.parametrize("g", (0, 1))
+def test_starred_at_z0_matches_three_evaluations(beta, j, g):
+    lam = lambda_element(beta.D, 2 if beta.is_halved else 101)
+    sys = normalize(build_diagonal(j, g))
+    k, r = sys.k, sys.r
+    ev_p = eval_at_z0(sys.P, beta, r, lam)
+    ev_q = eval_at_z0(sys.Q, beta, r, lam)
+    ev_e = eval_at_z0(sys.E, beta, k - r - 1, lam)
+    assembled = _power(beta, k) * ev_p - _power(beta.conj(), k) * ev_q
+    assert assembled == (-1) ** r * _power(lam, 2 * r + 1) * ev_e
+    assert starred_at_z0(sys, beta, lam) == (ev_p, ev_q, assembled, True)
+    doctored = replace(sys, P=sys.P + IntPolynomial.monomial(1, 0))
+    assert starred_at_z0(doctored, beta, lam)[3] is False
 
 
 # ---------------------------------------------------------------------------
