@@ -191,17 +191,21 @@ def _cmd_hensel(args) -> int:
     return EXIT_OK
 
 
+# build_diagonal and build_general check each identity before they return a
+# system and raise IdentityViolationError (exit 4) when one fails, so every
+# system that reaches these two reports has "identity": true.
+
+
 def _verify_one_diagonal(sys_jg: pade.PadeSystem) -> dict:
-    j, g = sys_jg.j, sys_jg.g
     starred = pade.normalize(sys_jg)
-    return {"j": j, "g": g, "identity": sys_jg.identity_holds(),
+    return {"j": sys_jg.j, "g": sys_jg.g, "identity": True,
             "starred_identity": starred.identity_holds(),
             "content": starred.content}
 
 
 def _verify_one_general(a: int, b: int, c: int) -> dict:
-    return {"A": a, "B": b, "C": c,
-            "identity": pade.build_general(a, b, c).identity_holds()}
+    pade.build_general(a, b, c)
+    return {"A": a, "B": b, "C": c, "identity": True}
 
 
 def _cmd_pade(args) -> int:
@@ -464,28 +468,37 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except BrokenPipeError:
-        # as in the Python docs' note on SIGPIPE: point stdout at devnull,
-        # so that the flush at exit cannot fail again, and say nothing more
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_STDOUT_CLOSED
+        return _stdout_closed()
     except (certifier.UndecidableError,) as exc:
-        _print_error("undecidable", exc, args)
-        return EXIT_UNDECIDABLE
+        return _print_error("undecidable", exc, args, EXIT_UNDECIDABLE)
     except (ValueError, hensel.HenselError, OSError) as exc:
-        _print_error("invalid_input", exc, args)
-        return EXIT_INVALID
+        return _print_error("invalid_input", exc, args, EXIT_INVALID)
     except RuntimeError as exc:
         # PadeError, NeitherBranch, BothBranchesVanish, NotMonotone, ...
-        _print_error("internal_invariant_violation", exc, args)
-        return EXIT_INTERNAL
+        return _print_error("internal_invariant_violation", exc, args,
+                            EXIT_INTERNAL)
 
 
-def _print_error(kind: str, exc: Exception, args) -> None:
+def _stdout_closed() -> int:
+    # as in the Python docs' note on SIGPIPE: point stdout at devnull, so
+    # that the flush at exit cannot fail again, and say nothing more
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return EXIT_STDOUT_CLOSED
+
+
+def _print_error(kind: str, exc: Exception, args, code: int) -> int:
+    """Report exc as kind and return code; a JSON error line that cannot
+    be written, because stdout is closed, ends the call as the report's
+    own write does."""
     if getattr(args, "format", "human") == "json":
-        print(_canonical_json({"schema": "rnlab.error/1", "error": kind,
-                               "message": str(exc)}))
+        try:
+            print(_canonical_json({"schema": "rnlab.error/1", "error": kind,
+                                   "message": str(exc)}), flush=True)
+        except BrokenPipeError:
+            return _stdout_closed()
     else:
         print(f"error ({kind}): {exc}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

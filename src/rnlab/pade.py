@@ -26,6 +26,17 @@ product then holds every coefficient of the product polynomial in its own
 slot, and a bias of 2^(w-1) per slot lets each be read back independently.
 The work is one CPython big-integer multiplication plus linear passes.
 
+eval_at_z0 computes beta^d f(lambda/beta) = sum c_i lambda^i beta^(d-i) in
+the quadratic ring by binary splitting: the partial sum T(lo, hi) over the
+coefficients lo <= i < hi, scaled to beta^(hi-1-i), is put together from
+its halves as T(lo, mid) beta^(hi-mid) + lambda^(mid-lo) T(mid, hi).  The
+halves have about equal sizes, so the work is O(M(S) log d) for a result
+of S bits, against Theta(d S) for Horner's rule (Bernstein, "Fast
+multiplication and its applications", 2008).  The splits use only about
+two lengths per level, and the beta and lambda powers of those lengths
+are memoized per call.  Values travel as numerator pairs (u, v) of
+(u + v sqrt(-D))/2, and one validated QuadInt is built at the end.
+
 starred_at_z0 is the one place that assembles beta^k P*(z0) - conj(beta)^k
 Q*(z0) at z0 = lambda/beta, for the identity check and the chain audit.
 
@@ -43,7 +54,7 @@ from itertools import zip_longest
 from mpmath import iv
 
 from . import rigor
-from .quadring import QuadInt, lambda_element
+from .quadring import MixedDError, QuadInt, lambda_element
 
 
 class PadeError(RuntimeError):
@@ -420,26 +431,61 @@ def cross_constant(sys_r: PadeSystem, sys_r1: PadeSystem) -> int:
 # evaluation at z0 = lambda/beta inside the quadratic ring
 
 
+def _qmul(x: tuple[int, int], y: tuple[int, int], D: int) -> tuple[int, int]:
+    """Product of two algebraic integers given by their numerator pairs
+    (u, v) of (u + v*sqrt(-D))/2; both halvings are exact."""
+    (u1, v1), (u2, v2) = x, y
+    return (u1 * u2 - D * v1 * v2) >> 1, (u1 * v2 + v1 * u2) >> 1
+
+
+def _power_table(x: tuple[int, int], D: int):
+    """n -> x^n as a numerator pair, memoized: x^n comes from x^(n//2)."""
+    memo = {0: (2, 0), 1: x}
+
+    def power(n: int) -> tuple[int, int]:
+        if n not in memo:
+            half = power(n // 2)
+            sq = _qmul(half, half, D)
+            memo[n] = _qmul(sq, x, D) if n % 2 else sq
+        return memo[n]
+
+    return power
+
+
 def eval_at_z0(poly: IntPolynomial, beta: QuadInt, deg_scale: int,
                lam: QuadInt | None = None) -> QuadInt:
     """beta^deg_scale * poly(lambda/beta), computed exactly as a QuadInt.
 
     lambda defaults to 2*sqrt(-D) for an integral beta and sqrt(-D) for a
-    half-integral beta (the p = 2 convention).
+    half-integral beta (the p = 2 convention).  The sum of c_i lambda^i
+    beta^(deg_scale - i) is formed by binary splitting (see the module
+    docstring).
     """
     if deg_scale < poly.degree:
         raise ValueError(f"deg_scale {deg_scale} < degree {poly.degree}")
+    D = beta.D
     if lam is None:
-        lam = lambda_element(beta.D, 2 if beta.is_halved else 3)
-    beta_pows = [QuadInt.from_int(1, beta.D)]
-    for _ in range(deg_scale):
-        beta_pows.append(beta_pows[-1] * beta)
-    acc = QuadInt.from_int(0, beta.D)
-    if poly.is_zero():
-        return acc
-    for i in range(poly.degree, -1, -1):
-        acc = acc * lam + poly.coeff(i) * beta_pows[deg_scale - i]
-    return acc
+        lam = lambda_element(D, 2 if beta.is_halved else 3)
+    elif lam.D != D:
+        raise MixedDError(f"mixed rings: D={D} vs D={lam.D}")
+    cs = poly.coeffs
+    if not cs:
+        return QuadInt.from_int(0, D)
+    beta_pow = _power_table((beta.u, beta.v), D)
+    lam_pow = _power_table((lam.u, lam.v), D)
+
+    def split(lo: int, hi: int) -> tuple[int, int]:
+        # sum of c_i lambda^(i-lo) beta^(hi-1-i) over lo <= i < hi
+        if hi - lo == 1:
+            return 2 * cs[lo], 0
+        mid = (lo + hi) // 2
+        lu, lv = _qmul(split(lo, mid), beta_pow(hi - mid), D)
+        ru, rv = _qmul(lam_pow(mid - lo), split(mid, hi), D)
+        return lu + ru, lv + rv
+
+    # the zero coefficients above the degree contribute only a beta power
+    u, v = _qmul(split(0, len(cs)), beta_pow(deg_scale + 1 - len(cs)), D)
+    return QuadInt(u, v, D)
 
 
 def starred_at_z0(sys: PadeSystem, beta: QuadInt, lam: QuadInt):

@@ -190,6 +190,32 @@ def test_pade_verify_builds_each_diagonal_once(capsys, monkeypatch):
     assert [(d["j"], d["g"]) for d in payload["diagonal"]] == sorted(built)
 
 
+@pytest.mark.parametrize("builder,doctored_at", [
+    ("_diagonal_triple", (1, 0)), ("_general_triple", (1, 2, 1))],
+    ids=["diagonal", "general"])
+def test_pade_verify_broken_system_exit_4(capsys, monkeypatch, builder,
+                                          doctored_at):
+    # pade verify relies on the builders' own identity check: one
+    # coefficient of P off by one must end the run there, before a report
+    from rnlab import pade
+    real = getattr(pade, builder)
+
+    def doctored(*params):
+        P, *rest = real(*params)
+        if params == doctored_at:
+            P = P + pade.IntPolynomial.monomial(1, 0)
+        return (P, *rest)
+
+    monkeypatch.setattr(pade, builder, doctored)
+    code, text = run_cli(capsys, "pade", "verify", "--j-max", "3",
+                         "--abc-max", "2", "--format", "json")
+    payload = json.loads(text)
+    assert code == 4
+    assert payload["error"] == "internal_invariant_violation"
+    assert "identity failed" in payload["message"]
+    assert '"identity":true' not in text
+
+
 _ANCHOR = ["--D", "76", "--p", "101", "--x0", "1015", "--n0", "3"]
 
 
@@ -366,19 +392,26 @@ def test_audit_same_under_python_O():
     assert json.loads(outs[0])["certificate_status"] == "certified"
 
 
-@pytest.mark.parametrize("fmt", ["json", "human"])
-@pytest.mark.parametrize("n", [1, 3000])
-def test_closed_stdout_exits_1_quietly(fmt, n):
-    # the reader is gone before the report is written, as with `| head -c 0`;
-    # n = 1 writes less than a buffer, n = 3000 more
+# the reader is gone before the report is written, as with `| head -c 0`;
+# at n = 1 the report is shorter than a pipe buffer, at n = 3000 longer, and
+# a JSON error line goes to the closed stdout too
+_CLOSED_STDOUT_CASES = {
+    f"{n}-{fmt}": ["hensel", "--D", "76", "--p", "101", "--n", str(n),
+                   "--format", fmt]
+    for n in (1, 3000) for fmt in ("human", "json")}
+_CLOSED_STDOUT_CASES["invalid_input-json"] = [
+    "decompose", *_ANCHOR, "--n", "15", "--x", "1015", "--format", "json"]
+
+
+@pytest.mark.parametrize("argv", list(_CLOSED_STDOUT_CASES.values()),
+                         ids=list(_CLOSED_STDOUT_CASES))
+def test_closed_stdout_exits_1_quietly(argv):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "rnlab", "hensel", "--D", "76", "--p",
-             "101", "--n", str(n), "--format", fmt],
-            env=_subprocess_env(), stdout=write_end, stderr=subprocess.PIPE,
-            timeout=300)
+        proc = subprocess.run([sys.executable, "-m", "rnlab", *argv],
+                              env=_subprocess_env(), stdout=write_end,
+                              stderr=subprocess.PIPE, timeout=300)
     finally:
         os.close(write_end)
     assert proc.returncode == 1

@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from rnlab.pade import (BOUNDS, BOutOfRangeError, IntPolynomial, NotMonomialErro
                         assembled_identity_holds, factorial_ratio_bounds,
                         kernel_extrema, normalize, one_minus_z_pow,
                         q_prefactor_bound, starred_at_z0)
-from rnlab.quadring import QuadInt, lambda_element
+from rnlab.quadring import MixedDError, QuadInt, lambda_element
 
 F = Fraction
 
@@ -414,6 +415,52 @@ def test_eval_conjugation_consistency():
     ev = eval_at_z0(sys.Q, BETA76, sys.r, lam)
     ev_conj = eval_at_z0(sys.Q, BETA76.conj(), sys.r, lam.conj())
     assert ev.conj() == ev_conj
+
+
+def _horner_eval_at_z0(poly, beta, deg_scale, lam=None):
+    """The oracle: beta^deg_scale * poly(lambda/beta) by Horner's rule over
+    a table of beta powers, one QuadInt operation at a time."""
+    if deg_scale < poly.degree:
+        raise ValueError(f"deg_scale {deg_scale} < degree {poly.degree}")
+    if lam is None:
+        lam = lambda_element(beta.D, 2 if beta.is_halved else 3)
+    beta_pows = [QuadInt.from_int(1, beta.D)]
+    for _ in range(deg_scale):
+        beta_pows.append(beta_pows[-1] * beta)
+    acc = QuadInt.from_int(0, beta.D)
+    for i in range(poly.degree, -1, -1):
+        acc = acc * lam + poly.coeff(i) * beta_pows[deg_scale - i]
+    return acc
+
+
+@pytest.mark.parametrize("beta",
+                         [BETA76, BETA76.conj(), QuadInt.half(181, 1, 7)],
+                         ids=["integral", "conjugate", "halved"])
+def test_eval_matches_horner_oracle(beta):
+    rng = random.Random(20171)
+    lam = lambda_element(beta.D, 2 if beta.is_halved else 101)
+    polys = [IntPolynomial.zero()]
+    for degree in range(0, 301, 4):
+        bits = rng.choice((1, 8, 64, 600))
+        cs = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(degree)]
+        lead = rng.choice((-1, 1)) * rng.randint(1, 2 ** bits)
+        polys.append(IntPolynomial(cs + [lead]))
+    for poly in polys:
+        degree = max(poly.degree, 0)
+        for deg_scale in (degree, degree + 3):
+            expected = _horner_eval_at_z0(poly, beta, deg_scale)
+            assert eval_at_z0(poly, beta, deg_scale) == expected
+            assert eval_at_z0(poly, beta, deg_scale, lam) == expected
+    # an explicit lambda other than the default enters as given
+    poly = polys[16]
+    other = QuadInt.half(3, 1, 7) if beta.is_halved else QuadInt.of(5, -2, 76)
+    assert (eval_at_z0(poly, beta, 60, other)
+            == _horner_eval_at_z0(poly, beta, 60, other))
+
+
+def test_eval_rejects_lambda_of_another_ring():
+    with pytest.raises(MixedDError):
+        eval_at_z0(IntPolynomial([1, 2]), BETA76, 1, lambda_element(7, 2))
 
 
 @pytest.mark.parametrize("j", range(1, 5))
