@@ -5,7 +5,13 @@ against C * D^eta, where eta and the exponent of C are exact rational
 functions of sigma.  Rational subexpressions are kept exact; enclosures
 enter only for the logarithms of the two sides, with precision escalated
 until the comparison separates.  That the threshold increases in sigma,
-which max_sigma's bisection relies on, is proven in exact rationals.
+which max_sigma's bisection relies on, is proven in exact rationals.  The
+same proof shows that the common denominator of eta and the exponent is
+positive on the whole sigma range, so max_sigma multiplies the log
+condition through by it: the condition becomes the sign of an affine form
+alpha + gamma*sigma, and one enclosure of (alpha, gamma) decides every
+bisection point in integer arithmetic.  certify keeps the direct log
+comparison.
 
 A certificate that fails still carries the thresholds M = 250*n0 and
 X* = p^(250*n0), so downstream surveys can proceed empirically.
@@ -16,11 +22,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from mpmath import iv
 
 from .hensel import require_prime
-from .rigor import Comparison, PowProd, enclosure_str, rigorous_compare
+from .rigor import (Comparison, PowProd, affine_sign, enclosure_str,
+                    iv_fraction, rigorous_compare)
 
 F = Fraction
 
@@ -277,17 +285,6 @@ class MaxSigmaResult:
         return self.hi - self.lo
 
 
-def _condition_holds(D: int, p: int, n0: int, sigma: Fraction,
-                     var: VariantConstants, cap_digits: int | None,
-                     logs: dict) -> bool:
-    verdict = rigorous_compare(_beta_powprod(p, n0),
-                               threshold_powprod(D, p, sigma, var), cap_digits,
-                               logs)
-    if verdict is Comparison.UNDECIDABLE:
-        raise UndecidableError(f"size condition undecidable at sigma={sigma}")
-    return verdict is Comparison.GREATER
-
-
 def check_threshold_monotone(D: int, p: int, var: VariantConstants) -> None:
     """Prove in exact rationals that the threshold T(sigma) = C^exponent *
     D^eta increases strictly on all of (0, SIGMA_MAX].
@@ -314,18 +311,61 @@ def check_threshold_monotone(D: int, p: int, var: VariantConstants) -> None:
             raise NotMonotoneError(f"threshold not increasing: {failure}")
 
 
+def _size_condition(D: int, p: int, n0: int, var: VariantConstants,
+                    cap_digits: int | None) -> Callable[[Fraction], bool]:
+    """The size condition |beta| > C^exponent(sigma) * D^eta(sigma) as a
+    function of sigma, for sigma where den(sigma) = d0 - d1*sigma > 0.
+
+    With L = log|beta| (l * log b, from _beta_powprod), multiplying the log
+    condition by den(sigma) turns it into alpha + gamma*sigma > 0, where
+        alpha = d0*L - e0*log C - h0*log D,
+        gamma = log C + h1*log D - d1*L,
+    with d0, d1 = den_const, den_slope, e0 = exp_const and h0, h1 =
+    eta_const, eta_slope.  One enclosure of (alpha, gamma) per precision
+    decides every sigma (rigor.affine_sign); a sigma the cap cannot
+    separate raises UndecidableError.
+    """
+    (b, l), = _beta_powprod(p, n0).factors
+    c = var.c_base(p)
+
+    def enclose():
+        log_beta = iv_fraction(l) * iv.log(iv_fraction(b))
+        log_c = iv.log(iv_fraction(c))
+        log_d = iv.log(iv.mpf(D))
+        alpha = (iv_fraction(var.den_const) * log_beta
+                 - iv_fraction(var.exp_const) * log_c
+                 - iv_fraction(var.eta_const) * log_d)
+        gamma = (log_c + iv_fraction(var.eta_slope) * log_d
+                 - iv_fraction(var.den_slope) * log_beta)
+        return alpha, gamma
+
+    sign = affine_sign(enclose, cap_digits)
+
+    def holds(sigma: Fraction) -> bool:
+        verdict = sign(sigma)
+        if verdict is Comparison.UNDECIDABLE:
+            raise UndecidableError(f"size condition undecidable at sigma={sigma}")
+        return verdict is Comparison.GREATER
+
+    return holds
+
+
 def max_sigma(D: int, p: int, x0: int, n0: int, variant: str = "5j",
               width: Fraction = Fraction(1, 10 ** 6),
               cap_digits: int | None = None) -> MaxSigmaResult:
     """Enclose the largest sigma satisfying the size condition.
 
     Runs certify's input gates, proves in exact rationals that the
-    threshold increases in sigma (check_threshold_monotone), then bisects
-    the condition down to the requested interval width.  All comparisons
-    of the call share one dict of log enclosures.  The variant's beta
-    floor is reported as a separate flag (the condition itself does not
-    include it).
+    threshold increases in sigma and that den(sigma) > 0 on the range
+    (check_threshold_monotone), then bisects the condition down to the
+    requested interval width.  Each point is decided by the exact sign of
+    the affine form alpha + gamma*sigma (_size_condition), from one
+    enclosure of (alpha, gamma) per precision for the whole call.  The
+    variant's beta floor is reported as a separate flag (the condition
+    itself does not include it).
     """
+    if width <= 0:
+        raise ValueError(f"width must be positive, got {width}")
     var = VARIANTS[variant]
     _check_base_inputs(D, p, x0, n0)
     if x0 * x0 + D != p ** n0:
@@ -333,22 +373,22 @@ def max_sigma(D: int, p: int, x0: int, n0: int, variant: str = "5j",
     floor_ok = _beta_floor_ok(p, n0, var)
     check_threshold_monotone(D, p, var)
 
-    logs: dict = {}  # (base, iv.dps) -> log enclosure, for this call only
+    holds = _size_condition(D, p, n0, var, cap_digits)
     lo = F(1, 10 ** 9)
     hi = SIGMA_MAX - F(1, 10 ** 9)
-    if not _condition_holds(D, p, n0, lo, var, cap_digits, logs):
+    if not holds(lo):
         return MaxSigmaResult(D=D, p=p, x0=x0, n0=n0, variant=variant,
                               empty=True, lo=None, hi=None,
                               beta_floor_ok=floor_ok, monotone_checked=True,
                               reason=f"condition fails already at sigma={lo}")
-    if _condition_holds(D, p, n0, hi, var, cap_digits, logs):
+    if holds(hi):
         return MaxSigmaResult(D=D, p=p, x0=x0, n0=n0, variant=variant,
                               empty=False, lo=hi, hi=SIGMA_MAX,
                               beta_floor_ok=floor_ok, monotone_checked=True,
                               reason="condition holds up to the sigma range limit")
     while hi - lo > width:
         mid = (lo + hi) / 2
-        if _condition_holds(D, p, n0, mid, var, cap_digits, logs):
+        if holds(mid):
             lo = mid
         else:
             hi = mid

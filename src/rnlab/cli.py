@@ -100,6 +100,8 @@ def _fraction_str(fr: Fraction) -> str:
 def _cmd_certify(args) -> int:
     cert = certifier.certify(args.D, args.p, args.x0, args.n0, args.sigma,
                              args.variant)
+    # decimal conversion is quadratic in CPython: each number once
+    x_star = str(cert.X_star)
     payload = {
         "schema": "rnlab.certificate/1",
         "D": cert.D, "p": cert.p, "x0": cert.x0, "n0": cert.n0,
@@ -115,8 +117,8 @@ def _cmd_certify(args) -> int:
         "b_value": _fraction_str(cert.b_value),
         "b_ok": cert.b_ok,
         "M": cert.M,
-        "X_star": str(cert.X_star),
-        "X_star_digits": len(str(cert.X_star)),
+        "X_star": x_star,
+        "X_star_digits": len(x_star),
         "x_min_inference_digits": len(str(cert.x_min_inference)),
         "meaning": cert.meaning(),
         "notes": list(cert.notes),
@@ -126,7 +128,7 @@ def _cmd_certify(args) -> int:
         f"|beta|      : [{cert.beta_enclosure[0]}, {cert.beta_enclosure[1]}]",
         f"threshold   : [{cert.threshold_enclosure[0]}, {cert.threshold_enclosure[1]}]",
         f"M = 250*n0  : {cert.M}",
-        f"X* = p^M    : {len(str(cert.X_star))} digits",
+        f"X* = p^M    : {len(x_star)} digits",
         f"meaning     : {cert.meaning()}",
     ]
     _emit(payload, args.format, human, args.out)

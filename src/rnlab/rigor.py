@@ -9,11 +9,12 @@ PASS on rational data never depends on floating point at all.
 Power products are compared in the log domain: log is strictly increasing
 on positive reals, so disjoint enclosures of log(lhs) = sum e_i log b_i
 and log(rhs) prove the order of lhs and rhs.  This takes one interval log
-per base and precision and no exp.  The logs live in a dict keyed by
-(base, iv.dps) that the caller owns and may pass to several comparisons:
-max_sigma passes one dict to every comparison of its bisection, so log p,
-log C and log D are computed once per precision for the whole call, and
-nothing is kept past it.
+per base and precision and no exp.
+
+affine_sign decides the sign of alpha + gamma*s at many rationals s from
+one enclosure of the reals (alpha, gamma) per precision: the endpoints are
+read exactly as integers times powers of two, so each sign is an integer
+computation.  max_sigma's bisection uses it.
 
 The precision cap is read from RNLAB_PRECISION_CAP (decimal digits).
 """
@@ -125,6 +126,18 @@ def _separate(lhs, rhs) -> Comparison | None:
     return None
 
 
+def _precisions(cap_digits: int | None):
+    """The working precisions of one decision: 30 digits, doubled up to the
+    cap (the cap itself is the last one tried)."""
+    cap = cap_digits if cap_digits is not None else precision_cap()
+    dps = _START_DPS
+    while True:
+        yield dps
+        if dps >= cap:
+            return
+        dps = min(2 * dps, cap)
+
+
 def decide(build_lhs: Callable[[], object], build_rhs: Callable[[], object],
            cap_digits: int | None = None) -> Comparison:
     """Compare two positive real expressions given as enclosure builders.
@@ -132,31 +145,25 @@ def decide(build_lhs: Callable[[], object], build_rhs: Callable[[], object],
     The builders are re-invoked at each precision level; they must read the
     ambient iv context (iv.dps) when constructing their enclosures.
     """
-    cap = cap_digits if cap_digits is not None else precision_cap()
     saved = iv.dps
-    dps = _START_DPS
     try:
-        while True:
+        for dps in _precisions(cap_digits):
             iv.dps = dps
             verdict = _separate(build_lhs(), build_rhs())
             if verdict is not None:
                 return verdict
-            if dps >= cap:
-                return Comparison.UNDECIDABLE
-            dps = min(2 * dps, cap)
+        return Comparison.UNDECIDABLE
     finally:
         iv.dps = saved
 
 
 def rigorous_compare(lhs: PowProd, rhs: PowProd,
-                     cap_digits: int | None = None,
-                     logs: dict | None = None) -> Comparison:
+                     cap_digits: int | None = None) -> Comparison:
     """Certified comparison of two power products.
 
     Exact-rational operands are compared exactly (so equal rationals report
     EQUAL rather than exhausting precision).  Otherwise both must be
-    positive, and their log enclosures are compared; logs is the caller's
-    (base, iv.dps) -> log(base) dict, a fresh one when omitted.
+    positive, and their log enclosures are compared.
     """
     lf, rf = lhs.as_fraction(), rhs.as_fraction()
     if lf is not None and rf is not None:
@@ -165,10 +172,73 @@ def rigorous_compare(lhs: PowProd, rhs: PowProd,
         if lf > rf:
             return Comparison.GREATER
         return Comparison.EQUAL
-    if logs is None:
-        logs = {}
+    logs: dict = {}
     return decide(lambda: lhs.log_enclosure(logs),
                   lambda: rhs.log_enclosure(logs), cap_digits)
+
+
+def _dyadic(x) -> tuple[int, int] | None:
+    """An mpf endpoint as exact (m, e) with value m * 2**e, or None for an
+    infinity or a nan."""
+    sign, man, exp, bc = x
+    if not man:
+        return (0, 0) if bc == 0 else None
+    return (-int(man) if sign else int(man)), exp
+
+
+def _scaled_value(alpha: tuple[int, int], gamma: tuple[int, int],
+                  u: int, v: int) -> int:
+    """alpha*v + gamma*u for dyadics alpha and gamma, times a power of two
+    that makes it an integer (so its sign is exact)."""
+    (ma, ea), (mg, eg) = alpha, gamma
+    e = min(ea, eg)
+    return (ma * v << (ea - e)) + (mg * u << (eg - e))
+
+
+def affine_sign(build: Callable[[], tuple], cap_digits: int | None = None
+                ) -> Callable[[Fraction], Comparison]:
+    """The sign of alpha + gamma*s, as a function of a rational s > 0.
+
+    build returns enclosures of the fixed reals (alpha, gamma) at the
+    ambient iv precision; the returned function calls it at most once per
+    precision of decide's ladder, however often it is called itself.  At
+    s = u/v, alpha*v + gamma*u increases in alpha and gamma (u, v > 0), so
+    its value at the lower (upper) endpoints, an exact integer after
+    scaling, proves GREATER when positive (LESS when negative).  Otherwise
+    the next precision is tried, and UNDECIDABLE is returned after the cap.
+    """
+    cap = cap_digits if cap_digits is not None else precision_cap()
+    # dps -> exact (alpha lo, alpha hi, gamma lo, gamma hi), None if not finite
+    enclosures: dict[int, list | None] = {}
+
+    def ends_at(dps: int):
+        if dps not in enclosures:
+            saved = iv.dps
+            try:
+                iv.dps = dps
+                alpha, gamma = build()
+            finally:
+                iv.dps = saved
+            ends = [_dyadic(e) for x in (alpha, gamma) for e in x._mpi_]
+            enclosures[dps] = None if None in ends else ends
+        return enclosures[dps]
+
+    def sign(s: Fraction) -> Comparison:
+        if s <= 0:
+            raise ValueError(f"affine_sign needs s > 0, got {s}")
+        u, v = s.numerator, s.denominator
+        for dps in _precisions(cap):
+            ends = ends_at(dps)
+            if ends is None:
+                continue
+            a_lo, a_hi, g_lo, g_hi = ends
+            if _scaled_value(a_lo, g_lo, u, v) > 0:
+                return Comparison.GREATER
+            if _scaled_value(a_hi, g_hi, u, v) < 0:
+                return Comparison.LESS
+        return Comparison.UNDECIDABLE
+
+    return sign
 
 
 def enclosure_str(x, digits: int = 20) -> tuple[str, str]:

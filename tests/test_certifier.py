@@ -5,6 +5,7 @@ import pytest
 from mpmath import mp, log
 
 from rnlab.certifier import (SIGMA_MAX, VARIANTS, NotMonotoneError,
+                             _beta_powprod, _size_condition,
                              certify, check_threshold_monotone, max_sigma,
                              threshold_powprod, thresholds)
 from rnlab.rigor import Comparison, PowProd, decide, rigorous_compare
@@ -242,13 +243,13 @@ def test_max_sigma_anchor_enclosure_exact():
 
 
 def test_max_sigma_logs_once_per_base(monkeypatch):
-    # one interval log each of 1, 101, C and D for the whole bisection
+    # one interval log each of 101, C and D for the whole bisection
     from mpmath import iv
     calls = []
     real_log = iv.log
     monkeypatch.setattr(iv, "log", lambda x: calls.append(x) or real_log(x))
     max_sigma(76, 101, 1015, 3, "5j")
-    assert len(calls) == 4
+    assert len(calls) == 3
 
 
 def test_max_sigma_runs_certify_gates():
@@ -261,3 +262,145 @@ def test_max_sigma_runs_certify_gates():
         max_sigma(76, 101, -1015, 3)
     with pytest.raises(ValueError, match="n0 >= 3"):
         max_sigma(7, 2, 1, 2)  # the gate runs before the solution check
+
+
+@pytest.mark.parametrize("width", [F(0), F(-1)])
+def test_max_sigma_refuses_nonpositive_width(width):
+    # the bisection could never end; the width is checked before any gate
+    with pytest.raises(ValueError, match=f"width must be positive, got {width}"):
+        max_sigma(76, 101, 1015, 3, width=width)
+    with pytest.raises(ValueError, match="width"):
+        max_sigma(7, 4, 3, 2, width=width)
+
+
+def _sweep_base_solutions():
+    # the benchmark's certify-sweep instances: x0^2 + D = p^n0 with
+    # 12 < D <= 500, p < 400 prime, 3 <= n0 <= 40, x0 within 3 of
+    # isqrt(p^n0), p not dividing D, D not a square
+    import math
+    primes = [q for q in range(2, 400)
+              if all(q % r for r in range(2, math.isqrt(q) + 1))]
+    out = []
+    for q in primes:
+        for n0 in range(3, 41):
+            r = math.isqrt(q ** n0)
+            for x0 in range(max(1, r - 3), r + 4):
+                D = q ** n0 - x0 * x0
+                if 12 < D <= 500 and D % q and math.isqrt(D) ** 2 != D:
+                    out.append((D, q, x0, n0))
+    return out
+
+
+# max_sigma's enclosures on the sweep instances, as the comparison of log
+# enclosures at every bisection point computed them; every other instance
+# and variant is empty with _EMPTY_REASON
+_NONEMPTY_ENCLOSURES = {
+    (28, 37, 225, 3, "5j"): ("6601942008699/524288000000000",
+                             "3301182754349/262144000000000"),
+    (28, 37, 225, 3, "7j"): ("6997490614549/131072000000000",
+                             "5598077191639/104857600000000"),
+    (76, 101, 1015, 3, "5j"): ("56529203890807/524288000000000",
+                               "28264813695403/262144000000000"),
+    (76, 101, 1015, 3, "7j"): ("75386811846279/524288000000000",
+                               "37693617673139/262144000000000"),
+    (186, 163, 2081, 3, "5j"): ("32533693947467/524288000000000",
+                                "16267058723733/262144000000000"),
+    (186, 163, 2081, 3, "7j"): ("6161501550987/65536000000000",
+                                "9858487181579/104857600000000"),
+    (148, 197, 2765, 3, "5j"): ("605181502667/4096000000000",
+                                "619709246731/4194304000000"),
+    (148, 197, 2765, 3, "7j"): ("19057754159857/104857600000000",
+                                "23822298574821/131072000000000"),
+    (193, 257, 4120, 3, "5j"): ("10521857540691/65536000000000",
+                                "84175283825527/524288000000000"),
+    (193, 257, 4120, 3, "7j"): ("101673456784209/524288000000000",
+                                "6354617517763/32768000000000"),
+    (277, 317, 5644, 3, "5j"): ("77011357842443/524288000000000",
+                                "38505890671221/262144000000000"),
+    (277, 317, 5644, 3, "7j"): ("18776550160521/104857600000000",
+                                "23470793575651/131072000000000"),
+    (207, 331, 6022, 3, "5j"): ("51891878639613/262144000000000",
+                                "4151367231169/20971520000000"),
+    (207, 331, 6022, 3, "7j"): ("4857765229501/20971520000000",
+                                "30361138559381/131072000000000"),
+}
+_EMPTY_REASON = "condition fails already at sigma=1/1000000000"
+
+
+def test_max_sigma_sweep_results_pinned():
+    instances = _sweep_base_solutions()
+    assert len(instances) == 91
+    for inst in instances:
+        for variant in ("5j", "7j"):
+            res = max_sigma(*inst, variant)
+            pinned = _NONEMPTY_ENCLOSURES.get((*inst, variant))
+            if pinned is None:
+                assert res.empty and res.reason == _EMPTY_REASON, (inst, variant)
+            else:
+                assert not res.empty and res.reason == "", (inst, variant)
+                assert (res.lo, res.hi) == (F(pinned[0]), F(pinned[1]))
+
+
+# a p = 2 instance with a non-empty enclosure: 181^2 + 7 = 2^15
+_TWO = (7, 2, 181, 15)
+
+
+def _oracle_holds(D, p, n0, sigma, var):
+    verdict = rigorous_compare(_beta_powprod(p, n0),
+                               threshold_powprod(D, p, sigma, var))
+    assert verdict in (Comparison.GREATER, Comparison.LESS)
+    return verdict is Comparison.GREATER
+
+
+def _differential_cases():
+    # sigma = i/1000 for every i at the anchor and the p = 2 instance, every
+    # 5th i at the other non-empty instances and every 50th at the empty
+    # ones (each rigorous_compare takes about 0.3 ms)
+    cases = []
+    for inst in [*_sweep_base_solutions(), _TWO]:
+        for variant in ("5j", "7j"):
+            if inst in ((76, 101, 1015, 3), _TWO):
+                step = 1
+            elif (*inst, variant) in _NONEMPTY_ENCLOSURES:
+                step = 5
+            else:
+                step = 50
+            cases.append(pytest.param(inst, variant, step,
+                                      id=f"{inst[0]}-{inst[1]}-{inst[3]}-{variant}"))
+    return cases
+
+
+@pytest.mark.parametrize("inst, variant, step", _differential_cases())
+def test_affine_condition_matches_rigorous_compare(inst, variant, step):
+    # the affine decision against the direct log comparison certify makes,
+    # on a grid and at the enclosure ends and 1e-12 either side of them
+    D, p, x0, n0 = inst
+    var = VARIANTS[variant]
+    holds = _size_condition(D, p, n0, var, None)
+    sigmas = [F(i, 1000) for i in range(1, 847, step)]
+    res = max_sigma(*inst, variant)
+    if not res.empty:
+        eps = F(1, 10 ** 12)
+        sigmas += [s + k * eps for s in (res.lo, res.hi) for k in (-1, 0, 1)
+                   if 0 < s + k * eps < SIGMA_MAX]
+    for sigma in sigmas:
+        assert holds(sigma) == _oracle_holds(D, p, n0, sigma, var), sigma
+
+
+@pytest.mark.parametrize("inst", [(76, 101, 1015, 3), _TWO])
+@pytest.mark.parametrize("variant", ["5j", "7j"])
+def test_max_sigma_fine_width_agrees_with_rigorous_compare(monkeypatch, inst,
+                                                           variant):
+    # at width 1e-40 the last points are too close to the root for 30
+    # digits, so both deciders climb the precision ladder
+    from mpmath import iv
+    dps_seen = set()
+    real_log = iv.log
+    monkeypatch.setattr(iv, "log",
+                        lambda x: dps_seen.add(iv.dps) or real_log(x))
+    D, p, x0, n0 = inst
+    res = max_sigma(*inst, variant, width=F(1, 10 ** 40))
+    assert res.width() <= F(1, 10 ** 40)
+    assert max(dps_seen) > 30
+    assert _oracle_holds(D, p, n0, res.lo, VARIANTS[variant])
+    assert not _oracle_holds(D, p, n0, res.hi, VARIANTS[variant])

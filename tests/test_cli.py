@@ -392,6 +392,23 @@ def test_audit_same_under_python_O():
     assert json.loads(outs[0])["certificate_status"] == "certified"
 
 
+def test_max_sigma_same_under_python_O():
+    # the affine bisection decides each point by integer signs, not asserts;
+    # (7, 2, 181, 15) is a p = 2 instance with a non-empty enclosure
+    outs = {}
+    for flags in ([], ["-O"]):
+        outs[tuple(flags)] = [subprocess.run(
+            [sys.executable, *flags, "-m", "rnlab", "max-sigma", "--D", D,
+             "--p", p, "--x0", x0, "--n0", n0, "--format", "json"],
+            env=_subprocess_env(), capture_output=True, text=True, check=True,
+            timeout=300).stdout
+            for D, p, x0, n0 in (("76", "101", "1015", "3"),
+                                 ("7", "2", "181", "15"))]
+    assert outs[()] == outs[("-O",)]
+    for out in outs[()]:
+        assert not json.loads(out)["empty"]
+
+
 # the reader is gone before the report is written, as with `| head -c 0`;
 # at n = 1 the report is shorter than a pipe buffer, at n = 3000 longer, and
 # a JSON error line goes to the closed stdout too

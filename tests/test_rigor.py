@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv, mp
 
-from rnlab.rigor import Comparison, PowProd, decide, iv_pow, rigorous_compare
+from rnlab.rigor import (Comparison, PowProd, affine_sign, decide, iv_fraction,
+                         iv_pow, rigorous_compare)
 
 F = Fraction
 
@@ -114,3 +115,77 @@ def test_log_enclosure_computes_each_log_once_per_precision(monkeypatch):
         iv.dps = saved
     assert calls == [30, 30, 30, 60, 60, 60]
     assert set(logs) == {(b, d) for b in (F(3), F(101), F(76)) for d in (30, 60)}
+
+
+def _sqrt2_affine():
+    # alpha + gamma*s with alpha = -sqrt(2), gamma = 1: positive iff s > sqrt 2
+    builds = []
+
+    def build():
+        builds.append(iv.dps)
+        return -iv.sqrt(iv.mpf(2)), iv.mpf(1)
+
+    return build, builds
+
+
+def test_affine_sign_exact_at_rationals():
+    build, builds = _sqrt2_affine()
+    sign = affine_sign(build)
+    ambient = iv.dps
+    assert sign(F(3, 2)) is Comparison.GREATER
+    assert sign(F(7, 5)) is Comparison.LESS
+    assert sign(F(141421356, 10 ** 8)) is Comparison.LESS
+    assert builds == [30]
+    assert iv.dps == ambient
+
+
+def test_affine_sign_escalates_once_per_precision():
+    # the first 40 digits of sqrt(2) sit closer to it than 30 digits resolve
+    build, builds = _sqrt2_affine()
+    sign = affine_sign(build)
+    below = F("1.414213562373095048801688724209698078569")
+    above = below + F(1, 10 ** 39)
+    assert sign(below) is Comparison.LESS
+    assert sign(above) is Comparison.GREATER
+    assert sign(F(3, 2)) is Comparison.GREATER
+    assert builds == [30, 60]
+
+
+def test_affine_sign_undecidable_at_cap():
+    # gamma*s + alpha with alpha = -gamma/3 (as reals) vanishes at s = 1/3
+    def build():
+        third = iv.log(iv.mpf(3)) / 3
+        return -third, iv.log(iv.mpf(3))
+
+    sign = affine_sign(build, cap_digits=120)
+    assert sign(F(1, 3)) is Comparison.UNDECIDABLE
+    assert sign(F(1, 2)) is Comparison.GREATER
+
+
+def test_affine_sign_non_finite_enclosure_is_undecidable():
+    sign = affine_sign(lambda: (iv.mpf([1, "inf"]), iv.mpf(1)), cap_digits=60)
+    assert sign(F(1, 2)) is Comparison.UNDECIDABLE
+
+
+def test_affine_sign_needs_positive_s():
+    build, _ = _sqrt2_affine()
+    with pytest.raises(ValueError, match="s > 0"):
+        affine_sign(build)(F(0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fractions, _fractions, st.booleans(), st.booleans(),
+       st.builds(F, st.integers(1, 10 ** 9), st.integers(1, 10 ** 9)))
+def test_affine_sign_agrees_with_exact_rationals(a, g, neg_a, neg_g, s):
+    # rational alpha and gamma: the sign is known exactly, and a zero of
+    # alpha + gamma*s never separates
+    alpha, gamma = (-a if neg_a else a), (-g if neg_g else g)
+    exact = alpha + gamma * s
+    sign = affine_sign(lambda: (iv_fraction(alpha), iv_fraction(gamma)),
+                       cap_digits=60)(s)
+    if exact > 0:
+        assert sign is Comparison.GREATER
+    elif exact < 0:
+        assert sign is Comparison.LESS
+    else:
+        assert sign is Comparison.UNDECIDABLE
