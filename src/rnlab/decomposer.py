@@ -95,7 +95,7 @@ def decompose(D: int, p: int, x0: int, n0: int, x: int, n: int) -> Decomposition
     lam = lambda_element(D, p)
 
     beta_k = beta ** k
-    beta_bar_k = beta.conj() ** k
+    beta_bar_k = beta_k.conj()  # conj(beta)^k = conj(beta^k)
     mu_plus = gamma.exact_div(beta_k)
     mu_minus = gamma.exact_div(beta_bar_k)
     if mu_plus is not None and mu_minus is not None:

@@ -1,16 +1,16 @@
 """Exact Pade approximants to (1-z)^k and their certified bounds.
 
-Two families are built from explicit binomial sums:
+One builder, _general_triple, gives every triple (P, Q, E) with
 
-* the general three-parameter triple (P, Q, E) with
-  P - (1-z)^(B+C+1) Q = z^(A+C+1) E, and
-* the diagonal family with k = 5j, r = 4j - g, g in {0, 1}, normalized so
-  that Q has positive coefficients, where
-  P - (1-z)^k Q = (-1)^r z^(2r+1) E.
+    P - (1-z)^(B+C+1) Q = (-1)^C z^(A+C+1) E,    A, B, C >= 0.
 
-The diagonal triple equals (-1)^r times the general one at A = C = r,
-B = k - r - 1 (E is unchanged); both conventions are forced by their
-identities, which are re-verified by exact polynomial arithmetic before a
+* The general three-parameter system (build_general, A, B, C >= 1) takes
+  P and Q times (-1)^C, so that P - (1-z)^(B+C+1) Q = z^(A+C+1) E.
+* The diagonal family (build_diagonal) has k = 5j, r = 4j - g, g in
+  {0, 1}.  It is the unsigned triple at (A, B, C) = (r, j+g-1, r), so Q has
+  positive coefficients and P - (1-z)^k Q = (-1)^r z^(2r+1) E.
+
+Both identities are re-verified by exact polynomial arithmetic before a
 system is handed out.
 
 The coefficients are products of binomials; each factor runs along the
@@ -47,7 +47,7 @@ back to directed-rounding enclosures when pi or a square root appears.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -210,12 +210,6 @@ class IntPolynomial:
             return None
         return IntPolynomial._of([c // d for c in self.coeffs])
 
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IntPolynomial):
             return self.coeffs == other.coeffs
@@ -247,25 +241,33 @@ def one_minus_z_pow(k: int) -> IntPolynomial:
 
 @dataclass(frozen=True)
 class PadeSystem:
-    """A matched (P, Q, E) triple approximating (1-z)^k.
+    """A matched (P, Q, E) triple approximating (1-z)^k, k = B + C + 1,
+    with P - (1-z)^k Q = sign z^(A+C+1) E.
 
-    kind is "general" (params A, B, C) or "diagonal" (params j, g with
-    k = 5j, r = 4j - g).  content is 1 until the diagonal triple has been
-    normalized, after which it records the divided-out gcd c_g(j).
+    kind is "general" (sign +1) or "diagonal" (params j, g with k = 5j,
+    r = 4j - g, built at (A, B, C) = (r, j+g-1, r), sign (-1)^r).  content
+    is 1 until the diagonal triple has been normalized, after which it
+    records the divided-out gcd c_g(j).
     """
 
     kind: str
-    k: int
-    r: int
+    A: int
+    B: int
+    C: int
     P: IntPolynomial
     Q: IntPolynomial
     E: IntPolynomial
     content: int = 1
-    A: int | None = None
-    B: int | None = None
-    C: int | None = None
     j: int | None = None
     g: int | None = None
+
+    @property
+    def k(self) -> int:
+        return self.B + self.C + 1
+
+    @property
+    def r(self) -> int:
+        return self.A
 
     @property
     def starred(self) -> bool:
@@ -275,8 +277,6 @@ class PadeSystem:
         return -1 if (self.kind == "diagonal" and self.r % 2 == 1) else 1
 
     def remainder_degree(self) -> int:
-        if self.kind == "diagonal":
-            return 2 * self.r + 1
         return self.A + self.C + 1
 
     def identity_holds(self) -> bool:
@@ -319,90 +319,78 @@ def _termwise(xs: list[int], ys: list[int], alternate: bool) -> list[int]:
 
 
 def _general_triple(A: int, B: int, C: int):
+    """(P, Q, E) with P - (1-z)^(B+C+1) Q = (-1)^C z^(A+C+1) E, A,B,C >= 0:
+    p_i = (-1)^i C(s, i) C(A+C-i, A), q_i = C(A+C-i, C) C(B+i, i) and
+    e_i = (-1)^i C(A+i, i) C(s, A+C+1+i), where s = A + B + C + 1."""
     s = A + B + C + 1
-    sign_c = -1 if C % 2 else 1
     p = _termwise(_comb_row(s, 0, C + 1), _comb_down(A + C, A, C + 1), True)
     q = _termwise(_comb_down(A + C, C, A + 1), _comb_up(B, B, A + 1), False)
     e = _termwise(_comb_up(A, A, B + 1), _comb_row(s, A + C + 1, B + 1), True)
-    return (IntPolynomial._of([sign_c * c for c in p]),
-            IntPolynomial._of([sign_c * c for c in q]), IntPolynomial._of(e))
+    return IntPolynomial._of(p), IntPolynomial._of(q), IntPolynomial._of(e)
 
 
-def build_general(A: int, B: int, C: int, allow_zero: bool = False) -> PadeSystem:
-    """Three-parameter system with P - (1-z)^(B+C+1) Q = z^(A+C+1) E.
-
-    Parameters are positive; allow_zero=True extends to zero values (used
-    only for cross-checks against the diagonal family).
-    """
-    low = 0 if allow_zero else 1
-    if min(A, B, C) < low:
-        raise ValueError(f"parameters must be >= {low}: {(A, B, C)}")
-    P, Q, E = _general_triple(A, B, C)
-    sys = PadeSystem(kind="general", k=B + C + 1, r=A, P=P, Q=Q, E=E,
-                     A=A, B=B, C=C)
+def _verified(sys: PadeSystem, at: tuple) -> PadeSystem:
+    """sys, once its identity holds exactly and deg E = B."""
     if not sys.identity_holds():
-        raise IdentityViolationError(f"general identity failed at {(A, B, C)}")
+        raise IdentityViolationError(f"{sys.kind} identity failed at {at}")
+    if sys.E.degree != sys.B:
+        raise IdentityViolationError(f"deg E = {sys.E.degree} != B at {at}")
     return sys
 
 
-def _diagonal_q(j: int, g: int) -> list[int]:
-    """C(8j-2g-i, r) C(j+g-1+i, i) for i = 0..r, where 8j - 2g = 2r."""
-    r = 4 * j - g
-    return _termwise(_comb_down(2 * r, r, r + 1),
-                     _comb_up(j + g - 1, j + g - 1, r + 1), False)
+def build_general(A: int, B: int, C: int) -> PadeSystem:
+    """Three-parameter system with P - (1-z)^(B+C+1) Q = z^(A+C+1) E, for
+    positive A, B, C: the triple of _general_triple with P and Q times
+    (-1)^C."""
+    if min(A, B, C) < 1:
+        raise ValueError(f"parameters must be >= 1: {(A, B, C)}")
+    P, Q, E = _general_triple(A, B, C)
+    if C % 2:
+        P, Q = -P, -Q
+    return _verified(PadeSystem("general", A, B, C, P, Q, E), (A, B, C))
 
 
-def _diagonal_triple(j: int, g: int):
-    k, r = 5 * j, 4 * j - g
-    n = 9 * j - g
-    p = _termwise(_comb_row(n, 0, r + 1), _comb_down(2 * r, r, r + 1), True)
-    # the nominal top term i = j + g has binom(9j-g, 9j-g+1) = 0, so the
-    # sum is truncated at deg E = k - r - 1
-    e = _termwise(_comb_up(r, r, j + g), _comb_row(n, 2 * r + 1, j + g), True)
-    return (IntPolynomial._of(p), IntPolynomial._of(_diagonal_q(j, g)),
-            IntPolynomial._of(e), k, r)
-
-
-def build_diagonal(j: int, g: int) -> PadeSystem:
-    """Diagonal system at k = 5j, r = 4j - g, normalized so Q(0) > 0."""
+def _diagonal_params(j: int, g: int) -> tuple[int, int, int]:
+    """(A, B, C) = (r, j+g-1, r) of the diagonal system at (j, g)."""
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
     if g not in (0, 1):
         raise ValueError(f"g must be 0 or 1, got {g}")
-    P, Q, E, k, r = _diagonal_triple(j, g)
-    sys = PadeSystem(kind="diagonal", k=k, r=r, P=P, Q=Q, E=E, j=j, g=g)
-    if not sys.identity_holds():
-        raise IdentityViolationError(f"diagonal identity failed at {(j, g)}")
-    if E.degree != k - r - 1:
-        raise IdentityViolationError(f"deg E = {E.degree} != k-r-1 at {(j, g)}")
-    return sys
+    r = 4 * j - g
+    return r, j + g - 1, r
+
+
+def build_diagonal(j: int, g: int) -> PadeSystem:
+    """Diagonal system at k = 5j, r = 4j - g: the unsigned triple at
+    (A, B, C) = (r, j+g-1, r), so that Q has positive coefficients."""
+    A, B, C = _diagonal_params(j, g)
+    P, Q, E = _general_triple(A, B, C)
+    return _verified(PadeSystem("diagonal", A, B, C, P, Q, E, j=j, g=g),
+                     (j, g))
 
 
 def content(j: int, g: int) -> int:
     """c_g(j): gcd of the diagonal Q coefficients (binomial products)."""
-    if j < 1 or g not in (0, 1):
-        raise ValueError(f"need j >= 1 and g in {{0,1}}: {(j, g)}")
-    return math.gcd(*_diagonal_q(j, g))
+    return _general_triple(*_diagonal_params(j, g))[1].content()
 
 
 def normalize(sys: PadeSystem) -> PadeSystem:
-    """Divide a diagonal triple by c_g(j); all three divisions must be exact."""
+    """Divide a diagonal triple by c_g(j), the content of its Q; all three
+    divisions must be exact."""
     if sys.kind != "diagonal":
         raise ValueError("only diagonal systems are normalized")
     if sys.starred:
         return sys
-    c = content(sys.j, sys.g)
+    c = sys.Q.content()
     if c == 1:
         return sys
-    parts = []
-    for name, poly in (("P", sys.P), ("Q", sys.Q), ("E", sys.E)):
-        divided = poly.exact_scalar_div(c)
-        if divided is None:
+    parts = {}
+    for name in ("P", "Q", "E"):
+        parts[name] = getattr(sys, name).exact_scalar_div(c)
+        if parts[name] is None:
             raise ContentViolationError(
                 f"content {c} does not divide {name} at (j,g)={(sys.j, sys.g)}")
-        parts.append(divided)
-    return PadeSystem(kind=sys.kind, k=sys.k, r=sys.r, P=parts[0], Q=parts[1],
-                      E=parts[2], content=c, j=sys.j, g=sys.g)
+    return replace(sys, content=c, **parts)
 
 
 def cross_constant(sys_r: PadeSystem, sys_r1: PadeSystem) -> int:
@@ -497,7 +485,8 @@ def starred_at_z0(sys: PadeSystem, beta: QuadInt, lam: QuadInt):
     ev_p = eval_at_z0(sys.P, beta, r, lam)
     ev_q = eval_at_z0(sys.Q, beta, r, lam)
     ev_e = eval_at_z0(sys.E, beta, k - r - 1, lam)
-    assembled = beta ** k * ev_p - beta.conj() ** k * ev_q
+    beta_k = beta ** k  # conj(beta)^k = conj(beta^k)
+    assembled = beta_k * ev_p - beta_k.conj() * ev_q
     remainder = sys.identity_sign() * (lam ** (2 * r + 1)) * ev_e
     return ev_p, ev_q, assembled, assembled == remainder
 

@@ -69,8 +69,9 @@ class SurveyRecord:
         return len(str(self.x))
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "x": str(self.x), "m": str(self.m),
-                "digits_x": self.digits_x, "passed": self.passed}
+        x = str(self.x)  # decimal conversion is quadratic in CPython
+        return {"n": self.n, "x": x, "m": str(self.m),
+                "digits_x": len(x), "passed": self.passed}
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -191,14 +192,16 @@ def test_pade_verify_builds_each_diagonal_once(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("builder,doctored_at", [
-    ("_diagonal_triple", (1, 0)), ("_general_triple", (1, 2, 1))],
+    ("diagonal", (4, 0, 4)), ("general", (1, 2, 1))],
     ids=["diagonal", "general"])
 def test_pade_verify_broken_system_exit_4(capsys, monkeypatch, builder,
                                           doctored_at):
     # pade verify relies on the builders' own identity check: one
-    # coefficient of P off by one must end the run there, before a report
+    # coefficient of P off by one must end the run there, before a report.
+    # Both builders take their triples from _general_triple; (4, 0, 4) is
+    # the diagonal system at j = 1, g = 0.
     from rnlab import pade
-    real = getattr(pade, builder)
+    real = pade._general_triple
 
     def doctored(*params):
         P, *rest = real(*params)
@@ -206,17 +209,56 @@ def test_pade_verify_broken_system_exit_4(capsys, monkeypatch, builder,
             P = P + pade.IntPolynomial.monomial(1, 0)
         return (P, *rest)
 
-    monkeypatch.setattr(pade, builder, doctored)
+    monkeypatch.setattr(pade, "_general_triple", doctored)
     code, text = run_cli(capsys, "pade", "verify", "--j-max", "3",
                          "--abc-max", "2", "--format", "json")
     payload = json.loads(text)
     assert code == 4
     assert payload["error"] == "internal_invariant_violation"
-    assert "identity failed" in payload["message"]
+    assert payload["message"].startswith(f"{builder} identity failed")
     assert '"identity":true' not in text
 
 
 _ANCHOR = ["--D", "76", "--p", "101", "--x0", "1015", "--n0", "3"]
+
+
+# sha256 of canonical JSON reports.  Their bytes are part of the contract,
+# so a refactor that moves any byte fails here; only a deliberate change of
+# a report format may update a digest.
+_PINNED_REPORTS = {
+    "pade-verify": (
+        ["pade", "verify", "--j-max", "32", "--abc-max", "6"],
+        "010d67a106bc9a609b27b22d785c5fa139a2d83d0f400541817430f67a8f7e09"),
+    "audit-300": (
+        ["audit", *_ANCHOR, "--n", "300"],
+        "1016957c7b0cc8583ecd34562e225baf8a7d139858dfa8c22a42f63762b52156"),
+    "decompose-16": (
+        ["decompose", *_ANCHOR, "--n", "16"],
+        "2ad39519f72703633b44d7d65fa3e3b5a0b2788336eb44b6da17814740cb77a2"),
+    "certify-anchor": (
+        ["certify", *_ANCHOR, "--sigma", "1/10"],
+        "eb93f40bff836bd57d8e5017d8b898cb79ccf6312241c1d708bcf96a1f8c2145"),
+}
+
+
+@pytest.mark.parametrize("argv,digest", list(_PINNED_REPORTS.values()),
+                         ids=list(_PINNED_REPORTS))
+def test_canonical_reports_pinned(capsys, argv, digest):
+    code, text = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_decimal_digits_matches_str():
+    from rnlab.cli import _decimal_digits
+    cases = [n for k in (*range(40), 300, 1234, 5000)
+             for n in (10 ** k - 1, 10 ** k, 10 ** k + 1)]
+    cases += [2 ** b + d for b in range(1, 200) for d in (-1, 0, 1)]
+    # log10(2^183593) = 55267.999994: a first guess from any constant above
+    # log10 2 by 4e-11 or more overshoots the count here
+    cases += [101 ** (125 * 40), 397 ** 5000, 2 ** 183593]
+    for n in cases:
+        assert _decimal_digits(n) == len(str(n)), n
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rnlab.pade import (BOUNDS, BOutOfRangeError, IntPolynomial, NotMonomialError,
-                        ONE_MINUS_Z, PadeSystem, _diagonal_triple, _fmul,
-                        _general_triple, beta_moment_identity_holds, binom,
+                        ONE_MINUS_Z, _fmul, beta_moment_identity_holds, binom,
                         build_diagonal, build_general, check_e_bound,
                         check_q_bound, content, cross_constant, eval_at_z0,
                         assembled_identity_holds, factorial_ratio_bounds,
@@ -214,10 +213,7 @@ def test_identity_check_sees_every_coefficient(g):
             delta = 1 if (i + g) % 2 == 0 else -1
             bent = coeffs[:]
             bent[i] += delta
-            fields = {"P": sys.P, "Q": sys.Q, "E": sys.E,
-                      name: IntPolynomial(bent)}
-            mutant = PadeSystem(kind=sys.kind, k=sys.k, r=sys.r,
-                                j=sys.j, g=sys.g, **fields)
+            mutant = replace(sys, **{name: IntPolynomial(bent)})
             assert not mutant.identity_holds(), (name, i, delta)
 
 
@@ -251,18 +247,36 @@ def test_diagonal_recurrences_match_comb():
     for j in range(1, 41):
         for g in (0, 1):
             p, q, e = _comb_diagonal(j, g)
-            P, Q, E, k, r = _diagonal_triple(j, g)
-            assert (list(P.coeffs), list(Q.coeffs), list(E.coeffs)) == (p, q, e)
-            assert (k, r) == (5 * j, 4 * j - g)
+            sys = build_diagonal(j, g)
+            assert (sys.P, sys.Q, sys.E) == tuple(map(IntPolynomial, (p, q, e)))
+            assert (sys.k, sys.r) == (5 * j, 4 * j - g)
+            assert (sys.A, sys.B, sys.C) == (sys.r, j + g - 1, sys.r)
+            assert sys.remainder_degree() == 2 * sys.r + 1
             assert content(j, g) == math.gcd(*q)
 
 
 def test_general_recurrences_match_comb():
-    for A in range(7):
-        for B in range(7):
-            for C in range(7):
-                expected = [IntPolynomial(c) for c in _comb_general(A, B, C)]
-                assert list(_general_triple(A, B, C)) == expected, (A, B, C)
+    for A in range(1, 7):
+        for B in range(1, 7):
+            for C in range(1, 7):
+                sys = build_general(A, B, C)
+                expected = tuple(map(IntPolynomial, _comb_general(A, B, C)))
+                assert (sys.P, sys.Q, sys.E) == expected, (A, B, C)
+                assert (sys.k, sys.r) == (B + C + 1, A)
+
+
+def test_diagonal_is_signed_general():
+    # the diagonal system is (-1)^r times the general one at (r, j+g-1, r),
+    # E unchanged; j = 1, g = 0 has B = 0, outside build_general
+    for j in range(1, 9):
+        for g in (0, 1):
+            diag = build_diagonal(j, g)
+            if diag.B == 0:
+                continue
+            gen = build_general(diag.A, diag.B, diag.C)
+            sign = (-1) ** diag.r
+            assert (diag.P, diag.Q, diag.E) == (gen.P * sign, gen.Q * sign,
+                                                gen.E)
 
 
 # ---------------------------------------------------------------------------
@@ -277,15 +291,18 @@ def test_binom():
 
 
 def test_build_general_404_extension():
-    sys = build_general(4, 0, 4, allow_zero=True)
+    # the triple at (A, B, C) = (4, 0, 4) is the diagonal system at j = 1, g = 0
+    sys = build_diagonal(1, 0)
+    assert (sys.A, sys.B, sys.C) == (4, 0, 4)
     assert list(sys.P.coeffs) == [70, -315, 540, -420, 126]
     assert list(sys.Q.coeffs) == [70, 35, 15, 5, 1]
     assert list(sys.E.coeffs) == [1]
 
 
 def test_build_general_rejects_zero_by_default():
-    with pytest.raises(ValueError):
-        build_general(4, 0, 4)
+    for params in ((4, 0, 4), (0, 1, 1), (1, 1, 0)):
+        with pytest.raises(ValueError):
+            build_general(*params)
 
 
 def test_general_constant_terms_agree():
@@ -381,8 +398,7 @@ def test_cross_constant_order_enforced():
 
 def test_cross_constant_rejects_corrupt_system():
     lo, hi = build_diagonal(1, 1), build_diagonal(1, 0)
-    bad = PadeSystem(kind="diagonal", k=lo.k, r=lo.r, P=lo.P + lo.Q,
-                     Q=lo.Q, E=lo.E, j=1, g=1)
+    bad = replace(lo, P=lo.P + lo.Q)
     with pytest.raises(NotMonomialError):
         cross_constant(bad, hi)
 
