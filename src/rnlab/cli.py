@@ -112,8 +112,8 @@ def _decimal_digits(n: int) -> int:
 def _cmd_certify(args) -> int:
     cert = certifier.certify(args.D, args.p, args.x0, args.n0, args.sigma,
                              args.variant)
-    # decimal conversion is quadratic in CPython: each number once
-    x_star = str(cert.X_star)
+    # decimal conversion is quadratic in CPython: only JSON prints X* itself
+    x_star = str(cert.X_star) if args.format == "json" else None
     payload = {
         "schema": "rnlab.certificate/1",
         "D": cert.D, "p": cert.p, "x0": cert.x0, "n0": cert.n0,
@@ -130,7 +130,7 @@ def _cmd_certify(args) -> int:
         "b_ok": cert.b_ok,
         "M": cert.M,
         "X_star": x_star,
-        "X_star_digits": len(x_star),
+        "X_star_digits": len(x_star) if x_star else _decimal_digits(cert.X_star),
         "x_min_inference_digits": _decimal_digits(cert.x_min_inference),
         "meaning": cert.meaning(),
         "notes": list(cert.notes),
@@ -140,7 +140,7 @@ def _cmd_certify(args) -> int:
         f"|beta|      : [{cert.beta_enclosure[0]}, {cert.beta_enclosure[1]}]",
         f"threshold   : [{cert.threshold_enclosure[0]}, {cert.threshold_enclosure[1]}]",
         f"M = 250*n0  : {cert.M}",
-        f"X* = p^M    : {len(x_star)} digits",
+        f"X* = p^M    : {payload['X_star_digits']} digits",
         f"meaning     : {cert.meaning()}",
     ]
     _emit(payload, args.format, human, args.out)
@@ -220,6 +220,8 @@ def _verify_one_diagonal(sys_jg: pade.PadeSystem) -> dict:
 def _cmd_pade(args) -> int:
     if args.pade_cmd != "verify":
         raise ValueError(f"unknown pade subcommand {args.pade_cmd!r}")
+    if args.j_max < 1 or args.abc_max < 1:
+        raise ValueError("j_max and abc_max must be >= 1")
     abc = range(1, args.abc_max + 1)
     diag, crosses = [], []
     for j in range(1, args.j_max + 1):
@@ -326,6 +328,9 @@ def _cmd_max_sigma(args) -> int:
 
 
 def _cmd_scan_huge(args) -> int:
+    hensel.require_prime(args.p)
+    if args.D < 1 or args.n0_max < 1:
+        raise ValueError("D and n0_max must be >= 1")
     solutions = []
     for n0 in range(1, args.n0_max + 1):
         rest = args.p ** n0 - args.D

@@ -42,6 +42,12 @@ Q*(z0) at z0 = lambda/beta, for the identity check and the chain audit.
 
 All bound checks compare exact integers (denominators cleared), or fall
 back to directed-rounding enclosures when pi or a square root appears.
+kernel_extrema holds its kernels times d^2 at b = n/d, so that they have
+integer coefficients, and divides each reported value by d^2 once.  Its
+Sturm chain takes pseudo-remainders scaled by |lead| of the divisor, with
+the content divided out: positive multiples of the rational remainders,
+so every sign and root count is unchanged (von zur Gathen and Gerhard,
+Modern Computer Algebra, ch. 6).
 """
 
 from __future__ import annotations
@@ -199,6 +205,18 @@ class IntPolynomial:
         if self.is_zero():
             return self
         return IntPolynomial._of([0] * m + list(self.coeffs))
+
+    def derivative(self) -> IntPolynomial:
+        return IntPolynomial._of([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def value(self, x: Fraction) -> Fraction:
+        """The exact value at x = u/w, as sum c_i u^i w^(d-i) / w^d."""
+        u, w = x.numerator, x.denominator
+        acc, w_pow = 0, 1
+        for c in reversed(self.coeffs):
+            acc = acc * u + c * w_pow
+            w_pow *= w
+        return Fraction(acc * w, w_pow)  # w_pow is w^(d+1)
 
     def content(self) -> int:
         return math.gcd(*self.coeffs) if self.coeffs else 0
@@ -620,12 +638,16 @@ def check_e_bound(j: int, g: int) -> EBoundReport:
                         norm_margin_log10=norm_margin, claimed=(g == 1))
 
 
+def _integral_01(poly: IntPolynomial) -> Fraction:
+    """The exact integral of poly over [0, 1]: sum c_i / (i+1)."""
+    return sum((Fraction(c, i + 1) for i, c in enumerate(poly.coeffs)),
+               Fraction(0))
+
+
 def beta_moment_identity_holds(r: int) -> bool:
     """Exact quadrature of the moment integral of t^r (1-t)^r over [0, 1]
     against r! r! / (2r+1)!."""
-    poly = [Fraction(binom(r, i) * (-1 if i % 2 else 1)) for i in range(r + 1)]
-    tr = [Fraction(0)] * r + poly  # t^r * (1-t)^r
-    integral = sum(c / (i + 1) for i, c in enumerate(tr))
+    integral = _integral_01(one_minus_z_pow(r).shift(r))
     expected = Fraction(math.factorial(r) ** 2, math.factorial(2 * r + 1))
     return integral == expected
 
@@ -634,60 +656,29 @@ def beta_moment_identity_holds(r: int) -> bool:
 # kernel extrema: exact rational polynomial analysis on [0, 1]
 
 
-def _fmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Product through the integer core: clear each factor's denominators,
-    multiply, and divide the product by both common denominators."""
-    da = math.lcm(*(c.denominator for c in a))
-    db = math.lcm(*(c.denominator for c in b))
-    prod = (IntPolynomial._of([c.numerator * (da // c.denominator) for c in a])
-            * IntPolynomial._of([c.numerator * (db // c.denominator) for c in b]))
-    out = [Fraction(c, da * db) for c in prod.coeffs]
-    return out + [Fraction(0)] * (len(a) + len(b) - 1 - len(out))
+def _sturm_remainder(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """A primitive positive multiple of a mod b (see the module docstring)."""
+    rem, lead = a, b.coeffs[-1]
+    while rem.degree >= b.degree:
+        top = rem.coeffs[-1] if lead > 0 else -rem.coeffs[-1]
+        rem = rem * abs(lead) - (b * top).shift(rem.degree - b.degree)
+    return rem.exact_scalar_div(rem.content()) if rem.coeffs else rem
 
 
-def _fdiff(a: list[Fraction]) -> list[Fraction]:
-    return [i * c for i, c in enumerate(a)][1:]
-
-
-def _feval(a: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
-def _fmod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = a[:]
-    db, lead = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
+def _sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
+    chain = [p, p.derivative()]
+    while chain[-1].degree > 0:
+        rem = _sturm_remainder(chain[-2], chain[-1])
+        if rem.is_zero():
             break
-        factor = a[-1] / lead
-        shift = len(a) - 1 - db
-        for i, c in enumerate(b):
-            a[shift + i] -= factor * c
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
-    chain = [p, _fdiff(p)]
-    while len(chain[-1]) > 1:
-        rem = _fmod(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append([-c for c in rem])
+        chain.append(-rem)
     return chain
 
 
-def _variations(chain: list[list[Fraction]], x: Fraction) -> int:
+def _variations(chain: list[IntPolynomial], x: Fraction) -> int:
     signs = []
     for poly in chain:
-        v = _feval(poly, x)
+        v = poly.value(x)
         if v:
             signs.append(1 if v > 0 else -1)
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
@@ -698,10 +689,10 @@ def _count_roots(chain, a: Fraction, b: Fraction) -> int:
     return _variations(chain, a) - _variations(chain, b)
 
 
-def _interval_eval(coeffs: list[Fraction], lo: Fraction, hi: Fraction):
+def _interval_eval(poly: IntPolynomial, lo: Fraction, hi: Fraction):
     """Enclosure of a polynomial over [lo, hi] by interval Horner."""
-    acc_lo = acc_hi = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
+    acc_lo = acc_hi = poly.coeffs[-1]
+    for c in reversed(poly.coeffs[:-1]):
         products = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
         acc_lo, acc_hi = min(products) + c, max(products) + c
     return acc_lo, acc_hi
@@ -731,7 +722,7 @@ def _isolate_roots(chain, lo: Fraction, hi: Fraction,
             # bisect the single root down to tol
             while b - a > tol:
                 mid = (a + b) / 2
-                if _feval(s0, mid) == 0:
+                if s0.value(mid) == 0:
                     out.append((mid, mid))
                     break
                 if _count_roots(chain, a, mid) >= 1:
@@ -742,7 +733,7 @@ def _isolate_roots(chain, lo: Fraction, hi: Fraction,
                 out.append((a, b))
             continue
         mid = (a + b) / 2
-        if _feval(s0, mid) == 0:
+        if s0.value(mid) == 0:
             out.append((mid, mid))
         stack.append((a, mid))
         stack.append((mid, b))
@@ -772,26 +763,27 @@ def kernel_extrema(b: Fraction) -> KernelReport:
     b = Fraction(b)
     if not BOUNDS.b_min <= b <= 1:
         raise BOutOfRangeError(f"b = {b} outside [0.953, 1]")
-    one_minus_t4 = [Fraction(c) for c in (1, -4, 6, -4, 1)]
-    quad = [Fraction(1), -2 * b, Fraction(1)]
-    h = _fmul(one_minus_t4, _fmul(quad, quad))
-    f = _fmul(h, [Fraction(0), Fraction(1)])
+    d = b.denominator
+    quad = IntPolynomial._of([d, -2 * b.numerator, d])  # d (1 - 2bt + t^2)
+    h = one_minus_z_pow(4) * quad * quad  # d^2 h
+    f = h.shift(1)  # d^2 f
+    scale = d * d
 
-    integral = sum(c / (i + 1) for i, c in enumerate(h))
+    integral = _integral_01(h) / scale
     integral_ok = integral < BOUNDS.kernel_integral
 
-    fp = _fdiff(f)
+    fp = f.derivative()
     chain = _sturm_chain(fp)
     # widen past t = 1 so the endpoint root of f' is interior to the count
     hi = Fraction(9, 8)
-    while _feval(fp, hi) == 0:
+    while fp.value(hi) == 0:
         hi += Fraction(1, 8)
-    if _feval(fp, Fraction(0)) == 0:
+    if fp.value(Fraction(0)) == 0:
         raise PadeError("f'(0) = 0: the Sturm count from t = 0 would miss a root")
     tol = Fraction(1, 2 ** 40)
     intervals = _isolate_roots(chain, Fraction(0), hi, tol)
 
-    max_lower = max(_feval(f, Fraction(0)), _feval(f, Fraction(1)))
+    max_lower = max(f.value(Fraction(0)), f.value(Fraction(1)))
     max_upper = max_lower
     kept = 0
     for a, c in intervals:
@@ -799,10 +791,10 @@ def kernel_extrema(b: Fraction) -> KernelReport:
         if a > c:
             continue
         kept += 1
-        lo_v, hi_v = _interval_eval(f, a, c)
-        max_upper = max(max_upper, hi_v)
-        max_lower = max(max_lower, _feval(f, a), _feval(f, c),
-                        _feval(f, (a + c) / 2))
+        max_upper = max(max_upper, _interval_eval(f, a, c)[1])
+        max_lower = max(max_lower, f.value(a), f.value(c),
+                        f.value((a + c) / 2))
+    max_lower, max_upper = max_lower / scale, max_upper / scale
     max_ok = max_upper <= BOUNDS.kernel_max
     return KernelReport(b=b, integral=integral, integral_ok=integral_ok,
                         max_lower=max_lower, max_upper=max_upper,

@@ -130,6 +130,8 @@ def run_survey(D: int, p: int, sigma: Fraction, n_max: int,
         raise ValueError(f"p = {p} divides D = {D}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if checkpoint_every < 1:
+        raise ValueError(f"checkpoint_every must be >= 1: {checkpoint_every}")
 
     started = time.perf_counter()
     a, b = sigma.numerator, sigma.denominator

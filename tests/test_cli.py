@@ -291,6 +291,31 @@ def test_scan_huge(capsys):
                                     {"x0": "1015", "n0": 3}]
 
 
+@pytest.mark.parametrize("argv", [
+    ["pade", "verify", "--j-max", "-3", "--abc-max", "-1"],
+    ["pade", "verify", "--j-max", "0"],
+    ["pade", "verify", "--abc-max", "0"],
+    ["scan-huge", "--D", "76", "--p", "100", "--n0-max", "5"],
+    ["scan-huge", "--D", "-5", "--p", "101", "--n0-max", "5"],
+    ["scan-huge", "--D", "76", "--p", "101", "--n0-max", "0"],
+])
+def test_bad_sizes_exit_2(capsys, argv):
+    # each once gave an empty, clean-looking report with exit 0
+    code, payload = run_json(capsys, *argv)
+    assert code == 2 and payload["error"] == "invalid_input"
+
+
+@pytest.mark.parametrize("every", ["0", "-5"])
+def test_checkpoint_every_below_one_exit_2(tmp_path, capsys, every):
+    blob_path = tmp_path / "survey.ckpt"
+    code, payload = run_json(capsys, "survey", "--D", "76", "--p", "101",
+                             "--sigma", "7/50", "--n-max", "20",
+                             "--resume", str(blob_path),
+                             "--checkpoint-every", every)
+    assert code == 2 and payload["error"] == "invalid_input"
+    assert not blob_path.exists()
+
+
 def test_reports_byte_identical(capsys):
     _, out1 = run_cli(capsys, "survey", "--D", "76", "--p", "101",
                       "--sigma", "7/50", "--n-max", "20", "--format", "json")

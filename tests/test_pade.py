@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from dataclasses import replace
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rnlab.pade import (BOUNDS, BOutOfRangeError, IntPolynomial, NotMonomialError,
-                        ONE_MINUS_Z, _fmul, beta_moment_identity_holds, binom,
-                        build_diagonal, build_general, check_e_bound,
+                        ONE_MINUS_Z, _sturm_remainder, beta_moment_identity_holds,
+                        binom, build_diagonal, build_general, check_e_bound,
                         check_q_bound, content, cross_constant, eval_at_z0,
                         assembled_identity_holds, factorial_ratio_bounds,
                         kernel_extrema, normalize, one_minus_z_pow,
@@ -185,21 +186,6 @@ def test_one_minus_z_pow_matches_power():
         assert one_minus_z_pow(k) == ONE_MINUS_Z ** k
     with pytest.raises(ValueError):
         one_minus_z_pow(-1)
-
-
-_fractions = st.lists(st.builds(F, st.integers(-10 ** 6, 10 ** 6),
-                                st.integers(1, 10 ** 6)),
-                       min_size=1, max_size=8)
-
-
-@given(_fractions, _fractions)
-@settings(max_examples=100, deadline=None)
-def test_fraction_product_matches_schoolbook(a, b):
-    out = [F(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    assert _fmul(a, b) == out
 
 
 @pytest.mark.parametrize("g", (0, 1))
@@ -591,6 +577,65 @@ def test_kernel_monotone_in_b():
     grid = [F("0.953"), F("0.96"), F("0.97"), F("0.98"), F("0.99"), F(1)]
     maxima = [kernel_extrema(b).max_upper for b in grid]
     assert all(m2 < m1 for m1, m2 in zip(maxima, maxima[1:]))
+
+
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=10), st.fractions())
+@settings(max_examples=200, deadline=None)
+def test_value_and_derivative_match_rational_sums(cs, x):
+    poly = IntPolynomial(cs)
+    assert poly.value(x) == sum((c * x ** i for i, c in enumerate(cs)), F(0))
+    assert poly.derivative().value(x) == sum(
+        (i * c * x ** (i - 1) for i, c in enumerate(cs) if i), F(0))
+
+
+def _fmod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """The remainder of a by b over the rationals, step by step."""
+    a = a[:]
+    db, lead = len(b) - 1, b[-1]
+    while len(a) - 1 >= db and any(a):
+        while a and a[-1] == 0:
+            a.pop()
+        if len(a) - 1 < db:
+            break
+        factor = a[-1] / lead
+        shift = len(a) - 1 - db
+        for i, c in enumerate(b):
+            a[shift + i] -= factor * c
+        a.pop()
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+_nonzero_polys = st.lists(st.integers(-60, 60), min_size=1, max_size=10).map(
+    IntPolynomial).filter(lambda p: not p.is_zero())
+
+
+@given(_nonzero_polys, _nonzero_polys)
+@settings(max_examples=300, deadline=None)
+@example(IntPolynomial([3, 0, 0, 0, 0, 5]), IntPolynomial([-2, 0, 7]))
+@example(IntPolynomial([4, 6]), IntPolynomial([-3]))
+def test_sturm_remainder_is_a_positive_multiple(a, b):
+    # a positive factor keeps the signs a Sturm count reads
+    got = _sturm_remainder(a, b)
+    want = _fmod([F(c) for c in a.coeffs], [F(c) for c in b.coeffs])
+    if not want:
+        assert got.is_zero()
+        return
+    ratio = got.coeffs[-1] / want[-1]
+    assert ratio > 0 and got.content() == 1
+    assert [F(c) for c in got.coeffs] == [ratio * c for c in want]
+
+
+@pytest.mark.parametrize("b,digest", [
+    ("0.953", "52d149281aff90278777de840da701eb7c5928c2a85f7412e3e30aa2d965cbf4"),
+    ("0.97", "a9861278f5708c104a4df74c92c7c8e70244f1a51f51c8fa8d85e446a8cadcab"),
+    ("1", "1e2b7dbb3feaeaaa46739dc51a47a8300dbda7c12bcf4147d3aa54d7d8ed7821"),
+])
+def test_kernel_report_pinned(b, digest):
+    # sha256 of the report from the rational (Fraction-list) Sturm code
+    rep = repr(kernel_extrema(F(b)))
+    assert hashlib.sha256(rep.encode()).hexdigest() == digest
 
 
 def test_kernel_rejects_out_of_range():
