@@ -27,6 +27,7 @@ from typing import Callable
 from mpmath import iv
 
 from .hensel import require_prime
+from .pade import BOUNDS
 from .rigor import (Comparison, PowProd, affine_sign, enclosure_str,
                     iv_fraction, rigorous_compare)
 
@@ -96,27 +97,6 @@ VARIANTS = {
         base_odd=F(42106), base_two=F("10.28"),
         beta_floor=F(1300), floor_strict=True),
 }
-
-
-@dataclass(frozen=True)
-class AuditConstants:
-    """Literal constants of the downstream inequality chain; used only by
-    the audit, never inside certification logic."""
-
-    q_lambda_coeff: Fraction = F("0.238074")
-    beta_exp: Fraction = F("0.4873")
-    nine_tenths: Fraction = F(9, 10)
-    mu_div: Fraction = F("6.89")
-    x_coeff: Fraction = F("0.7")
-    final_coeff: Fraction = F("6.32")
-    mid_coeff: Fraction = F("5.24")
-
-    @staticmethod
-    def p_pow_gap(n0: int) -> int:
-        return 5 * n0 - 1
-
-
-AUDIT_CONSTANTS = AuditConstants()
 
 
 @dataclass(frozen=True)
@@ -207,10 +187,11 @@ def certify(D: int, p: int, x0: int, n0: int, sigma: Fraction,
     x_min = p ** (125 * n0)
     bns = _beta_norm_sq(p, n0)
     b_value = F(bns - 2 * D, bns)
-    b_ok = b_value >= F("0.953")
+    b_ok = b_value >= BOUNDS.b_min
     notes: list[str] = []
     if not b_ok:
-        notes.append("b below 0.953: the Q-value bound is not claimed here")
+        notes.append(f"b below {float(BOUNDS.b_min)}: "
+                     "the Q-value bound is not claimed here")
 
     def finish(status: str, beta_enc=("", ""), thr_enc=("", ""),
                margin=0.0) -> HugeSolutionCertificate:

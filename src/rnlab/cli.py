@@ -229,7 +229,8 @@ def _cmd_pade(args) -> int:
         sys0, sys1 = pade.build_diagonal(j, 0), pade.build_diagonal(j, 1)
         diag += [_verify_one_diagonal(sys0), _verify_one_diagonal(sys1)]
         c = pade.cross_constant(sys1, sys0)
-        crosses.append({"j": j, "degree": 8 * j - 1, "c": str(c)})
+        crosses.append({"j": j, "degree": sys1.remainder_degree(),
+                        "c": str(c)})
     gen = []
     for a, b, c in product(abc, repeat=3):
         pade.build_general(a, b, c)
@@ -362,7 +363,7 @@ def _add_certify(sub) -> None:
     c.add_argument("--x0", type=_parse_bigint, required=True)
     c.add_argument("--n0", type=int, required=True)
     c.add_argument("--sigma", type=_parse_sigma, required=True)
-    c.add_argument("--variant", choices=("5j", "7j"), default="5j")
+    c.add_argument("--variant", choices=tuple(certifier.VARIANTS), default="5j")
     _common(c)
     c.set_defaults(func=_cmd_certify)
 
@@ -420,7 +421,7 @@ def _add_audit(sub) -> None:
     a.add_argument("--n", type=int, required=True)
     a.add_argument("--x", type=_parse_bigint, default=None)
     a.add_argument("--sigma", type=_parse_sigma, default=Fraction(1, 10))
-    a.add_argument("--variant", choices=("5j", "7j"), default="5j")
+    a.add_argument("--variant", choices=tuple(certifier.VARIANTS), default="5j")
     _common(a)
     a.set_defaults(func=_cmd_audit)
 
@@ -431,7 +432,7 @@ def _add_max_sigma(sub) -> None:
     ms.add_argument("--p", type=int, required=True)
     ms.add_argument("--x0", type=_parse_bigint, required=True)
     ms.add_argument("--n0", type=int, required=True)
-    ms.add_argument("--variant", choices=("5j", "7j"), default="5j")
+    ms.add_argument("--variant", choices=tuple(certifier.VARIANTS), default="5j")
     _common(ms)
     ms.set_defaults(func=_cmd_max_sigma)
 

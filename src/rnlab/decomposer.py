@@ -3,7 +3,8 @@
 Writes gamma = x + sqrt(-D) (halved for p = 2) as beta^k * mu or
 conj(beta)^k * mu by attempted exact division, with k = 5j and
 j = floor(n/(5*n0)).  Exactly one branch divides; the resulting mu
-satisfies beta^k mu - conj(beta)^k conj(mu) = +/- lambda, and its norm
+satisfies beta^k mu - conj(beta)^k conj(mu) = +/- lambda, where lambda =
+beta - conj(beta) (2 sqrt(-D), or sqrt(-D) for p = 2), and its norm
 carries exactly the p-power p^l (l = n - n0*k) times the cofactor m.
 The audit then replays the downstream inequality chain on the instance
 with exact norms, for g = 0 and g = 1 in one call.
@@ -18,10 +19,27 @@ from fractions import Fraction
 from mpmath import iv
 
 from . import rigor
-from .certifier import AUDIT_CONSTANTS, HugeSolutionCertificate
+from .certifier import HugeSolutionCertificate
+from .hensel import require_prime
 # eval_at_z0 is not called here: the benchmark self-test asserts it is traced
-from .pade import build_diagonal, eval_at_z0, normalize, starred_at_z0
-from .quadring import QuadInt, lambda_element
+from .pade import BOUNDS, build_diagonal, eval_at_z0, normalize, starred_at_z0
+from .quadring import QuadInt
+
+
+@dataclass(frozen=True)
+class AuditConstants:
+    """Literal constants of the downstream inequality chain (audit only)."""
+
+    q_lambda_coeff: Fraction = Fraction("0.238074")
+    beta_exp: Fraction = Fraction("0.4873")
+    nine_tenths: Fraction = Fraction(9, 10)
+
+    @staticmethod
+    def p_pow_gap(n0: int) -> int:
+        return 5 * n0 - 1
+
+
+AUDIT_CONSTANTS = AuditConstants()
 
 
 class PreconditionFailError(ValueError):
@@ -64,6 +82,7 @@ class Decomposition:
 
 def decompose(D: int, p: int, x0: int, n0: int, x: int, n: int) -> Decomposition:
     """Produce the (j, branch, mu) decomposition with full norm accounting."""
+    require_prime(p)
     if x0 < 1 or n0 < 1 or x < 1 or n < 1:
         raise PreconditionFailError("x0, n0, x, n must be positive")
     if x0 * x0 + D != p ** n0:
@@ -92,7 +111,7 @@ def decompose(D: int, p: int, x0: int, n0: int, x: int, n: int) -> Decomposition
         beta = QuadInt.of(x0, 1, D)
         gamma = QuadInt.of(x, 1, D)
         norm_exponent = l
-    lam = lambda_element(D, p)
+    lam = beta - beta.conj()
 
     beta_k = beta ** k
     beta_bar_k = beta_k.conj()  # conj(beta)^k = conj(beta^k)
@@ -197,8 +216,8 @@ def audit_theorem1_chain(cert: HugeSolutionCertificate, dec: Decomposition,
     gap = AUDIT_CONSTANTS.p_pow_gap(dec.n0)
     iii_ok = dec.m * dec.p ** gap >= n_mu
 
-    coeff = (AUDIT_CONSTANTS.q_lambda_coeff ** 2
-             * Fraction(893445, 10 ** 4) ** (2 * dec.j))
+    coeff = AUDIT_CONSTANTS.q_lambda_coeff ** 2 * BOUNDS.q_base ** (2 * dec.j)
+    nine_sq = AUDIT_CONSTANTS.nine_tenths ** 2  # 81/100
 
     def flog10(value: int) -> float:
         return math.log10(value) if value > 0 else -math.inf
@@ -219,10 +238,10 @@ def audit_theorem1_chain(cert: HugeSolutionCertificate, dec: Decomposition,
             ii_ok = t * t <= 4 * a * b
 
         # informational: (|Q||lambda|)^2 < (9/10)^2 |beta|^(2k)
-        nine_tenths_ok = a * 100 < 81 * lhs_sq
+        nine_tenths_ok = a * nine_sq.denominator < nine_sq.numerator * lhs_sq
 
         # informational: (|Q||lambda|)^2 < coeff * |beta|^(2r+0.9746) with
-        # coeff = 0.238074^2 * 89.3445^(2j)
+        # coeff = 0.238074^2 * q_base^(2j)
         def lhs_builder():
             return iv.mpf(a)
 
@@ -236,7 +255,8 @@ def audit_theorem1_chain(cert: HugeSolutionCertificate, dec: Decomposition,
             "ii_log10_slack": (flog10(a + b) - flog10(lhs_sq)) / 2,
             "iii_log10_slack": flog10(dec.m * dec.p ** gap) - flog10(n_mu),
             "nine_tenths_log10_slack":
-                (flog10(81 * lhs_sq) - flog10(a * 100)) / 2,
+                (flog10(nine_sq.numerator * lhs_sq)
+                 - flog10(a * nine_sq.denominator)) / 2,
         }
         reports.append(AuditReport(
             j=dec.j, g=g, k=k, r=sys.r, nonzero_this_g=nonzero[g],

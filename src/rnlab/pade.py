@@ -40,8 +40,9 @@ are memoized per call.  Values travel as numerator pairs (u, v) of
 starred_at_z0 is the one place that assembles beta^k P*(z0) - conj(beta)^k
 Q*(z0) at z0 = lambda/beta, for the identity check and the chain audit.
 
-All bound checks compare exact integers (denominators cleared), or fall
-back to directed-rounding enclosures when pi or a square root appears.
+All bound checks compare exact Fractions built from the constants in
+BOUNDS, or fall back to directed-rounding enclosures when pi or a square
+root appears.
 kernel_extrema holds its kernels times d^2 at b = n/d, so that they have
 integer coefficients, and divides each reported value by d^2 once.  Its
 Sturm chain takes pseudo-remainders scaled by |lead| of the divisor, with
@@ -60,7 +61,7 @@ from itertools import zip_longest
 from mpmath import iv
 
 from . import rigor
-from .quadring import MixedDError, QuadInt, lambda_element
+from .quadring import MixedDError, QuadInt
 
 
 class PadeError(RuntimeError):
@@ -209,14 +210,19 @@ class IntPolynomial:
     def derivative(self) -> IntPolynomial:
         return IntPolynomial._of([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def value(self, x: Fraction) -> Fraction:
-        """The exact value at x = u/w, as sum c_i u^i w^(d-i) / w^d."""
+    def _horner(self, x: Fraction) -> tuple[int, int]:
+        """(sum c_i u^i w^(d-i), w^(d+1)) at x = u/w; the sum has its sign."""
         u, w = x.numerator, x.denominator
         acc, w_pow = 0, 1
         for c in reversed(self.coeffs):
             acc = acc * u + c * w_pow
             w_pow *= w
-        return Fraction(acc * w, w_pow)  # w_pow is w^(d+1)
+        return acc, w_pow
+
+    def value(self, x: Fraction) -> Fraction:
+        """The exact value at x = u/w, as sum c_i u^i w^(d-i) / w^d."""
+        acc, w_pow = self._horner(x)
+        return Fraction(acc * x.denominator, w_pow)
 
     def content(self) -> int:
         return math.gcd(*self.coeffs) if self.coeffs else 0
@@ -336,15 +342,20 @@ def _termwise(xs: list[int], ys: list[int], alternate: bool) -> list[int]:
             for i, (x, y) in enumerate(zip(xs, ys))]
 
 
+def _q_coeffs(A: int, B: int, C: int) -> list[int]:
+    """The coefficients q_i = C(A+C-i, C) C(B+i, i) of _general_triple's Q."""
+    return _termwise(_comb_down(A + C, C, A + 1), _comb_up(B, B, A + 1), False)
+
+
 def _general_triple(A: int, B: int, C: int):
     """(P, Q, E) with P - (1-z)^(B+C+1) Q = (-1)^C z^(A+C+1) E, A,B,C >= 0:
     p_i = (-1)^i C(s, i) C(A+C-i, A), q_i = C(A+C-i, C) C(B+i, i) and
     e_i = (-1)^i C(A+i, i) C(s, A+C+1+i), where s = A + B + C + 1."""
     s = A + B + C + 1
     p = _termwise(_comb_row(s, 0, C + 1), _comb_down(A + C, A, C + 1), True)
-    q = _termwise(_comb_down(A + C, C, A + 1), _comb_up(B, B, A + 1), False)
     e = _termwise(_comb_up(A, A, B + 1), _comb_row(s, A + C + 1, B + 1), True)
-    return IntPolynomial._of(p), IntPolynomial._of(q), IntPolynomial._of(e)
+    return (IntPolynomial._of(p), IntPolynomial._of(_q_coeffs(A, B, C)),
+            IntPolynomial._of(e))
 
 
 def _verified(sys: PadeSystem, at: tuple) -> PadeSystem:
@@ -389,7 +400,7 @@ def build_diagonal(j: int, g: int) -> PadeSystem:
 
 def content(j: int, g: int) -> int:
     """c_g(j): gcd of the diagonal Q coefficients (binomial products)."""
-    return _general_triple(*_diagonal_params(j, g))[1].content()
+    return math.gcd(*_q_coeffs(*_diagonal_params(j, g)))
 
 
 def normalize(sys: PadeSystem) -> PadeSystem:
@@ -459,20 +470,18 @@ def _power_table(x: tuple[int, int], D: int):
 
 
 def eval_at_z0(poly: IntPolynomial, beta: QuadInt, deg_scale: int,
-               lam: QuadInt | None = None) -> QuadInt:
+               lam: QuadInt) -> QuadInt:
     """beta^deg_scale * poly(lambda/beta), computed exactly as a QuadInt.
 
-    lambda defaults to 2*sqrt(-D) for an integral beta and sqrt(-D) for a
-    half-integral beta (the p = 2 convention).  The sum of c_i lambda^i
-    beta^(deg_scale - i) is formed by binary splitting (see the module
-    docstring).
+    Every caller passes lambda = beta - conj(beta): 2*sqrt(-D) for an
+    integral beta, sqrt(-D) for the half-integral one of p = 2.  The sum
+    of c_i lambda^i beta^(deg_scale - i) is formed by binary splitting
+    (see the module docstring).
     """
     if deg_scale < poly.degree:
         raise ValueError(f"deg_scale {deg_scale} < degree {poly.degree}")
     D = beta.D
-    if lam is None:
-        lam = lambda_element(D, 2 if beta.is_halved else 3)
-    elif lam.D != D:
+    if lam.D != D:
         raise MixedDError(f"mixed rings: D={D} vs D={lam.D}")
     cs = poly.coeffs
     if not cs:
@@ -510,11 +519,9 @@ def starred_at_z0(sys: PadeSystem, beta: QuadInt, lam: QuadInt):
 
 
 def assembled_identity_holds(j: int, g: int, beta: QuadInt,
-                             lam: QuadInt | None = None) -> bool:
+                             lam: QuadInt) -> bool:
     """Exact check of the starred identity at (j, g) evaluated at z0
-    (see starred_at_z0); lambda defaults as in eval_at_z0."""
-    if lam is None:
-        lam = lambda_element(beta.D, 2 if beta.is_halved else 3)
+    (see starred_at_z0)."""
     return starred_at_z0(normalize(build_diagonal(j, g)), beta, lam)[3]
 
 
@@ -524,6 +531,8 @@ def assembled_identity_holds(j: int, g: int, beta: QuadInt,
 
 @dataclass(frozen=True)
 class BoundConstants:
+    """The paper's bound constants: every check and report reads them here."""
+
     q_coeff: Fraction = Fraction("0.308")
     q_base: Fraction = Fraction("89.3445")
     e_coeff: Fraction = Fraction("0.377")
@@ -559,36 +568,33 @@ class QBoundReport:
 
 
 def check_q_bound(j: int, D: int, beta_norm: int) -> QBoundReport:
-    """Exact check of |Q*(z0)|^2 < (0.308 * 89.3445^j)^2 at g = 0.
+    """Exact check of |Q*(z0)|^2 < (q_coeff * q_base^j)^2 at g = 0
+    (BOUNDS: 0.308 and 89.3445).
 
     beta is reconstructed from its norm: x0 = sqrt(beta_norm - D) for an
     integral beta, else x0 = sqrt(4*beta_norm - D) for the halved form.
-    The comparison clears all denominators into one integer inequality.
+    The verdict compares the two reported Fractions exactly.
     """
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
     b = Fraction(beta_norm - 2 * D, beta_norm)
     if b < BOUNDS.b_min:
-        raise BOutOfRangeError(f"b = {b} < 0.953: bound not claimed here")
+        raise BOutOfRangeError(
+            f"b = {b} < {float(BOUNDS.b_min)}: bound not claimed here")
     x0 = math.isqrt(beta_norm - D)
     if x0 * x0 + D == beta_norm:
         beta = QuadInt.of(x0, 1, D)
-        lam = lambda_element(D, 3)
     else:
         x0 = math.isqrt(4 * beta_norm - D)
         if x0 * x0 + D != 4 * beta_norm:
             raise ValueError(f"beta_norm {beta_norm} has no beta over D={D}")
         beta = QuadInt.half(x0, 1, D)
-        lam = lambda_element(D, 2)
     sys = normalize(build_diagonal(j, 0))
-    ev_q = eval_at_z0(sys.Q, beta, sys.r, lam)
+    ev_q = eval_at_z0(sys.Q, beta, sys.r, beta - beta.conj())
     n_q = ev_q.norm()
     value_sq = Fraction(n_q, beta_norm ** sys.r)
     bound_sq = (BOUNDS.q_coeff * BOUNDS.q_base ** j) ** 2
-    # n_q * 10^(6+8j) < 308^2 * 893445^(2j) * beta_norm^r
-    lhs = n_q * 10 ** (6 + 8 * j)
-    rhs = 308 ** 2 * 893445 ** (2 * j) * beta_norm ** sys.r
-    ok = lhs < rhs
+    ok = value_sq < bound_sq
     margin = (_log10(bound_sq) - _log10(value_sq)) / 2 if n_q else math.inf
     return QBoundReport(j=j, D=D, beta_norm=beta_norm, b=b, ok=ok,
                         value_sq=value_sq, bound_sq=bound_sq,
@@ -610,32 +616,29 @@ class EBoundReport:
 
 def check_e_bound(j: int, g: int) -> EBoundReport:
     """Check the factorial ratio (k+r)!/((k-r-1)!(2r+1)!) = C(k+r, k-r-1)
-    against 0.377/sqrt(j) * (9^9/8^8)^j, and the content-normalized ratio
-    against 0.377/j * 7.847^j.
+    against e_coeff/sqrt(j) * (9^9/8^8)^j, and the content-normalized ratio
+    against e_coeff/j * e_base^j (BOUNDS: 0.377 and 7.847).
 
-    Both are exact integer comparisons (the sqrt(j) is squared away).  The
-    derivation behind these bounds is specific to g = 1; for g = 0 the
-    report carries claimed=False.
+    Both compare exact Fractions (the sqrt(j) is squared away); each margin
+    is the log10 of the ratio of the two sides.  The derivation behind
+    these bounds is specific to g = 1; for g = 0 the report carries
+    claimed=False.
     """
     if j < 1 or g not in (0, 1):
         raise ValueError(f"need j >= 1 and g in {{0,1}}: {(j, g)}")
     k, r = 5 * j, 4 * j - g
-    ratio = binom(k + r, k - r - 1)
+    ratio = binom(k + r, k - r - 1)  # >= 1, as 0 <= k - r - 1 <= k + r
     c = content(j, g)
-    nine9, eight8 = 9 ** 9, 8 ** 8
-    # ratio^2 * j < (377/1000)^2 * (9^9/8^8)^(2j)
-    raw_lhs = ratio ** 2 * j * 1000 ** 2 * eight8 ** (2 * j)
-    raw_rhs = 377 ** 2 * nine9 ** (2 * j)
-    raw_ok = raw_lhs < raw_rhs
-    # ratio/c * j < (377/1000) * (7847/1000)^j
-    norm_lhs = ratio * j * 1000 ** (j + 1)
-    norm_rhs = 377 * 7847 ** j * c
-    norm_ok = norm_lhs < norm_rhs
-    raw_margin = (_log10(Fraction(raw_rhs, raw_lhs)) / 2 if raw_lhs else math.inf)
-    norm_margin = _log10(Fraction(norm_rhs, norm_lhs))
-    return EBoundReport(j=j, g=g, ratio=ratio, content=c, raw_ok=raw_ok,
-                        raw_margin_log10=raw_margin, norm_ok=norm_ok,
-                        norm_margin_log10=norm_margin, claimed=(g == 1))
+    # ratio^2 * j < e_coeff^2 * (9^9/8^8)^(2j)
+    raw_slack = (BOUNDS.e_coeff ** 2 * Fraction(9 ** 9, 8 ** 8) ** (2 * j)
+                 / (ratio ** 2 * j))
+    # ratio/c * j < e_coeff * e_base^j
+    norm_slack = BOUNDS.e_coeff * BOUNDS.e_base ** j / Fraction(ratio * j, c)
+    return EBoundReport(j=j, g=g, ratio=ratio, content=c, raw_ok=raw_slack > 1,
+                        raw_margin_log10=_log10(raw_slack) / 2,
+                        norm_ok=norm_slack > 1,
+                        norm_margin_log10=_log10(norm_slack),
+                        claimed=(g == 1))
 
 
 def _integral_01(poly: IntPolynomial) -> Fraction:
@@ -762,7 +765,7 @@ def kernel_extrema(b: Fraction) -> KernelReport:
     """
     b = Fraction(b)
     if not BOUNDS.b_min <= b <= 1:
-        raise BOutOfRangeError(f"b = {b} outside [0.953, 1]")
+        raise BOutOfRangeError(f"b = {b} outside [{float(BOUNDS.b_min)}, 1]")
     d = b.denominator
     quad = IntPolynomial._of([d, -2 * b.numerator, d])  # d (1 - 2bt + t^2)
     h = one_minus_z_pow(4) * quad * quad  # d^2 h

@@ -204,10 +204,3 @@ class QuadInt:
                 return str(a)
             return f"{a}{b:+d}√-{self.D}"
         return f"({self.u}{self.v:+d}√-{self.D})/2"
-
-
-def lambda_element(D: int, p: int) -> QuadInt:
-    """The discriminant element: 2*sqrt(-D) for odd p, sqrt(-D) for p = 2."""
-    if p == 2:
-        return QuadInt.of(0, 1, D)
-    return QuadInt.of(0, 2, D)

@@ -46,6 +46,18 @@ def test_certify_basic():
     assert cert.b_ok
 
 
+def test_certify_b_ok_follows_b_min(monkeypatch):
+    from rnlab import certifier
+    from rnlab.pade import BOUNDS
+    low = certify(76, 101, 1, 1, F(1, 10))  # b = -51/101: not a base, b low
+    assert not low.b_ok
+    assert low.notes == ("b below 0.953: the Q-value bound is not claimed here",)
+    monkeypatch.setattr(certifier, "BOUNDS", replace(BOUNDS, b_min=F(1)))
+    cert = certify(76, 101, 1015, 3, F(1, 10))
+    assert cert.certified and not cert.b_ok  # b = 1030149/1030301 < 1
+    assert cert.notes == ("b below 1.0: the Q-value bound is not claimed here",)
+
+
 def test_certify_condition_fails_at_014():
     cert = certify(76, 101, 1015, 3, F(7, 50))
     assert cert.status == "condition_fails"

@@ -132,6 +132,17 @@ def test_decompose_precondition_exit_2(capsys):
     assert payload["error"] == "invalid_input"
 
 
+def test_decompose_composite_p_exit_2(capsys):
+    # with and without --x: the same refusal, not an internal error
+    base = ("decompose", "--D", "7", "--p", "4", "--x0", "3", "--n0", "2",
+            "--n", "11")
+    for extra in ((), ("--x", "474955")):
+        code, payload = run_json(capsys, *base, *extra)
+        assert code == 2
+        assert payload["error"] == "invalid_input"
+        assert payload["message"] == "p = 4 is not prime"
+
+
 def test_audit(capsys):
     code, payload = run_json(capsys, "audit", "--D", "76", "--p", "101",
                              "--x0", "1015", "--n0", "3", "--n", "16")

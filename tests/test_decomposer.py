@@ -7,7 +7,7 @@ import pytest
 from rnlab.certifier import certify
 from rnlab.decomposer import (PreconditionFailError, audit_theorem1_chain,
                               decompose)
-from rnlab.hensel import roots_mod_pn
+from rnlab.hensel import CompositeModulusError, roots_mod_pn
 from rnlab.pade import IntPolynomial, build_diagonal, normalize
 from rnlab.quadring import QuadInt
 from rnlab.survey import run_survey
@@ -46,6 +46,22 @@ def test_decompose_rejects_bad_base():
         decompose(76, 101, 1014, 3, 5, 16)
     with pytest.raises(PreconditionFailError):
         decompose(76, 101, 1015, 3, 7, 16)  # 101^16 does not divide 7^2+76
+
+
+def test_decompose_rejects_composite_p():
+    # 474955^2 + 7 = 4^11 * m, yet 4 is no prime: refused as bad input
+    assert (474955 ** 2 + 7) % 4 ** 11 == 0
+    with pytest.raises(CompositeModulusError, match="p = 4 is not prime"):
+        decompose(7, 4, 3, 2, 474955, 11)
+
+
+def test_lambda_is_beta_minus_conj_beta():
+    # the paper's lambda: 2 sqrt(-D) for odd p, sqrt(-D) for p = 2
+    odd = decompose(76, 101, 1015, 3, roots_mod_pn(76, 101, 16).all_roots()[0],
+                    16)
+    assert odd.lam == QuadInt.of(0, 2, 76) == odd.beta - odd.beta.conj()
+    two = decompose(7, 2, 181, 15, roots_mod_pn(7, 2, 80).all_roots()[0], 80)
+    assert two.lam == QuadInt.of(0, 1, 7) == two.beta - two.beta.conj()
 
 
 def test_decompose_roundtrip_gamma():
@@ -114,6 +130,26 @@ def test_audit_rejects_mismatched_instance():
     other = certify(23, 7, 22, 2, F(1, 10))
     with pytest.raises(ValueError):
         audit_theorem1_chain(other, dec)
+
+
+def test_audit_verdicts_follow_their_constants(monkeypatch):
+    from rnlab import decomposer
+    dec = decompose(76, 101, 1015, 3, roots_mod_pn(76, 101, 16).all_roots()[0],
+                    16)
+    reports = audit_theorem1_chain(CERT, dec)
+    assert [r.q_lambda_ok for r in reports] == [False, True]
+    assert [r.nine_tenths_ok for r in reports] == [False, True]
+    monkeypatch.setattr(decomposer, "BOUNDS",
+                        replace(decomposer.BOUNDS, q_base=F(10 ** 6)))
+    assert all(r.q_lambda_ok for r in audit_theorem1_chain(CERT, dec))
+    monkeypatch.setattr(decomposer, "BOUNDS",
+                        replace(decomposer.BOUNDS, q_base=F(1)))
+    assert not any(r.q_lambda_ok for r in audit_theorem1_chain(CERT, dec))
+    monkeypatch.setattr(decomposer, "AUDIT_CONSTANTS",
+                        replace(decomposer.AUDIT_CONSTANTS, nine_tenths=F(2)))
+    reports = audit_theorem1_chain(CERT, dec)
+    assert all(r.nine_tenths_ok for r in reports)
+    assert reports[0].margins["nine_tenths_log10_slack"] > 0
 
 
 def test_audit_lambda_norm_enters_exactly():

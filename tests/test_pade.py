@@ -8,13 +8,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rnlab.pade import (BOUNDS, BOutOfRangeError, IntPolynomial, NotMonomialError,
-                        ONE_MINUS_Z, _sturm_remainder, beta_moment_identity_holds,
+                        ONE_MINUS_Z, _sturm_chain, _sturm_remainder, _variations,
+                        beta_moment_identity_holds,
                         binom, build_diagonal, build_general, check_e_bound,
                         check_q_bound, content, cross_constant, eval_at_z0,
                         assembled_identity_holds, factorial_ratio_bounds,
                         kernel_extrema, normalize, one_minus_z_pow,
                         q_prefactor_bound, starred_at_z0)
-from rnlab.quadring import MixedDError, QuadInt, lambda_element
+from rnlab import pade
+from rnlab.quadring import MixedDError, QuadInt
 
 F = Fraction
 
@@ -394,38 +396,37 @@ def test_cross_constant_rejects_corrupt_system():
 
 
 BETA76 = QuadInt.of(1015, 1, 76)
+LAM76 = BETA76 - BETA76.conj()  # 2 sqrt(-76)
 
 
 def test_eval_constant():
-    assert eval_at_z0(IntPolynomial([1]), BETA76, 0) == 1
+    assert eval_at_z0(IntPolynomial([1]), BETA76, 0, LAM76) == 1
 
 
 def test_eval_q_norm_is_integer():
     sys = build_diagonal(1, 0)
-    ev = eval_at_z0(sys.Q, BETA76, 4)
+    ev = eval_at_z0(sys.Q, BETA76, 4, LAM76)
     assert ev.norm() > 0  # exact integer by construction
 
 
 def test_eval_deg_scale_too_small():
     with pytest.raises(ValueError):
-        eval_at_z0(IntPolynomial([1, 2, 3]), BETA76, 1)
+        eval_at_z0(IntPolynomial([1, 2, 3]), BETA76, 1, LAM76)
 
 
 def test_eval_conjugation_consistency():
     sys = build_diagonal(2, 1)
-    lam = lambda_element(76, 101)
+    lam = LAM76
     ev = eval_at_z0(sys.Q, BETA76, sys.r, lam)
     ev_conj = eval_at_z0(sys.Q, BETA76.conj(), sys.r, lam.conj())
     assert ev.conj() == ev_conj
 
 
-def _horner_eval_at_z0(poly, beta, deg_scale, lam=None):
+def _horner_eval_at_z0(poly, beta, deg_scale, lam):
     """The oracle: beta^deg_scale * poly(lambda/beta) by Horner's rule over
     a table of beta powers, one QuadInt operation at a time."""
     if deg_scale < poly.degree:
         raise ValueError(f"deg_scale {deg_scale} < degree {poly.degree}")
-    if lam is None:
-        lam = lambda_element(beta.D, 2 if beta.is_halved else 3)
     beta_pows = [QuadInt.from_int(1, beta.D)]
     for _ in range(deg_scale):
         beta_pows.append(beta_pows[-1] * beta)
@@ -440,7 +441,7 @@ def _horner_eval_at_z0(poly, beta, deg_scale, lam=None):
                          ids=["integral", "conjugate", "halved"])
 def test_eval_matches_horner_oracle(beta):
     rng = random.Random(20171)
-    lam = lambda_element(beta.D, 2 if beta.is_halved else 101)
+    lam = beta - beta.conj()
     polys = [IntPolynomial.zero()]
     for degree in range(0, 301, 4):
         bits = rng.choice((1, 8, 64, 600))
@@ -450,10 +451,9 @@ def test_eval_matches_horner_oracle(beta):
     for poly in polys:
         degree = max(poly.degree, 0)
         for deg_scale in (degree, degree + 3):
-            expected = _horner_eval_at_z0(poly, beta, deg_scale)
-            assert eval_at_z0(poly, beta, deg_scale) == expected
+            expected = _horner_eval_at_z0(poly, beta, deg_scale, lam)
             assert eval_at_z0(poly, beta, deg_scale, lam) == expected
-    # an explicit lambda other than the default enters as given
+    # a lambda other than beta - conj(beta) enters as given
     poly = polys[16]
     other = QuadInt.half(3, 1, 7) if beta.is_halved else QuadInt.of(5, -2, 76)
     assert (eval_at_z0(poly, beta, 60, other)
@@ -462,19 +462,20 @@ def test_eval_matches_horner_oracle(beta):
 
 def test_eval_rejects_lambda_of_another_ring():
     with pytest.raises(MixedDError):
-        eval_at_z0(IntPolynomial([1, 2]), BETA76, 1, lambda_element(7, 2))
+        eval_at_z0(IntPolynomial([1, 2]), BETA76, 1, QuadInt.of(0, 1, 7))
 
 
 @pytest.mark.parametrize("j", range(1, 5))
 @pytest.mark.parametrize("g", (0, 1))
 def test_assembled_identity(j, g):
-    assert assembled_identity_holds(j, g, BETA76)
+    assert assembled_identity_holds(j, g, BETA76, LAM76)
 
 
 def test_assembled_identity_halved_beta():
     beta = QuadInt.half(181, 1, 7)
-    assert assembled_identity_holds(1, 0, beta)
-    assert assembled_identity_holds(1, 1, beta)
+    lam = beta - beta.conj()  # sqrt(-7)
+    assert assembled_identity_holds(1, 0, beta, lam)
+    assert assembled_identity_holds(1, 1, beta, lam)
 
 
 def _power(x, e):
@@ -490,7 +491,7 @@ def _power(x, e):
 @pytest.mark.parametrize("j", range(1, 11))
 @pytest.mark.parametrize("g", (0, 1))
 def test_starred_at_z0_matches_three_evaluations(beta, j, g):
-    lam = lambda_element(beta.D, 2 if beta.is_halved else 101)
+    lam = beta - beta.conj()
     sys = normalize(build_diagonal(j, g))
     k, r = sys.k, sys.r
     ev_p = eval_at_z0(sys.P, beta, r, lam)
@@ -588,6 +589,15 @@ def test_value_and_derivative_match_rational_sums(cs, x):
         (i * c * x ** (i - 1) for i, c in enumerate(cs) if i), F(0))
 
 
+@given(st.lists(st.integers(-60, 60), min_size=2, max_size=8), st.fractions())
+@settings(max_examples=200, deadline=None)
+def test_variations_match_signs_of_values(cs, x):
+    # the integer Horner sum read by _variations has the sign of the value
+    chain = _sturm_chain(IntPolynomial(cs))
+    signs = [1 if v > 0 else -1 for v in (q.value(x) for q in chain) if v]
+    assert _variations(chain, x) == sum(s != t for s, t in zip(signs, signs[1:]))
+
+
 def _fmod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     """The remainder of a by b over the rationals, step by step."""
     a = a[:]
@@ -666,3 +676,37 @@ def test_bound_constant_consistency():
     assert 0 <= BOUNDS.q_base - q_exact <= F(2, 10 ** 4)
     e_exact = F(9 ** 9, 8 ** 8) / BOUNDS.content_base
     assert 0 <= BOUNDS.e_base - e_exact <= F(2, 10 ** 3)
+
+
+# ---------------------------------------------------------------------------
+# each verdict reads the constant that its report prints
+
+
+def test_q_bound_verdict_follows_q_base(monkeypatch):
+    assert check_q_bound(2, 76, 1030301).ok
+    monkeypatch.setattr(pade, "BOUNDS", replace(BOUNDS, q_base=F(40)))
+    rep = check_q_bound(2, 76, 1030301)
+    assert rep.bound_sq == (F("0.308") * 40 ** 2) ** 2
+    assert not rep.ok and rep.margin_log10 < 0
+    monkeypatch.setattr(pade, "BOUNDS", replace(BOUNDS, q_base=F(1000)))
+    assert check_q_bound(1, 76, 1030301).ok
+
+
+def test_e_bound_verdicts_follow_e_coeff(monkeypatch):
+    rep = check_e_bound(1, 1)
+    assert rep.raw_ok and rep.norm_ok
+    monkeypatch.setattr(pade, "BOUNDS", replace(BOUNDS, e_coeff=F("0.2")))
+    rep = check_e_bound(1, 1)
+    assert not rep.raw_ok and not rep.norm_ok
+    assert rep.raw_margin_log10 < 0 and rep.norm_margin_log10 < 0
+    monkeypatch.setattr(pade, "BOUNDS", replace(BOUNDS, e_coeff=F(2)))
+    assert check_e_bound(2, 1).norm_ok  # fails at 0.377
+
+
+def test_bound_report_grid_pinned():
+    # sha256 of the reports from the integer re-encodings of the bounds
+    reps = [repr(check_q_bound(j, 76, 1030301))
+            for j in [*range(1, 13), *range(48, 58)]]
+    reps += [repr(check_e_bound(j, g)) for j in range(1, 61) for g in (0, 1)]
+    assert (hashlib.sha256("\n".join(reps).encode()).hexdigest()
+            == "c3eedb10517a8952e4b4fcde13dcebff9f1cbc83e1608d8e2932301f6018d9b4")

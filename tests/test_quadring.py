@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rnlab.quadring import (MixedDError, ParityViolationError, QuadInt,
-                            SquareDError, lambda_element)
+                            SquareDError)
 
 NONSQUARE_D = [2, 3, 5, 6, 7, 11, 15, 23, 47, 76, 763]
 
@@ -79,11 +79,6 @@ def test_exact_div_by_zero():
 def test_mixed_d_rejected():
     with pytest.raises(MixedDError):
         QuadInt.of(1, 1, 76) * QuadInt.of(1, 1, 7)
-
-
-def test_lambda_element():
-    assert lambda_element(76, 101) == QuadInt.of(0, 2, 76)
-    assert lambda_element(7, 2) == QuadInt.of(0, 1, 7)
 
 
 def _elements(d):
