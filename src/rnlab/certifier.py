@@ -57,7 +57,6 @@ class NotMonotoneError(RuntimeError):
 class VariantConstants:
     """Rational data of one approximation variant of the size condition."""
 
-    name: str
     eta_const: Fraction
     eta_slope: Fraction
     den_const: Fraction
@@ -83,14 +82,12 @@ class VariantConstants:
 
 VARIANTS = {
     "5j": VariantConstants(
-        name="5j",
         eta_const=F("7.84"), eta_slope=F(4),
         den_const=F("7.64"), den_slope=F(9),
         exp_const=F("1.96"),
         base_odd=F("2008.832"), base_two=F("7.847"),
         beta_floor=F("90.93"), floor_strict=False),
     "7j": VariantConstants(
-        name="7j",
         eta_const=F("11.76"), eta_slope=F(6),
         den_const=F("11.48"), den_slope=F(13),
         exp_const=F("1.96"),
@@ -113,7 +110,6 @@ class HugeSolutionCertificate:
     M: int
     X_star: int
     x_min_inference: int
-    beta_norm_sq: int  # |beta|^2 as an exact integer
     b_value: Fraction
     b_ok: bool
     beta_enclosure: tuple[str, str] = ("", "")
@@ -198,8 +194,8 @@ def certify(D: int, p: int, x0: int, n0: int, sigma: Fraction,
         return HugeSolutionCertificate(
             D=D, p=p, x0=x0, n0=n0, sigma=sigma, variant=variant,
             status=status, eta=eta, exponent=expo, M=M, X_star=x_star,
-            x_min_inference=x_min, beta_norm_sq=bns, b_value=b_value,
-            b_ok=b_ok, beta_enclosure=beta_enc, threshold_enclosure=thr_enc,
+            x_min_inference=x_min, b_value=b_value, b_ok=b_ok,
+            beta_enclosure=beta_enc, threshold_enclosure=thr_enc,
             margin_log10=margin, notes=tuple(notes))
 
     if x0 * x0 + D != p ** n0:

@@ -283,7 +283,7 @@ def _cmd_audit(args) -> int:
     systems = {}  # starred systems by (j, g), built once per invocation
     for x in xs:
         dec = decomposer.decompose(args.D, args.p, args.x0, args.n0, x, args.n)
-        for rep in decomposer.audit_theorem1_chain(cert, dec, systems):
+        for rep in decomposer.audit_theorem1_chain(dec, systems):
             audits.append({
                 "x": str(x), "g": rep.g, "j": rep.j, "k": rep.k, "r": rep.r,
                 "branch": dec.branch,
@@ -351,6 +351,17 @@ def _cmd_scan_huge(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# the instance options: each is required and has the same type wherever it
+# appears
+_INSTANCE_TYPES = {"D": int, "p": int, "x0": _parse_bigint, "n0": int,
+                   "n": int}
+
+
+def _instance(p, *names: str) -> None:
+    for name in names:
+        p.add_argument(f"--{name}", type=_INSTANCE_TYPES[name], required=True)
+
+
 def _common(p, formats=("json", "human")) -> None:
     p.add_argument("--format", choices=formats, default="human")
     p.add_argument("--out", default=None, help="write output to a file")
@@ -358,10 +369,7 @@ def _common(p, formats=("json", "human")) -> None:
 
 def _add_certify(sub) -> None:
     c = sub.add_parser("certify", help="evaluate the huge-solution condition")
-    c.add_argument("--D", type=int, required=True)
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--x0", type=_parse_bigint, required=True)
-    c.add_argument("--n0", type=int, required=True)
+    _instance(c, "D", "p", "x0", "n0")
     c.add_argument("--sigma", type=_parse_sigma, required=True)
     c.add_argument("--variant", choices=tuple(certifier.VARIANTS), default="5j")
     _common(c)
@@ -370,8 +378,7 @@ def _add_certify(sub) -> None:
 
 def _add_survey(sub) -> None:
     s = sub.add_parser("survey", help="survey m = (x^2+D)/p^n against x^sigma")
-    s.add_argument("--D", type=int, required=True)
-    s.add_argument("--p", type=int, required=True)
+    _instance(s, "D", "p")
     s.add_argument("--sigma", type=_parse_sigma, required=True)
     s.add_argument("--n-max", dest="n_max", type=int, required=True)
     s.add_argument("--resume", default=None,
@@ -383,9 +390,7 @@ def _add_survey(sub) -> None:
 
 def _add_hensel(sub) -> None:
     h = sub.add_parser("hensel", help="roots of x^2 + D = 0 (mod p^n)")
-    h.add_argument("--D", type=int, required=True)
-    h.add_argument("--p", type=int, required=True)
-    h.add_argument("--n", type=int, required=True)
+    _instance(h, "D", "p", "n")
     _common(h, ("json", "tsv", "human"))
     h.set_defaults(func=_cmd_hensel)
 
@@ -401,11 +406,7 @@ def _add_pade(sub) -> None:
 
 def _add_decompose(sub) -> None:
     d = sub.add_parser("decompose", help="factor gamma over the base solution")
-    d.add_argument("--D", type=int, required=True)
-    d.add_argument("--p", type=int, required=True)
-    d.add_argument("--x0", type=_parse_bigint, required=True)
-    d.add_argument("--n0", type=int, required=True)
-    d.add_argument("--n", type=int, required=True)
+    _instance(d, "D", "p", "x0", "n0", "n")
     d.add_argument("--x", type=_parse_bigint, default=None,
                    help="specific root (default: all roots at level n)")
     _common(d)
@@ -414,11 +415,7 @@ def _add_decompose(sub) -> None:
 
 def _add_audit(sub) -> None:
     a = sub.add_parser("audit", help="decompose + inequality-chain audit")
-    a.add_argument("--D", type=int, required=True)
-    a.add_argument("--p", type=int, required=True)
-    a.add_argument("--x0", type=_parse_bigint, required=True)
-    a.add_argument("--n0", type=int, required=True)
-    a.add_argument("--n", type=int, required=True)
+    _instance(a, "D", "p", "x0", "n0", "n")
     a.add_argument("--x", type=_parse_bigint, default=None)
     a.add_argument("--sigma", type=_parse_sigma, default=Fraction(1, 10))
     a.add_argument("--variant", choices=tuple(certifier.VARIANTS), default="5j")
@@ -428,10 +425,7 @@ def _add_audit(sub) -> None:
 
 def _add_max_sigma(sub) -> None:
     ms = sub.add_parser("max-sigma", help="largest certifiable sigma")
-    ms.add_argument("--D", type=int, required=True)
-    ms.add_argument("--p", type=int, required=True)
-    ms.add_argument("--x0", type=_parse_bigint, required=True)
-    ms.add_argument("--n0", type=int, required=True)
+    _instance(ms, "D", "p", "x0", "n0")
     ms.add_argument("--variant", choices=tuple(certifier.VARIANTS), default="5j")
     _common(ms)
     ms.set_defaults(func=_cmd_max_sigma)
@@ -439,8 +433,7 @@ def _add_max_sigma(sub) -> None:
 
 def _add_scan_huge(sub) -> None:
     sc = sub.add_parser("scan-huge", help="brute-force base solutions")
-    sc.add_argument("--D", type=int, required=True)
-    sc.add_argument("--p", type=int, required=True)
+    _instance(sc, "D", "p")
     sc.add_argument("--n0-max", dest="n0_max", type=int, required=True)
     _common(sc)
     sc.set_defaults(func=_cmd_scan_huge)

@@ -19,7 +19,6 @@ from fractions import Fraction
 from mpmath import iv
 
 from . import rigor
-from .certifier import HugeSolutionCertificate
 from .hensel import require_prime
 # eval_at_z0 is not called here: the benchmark self-test asserts it is traced
 from .pade import BOUNDS, build_diagonal, eval_at_z0, normalize, starred_at_z0
@@ -148,15 +147,10 @@ class AuditReport:
     backbone_exact: bool
     combination_norm: int
     ii_ok: bool
-    ii_applicable: bool
     iii_ok: bool
     nine_tenths_ok: bool
     q_lambda_ok: bool
     margins: dict[str, float]
-
-    @property
-    def nonzero_some_g(self) -> bool:
-        return self.nonzero_this_g or self.nonzero_other_g
 
 
 def _combination(dec: Decomposition, g: int, systems: dict):
@@ -175,8 +169,7 @@ def _combination(dec: Decomposition, g: int, systems: dict):
     return sys, ev_q, e4, ev_q * dec.mu - ev_p * dec.mu.conj()
 
 
-def audit_theorem1_chain(cert: HugeSolutionCertificate, dec: Decomposition,
-                         systems: dict | None = None
+def audit_theorem1_chain(dec: Decomposition, systems: dict | None = None
                          ) -> tuple[AuditReport, AuditReport]:
     """Replay the cofactor-bound inequality chain on one decomposition and
     return the reports for g = 0 and g = 1, in that order.
@@ -196,8 +189,6 @@ def audit_theorem1_chain(cert: HugeSolutionCertificate, dec: Decomposition,
     they rely on the content growth of the normalized systems and are
     claimed only for large j.
     """
-    if cert.D != dec.D or cert.p != dec.p:
-        raise ValueError("certificate and decomposition disagree on (D, p)")
     if systems is None:
         systems = {}
     combos = [_combination(dec, g, systems) for g in (0, 1)]
@@ -261,7 +252,7 @@ def audit_theorem1_chain(cert: HugeSolutionCertificate, dec: Decomposition,
         reports.append(AuditReport(
             j=dec.j, g=g, k=k, r=sys.r, nonzero_this_g=nonzero[g],
             nonzero_other_g=nonzero[1 - g], backbone_exact=backbone,
-            combination_norm=z.norm(), ii_ok=ii_ok, ii_applicable=nonzero[g],
-            iii_ok=iii_ok, nine_tenths_ok=nine_tenths_ok,
-            q_lambda_ok=q_lambda_ok, margins=margins))
+            combination_norm=z.norm(), ii_ok=ii_ok, iii_ok=iii_ok,
+            nine_tenths_ok=nine_tenths_ok, q_lambda_ok=q_lambda_ok,
+            margins=margins))
     return reports[0], reports[1]

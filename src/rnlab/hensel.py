@@ -180,18 +180,11 @@ class LiftState:
                 cofs.append(m)
             object.__setattr__(self, "cofactors", tuple(cofs))
 
-    @property
-    def modulus(self) -> int:
-        return self.pn
-
     def all_roots(self) -> tuple[int, ...]:
         mod = self.pn
         roots = set(self.min_roots)
         roots.update(mod - r for r in self.min_roots)
         return tuple(sorted(roots))
-
-    def root_count(self) -> int:
-        return len(self.all_roots())
 
     def check_ladder(self) -> None:
         """Raise unless the stored roots are a complete set of distinct
@@ -287,10 +280,16 @@ def lift_two_step(state: LiftState) -> LiftState:
     return _next_state(state, pairs, pn << 1)
 
 
-def lift_two(D: int, n: int) -> LiftState:
-    """All roots of x^2 + D = 0 (mod 2^n)."""
+def _check_level(D: int, n: int) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if D < 1:
+        raise ValueError(f"D must be positive, got {D}")
+
+
+def lift_two(D: int, n: int) -> LiftState:
+    """All roots of x^2 + D = 0 (mod 2^n)."""
+    _check_level(D, n)
     state = _two_initial(D, min(n, 3))
     state.verify()
     while state.n < n:
@@ -300,8 +299,7 @@ def lift_two(D: int, n: int) -> LiftState:
 
 def roots_mod_pn(D: int, p: int, n: int) -> LiftState:
     """Full root set of x^2 + D = 0 (mod p^n) for a prime p not dividing D."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_level(D, n)
     require_prime(p)
     if D % p == 0:
         raise ValueError(f"p = {p} divides D = {D}")

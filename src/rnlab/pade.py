@@ -147,9 +147,6 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
     def __add__(self, other: IntPolynomial) -> IntPolynomial:
         return IntPolynomial._of(
             [a + b for a, b in zip_longest(self.coeffs, other.coeffs,
@@ -230,9 +227,10 @@ class IntPolynomial:
     def exact_scalar_div(self, d: int) -> IntPolynomial | None:
         if d == 0:
             raise ZeroDivisionError
-        if any(c % d != 0 for c in self.coeffs):
+        pairs = [divmod(c, d) for c in self.coeffs]
+        if any(rem for _, rem in pairs):
             return None
-        return IntPolynomial._of([c // d for c in self.coeffs])
+        return IntPolynomial._of([q for q, _ in pairs])
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IntPolynomial):
@@ -537,8 +535,6 @@ class BoundConstants:
     q_base: Fraction = Fraction("89.3445")
     e_coeff: Fraction = Fraction("0.377")
     e_base: Fraction = Fraction("7.847")
-    raw_base: Fraction = Fraction("262.9407")
-    content_base: Fraction = Fraction("2.943")
     kernel_max: Fraction = Fraction("0.044479")
     kernel_integral: Fraction = Fraction("0.114552")
     b_min: Fraction = Fraction("0.953")
@@ -725,7 +721,7 @@ def _isolate_roots(chain, lo: Fraction, hi: Fraction,
             # bisect the single root down to tol
             while b - a > tol:
                 mid = (a + b) / 2
-                if s0.value(mid) == 0:
+                if s0._horner(mid)[0] == 0:
                     out.append((mid, mid))
                     break
                 if _count_roots(chain, a, mid) >= 1:
@@ -736,7 +732,7 @@ def _isolate_roots(chain, lo: Fraction, hi: Fraction,
                 out.append((a, b))
             continue
         mid = (a + b) / 2
-        if s0.value(mid) == 0:
+        if s0._horner(mid)[0] == 0:
             out.append((mid, mid))
         stack.append((a, mid))
         stack.append((mid, b))
@@ -779,9 +775,9 @@ def kernel_extrema(b: Fraction) -> KernelReport:
     chain = _sturm_chain(fp)
     # widen past t = 1 so the endpoint root of f' is interior to the count
     hi = Fraction(9, 8)
-    while fp.value(hi) == 0:
+    while fp._horner(hi)[0] == 0:
         hi += Fraction(1, 8)
-    if fp.value(Fraction(0)) == 0:
+    if fp._horner(Fraction(0))[0] == 0:
         raise PadeError("f'(0) = 0: the Sturm count from t = 0 would miss a root")
     tol = Fraction(1, 2 ** 40)
     intervals = _isolate_roots(chain, Fraction(0), hi, tol)

@@ -60,18 +60,6 @@ class QuadInt:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def make(cls, u: int, v: int, D: int, halved: bool = False) -> QuadInt:
-        """Canonical constructor for (u + v*sqrt(-D))/2.
-
-        With halved=False the element must be integral (u, v both even);
-        halved=True additionally admits the half-integer case of D = 3 (mod 4).
-        """
-        if not halved and (u % 2 != 0 or v % 2 != 0):
-            raise ParityViolationError(
-                f"non-halved element needs even numerators: u={u}, v={v}")
-        return cls(u, v, D)
-
-    @classmethod
     def of(cls, a: int, b: int, D: int) -> QuadInt:
         """The element a + b*sqrt(-D)."""
         return cls(2 * a, 2 * b, D)
@@ -79,7 +67,7 @@ class QuadInt:
     @classmethod
     def half(cls, u: int, v: int, D: int) -> QuadInt:
         """The element (u + v*sqrt(-D))/2."""
-        return cls.make(u, v, D, halved=True)
+        return cls(u, v, D)
 
     @classmethod
     def from_int(cls, n: int, D: int) -> QuadInt:
@@ -95,10 +83,6 @@ class QuadInt:
                 raise MixedDError(f"mixed rings: D={self.D} vs D={other.D}")
             return other
         return NotImplemented
-
-    @property
-    def is_halved(self) -> bool:
-        return self.u % 2 != 0
 
     def is_zero(self) -> bool:
         return self.u == 0 and self.v == 0

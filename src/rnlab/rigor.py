@@ -114,9 +114,6 @@ class PowProd:
             acc += iv_fraction(exp) * log_base
         return acc
 
-    def scaled(self, factor) -> PowProd:
-        return PowProd(self.coeff * Fraction(factor), self.factors)
-
 
 def _separate(lhs, rhs) -> Comparison | None:
     if lhs.b < rhs.a:

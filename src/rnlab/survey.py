@@ -64,10 +64,6 @@ class SurveyRecord:
     m: int
     passed: bool
 
-    @property
-    def digits_x(self) -> int:
-        return len(str(self.x))
-
     def to_json_dict(self) -> dict:
         x = str(self.x)  # decimal conversion is quadratic in CPython
         return {"n": self.n, "x": x, "m": str(self.m),

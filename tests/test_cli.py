@@ -294,6 +294,36 @@ def test_help_and_usage_errors_match_full_parser(capsys, argv):
     assert outcome(main) == outcome(build_parser().parse_args)
 
 
+# sha256 of each --help text at 80 columns; the text is part of the
+# interface, so only a deliberate change of an option may update a digest
+_PINNED_HELP = {
+    "rnlab": "86a7548e06a79d15e26e8dca5060833e2720abd1d2c2fb846b8f57a23717924e",
+    "certify": "959bbb5b086e859f8c3dcb903e1faed78853017dbeb59c1e1add5cd1f9e51132",
+    "survey": "05565161f1e09cdec8c711098633e24824872136702ea0861fe21852c336a68e",
+    "hensel": "006aef85e5b3396b045c740dd6e9a36428c19e1ba2f592ea6b5f80e8e6921d0c",
+    "pade": "6bd15e61ed0d0bd44769346811e7819ed4ede7e65e39a5defd15209b28cd0e56",
+    "decompose":
+        "b4b9f00234dbe837bb6e0d0af04b224f1a1cec79946dbb24c35a6e9c48eb5542",
+    "audit": "54fd2b847049de498d4111cd76acd5b37730f924c114972b303261b1d38add7a",
+    "max-sigma":
+        "e48727ee1cb19177766885133f8c215b986760f025c697a3d8dd244f08d6dcb7",
+    "scan-huge":
+        "403414505ee9bcf0447ea5e7f8115973999f12aa5074b1f12d7d229c61d912c7",
+}
+
+
+@pytest.mark.parametrize("command,digest", list(_PINNED_HELP.items()),
+                         ids=list(_PINNED_HELP))
+def test_help_text_pinned(capsys, monkeypatch, command, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["--help"] if command == "rnlab" else [command, "--help"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_scan_huge(capsys):
     code, payload = run_json(capsys, "scan-huge", "--D", "76", "--p", "101",
                              "--n0-max", "5")
@@ -309,9 +339,11 @@ def test_scan_huge(capsys):
     ["scan-huge", "--D", "76", "--p", "100", "--n0-max", "5"],
     ["scan-huge", "--D", "-5", "--p", "101", "--n0-max", "5"],
     ["scan-huge", "--D", "76", "--p", "101", "--n0-max", "0"],
+    ["hensel", "--D", "-7", "--p", "3", "--n", "4"],
+    ["hensel", "--D", "-7", "--p", "2", "--n", "5"],
 ])
 def test_bad_sizes_exit_2(capsys, argv):
-    # each once gave an empty, clean-looking report with exit 0
+    # each once gave a clean-looking report with exit 0
     code, payload = run_json(capsys, *argv)
     assert code == 2 and payload["error"] == "invalid_input"
 

@@ -79,7 +79,7 @@ def test_exact_solution_stays_fixed():
 def test_roots_come_in_pairs():
     for n in range(1, 8):
         state = roots_mod_pn(76, 101, n)
-        mod = state.modulus
+        mod = state.pn
         roots = set(state.all_roots())
         assert roots == {mod - r for r in roots}
 
@@ -94,10 +94,10 @@ def test_lift_two_examples():
 
 
 def test_lift_two_counts():
-    assert lift_two(7, 1).root_count() == 1
-    assert lift_two(7, 2).root_count() == 2
+    assert len(lift_two(7, 1).all_roots()) == 1
+    assert len(lift_two(7, 2).all_roots()) == 2
     for n in range(3, 10):
-        assert lift_two(7, n).root_count() == 4
+        assert len(lift_two(7, n).all_roots()) == 4
 
 
 def test_roots_mod_pn_no_split():
@@ -109,6 +109,16 @@ def test_roots_mod_pn_no_split():
 def test_roots_mod_pn_rejects_shared_factor():
     with pytest.raises(ValueError):
         roots_mod_pn(76, 2, 3)
+
+
+@pytest.mark.parametrize("D", [-7, -1, 0])
+def test_nonpositive_D_rejected(D):
+    # x^2 - 7 has roots mod 3^n, and -7 = 1 (mod 4) once gave NoRootError
+    for p in (3, 2):
+        with pytest.raises(ValueError, match="D must be positive"):
+            roots_mod_pn(D, p, 4)
+    with pytest.raises(ValueError, match="D must be positive"):
+        lift_two(D, 4)
 
 
 def test_state_verify_rejects_bad_root():

@@ -8,25 +8,23 @@ NONSQUARE_D = [2, 3, 5, 6, 7, 11, 15, 23, 47, 76, 763]
 
 
 def test_make_integral_roundtrip():
-    a = QuadInt.make(2 * 1015, 2, 76)
+    a = QuadInt(2 * 1015, 2, 76)
     assert a == QuadInt.of(1015, 1, 76)
     assert str(a) == "1015+1√-76"
 
 
 def test_make_halved():
-    a = QuadInt.make(181, 1, 7, halved=True)
-    assert a.is_halved
+    a = QuadInt.half(181, 1, 7)
+    assert a.u % 2 == 1
     assert a.norm() == 8192
     assert 181 ** 2 + 7 == 2 ** 15  # cross-check of the halving convention
 
 
 def test_make_parity_violation():
     with pytest.raises(ParityViolationError):
-        QuadInt.make(1, 1, 76, halved=True)  # -76 = 0 (mod 4)
+        QuadInt.half(1, 1, 76)  # -76 = 0 (mod 4)
     with pytest.raises(ParityViolationError):
-        QuadInt.make(3, 1, 7, halved=False)
-    with pytest.raises(ParityViolationError):
-        QuadInt.make(2, 1, 7, halved=True)  # mixed parity never represents
+        QuadInt.half(2, 1, 7)  # mixed parity never represents
 
 
 def test_square_d_rejected():
