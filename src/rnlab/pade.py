@@ -10,8 +10,9 @@ One builder, _general_triple, gives every triple (P, Q, E) with
   {0, 1}.  It is the unsigned triple at (A, B, C) = (r, j+g-1, r), so Q has
   positive coefficients and P - (1-z)^k Q = (-1)^r z^(2r+1) E.
 
-Both identities are re-verified by exact polynomial arithmetic before a
-system is handed out.
+Both public builders re-verify the identity by exact polynomial
+arithmetic before a system is handed out; the audit checks its systems
+at z0 instead (see rnlab.decomposer).
 
 The coefficients are products of binomials; each factor runs along the
 index by its ratio recurrence, e.g. C(n, i+1) = C(n, i) (n-i)/(i+1), with
@@ -356,13 +357,18 @@ def _general_triple(A: int, B: int, C: int):
             IntPolynomial._of(e))
 
 
+def _degree_checked(sys: PadeSystem, at: tuple) -> PadeSystem:
+    """sys, once deg E = B."""
+    if sys.E.degree != sys.B:
+        raise IdentityViolationError(f"deg E = {sys.E.degree} != B at {at}")
+    return sys
+
+
 def _verified(sys: PadeSystem, at: tuple) -> PadeSystem:
     """sys, once its identity holds exactly and deg E = B."""
     if not sys.identity_holds():
         raise IdentityViolationError(f"{sys.kind} identity failed at {at}")
-    if sys.E.degree != sys.B:
-        raise IdentityViolationError(f"deg E = {sys.E.degree} != B at {at}")
-    return sys
+    return _degree_checked(sys, at)
 
 
 def build_general(A: int, B: int, C: int) -> PadeSystem:
@@ -387,13 +393,19 @@ def _diagonal_params(j: int, g: int) -> tuple[int, int, int]:
     return r, j + g - 1, r
 
 
-def build_diagonal(j: int, g: int) -> PadeSystem:
+def _unverified_diagonal(j: int, g: int) -> PadeSystem:
     """Diagonal system at k = 5j, r = 4j - g: the unsigned triple at
-    (A, B, C) = (r, j+g-1, r), so that Q has positive coefficients."""
+    (A, B, C) = (r, j+g-1, r), so that Q has positive coefficients.  Only
+    deg E = B is checked (for the audit; see rnlab.decomposer)."""
     A, B, C = _diagonal_params(j, g)
     P, Q, E = _general_triple(A, B, C)
-    return _verified(PadeSystem("diagonal", A, B, C, P, Q, E, j=j, g=g),
-                     (j, g))
+    return _degree_checked(
+        PadeSystem("diagonal", A, B, C, P, Q, E, j=j, g=g), (j, g))
+
+
+def build_diagonal(j: int, g: int) -> PadeSystem:
+    """The diagonal system at (j, g), once its identity holds exactly."""
+    return _verified(_unverified_diagonal(j, g), (j, g))
 
 
 def content(j: int, g: int) -> int:

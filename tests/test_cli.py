@@ -243,6 +243,12 @@ _PINNED_REPORTS = {
     "audit-300": (
         ["audit", *_ANCHOR, "--n", "300"],
         "1016957c7b0cc8583ecd34562e225baf8a7d139858dfa8c22a42f63762b52156"),
+    "audit-900": (
+        ["audit", *_ANCHOR, "--n", "900"],
+        "3e301a3354a5dad60dfa3d11c4635e0851eece6b2d2ed1800bd48c3d0ee63e8d"),
+    "audit-1800": (
+        ["audit", *_ANCHOR, "--n", "1800"],
+        "6b81ab41594f9660505906d1d2b0b519586c01eddeff99014b13fc74339e9618"),
     "decompose-16": (
         ["decompose", *_ANCHOR, "--n", "16"],
         "2ad39519f72703633b44d7d65fa3e3b5a0b2788336eb44b6da17814740cb77a2"),

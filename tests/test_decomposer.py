@@ -7,7 +7,8 @@ import pytest
 from rnlab.decomposer import (PreconditionFailError, audit_theorem1_chain,
                               decompose)
 from rnlab.hensel import CompositeModulusError, roots_mod_pn
-from rnlab.pade import IntPolynomial, build_diagonal, normalize
+from rnlab.pade import (IntPolynomial, _unverified_diagonal, build_diagonal,
+                        content, normalize, starred_at_z0)
 from rnlab.quadring import QuadInt
 from rnlab.survey import run_survey
 
@@ -174,6 +175,86 @@ def test_cli_audit_doctored_system_exit_4(capsys, monkeypatch):
     payload = json.loads(capsys.readouterr().out)
     assert code == 4
     assert payload["error"] == "internal_invariant_violation"
+
+
+def _mutants(sys):
+    """Every copy of sys with one coefficient of P, Q or E moved by +-1."""
+    for part in ("P", "Q", "E"):
+        poly = getattr(sys, part)
+        for i in range(poly.degree + 1):
+            for delta in (1, -1):
+                yield replace(sys, **{
+                    part: poly + IntPolynomial.monomial(delta, i)})
+
+
+@pytest.mark.parametrize("beta", [QuadInt.of(1015, 1, 76),
+                                  QuadInt.half(181, 1, 7)],
+                         ids=["anchor", "p2"])
+def test_z0_check_catches_every_single_coefficient_fault(beta):
+    # the audit verifies its systems only at z0 (see the decomposer
+    # docstring): each of the 2880 mutants per beta must fail there
+    lam = beta - beta.conj()
+    for j in range(1, 13):
+        for g in (0, 1):
+            sys = normalize(_unverified_diagonal(j, g))
+            assert starred_at_z0(sys, beta, lam)[3]
+            for mutant in _mutants(sys):
+                assert not starred_at_z0(mutant, beta, lam)[3], mutant
+
+
+_ANCHOR16 = ["--D", "76", "--p", "101", "--x0", "1015", "--n0", "3",
+             "--n", "16"]
+_P2 = ["--D", "7", "--p", "2", "--x0", "181", "--n0", "15", "--n", "80"]
+
+
+@pytest.mark.parametrize("instance,g,part,i,delta", [
+    (_ANCHOR16, 0, "P", 0, 1),
+    (_ANCHOR16, 0, "Q", 4, 1),
+    (_ANCHOR16, 1, "E", 1, 1),
+    (_P2, 0, "E", 0, 1),
+    (_P2, 1, "Q", 2, -1),
+], ids=["anchor-P", "anchor-Q", "anchor-E", "p2-E", "p2-Q"])
+def test_cli_audit_mutant_system_exit_4(capsys, monkeypatch, instance, g,
+                                        part, i, delta):
+    # the mutant enters through the audit's own builder, scaled by the
+    # content so that the starred system is off by delta z^i
+    from rnlab import decomposer
+    from rnlab.cli import main
+
+    def mutated(j, g_):
+        sys = _unverified_diagonal(j, g_)
+        if g_ != g:
+            return sys
+        fault = IntPolynomial.monomial(delta * content(j, g), i)
+        return replace(sys, **{part: getattr(sys, part) + fault})
+
+    monkeypatch.setattr(decomposer, "_unverified_diagonal", mutated)
+    code = main(["audit", *instance, "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 4
+    assert payload["error"] == "internal_invariant_violation"
+    assert payload["message"].startswith("assembled identity failed")
+
+
+def test_cli_audit_multiplies_no_polynomials(capsys, monkeypatch):
+    # the audit path builds its systems without the identity product:
+    # no polynomial x polynomial product at all (scalar ones are allowed)
+    from rnlab.cli import main
+    products = []
+    real = IntPolynomial.__mul__
+
+    def counting(self, other):
+        if isinstance(other, IntPolynomial):
+            products.append((self.degree, other.degree))
+        return real(self, other)
+
+    monkeypatch.setattr(IntPolynomial, "__mul__", counting)
+    code = main(["audit", "--D", "76", "--p", "101", "--x0", "1015",
+                 "--n0", "3", "--n", "900", "--format", "json"])
+    assert code == 0 and len(json.loads(capsys.readouterr().out)["audits"]) == 4
+    assert products == []
+    build_diagonal(1, 0)  # the counter sees the verified builder's product
+    assert products
 
 
 def test_cli_audit_evaluates_each_system_once(capsys, monkeypatch):

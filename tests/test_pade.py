@@ -115,6 +115,27 @@ def test_diagonal_matches_integral_oracle(j, g):
     assert all(c == 0 for c in oe[len(got_e):])
 
 
+@pytest.mark.parametrize("j", [*range(1, 25), 40, 60])
+@pytest.mark.parametrize("g", (0, 1))
+def test_unverified_diagonal_matches_build_diagonal(j, g):
+    # the audit's builder skips only the identity product: its starred
+    # systems are those of the verified builder
+    assert (normalize(pade._unverified_diagonal(j, g))
+            == normalize(build_diagonal(j, g)))
+
+
+def test_unverified_diagonal_checks_deg_e(monkeypatch):
+    real = pade._general_triple
+
+    def longer_e(*params):
+        P, Q, E = real(*params)
+        return P, Q, E + IntPolynomial.monomial(1, E.degree + 1)
+
+    monkeypatch.setattr(pade, "_general_triple", longer_e)
+    with pytest.raises(pade.IdentityViolationError, match="deg E = 1 != B"):
+        pade._unverified_diagonal(1, 0)
+
+
 # ---------------------------------------------------------------------------
 # the Kronecker product against the schoolbook product it replaced
 
