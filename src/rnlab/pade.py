@@ -10,9 +10,11 @@ One builder, _general_triple, gives every triple (P, Q, E) with
   {0, 1}.  It is the unsigned triple at (A, B, C) = (r, j+g-1, r), so Q has
   positive coefficients and P - (1-z)^k Q = (-1)^r z^(2r+1) E.
 
-Both public builders re-verify the identity by exact polynomial
-arithmetic before a system is handed out; the audit checks its systems
-at z0 instead (see rnlab.decomposer).
+Both public builders re-verify the identity before a system is handed
+out: its defect P - (1-z)^k Q - sign z^(A+C+1) E, formed once and cached,
+must be zero, and cross_constant forms its residual from the defects and
+two short E.Q products.  The audit checks its systems at z0 instead (see
+rnlab.decomposer).
 
 The coefficients are products of binomials; each factor runs along the
 index by its ratio recurrence, e.g. C(n, i+1) = C(n, i) (n-i)/(i+1), with
@@ -57,6 +59,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import zip_longest
 
 from mpmath import iv
@@ -302,10 +305,18 @@ class PadeSystem:
     def remainder_degree(self) -> int:
         return self.A + self.C + 1
 
+    def _remainder(self, f: IntPolynomial | int = 1) -> IntPolynomial:
+        """sign z^(A+C+1) E f, for a polynomial or an integer f."""
+        return (self.E * (self.identity_sign() * f)).shift(
+            self.remainder_degree())
+
+    @cached_property
+    def defect(self) -> IntPolynomial:
+        """P - (1-z)^k Q - sign z^(A+C+1) E, formed once per system."""
+        return self.P - one_minus_z_pow(self.k) * self.Q - self._remainder()
+
     def identity_holds(self) -> bool:
-        lhs = self.P - one_minus_z_pow(self.k) * self.Q
-        rhs = (self.E * self.identity_sign()).shift(self.remainder_degree())
-        return lhs == rhs
+        return self.defect.is_zero()
 
 
 def _comb_row(n: int, k: int, count: int) -> list[int]:
@@ -435,16 +446,18 @@ def normalize(sys: PadeSystem) -> PadeSystem:
 def cross_constant(sys_r: PadeSystem, sys_r1: PadeSystem) -> int:
     """The constant c in P_r Q_{r+1} - Q_r P_{r+1} = c z^(2r+1).
 
-    Both systems must share k and have adjacent degrees r and r + 1.  The
-    residual is computed exactly by two Kronecker-substitution products
-    (see IntPolynomial.__mul__) and must be a nonzero monomial of the
-    expected degree.
+    Both systems must share k and have adjacent degrees r and r + 1.  With
+    d, s, m each system's defect, sign and remainder degree, the residual
+    equals Q_(r+1) d_r - Q_r d_(r+1) + s_r z^m_r E_r Q_(r+1) - s_(r+1)
+    z^m_(r+1) E_(r+1) Q_r for any triples, so it is exact for a corrupt
+    system too.  It must be a nonzero monomial of the expected degree.
     """
     if sys_r.k != sys_r1.k:
         raise ValueError(f"mismatched k: {sys_r.k} vs {sys_r1.k}")
     if sys_r1.r != sys_r.r + 1:
         raise ValueError(f"degrees must be adjacent: {sys_r.r}, {sys_r1.r}")
-    residual = sys_r.P * sys_r1.Q - sys_r.Q * sys_r1.P
+    residual = (sys_r1.Q * sys_r.defect - sys_r.Q * sys_r1.defect
+                + sys_r._remainder(sys_r1.Q) - sys_r1._remainder(sys_r.Q))
     expected = sys_r.remainder_degree()
     if residual.is_zero() or residual.degree != expected:
         raise NotMonomialError(

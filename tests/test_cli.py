@@ -97,6 +97,46 @@ def test_pade_verify(capsys):
     assert payload["cross"][0]["degree"] == 7
 
 
+def test_pade_verify_products(capsys, monkeypatch):
+    # one (1-z)^k Q product per system, two short E.Q products per cross
+    # residual, and nothing on a starred system
+    from rnlab.pade import (IntPolynomial, build_diagonal, build_general,
+                            normalize, one_minus_z_pow)
+    systems = [build_diagonal(j, g) for j in range(1, 9) for g in (0, 1)]
+    systems += [build_general(a, b, c) for a in (1, 2) for b in (1, 2)
+                for c in (1, 2)]
+    starred = {coeffs for sys in map(normalize, systems[:16]) if sys.starred
+               for poly in (sys.P, sys.Q, sys.E)
+               for coeffs in (poly.coeffs, (-poly).coeffs)}
+    products = []
+    real = IntPolynomial.__mul__
+
+    def counting(self, other):
+        # a zero operand (the defect of a verified system) returns at once
+        if isinstance(other, IntPolynomial) and self.coeffs and other.coeffs:
+            products.append((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(IntPolynomial, "__mul__", counting)
+    code, _ = run_cli(capsys, "pade", "verify", "--j-max", "8",
+                      "--abc-max", "2")
+    assert code == 0
+
+    def is_identity(a):  # (1-z)^k, k >= 1; an E can be the constant 1
+        return a.degree > 0 and a == one_minus_z_pow(a.degree)
+
+    identity = [(a.degree, b) for a, b in products if is_identity(a)]
+    assert sorted(identity, key=repr) == sorted(
+        ((sys.k, sys.Q) for sys in systems), key=repr)
+    others = [(a.degree, b.degree) for a, b in products if not is_identity(a)]
+    assert len(others) == 16
+    # the E operand has degree j + g - 1; Q has degree r = 4j - g, so no
+    # product has both operands of degree >= r (no P.Q product)
+    assert all(min(degs) < max(degs) - 1 for degs in others)
+    assert not any(poly.coeffs in starred
+                   for pair in products for poly in pair)
+
+
 def test_certify_rejects_tsv(capsys):
     # only survey and hensel have a TSV form
     with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -410,6 +411,101 @@ def test_cross_constant_rejects_corrupt_system():
     bad = replace(lo, P=lo.P + lo.Q)
     with pytest.raises(NotMonomialError):
         cross_constant(bad, hi)
+
+
+# cross_constant forms its residual from the two defects and two E.Q
+# products; the oracle below is the direct residual P_r Q_(r+1) - Q_r P_(r+1)
+
+
+def _cross_outcome(lo, hi):
+    try:
+        return cross_constant(lo, hi)
+    except NotMonomialError:
+        return "not a monomial"
+
+
+def _direct_outcome(lo, hi):
+    residual = lo.P * hi.Q - lo.Q * hi.P
+    c = residual.coeffs[-1] if residual.coeffs else 0
+    if c and residual == IntPolynomial.monomial(c, lo.remainder_degree()):
+        return c
+    return "not a monomial"
+
+
+def test_cross_constant_matches_direct_residual_on_diagonal_pairs():
+    for j in range(1, 41):
+        lo, hi = build_diagonal(j, 1), build_diagonal(j, 0)
+        for pair in ((lo, hi), (normalize(lo), normalize(hi))):
+            c = _direct_outcome(*pair)
+            assert c != "not a monomial" and cross_constant(*pair) == c, j
+
+
+def test_cross_constant_matches_direct_residual_on_general_pairs():
+    abc = range(1, 7)
+    systems = {t: build_general(*t)
+               for t in itertools.product(range(1, 8), abc, abc)}
+    pairs = 0
+    for a, b, c in itertools.product(abc, repeat=3):
+        lo = systems[a, b, c]
+        for b1 in abc:
+            hi = systems.get((a + 1, b1, b + c - b1))
+            if hi is not None:
+                assert _cross_outcome(lo, hi) == _direct_outcome(lo, hi), \
+                    ((a, b, c), (a + 1, b1, b + c - b1))
+                pairs += 1
+    # 6 values of A; n(s) = min(s-1, 13-s) ways to write each B+C = s
+    assert pairs == 6 * sum(min(s - 1, 13 - s) ** 2 for s in range(2, 13))
+
+
+@pytest.mark.parametrize("j", range(1, 7))
+def test_cross_constant_matches_direct_residual_on_mutants(j):
+    # +-1 on any one coefficient of P, Q or E in either system: the defect
+    # terms carry the corruption, so the outcome is the direct one
+    pair = [build_diagonal(j, 1), build_diagonal(j, 0)]
+    for side in (0, 1):
+        for name in ("P", "Q", "E"):
+            coeffs = getattr(pair[side], name).coeffs
+            for i in range(len(coeffs)):
+                for delta in (1, -1):
+                    bent = list(coeffs)
+                    bent[i] += delta
+                    mutant = pair[:]
+                    mutant[side] = replace(pair[side],
+                                           **{name: IntPolynomial(bent)})
+                    assert (_cross_outcome(*mutant)
+                            == _direct_outcome(*mutant)), (side, name, i, delta)
+
+
+def _direct_defect(sys):
+    # (1-z)^k by repeated squaring and the schoolbook product, independent of
+    # one_minus_z_pow and of the Kronecker product
+    remainder = IntPolynomial.monomial(sys.identity_sign(),
+                                       sys.remainder_degree())
+    return (sys.P - _schoolbook(ONE_MINUS_Z ** sys.k, sys.Q)
+            - _schoolbook(remainder, sys.E))
+
+
+def test_defect_matches_direct_identity():
+    systems = [build_diagonal(j, g) for j in range(1, 13) for g in (0, 1)]
+    systems += [build_general(*t)
+                for t in itertools.product(range(1, 5), repeat=3)]
+    for sys in systems:
+        assert sys.defect.is_zero() and _direct_defect(sys).is_zero()
+        bent = replace(sys, Q=sys.Q + IntPolynomial.monomial(1, sys.B))
+        assert bent.defect == _direct_defect(bent) != IntPolynomial.zero()
+        assert not bent.identity_holds()
+
+
+def test_replaced_system_does_not_inherit_cached_defect():
+    sys = build_diagonal(3, 1)
+    assert "defect" in vars(sys) and sys.defect.is_zero()  # cached by build
+    bent = replace(sys, P=sys.P + IntPolynomial((1,)))
+    starred = normalize(sys)
+    assert starred.content > 1
+    for derived in (bent, starred):
+        assert "defect" not in vars(derived)
+        assert derived.defect == _direct_defect(derived)
+    assert bent.defect == IntPolynomial((1,)) and starred.defect.is_zero()
 
 
 # ---------------------------------------------------------------------------
