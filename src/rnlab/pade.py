@@ -16,10 +16,11 @@ must be zero, and cross_constant forms its residual from the defects and
 two short E.Q products.  The audit checks its systems at z0 instead (see
 rnlab.decomposer).
 
-The coefficients are products of binomials; each factor runs along the
-index by its ratio recurrence, e.g. C(n, i+1) = C(n, i) (n-i)/(i+1), with
-every division exact.  (1-z)^k for the identity check is built the same
-way, c_(i+1) = -c_i (k-i)/(i+1).
+Each coefficient sequence is a product of two binomials, a hypergeometric
+term: t_(i+1)/t_i is a rational function of i (Petkovsek, Wilf and
+Zeilberger, A = B, 1996), so it is built by one exact ratio recurrence.
+(1-z)^k for the identity check is built the same way, c_(i+1) = -c_i
+(k-i)/(i+1).
 
 IntPolynomial multiplies by Kronecker substitution: a factor with
 coefficients a_i is packed into the one integer sum a_i 2^(w i), with
@@ -319,51 +320,31 @@ class PadeSystem:
         return self.defect.is_zero()
 
 
-def _comb_row(n: int, k: int, count: int) -> list[int]:
-    """count terms C(n, k), C(n, k+1), ...: C(n, t+1) = C(n, t)(n-t)/(t+1).
-
-    Here and in _comb_up and _comb_down every division is exact: the
-    dividend is the next binomial times the divisor."""
-    out = [math.comb(n, k)]
-    for t in range(k, k + count - 1):
-        out.append(out[-1] * (n - t) // (t + 1))
-    return out
-
-
-def _comb_up(n: int, k: int, count: int) -> list[int]:
-    """count terms C(n, k), C(n+1, k), ...: C(m+1, k) = C(m, k)(m+1)/(m+1-k)."""
-    out = [math.comb(n, k)]
-    for m in range(n, n + count - 1):
-        out.append(out[-1] * (m + 1) // (m + 1 - k))
-    return out
-
-
-def _comb_down(n: int, k: int, count: int) -> list[int]:
-    """count terms C(n, k), C(n-1, k), ...: C(m-1, k) = C(m, k)(m-k)/m."""
-    out = [math.comb(n, k)]
-    for m in range(n, n - count + 1, -1):
-        out.append(out[-1] * (m - k) // m)
-    return out
-
-
-def _termwise(xs: list[int], ys: list[int], alternate: bool) -> list[int]:
-    """x_i y_i, times (-1)^i when alternate."""
-    return [-x * y if alternate and i % 2 else x * y
-            for i, (x, y) in enumerate(zip(xs, ys))]
-
-
 def _q_coeffs(A: int, B: int, C: int) -> list[int]:
-    """The coefficients q_i = C(A+C-i, C) C(B+i, i) of _general_triple's Q."""
-    return _termwise(_comb_down(A + C, C, A + 1), _comb_up(B, B, A + 1), False)
+    """The coefficients q_i = C(A+C-i, C) C(B+i, i) of _general_triple's Q,
+    by q_(i+1) = q_i (A-i)(B+i+1) / ((i+1)(A+C-i))."""
+    q = [math.comb(A + C, C)]
+    for i in range(A):
+        q.append(q[-1] * ((A - i) * (B + i + 1)) // ((i + 1) * (A + C - i)))
+    return q
 
 
 def _general_triple(A: int, B: int, C: int):
     """(P, Q, E) with P - (1-z)^(B+C+1) Q = (-1)^C z^(A+C+1) E, A,B,C >= 0:
     p_i = (-1)^i C(s, i) C(A+C-i, A), q_i = C(A+C-i, C) C(B+i, i) and
-    e_i = (-1)^i C(A+i, i) C(s, A+C+1+i), where s = A + B + C + 1."""
+    e_i = (-1)^i C(A+i, i) C(s, A+C+1+i), where s = A + B + C + 1.
+
+    Each sequence is one loop over its term ratio t_(i+1)/t_i = num/den;
+    every division t_i num // den is exact, since t_i num = t_(i+1) den
+    and both neighbouring terms are integers."""
     s = A + B + C + 1
-    p = _termwise(_comb_row(s, 0, C + 1), _comb_down(A + C, A, C + 1), True)
-    e = _termwise(_comb_up(A, A, B + 1), _comb_row(s, A + C + 1, B + 1), True)
+    p = [math.comb(A + C, A)]
+    for i in range(C):
+        p.append(-p[-1] * ((s - i) * (C - i)) // ((i + 1) * (A + C - i)))
+    e = [math.comb(s, A + C + 1)]
+    for i in range(B):
+        e.append(-e[-1] * ((A + i + 1) * (B - i))
+                 // ((i + 1) * (A + C + 2 + i)))
     return (IntPolynomial._of(p), IntPolynomial._of(_q_coeffs(A, B, C)),
             IntPolynomial._of(e))
 
@@ -702,7 +683,7 @@ def _sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
 def _variations(chain: list[IntPolynomial], x: Fraction) -> int:
     signs = []
     for poly in chain:
-        v = poly.value(x)
+        v = poly._horner(x)[0]  # the value times w^(d+1) > 0
         if v:
             signs.append(1 if v > 0 else -1)
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
@@ -848,37 +829,27 @@ def factorial_ratio_bounds(A: int, B: int, C: int | None = None
     side is exact; the right side is enclosed with directed rounding and
     precision is escalated until the comparison is strict.
     """
-    if A < 1 or B < 1 or (C is not None and C < 1):
+    args = (A, B) if C is None else (A, B, C)
+    if min(args) < 1:
         raise ValueError(f"arguments must be >= 1: {(A, B, C)}")
-    if C is None:
-        n = A + B
-        lhs = Fraction(math.factorial(n), math.factorial(A) * math.factorial(B))
-        power = Fraction(n ** n, A ** A * B ** B)
-        radicand = Fraction(n, A * B)
-
-        def rhs():
-            return (rigor.iv_fraction(power) * iv.sqrt(rigor.iv_fraction(radicand))
-                    / iv.sqrt(2 * iv.pi))
-    else:
-        n = A + B + C
-        lhs = Fraction(math.factorial(n),
-                       math.factorial(A) * math.factorial(B) * math.factorial(C))
-        power = Fraction(n ** n, A ** A * B ** B * C ** C)
-        radicand = Fraction(n, A * B * C)
-
-        def rhs():
-            return (rigor.iv_fraction(power) * iv.sqrt(rigor.iv_fraction(radicand))
-                    / (2 * iv.pi))
+    n = sum(args)
+    lhs = Fraction(math.factorial(n), math.prod(map(math.factorial, args)))
+    power = Fraction(n ** n, math.prod(a ** a for a in args))
+    radicand = Fraction(n, math.prod(args))
 
     def lhs_builder():
         return rigor.iv_fraction(lhs)
+
+    def rhs():
+        divisor = iv.sqrt(2 * iv.pi) if C is None else 2 * iv.pi
+        return (rigor.iv_fraction(power) * iv.sqrt(rigor.iv_fraction(radicand))
+                / divisor)
 
     verdict = rigor.decide(lhs_builder, rhs)
     ok = verdict is rigor.Comparison.LESS
     # informational margin (digits of slack), not part of the certificate
     rhs_est = (_log10(power) + 0.5 * _log10(radicand)
-               - (math.log10(2 * math.pi) if C is not None
-                  else 0.5 * math.log10(2 * math.pi)))
+               - (len(args) - 1) / 2 * math.log10(2 * math.pi))
     return FactorialBoundReport(A=A, B=B, C=C, ok=ok,
                                 margin_log10=rhs_est - _log10(lhs))
 

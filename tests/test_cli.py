@@ -295,6 +295,23 @@ _PINNED_REPORTS = {
     "certify-anchor": (
         ["certify", *_ANCHOR, "--sigma", "1/10"],
         "eb93f40bff836bd57d8e5017d8b898cb79ccf6312241c1d708bcf96a1f8c2145"),
+    "survey-odd": (
+        ["survey", "--D", "76", "--p", "101", "--sigma", "9/10",
+         "--n-max", "3000"],
+        "277f005ce7829fff30ee6b8dc0a4ee335696424513d61543d174a6216bd39b28"),
+    "survey-two": (
+        ["survey", "--D", "7", "--p", "2", "--sigma", "1/2", "--n-max", "6000"],
+        "64269ca3fdf6006305ab33c9d0d41710c0835b0e8870b07f2b7b3d3d445c0001"),
+    "max-sigma-anchor": (
+        ["max-sigma", *_ANCHOR],
+        "196d46ecdb0e8a90170064414a1f60671159dd05cfe49ce683ccb151b713ef46"),
+    "max-sigma-7j": (
+        ["max-sigma", "--D", "7", "--p", "2", "--x0", "181", "--n0", "15",
+         "--variant", "7j"],
+        "556ec6a397621f2c5c710342ca37dcbbeeaad2ec0d5bdb433a4a40c4710612e5"),
+    "hensel": (
+        ["hensel", "--D", "7", "--p", "2", "--n", "15"],
+        "fc553d540e43e6ee929683f91fe96f6c04b9c21e796c3ae0250999db2f617c45"),
 }
 
 

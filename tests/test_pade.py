@@ -242,19 +242,34 @@ def _comb_diagonal(j, g):
     return p, q, e
 
 
-def _comb_general(A, B, C):
+def _comb_triple(A, B, C):
+    """The unsigned triple of pade._general_triple, binomial by binomial."""
     s = A + B + C + 1
-    p = [(-1) ** (C + i) * math.comb(s, i) * math.comb(A + C - i, A)
+    p = [(-1) ** i * math.comb(s, i) * math.comb(A + C - i, A)
          for i in range(C + 1)]
-    q = [(-1) ** C * math.comb(A + C - i, C) * math.comb(B + i, i)
-         for i in range(A + 1)]
+    q = [math.comb(A + C - i, C) * math.comb(B + i, i) for i in range(A + 1)]
     e = [(-1) ** i * math.comb(A + i, i) * math.comb(s, A + C + 1 + i)
          for i in range(B + 1)]
     return p, q, e
 
 
+def _comb_general(A, B, C):
+    p, q, e = _comb_triple(A, B, C)
+    sign = (-1) ** C
+    return [sign * c for c in p], [sign * c for c in q], e
+
+
+def test_general_triple_matches_comb():
+    # zeros included: the diagonal system at j = 1, g = 0 has B = 0
+    for A in range(9):
+        for B in range(9):
+            for C in range(9):
+                expected = tuple(map(IntPolynomial, _comb_triple(A, B, C)))
+                assert pade._general_triple(A, B, C) == expected, (A, B, C)
+
+
 def test_diagonal_recurrences_match_comb():
-    for j in range(1, 41):
+    for j in (*range(1, 41), 60, 120, 240):
         for g in (0, 1):
             p, q, e = _comb_diagonal(j, g)
             sys = build_diagonal(j, g)
@@ -779,6 +794,17 @@ def test_factorial_ratio_bounds():
     assert factorial_ratio_bounds(5, 3, 7).ok
     with pytest.raises(ValueError):
         factorial_ratio_bounds(0, 1, 1)
+
+
+def test_factorial_ratio_reports_pinned():
+    # sha256 of the reports, recorded from separate two- and three-argument
+    # bodies
+    reps = [repr(factorial_ratio_bounds(A, B))
+            for A in range(1, 30) for B in range(1, 30)]
+    reps += [repr(factorial_ratio_bounds(A, B, C))
+             for A in range(1, 12) for B in range(1, 12) for C in range(1, 12)]
+    assert hashlib.sha256("\n".join(reps).encode()).hexdigest() == (
+        "59ec556ebd385d08ca25a3db42266a9da30dbb240f4c547ede4e9210d6ca5a77")
 
 
 def test_q_prefactor_bound_sweep():
