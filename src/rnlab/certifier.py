@@ -211,13 +211,16 @@ def certify(D: int, p: int, x0: int, n0: int, sigma: Fraction,
 
     beta = _beta_powprod(p, n0)
     threshold = threshold_powprod(D, p, sigma, var)
-    verdict = rigorous_compare(beta, threshold, cap_digits)
+    # the report's enclosures at 30 digits read the logs that the verdict's
+    # first round computed at that precision
+    logs: dict = {}
+    verdict = rigorous_compare(beta, threshold, cap_digits, logs)
 
     saved = iv.dps
     try:
         iv.dps = 30
-        beta_enc = enclosure_str(beta.enclosure())
-        thr_enc = enclosure_str(threshold.enclosure())
+        beta_enc = enclosure_str(beta.enclosure(logs))
+        thr_enc = enclosure_str(threshold.enclosure(logs))
     finally:
         iv.dps = saved
     margin = _powprod_log10(beta) - _powprod_log10(threshold)

@@ -10,6 +10,7 @@ keys, no whitespace), so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -447,8 +448,15 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The rnlab parser with every subcommand, or with only `command`."""
+    """The rnlab parser with every subcommand, or with only `command`.
+
+    Each parser is built once per process, on first use, and shared by
+    every later call: callers must not mutate it.  Its `choices`, such as
+    those of --variant (the keys of certifier.VARIANTS), are read at that
+    first build.
+    """
     ap = argparse.ArgumentParser(
         prog="rnlab",
         description="exact tools for factorizations x^2 + D = p^n * m")
@@ -460,9 +468,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _parse(argv: list) -> argparse.Namespace:
-    # Building one subparser instead of eight is most of a small call's
-    # parse cost.  Leftover arguments are reported by the full parser, so
-    # that the usage line of the error lists every subcommand.
+    # The parser of argv's subcommand has that one subparser, not eight, so
+    # that the first call of a process builds no more than it parses;
+    # build_parser keeps it for the later calls.  Leftover arguments are
+    # reported by the full parser, so that the usage line of the error
+    # lists every subcommand.
     if argv and argv[0] in _SUBCOMMANDS:
         args, rest = build_parser(argv[0]).parse_known_args(argv)
         if not rest:

@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import Callable
 
 from mpmath import iv
+from mpmath.libmp import from_int, mpi_div, round_ceiling, round_floor
 
 DEFAULT_PRECISION_CAP = 4000  # decimal digits
 _START_DPS = 30
@@ -50,15 +51,42 @@ def precision_cap() -> int:
 
 
 def iv_fraction(fr: Fraction):
-    """Enclosure of an exact rational at the current iv precision."""
-    return iv.mpf(fr.numerator) / iv.mpf(fr.denominator)
+    """Enclosure of an exact rational at the current iv precision.
+
+    The same bits as iv.mpf(numerator) / iv.mpf(denominator): iv.mpf
+    rounds an integer down and up by from_int, and iv's division is
+    mpi_div at the working precision; only iv's type dispatch is skipped.
+    Rounding n/d once per endpoint (from_rational) is not the same: it
+    differs once n or d is wider than the precision.
+    """
+    prec = iv.prec
+    n, d = fr.numerator, fr.denominator
+    return iv.make_mpf(mpi_div(
+        (from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)),
+        (from_int(d, prec, round_floor), from_int(d, prec, round_ceiling)),
+        prec))
 
 
-def iv_pow(base: Fraction, exp: Fraction):
+def _iv_log(base: Fraction, logs: dict | None):
+    """Enclosure of log(base) at the current iv precision; logs, if given,
+    maps (base, iv.dps) to it and is filled on demand."""
+    if base <= 0:
+        raise ValueError(f"iv_pow needs a positive base, got {base}")
+    if logs is None:
+        return iv.log(iv_fraction(base))
+    key = (base, iv.dps)
+    log_base = logs.get(key)
+    if log_base is None:
+        log_base = logs[key] = iv.log(iv_fraction(base))
+    return log_base
+
+
+def iv_pow(base: Fraction, exp: Fraction, logs: dict | None = None):
     """Enclosure of base**exp for base > 0 and rational exp.
 
     Integer exponents are applied to the exact rational first; half-integer
-    exponents go through one square root; everything else uses exp(log).
+    exponents go through one square root; everything else uses exp(log),
+    with log(base) read from and kept in logs as _iv_log does.
     """
     if base <= 0:
         raise ValueError(f"iv_pow needs a positive base, got {base}")
@@ -66,7 +94,7 @@ def iv_pow(base: Fraction, exp: Fraction):
         return iv_fraction(base ** exp.numerator)
     if exp.denominator == 2:
         return iv.sqrt(iv_fraction(base ** exp.numerator))
-    return iv.exp(iv_fraction(exp) * iv.log(iv_fraction(base)))
+    return iv.exp(iv_fraction(exp) * _iv_log(base, logs))
 
 
 @dataclass(frozen=True)
@@ -90,10 +118,13 @@ class PowProd:
             value *= base ** exp.numerator
         return value
 
-    def enclosure(self):
+    def enclosure(self, logs: dict | None = None):
+        """Enclosure of the product at the current iv precision; logs is
+        passed to iv_pow, so an irrational power reads the log(base) that
+        log_enclosure made with the same logs."""
         acc = iv_fraction(self.coeff)
         for base, exp in self.factors:
-            acc = acc * iv_pow(base, exp)
+            acc = acc * iv_pow(base, exp, logs)
         return acc
 
     def log_enclosure(self, logs: dict):
@@ -105,13 +136,7 @@ class PowProd:
                 f"log_enclosure needs a positive coefficient, got {self.coeff}")
         acc = iv.mpf(0)
         for base, exp in ((self.coeff, Fraction(1)), *self.factors):
-            key = (base, iv.dps)
-            log_base = logs.get(key)
-            if log_base is None:
-                if base <= 0:
-                    raise ValueError(f"iv_pow needs a positive base, got {base}")
-                log_base = logs[key] = iv.log(iv_fraction(base))
-            acc += iv_fraction(exp) * log_base
+            acc += iv_fraction(exp) * _iv_log(base, logs)
         return acc
 
 
@@ -155,12 +180,14 @@ def decide(build_lhs: Callable[[], object], build_rhs: Callable[[], object],
 
 
 def rigorous_compare(lhs: PowProd, rhs: PowProd,
-                     cap_digits: int | None = None) -> Comparison:
+                     cap_digits: int | None = None,
+                     logs: dict | None = None) -> Comparison:
     """Certified comparison of two power products.
 
     Exact-rational operands are compared exactly (so equal rationals report
     EQUAL rather than exhausting precision).  Otherwise both must be
-    positive, and their log enclosures are compared.
+    positive, and their log enclosures are compared; the logs of the bases
+    are kept in logs (a new dict if None), keyed as log_enclosure keys them.
     """
     lf, rf = lhs.as_fraction(), rhs.as_fraction()
     if lf is not None and rf is not None:
@@ -169,7 +196,8 @@ def rigorous_compare(lhs: PowProd, rhs: PowProd,
         if lf > rf:
             return Comparison.GREATER
         return Comparison.EQUAL
-    logs: dict = {}
+    if logs is None:
+        logs = {}
     return decide(lambda: lhs.log_enclosure(logs),
                   lambda: rhs.log_enclosure(logs), cap_digits)
 

@@ -264,6 +264,18 @@ def test_max_sigma_logs_once_per_base(monkeypatch):
     assert len(calls) == 3
 
 
+def test_certify_logs_once_per_base(monkeypatch):
+    # one interval log each of the coefficient 1, 101, C and D: the verdict
+    # separates at 30 digits, and the report's threshold enclosure at 30
+    # digits reads the logs of C and D that the verdict made
+    from mpmath import iv
+    calls = []
+    real_log = iv.log
+    monkeypatch.setattr(iv, "log", lambda x: calls.append(x) or real_log(x))
+    assert certify(76, 101, 1015, 3, F(1, 10)).certified
+    assert len(calls) == 4
+
+
 def test_max_sigma_runs_certify_gates():
     from rnlab.hensel import CompositeModulusError
     with pytest.raises(CompositeModulusError, match="p = 4 is not prime"):

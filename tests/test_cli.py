@@ -357,6 +357,52 @@ def test_help_and_usage_errors_match_full_parser(capsys, argv):
     assert outcome(main) == outcome(build_parser().parse_args)
 
 
+def test_build_parser_builds_each_parser_once():
+    from rnlab.cli import build_parser
+    assert build_parser("certify") is build_parser("certify")
+    assert build_parser() is build_parser()
+    assert build_parser("certify") is not build_parser("audit")
+
+
+def test_cached_parser_keeps_nothing_between_calls(capsys, monkeypatch):
+    # a call with every default overridden, then one with none: the second
+    # gets the defaults, and prints what a fresh process prints
+    from fractions import Fraction
+    from rnlab.cli import _parse
+    monkeypatch.setenv("COLUMNS", "80")
+    audit = ["audit", *_ANCHOR, "--n", "16"]
+    code, _ = run_cli(capsys, *audit, "--sigma", "1/5", "--variant", "7j",
+                      "--format", "json")
+    assert code == 0
+    args = _parse(audit)
+    assert (args.sigma, args.variant, args.format) \
+        == (Fraction(1, 10), "5j", "human")
+    code = main(audit)
+    captured = capsys.readouterr()
+    fresh = subprocess.run([sys.executable, "-m", "rnlab", *audit],
+                           env=_subprocess_env(), capture_output=True,
+                           text=True, timeout=300)
+    assert (code, captured.out, captured.err) \
+        == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert captured.out.startswith("certificate: certified\n")
+
+
+def test_usage_error_after_a_call_lists_every_subcommand(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(capsys, "certify", *_ANCHOR, "--sigma", "1/10")[0] == 0
+    argv = ["certify", *_ANCHOR, "--sigma", "1/10", "extra"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    fresh = subprocess.run([sys.executable, "-m", "rnlab", *argv],
+                           env=_subprocess_env(), capture_output=True,
+                           text=True, timeout=300)
+    assert (exc.value.code, err) == (fresh.returncode, fresh.stderr)
+    assert "{certify,survey,hensel,pade,decompose,audit,max-sigma,scan-huge}" \
+        in err
+    assert "unrecognized arguments: extra" in err
+
+
 # sha256 of each --help text at 80 columns; the text is part of the
 # interface, so only a deliberate change of an option may update a digest
 _PINNED_HELP = {

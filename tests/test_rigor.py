@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 
@@ -185,3 +186,36 @@ def test_affine_sign_agrees_with_exact_rationals(a, g, neg_a, neg_g, s):
         assert sign is Comparison.LESS
     else:
         assert sign is Comparison.UNDECIDABLE
+
+
+def _quotient_of_iv_mpf(fr: Fraction):
+    # the form iv_fraction replaces, kept here as its oracle
+    return iv.mpf(fr.numerator) / iv.mpf(fr.denominator)
+
+
+def _differential_fractions() -> list:
+    # negative, zero and integer values, and operands of up to 4100 digits,
+    # wider than every precision below
+    rng = random.Random(16)
+    out = [F(0), F(1), F(-1), F(5), F(-7, 3), F(1, 3), F(-10 ** 400 - 1),
+           F(3 ** 9000), F(10 ** 400 + 1, 3 ** 700)]
+    for digits in (5, 20, 80, 400, 4100):
+        for _ in range(25):
+            n = rng.randrange(-10 ** digits, 10 ** digits)
+            d = rng.randrange(1, 10 ** rng.randrange(1, digits + 1) + 1)
+            out += [F(n, d), F(n * d, d)]
+    return out
+
+
+_DIFFERENTIAL_FRACTIONS = _differential_fractions()
+
+
+@pytest.mark.parametrize("dps", [15, 30, 60, 4000])
+def test_iv_fraction_matches_quotient_of_iv_mpf(dps):
+    saved = iv.dps
+    try:
+        iv.dps = dps
+        for fr in _DIFFERENTIAL_FRACTIONS:
+            assert iv_fraction(fr)._mpi_ == _quotient_of_iv_mpf(fr)._mpi_, fr
+    finally:
+        iv.dps = saved
