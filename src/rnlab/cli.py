@@ -161,8 +161,7 @@ def _cmd_survey(args) -> int:
     if args.resume:
         try:
             with open(args.resume) as fh:
-                resume_state = survey.restore(fh.read(), expect_D=args.D,
-                                              expect_p=args.p)
+                resume_state = survey.restore(fh.read())
         except FileNotFoundError:
             resume_state = None
 

@@ -1,5 +1,8 @@
 """Roots of x^2 + D = 0 (mod p^n): Tonelli-Shanks plus digit-by-digit lifting.
 
+check_instance gates each instance (D, p); roots_mod_pn and run_survey walk
+lift_step, the one place that picks the odd-prime or the 2-adic lift.
+
 A LiftState stores one minimal representative r per +/- pair together with
 its exact cofactor m, r^2 + D = p^n m, and the modulus p^n itself; callers
 expand the complements with (p^n - r)^2 + D = p^n (p^n - 2r + m).
@@ -249,17 +252,11 @@ def lift_step_odd(state: LiftState) -> LiftState:
 
 
 def _two_initial(D: int, n: int) -> LiftState:
-    if D % 2 == 0:
-        raise ValueError("p = 2 requires odd D")
-    if n == 1:
-        return LiftState(p=2, D=D, n=1, min_roots=(1,))
-    if D % 4 != 3:
-        raise NoRootError(f"x^2 = -{D} (mod 4) unsolvable (D = {D % 4} mod 4)")
-    if n == 2:
-        return LiftState(p=2, D=D, n=2, min_roots=(1,))
-    if D % 8 != 7:
-        raise NoRootError(f"x^2 = -{D} (mod 8) unsolvable (D = {D % 8} mod 8)")
-    return LiftState(p=2, D=D, n=3, min_roots=(1, 3))
+    for q in (4, 8)[:n - 1]:  # roots mod 4 need D = 3, mod 8 need D = 7
+        if D % q != q - 1:
+            raise NoRootError(f"x^2 = -{D} (mod {q}) unsolvable "
+                              f"(D = {D % q} mod {q})")
+    return LiftState(p=2, D=D, n=n, min_roots=(1, 3) if n == 3 else (1,))
 
 
 def lift_two_step(state: LiftState) -> LiftState:
@@ -280,36 +277,36 @@ def lift_two_step(state: LiftState) -> LiftState:
     return _next_state(state, pairs, pn << 1)
 
 
-def _check_level(D: int, n: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+def lift_step(state: LiftState) -> LiftState:
+    """One level up: the one place that picks the 2-adic or odd-prime lift."""
+    return lift_two_step(state) if state.p == 2 else lift_step_odd(state)
+
+
+def check_instance(D: int, p: int) -> None:
+    """Raise unless D >= 1, p is proven prime and p does not divide D, in
+    that order, and an odd p splits (NoSplitError)."""
     if D < 1:
         raise ValueError(f"D must be positive, got {D}")
-
-
-def lift_two(D: int, n: int) -> LiftState:
-    """All roots of x^2 + D = 0 (mod 2^n)."""
-    _check_level(D, n)
-    state = _two_initial(D, min(n, 3))
-    state.verify()
-    while state.n < n:
-        state = lift_two_step(state)
-    return state
+    require_prime(p)
+    if D % p == 0:
+        raise ValueError(f"p = {p} divides D = {D}")
+    if p != 2 and legendre(-D % p, p) != 1:
+        raise NoSplitError(f"(-{D}|{p}) = -1: no roots at any level")
 
 
 def roots_mod_pn(D: int, p: int, n: int) -> LiftState:
     """Full root set of x^2 + D = 0 (mod p^n) for a prime p not dividing D."""
-    _check_level(D, n)
-    require_prime(p)
-    if D % p == 0:
-        raise ValueError(f"p = {p} divides D = {D}")
-    if p == 2:
-        return lift_two(D, n)
-    if legendre(-D % p, p) != 1:
-        raise NoSplitError(f"(-{D}|{p}) = -1: no roots at any level")
-    pair = sqrt_mod_p(-D % p, p)
-    state = LiftState(p=p, D=D, n=1, min_roots=(pair[0],))
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    check_instance(D, p)
+    state = (_two_initial(D, 1) if p == 2 else
+             LiftState(p=p, D=D, n=1, min_roots=(sqrt_mod_p(-D % p, p)[0],)))
     state.verify()
     while state.n < n:
-        state = lift_step_odd(state)
+        state = lift_step(state)
     return state
+
+
+def lift_two(D: int, n: int) -> LiftState:
+    """All roots of x^2 + D = 0 (mod 2^n)."""
+    return roots_mod_pn(D, 2, n)

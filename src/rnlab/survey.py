@@ -8,8 +8,11 @@ integer powers with a bit-length shortcut.  Only residues 0 < x < p^n are
 tested: any larger x in the class has m > x^2/p^n >= x > x^sigma
 automatically.
 
-Long runs checkpoint the lift state as a small versioned JSON blob; the
-cofactors are not stored but recomputed, and thereby verified, on restore.
+As roots_mod_pn does, run_survey gates (D, p) by hensel.check_instance and
+walks hensel.lift_step.  Long runs checkpoint the lift state as a small
+versioned JSON blob; the cofactors are not stored but recomputed, and thereby
+verified, on restore.  A resumed state must be of (D, p), at n <= n_max and
+pass LiftState.verify, which run_survey checks before any other outcome.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hensel import (HenselError, LiftState, NoRootError, legendre,
-                     lift_step_odd, lift_two_step, require_prime,
-                     roots_mod_pn)
+# lift_step_odd is not called here: the benchmark self-test traces it here
+from .hensel import (HenselError, LiftState, NoRootError, NoSplitError,
+                     check_instance, lift_step, lift_step_odd, roots_mod_pn)
 
 BLOB_VERSION = 1
 
@@ -119,11 +122,11 @@ def run_survey(D: int, p: int, sigma: Fraction, n_max: int,
     sigma = Fraction(sigma)
     if not 0 < sigma < 1:
         raise InvalidSigmaError(f"sigma must lie in (0, 1), got {sigma}")
-    require_prime(p)
-    if D < 1:
-        raise ValueError(f"D must be positive, got {D}")
-    if D % p == 0:
-        raise ValueError(f"p = {p} divides D = {D}")
+    try:
+        check_instance(D, p)
+        split = True
+    except NoSplitError:
+        split = False
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if checkpoint_every < 1:
@@ -131,13 +134,6 @@ def run_survey(D: int, p: int, sigma: Fraction, n_max: int,
 
     started = time.perf_counter()
     a, b = sigma.numerator, sigma.denominator
-
-    if p != 2 and legendre(-D % p, p) != 1:
-        return SurveyReport(
-            D=D, p=p, sigma=sigma, n_from=1, n_max=n_max, no_split=True,
-            records_checked=0, exceptions=(), min_margin=None,
-            method_note=METHOD_NOTE + "; prime does not split: nothing to survey",
-            wall_time=time.perf_counter() - started)
 
     if resume is not None:
         if resume.D != D or resume.p != p:
@@ -151,9 +147,15 @@ def run_survey(D: int, p: int, sigma: Fraction, n_max: int,
             resume.verify()
         except HenselError as exc:
             raise CorruptBlobError(f"resume state is invalid: {exc}") from exc
-        state = resume
-    else:
-        state = roots_mod_pn(D, p, 1)
+
+    if not split:
+        return SurveyReport(
+            D=D, p=p, sigma=sigma, n_from=1, n_max=n_max, no_split=True,
+            records_checked=0, exceptions=(), min_margin=None,
+            method_note=METHOD_NOTE + "; prime does not split: nothing to survey",
+            wall_time=time.perf_counter() - started)
+
+    state = resume if resume is not None else roots_mod_pn(D, p, 1)
     n_from = state.n
 
     exceptions: list[SurveyRecord] = []
@@ -168,8 +170,7 @@ def run_survey(D: int, p: int, sigma: Fraction, n_max: int,
                 pair.append((pn - r, pn - 2 * r + mr))
             for x, m in pair:
                 records += 1
-                passed = power_compare(m, x, a, b)
-                if not passed:
+                if not power_compare(m, x, a, b):
                     exceptions.append(SurveyRecord(n=n, x=x, m=m, passed=False))
                 margin = math.log10(m) - math.log10(x) * (a / b)
                 if min_margin is None or margin < min_margin["log10_ratio"]:
@@ -180,7 +181,7 @@ def run_survey(D: int, p: int, sigma: Fraction, n_max: int,
         if n >= n_max:
             break
         try:
-            state = lift_step_odd(state) if p != 2 else lift_two_step(state)
+            state = lift_step(state)
         except NoRootError as exc:
             ladder_end_note = f"; ladder ends at n = {n}: {exc}"
             break
@@ -205,26 +206,29 @@ def checkpoint(state: LiftState) -> str:
     }, sort_keys=True, separators=(",", ":"))
 
 
-def restore(blob: str, expect_D: int | None = None,
-            expect_p: int | None = None) -> LiftState:
+def restore(blob: str) -> LiftState:
     """Rebuild a lift state from a blob, validating every stored root.
 
-    The stored roots must be the complete minimal set for level n; each
-    cofactor is recomputed by one exact division, which verifies its root.
+    version, D, p and n must be JSON integers and the roots strings of ASCII
+    digits, as checkpoint writes them.  The stored roots must be the complete
+    minimal set for level n; each cofactor is recomputed by one exact
+    division, which verifies its root.  run_survey checks the instance.
     """
     try:
         data = json.loads(blob)
-        version = data["version"]
-        D, p, n = int(data["D"]), int(data["p"]), int(data["n"])
-        roots = tuple(int(r) for r in data["roots"])
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        version, D, p, n, roots = (data[key] for key in
+                                   ("version", "D", "p", "n", "roots"))
+    except (KeyError, TypeError, ValueError) as exc:
         raise CorruptBlobError(f"unreadable resume blob: {exc}") from exc
+    for key, value in (("version", version), ("D", D), ("p", p), ("n", n)):
+        if type(value) is not int:  # not bool either: JSON true reads as 1
+            raise CorruptBlobError(f"blob {key} is not an integer")
+    if type(roots) is not list or not all(
+            type(r) is str and r.isascii() and r.isdigit() for r in roots):
+        raise CorruptBlobError("blob roots are not strings of decimal digits")
+    roots = tuple(map(int, roots))
     if version != BLOB_VERSION:
         raise CorruptBlobError(f"unsupported blob version {version}")
-    if expect_D is not None and D != expect_D:
-        raise CorruptBlobError(f"blob D = {D}, expected {expect_D}")
-    if expect_p is not None and p != expect_p:
-        raise CorruptBlobError(f"blob p = {p}, expected {expect_p}")
     if n < 1 or p < 2:
         raise CorruptBlobError(f"blob has level n = {n}, p = {p}")
     # a root r at level n has r^2 + D >= p^n: bound n by the stored digits

@@ -541,6 +541,21 @@ def test_psi12_refused_exit_2(capsys):
     assert code == 2 and "cannot be proven" in payload["message"]
 
 
+@pytest.mark.parametrize("D, p, message", [
+    ("0", "4", "D must be positive, got 0"),
+    ("76", "2", "p = 2 divides D = 76"),
+    ("0", str(2 ** 89 - 1), "D must be positive, got 0"),
+])
+def test_survey_and_hensel_gate_in_one_order(capsys, D, p, message):
+    # D >= 1, then p proven prime, then p not dividing D, for both
+    code, hensel = run_json(capsys, "hensel", "--D", D, "--p", p, "--n", "3")
+    assert code == 2 and hensel["error"] == "invalid_input"
+    assert hensel["message"] == message
+    code, survey = run_json(capsys, "survey", "--D", D, "--p", p,
+                            "--sigma", "1/2", "--n-max", "3")
+    assert code == 2 and survey == hensel
+
+
 def test_resume_incomplete_blob_exit_2(tmp_path, capsys):
     blob_path = tmp_path / "survey.ckpt"
     blob_path.write_text('{"version":1,"D":76,"p":101,"n":5,"roots":[]}')

@@ -232,3 +232,17 @@ def test_cofactors_derived_from_bare_roots():
     assert bare.cofactors == state.cofactors and bare.pn == 101 ** 30
     with pytest.raises(HenselError):
         LiftState(p=101, D=76, n=30, min_roots=(state.min_roots[0] + 1,))
+
+
+def test_lift_two_is_the_ladder_at_p_2():
+    for D in range(1, 64, 2):
+        for n in range(1, 41):
+            try:
+                want = roots_mod_pn(D, 2, n)
+            except NoRootError as exc:
+                with pytest.raises(NoRootError) as info:
+                    lift_two(D, n)
+                assert str(info.value) == str(exc)
+                continue
+            got = lift_two(D, n)
+            assert got == want and got.cofactors == want.cofactors

@@ -187,11 +187,69 @@ def test_checkpoint_resume_equals_straight_run():
 
 
 def test_restore_rejects_mismatch():
-    blob = checkpoint(roots_mod_pn(76, 101, 5))
+    # restore reads the blob alone; run_survey rejects a state of another
+    # instance, here two that do not split
+    state = restore(checkpoint(roots_mod_pn(76, 101, 5)))
+    for D, p in ((7, 101), (76, 103)):
+        with pytest.raises(CorruptBlobError, match="resume state is for"):
+            run_survey(D, p, F(7, 50), 20, resume=state)
+
+
+def test_resume_checked_before_no_split_report():
+    # a no-split instance once returned a clean no_split report with 0
+    # records for any resume state
     with pytest.raises(CorruptBlobError):
-        restore(blob, expect_D=7, expect_p=101)
-    with pytest.raises(CorruptBlobError):
-        restore(blob, expect_D=76, expect_p=103)
+        run_survey(7, 101, F(7, 50), 20, resume=roots_mod_pn(76, 101, 10))
+    # without a resume state the instance still reports no_split
+    rep = run_survey(7, 101, F(7, 50), 20)
+    assert rep.no_split and rep.records_checked == 0
+
+
+@pytest.mark.parametrize("key, value", [
+    ("version", True), ("version", 1.0), ("D", 76.9), ("D", "76"),
+    ("p", 101.2), ("p", "101"), ("n", 5.0), ("n", "5"),
+])
+def test_restore_accepts_only_integer_fields(key, value):
+    # each once restored quietly as its integer value
+    data = json.loads(checkpoint(roots_mod_pn(76, 101, 5)))
+    data[key] = value
+    with pytest.raises(CorruptBlobError, match="not an integer"):
+        restore(json.dumps(data))
+
+
+@pytest.mark.parametrize("roots", [
+    [5], [5.0], ["+5"], [" 5"], ["5 "], ["0_5"], ["\u0665"], ["\uff15"], "5",
+])
+def test_restore_accepts_only_decimal_digit_roots(roots):
+    # int() reads each as the root 5 of x^2 + 76 (mod 101)
+    blob = json.dumps({"version": 1, "D": 76, "p": 101, "n": 1,
+                       "roots": roots})
+    with pytest.raises(CorruptBlobError, match="decimal digits"):
+        restore(blob)
+
+
+@pytest.mark.parametrize("resume_at", [1, 2, 3, 100])
+def test_two_adic_resume_equals_straight_run(resume_at):
+    # the 2-adic ladder widens at n = 2 and n = 3
+    straight = run_survey(7, 2, F(1, 2), 200)
+    blob = checkpoint(roots_mod_pn(7, 2, resume_at))
+    resumed = run_survey(7, 2, F(1, 2), 200, resume=restore(blob))
+    assert resumed.n_from == resume_at
+    assert [(r.n, r.x, r.m) for r in resumed.exceptions] == \
+        [(r.n, r.x, r.m) for r in straight.exceptions if r.n >= resume_at]
+    assert resumed.method_note == straight.method_note
+
+
+def test_two_adic_resume_where_the_ladder_ends():
+    # D = 3: roots mod 4 but none mod 8, so the ladder ends at n = 2
+    straight = run_survey(3, 2, F(1, 2), 50)
+    assert "ladder ends at n = 2" in straight.method_note
+    for resume_at in (1, 2):
+        blob = checkpoint(roots_mod_pn(3, 2, resume_at))
+        resumed = run_survey(3, 2, F(1, 2), 50, resume=restore(blob))
+        assert resumed.method_note == straight.method_note
+        assert [(r.n, r.x, r.m) for r in resumed.exceptions] == \
+            [(r.n, r.x, r.m) for r in straight.exceptions if r.n >= resume_at]
 
 
 def test_restore_rejects_garbage():
