@@ -329,9 +329,11 @@ def _cmd_max_sigma(args) -> int:
 
 
 def _cmd_scan_huge(args) -> int:
+    if args.D < 1:  # D first, as hensel.check_instance gates it
+        raise ValueError(f"D must be positive, got {args.D}")
     hensel.require_prime(args.p)
-    if args.D < 1 or args.n0_max < 1:
-        raise ValueError("D and n0_max must be >= 1")
+    if args.n0_max < 1:
+        raise ValueError(f"n0_max must be >= 1, got {args.n0_max}")
     solutions = []
     for n0 in range(1, args.n0_max + 1):
         rest = args.p ** n0 - args.D

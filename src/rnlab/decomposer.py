@@ -92,6 +92,8 @@ class Decomposition:
 
 def decompose(D: int, p: int, x0: int, n0: int, x: int, n: int) -> Decomposition:
     """Produce the (j, branch, mu) decomposition with full norm accounting."""
+    if D < 1:  # D first, as hensel.check_instance gates it
+        raise PreconditionFailError(f"D must be positive, got {D}")
     require_prime(p)
     if x0 < 1 or n0 < 1 or x < 1 or n < 1:
         raise PreconditionFailError("x0, n0, x, n must be positive")

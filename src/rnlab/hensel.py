@@ -21,8 +21,10 @@ else takes r + 2^(n-1) with m' = (m + r + 2^(n-2))/2.
 
 Every level costs a few linear big-int operations.  The recurrence keeps
 r^2 + D = p^n m exactly; after each level that identity is also checked
-modulo the Mersenne prime 2^127 - 1, which catches a corrupted root or
-cofactor (the divmod remainder cannot: d is chosen to make it zero).
+modulo the Mersenne prime q = 2^127 - 1, which catches a corrupted root or
+cofactor (the divmod remainder cannot: d is chosen to make it zero).  The
+stored r and m are reduced by folding (q divides 2^t - 1 when 127 | t), and
+p^n mod q is carried from level to level, not read from the state's pn.
 Initial states, and states built from bare roots, get their cofactors by
 exact division, which verifies them.
 """
@@ -66,6 +68,15 @@ PRIME_BOUND = 3317044064679887385961981
 # prime modulus of the per-level residue check; it exceeds PRIME_BOUND, so
 # it never divides p^n
 _CHECK_Q = 2 ** 127 - 1
+
+
+def _mod_check_q(x: int) -> int:
+    """x mod _CHECK_Q: fold x = hi 2^t + lo into hi + lo, with 127 | t,
+    while x is long (2^t = 1 mod q), then one % on a short x."""
+    while x.bit_length() > 1536:
+        t = x.bit_length() // 254 * 127
+        x = (x >> t) + (x & ((1 << t) - 1))
+    return x % _CHECK_Q
 
 
 def is_probable_prime(n: int) -> bool:
@@ -157,10 +168,10 @@ def sqrt_mod_p(a: int, p: int) -> tuple[int, int] | None:
 class LiftState:
     """Roots of x^2 + D = 0 (mod p^n), one stored per +/- pair.
 
-    cofactors[i] is the exact m with min_roots[i]^2 + D = p^n m, and pn is
-    p^n.  Both are derived when not given; deriving a cofactor is an exact
-    division that raises HenselError if the root is not one.  Equality
-    compares (p, D, n, min_roots) only.
+    cofactors[i] is the exact m with min_roots[i]^2 + D = p^n m, pn is p^n
+    and pq is p^n mod _CHECK_Q.  Each is derived when not given; deriving a
+    cofactor is an exact division that raises HenselError if the root is not
+    one.  Equality compares (p, D, n, min_roots) only.
     """
 
     p: int
@@ -170,10 +181,13 @@ class LiftState:
     cofactors: tuple[int, ...] | None = field(default=None, compare=False,
                                               repr=False)
     pn: int = field(default=0, compare=False, repr=False)
+    pq: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.pn:
             object.__setattr__(self, "pn", self.p ** self.n)
+        if not self.pq:
+            object.__setattr__(self, "pq", pow(self.p, self.n, _CHECK_Q))
         if self.cofactors is None:
             cofs = []
             for r in self.min_roots:
@@ -219,21 +233,23 @@ def _next_state(state: LiftState, pairs: list[tuple[int, int]],
                 pn: int) -> LiftState:
     """The level-(n+1) state from lifted (r, m) pairs modulo pn = p^(n+1):
     flip each to its minimal representative, check the identity modulo
-    _CHECK_Q, and sort."""
-    D, q = state.D, _CHECK_Q
-    pq = pn % q
+    _CHECK_Q against the carried p^(n+1) mod _CHECK_Q, and sort."""
+    D, p, q = state.D, state.p, _CHECK_Q
+    pq = state.pq * p % q
+    half = pn >> 1
     out = []
     for r, m in pairs:
-        if 2 * r > pn:
-            r, m = pn - r, pn - 2 * r + m
-        rq = r % q
-        if (rq * rq + D - pq * (m % q)) % q:
+        if r > half:
+            y = pn - r
+            r, m = y, y - r + m
+        rq = _mod_check_q(r)
+        if (rq * rq + D - pq * _mod_check_q(m)) % q:
             raise LiftInvariantError(
                 f"root {r} breaks r^2 + D = p^n m at level {state.n + 1}")
         out.append((r, m))
     roots, cofactors = zip(*sorted(out))
-    return LiftState(p=state.p, D=D, n=state.n + 1, min_roots=roots,
-                     cofactors=cofactors, pn=pn)
+    return LiftState(p=p, D=D, n=state.n + 1, min_roots=roots,
+                     cofactors=cofactors, pn=pn, pq=pq)
 
 
 def lift_step_odd(state: LiftState) -> LiftState:
@@ -266,14 +282,15 @@ def lift_two_step(state: LiftState) -> LiftState:
     if n < 3:
         return _two_initial(state.D, n + 1)
     half = pn >> 1
+    quarter = half >> 1
     pairs = []
     for r, m in zip(state.min_roots, state.cofactors, strict=True):
-        # r is odd, and in the else branch so is m, so both halvings are
+        # r is odd, and in the first branch so is m, so both halvings are
         # exact (_next_state's residue check would catch a corrupt one)
-        if m % 2 == 0:
-            pairs.append((r, m >> 1))
+        if m & 1:
+            pairs.append((r + half, (m + r + quarter) >> 1))
         else:
-            pairs.append((r + half, (m + r + (half >> 1)) >> 1))
+            pairs.append((r, m >> 1))
     return _next_state(state, pairs, pn << 1)
 
 

@@ -166,8 +166,9 @@ def run_survey(D: int, p: int, sigma: Fraction, n_max: int,
         n, pn = state.n, state.pn
         for r, mr in zip(state.min_roots, state.cofactors, strict=True):
             pair = [(r, mr)]
-            if 2 * r != pn:  # (p^n - r)^2 + D = p^n (p^n - 2r + m_r)
-                pair.append((pn - r, pn - 2 * r + mr))
+            y = pn - r
+            if y != r:  # y^2 + D = p^n (y - r + m_r)
+                pair.append((y, y - r + mr))
             for x, m in pair:
                 records += 1
                 if not power_compare(m, x, a, b):

@@ -554,6 +554,14 @@ def test_survey_and_hensel_gate_in_one_order(capsys, D, p, message):
     code, survey = run_json(capsys, "survey", "--D", D, "--p", p,
                             "--sigma", "1/2", "--n-max", "3")
     assert code == 2 and survey == hensel
+    if D != "0":
+        return  # scan-huge accepts p | D, and decompose reads x0 first
+    for argv in (["scan-huge", "--n0-max", "3"],
+                 ["decompose", "--x0", "5", "--n0", "1", "--n", "6",
+                  "--x", "5"]):
+        code, payload = run_json(capsys, argv[0], "--D", D, "--p", p,
+                                 *argv[1:])
+        assert code == 2 and payload == hensel, argv
 
 
 def test_resume_incomplete_blob_exit_2(tmp_path, capsys):

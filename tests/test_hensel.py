@@ -1,13 +1,15 @@
+import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rnlab import hensel
 from rnlab.hensel import (PRIME_BOUND, CompositeModulusError, HenselError,
                           LiftInvariantError, LiftState, NoRootError,
                           NoSplitError, PrimeBoundError, is_probable_prime,
-                          legendre, lift_step_odd, lift_two, lift_two_step,
-                          roots_mod_pn, sqrt_mod_p)
+                          legendre, lift_step, lift_step_odd, lift_two,
+                          lift_two_step, roots_mod_pn, sqrt_mod_p)
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 101, 103]
 
@@ -207,29 +209,80 @@ def test_digit_recurrence_matches_newton_to_level_300(D, p):
     assert flips > 0 or p == 2
 
 
+# level 12, then levels whose residue check folds r and m once and twice
+TAMPER_LEVELS = {(76, 101): (12, 300, 600), (23, 3): (12,),
+                 (7, 2): (12, 2000, 4000)}
+
+
 @pytest.mark.parametrize("D,p,step", [(76, 101, lift_step_odd),
                                       (23, 3, lift_step_odd),
                                       (7, 2, lift_two_step)])
 def test_tampered_cofactor_makes_next_lift_raise(D, p, step):
-    state = roots_mod_pn(D, p, 12)
-    step(state)  # the untouched state lifts
-    for delta in (1, -1, 2, p ** 12):
-        cofs = (state.cofactors[0] + delta,) + state.cofactors[1:]
-        with pytest.raises(LiftInvariantError):
-            step(replace(state, cofactors=cofs))
+    for n in TAMPER_LEVELS[D, p]:
+        state = roots_mod_pn(D, p, n)
+        step(state)  # the untouched state lifts
+        for delta in (1, -1, 2, p ** n):
+            cofs = (state.cofactors[0] + delta,) + state.cofactors[1:]
+            with pytest.raises(LiftInvariantError):
+                step(replace(state, cofactors=cofs))
 
 
 def test_tampered_root_makes_next_lift_raise():
-    state = roots_mod_pn(76, 101, 12)
-    bad = replace(state, min_roots=(state.min_roots[0] + 101 ** 12,))
-    with pytest.raises(LiftInvariantError):
-        lift_step_odd(bad)
+    for (D, p), levels in TAMPER_LEVELS.items():
+        for n in levels:
+            state = roots_mod_pn(D, p, n)
+            bad = replace(state, min_roots=(state.min_roots[0] + p ** n,)
+                          + state.min_roots[1:])
+            with pytest.raises(LiftInvariantError):
+                lift_step(bad)
+
+
+@pytest.mark.parametrize("D,p,n", [(76, 101, 12), (76, 101, 400),
+                                   (7, 2, 12), (7, 2, 3000)])
+def test_wrong_pn_makes_next_lift_raise(D, p, n):
+    # pn = p^(n-1) with every cofactor times p still has r^2 + D = pn m,
+    # but the carried p^n mod q disagrees with it
+    state = roots_mod_pn(D, p, n)
+    bad = replace(state, pn=state.pn // p,
+                  cofactors=tuple(m * p for m in state.cofactors))
+    try:
+        lift_step(bad)
+    except LiftInvariantError:
+        return
+    pytest.fail(f"lifted quietly with pn = {p}^{n - 1} at level {n}")
+
+
+def test_mod_check_q_matches_remainder(monkeypatch):
+    q = hensel._CHECK_Q
+    xs = [0, 1, q - 1, q, q + 1, q * q, q ** 5 + 3]
+    # the last lengths t of 2^t - 1 before the kernel first folds 1, ..., 8
+    # times
+    for edge in (1536, 2932, 5726, 11314, 22490, 44842, 89546, 178954):
+        for t in range(edge - 2, edge + 3):
+            xs += [2 ** t - 1, 2 ** t, 2 ** t + 1]
+    rng = random.Random(127)
+    xs += [rng.getrandbits(rng.randrange(1, 200_001)) for _ in range(60)]
+    xs += [rng.getrandbits(200_000) | 1 << 199_999 for _ in range(4)]
+    # the final % must see a short operand: stopping a fold early stays
+    # exact but gives back the cost the folds remove
+    seen = []
+
+    class Recording(int):
+        def __rmod__(self, x):
+            seen.append(x.bit_length())
+            return x % int(self)
+
+    monkeypatch.setattr(hensel, "_CHECK_Q", Recording(q))
+    for x in xs:
+        assert hensel._mod_check_q(x) == x % q, x.bit_length()
+    assert len(seen) == len(xs) and max(seen) <= 1536
 
 
 def test_cofactors_derived_from_bare_roots():
     state = roots_mod_pn(76, 101, 30)
     bare = LiftState(p=101, D=76, n=30, min_roots=state.min_roots)
     assert bare.cofactors == state.cofactors and bare.pn == 101 ** 30
+    assert bare.pq == state.pq == pow(101, 30, hensel._CHECK_Q)
     with pytest.raises(HenselError):
         LiftState(p=101, D=76, n=30, min_roots=(state.min_roots[0] + 1,))
 
