@@ -369,16 +369,17 @@ def _common(p, formats=("json", "human")) -> None:
     p.add_argument("--out", default=None, help="write output to a file")
 
 
-def _add_certify(sub) -> None:
+def _add_certify(sub) -> argparse.ArgumentParser:
     c = sub.add_parser("certify", help="evaluate the huge-solution condition")
     _instance(c, "D", "p", "x0", "n0")
     c.add_argument("--sigma", type=_parse_sigma, required=True)
     c.add_argument("--variant", choices=tuple(certifier.VARIANTS), default="5j")
     _common(c)
     c.set_defaults(func=_cmd_certify)
+    return c
 
 
-def _add_survey(sub) -> None:
+def _add_survey(sub) -> argparse.ArgumentParser:
     s = sub.add_parser("survey", help="survey m = (x^2+D)/p^n against x^sigma")
     _instance(s, "D", "p")
     s.add_argument("--sigma", type=_parse_sigma, required=True)
@@ -388,34 +389,38 @@ def _add_survey(sub) -> None:
     s.add_argument("--checkpoint-every", type=int, default=200)
     _common(s, ("json", "tsv", "human"))
     s.set_defaults(func=_cmd_survey)
+    return s
 
 
-def _add_hensel(sub) -> None:
+def _add_hensel(sub) -> argparse.ArgumentParser:
     h = sub.add_parser("hensel", help="roots of x^2 + D = 0 (mod p^n)")
     _instance(h, "D", "p", "n")
     _common(h, ("json", "tsv", "human"))
     h.set_defaults(func=_cmd_hensel)
+    return h
 
 
-def _add_pade(sub) -> None:
+def _add_pade(sub) -> argparse.ArgumentParser:
     pv = sub.add_parser("pade", help="polynomial identity sweeps")
     pv.add_argument("pade_cmd", choices=("verify",))
     pv.add_argument("--j-max", dest="j_max", type=int, default=8)
     pv.add_argument("--abc-max", dest="abc_max", type=int, default=4)
     _common(pv)
     pv.set_defaults(func=_cmd_pade)
+    return pv
 
 
-def _add_decompose(sub) -> None:
+def _add_decompose(sub) -> argparse.ArgumentParser:
     d = sub.add_parser("decompose", help="factor gamma over the base solution")
     _instance(d, "D", "p", "x0", "n0", "n")
     d.add_argument("--x", type=_parse_bigint, default=None,
                    help="specific root (default: all roots at level n)")
     _common(d)
     d.set_defaults(func=_cmd_decompose)
+    return d
 
 
-def _add_audit(sub) -> None:
+def _add_audit(sub) -> argparse.ArgumentParser:
     a = sub.add_parser("audit", help="decompose + inequality-chain audit")
     _instance(a, "D", "p", "x0", "n0", "n")
     a.add_argument("--x", type=_parse_bigint, default=None)
@@ -423,22 +428,25 @@ def _add_audit(sub) -> None:
     a.add_argument("--variant", choices=tuple(certifier.VARIANTS), default="5j")
     _common(a)
     a.set_defaults(func=_cmd_audit)
+    return a
 
 
-def _add_max_sigma(sub) -> None:
+def _add_max_sigma(sub) -> argparse.ArgumentParser:
     ms = sub.add_parser("max-sigma", help="largest certifiable sigma")
     _instance(ms, "D", "p", "x0", "n0")
     ms.add_argument("--variant", choices=tuple(certifier.VARIANTS), default="5j")
     _common(ms)
     ms.set_defaults(func=_cmd_max_sigma)
+    return ms
 
 
-def _add_scan_huge(sub) -> None:
+def _add_scan_huge(sub) -> argparse.ArgumentParser:
     sc = sub.add_parser("scan-huge", help="brute-force base solutions")
     _instance(sc, "D", "p")
     sc.add_argument("--n0-max", dest="n0_max", type=int, required=True)
     _common(sc)
     sc.set_defaults(func=_cmd_scan_huge)
+    return sc
 
 
 # subcommand name -> the function adding its subparser, in help order
@@ -450,32 +458,40 @@ _SUBCOMMANDS = {
 
 
 @functools.cache
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The rnlab parser with every subcommand, or with only `command`.
+def build_parser() -> argparse.ArgumentParser:
+    """The rnlab parser with every subcommand.
 
-    Each parser is built once per process, on first use, and shared by
-    every later call: callers must not mutate it.  Its `choices`, such as
-    those of --variant (the keys of certifier.VARIANTS), are read at that
-    first build.
+    It is built once per process, on first use, and shared by every later
+    call, as is each _command_parser: callers must not mutate them.  Their
+    `choices`, such as those of --variant (the keys of certifier.VARIANTS),
+    are read at that first build.
     """
     ap = argparse.ArgumentParser(
         prog="rnlab",
         description="exact tools for factorizations x^2 + D = p^n * m")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, add in _SUBCOMMANDS.items():
-        if command is None or name == command:
-            add(sub)
+    for add in _SUBCOMMANDS.values():
+        add(sub)
     return ap
 
 
+@functools.cache
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand, with the prog ("rnlab certify") and
+    usage that build_parser() gives it."""
+    sub = argparse.ArgumentParser(prog="rnlab").add_subparsers()
+    return _SUBCOMMANDS[command](sub)
+
+
 def _parse(argv: list) -> argparse.Namespace:
-    # The parser of argv's subcommand has that one subparser, not eight, so
-    # that the first call of a process builds no more than it parses;
-    # build_parser keeps it for the later calls.  Leftover arguments are
+    # argv[1:] goes straight to its subcommand's parser, as build_parser()
+    # would hand it on, so that a call builds none of the other seven and
+    # is not first scanned by the top-level parser.  Leftover arguments are
     # reported by the full parser, so that the usage line of the error
     # lists every subcommand.
     if argv and argv[0] in _SUBCOMMANDS:
-        args, rest = build_parser(argv[0]).parse_known_args(argv)
+        args, rest = _command_parser(argv[0]).parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
         if not rest:
             return args
     return build_parser().parse_args(argv)

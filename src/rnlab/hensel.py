@@ -21,10 +21,12 @@ else takes r + 2^(n-1) with m' = (m + r + 2^(n-2))/2.
 
 Every level costs a few linear big-int operations.  The recurrence keeps
 r^2 + D = p^n m exactly; after each level that identity is also checked
-modulo the Mersenne prime q = 2^127 - 1, which catches a corrupted root or
-cofactor (the divmod remainder cannot: d is chosen to make it zero).  The
-stored r and m are reduced by folding (q divides 2^t - 1 when 127 | t), and
-p^n mod q is carried from level to level, not read from the state's pn.
+once, on the first stored pair, modulo the Mersenne prime q = 2^127 - 1,
+which catches a corrupted root or cofactor (the divmod remainder cannot: d
+is chosen to make it zero).  r and m are reduced by folding (q divides
+2^t - 1 when 127 | t), and p^n mod q is carried from level to level, not
+read from the state's pn.  The second 2-adic pair is tied to the first
+exactly, (2^(n-1) - r, 2^(n-2) - r + m), which implies its identity.
 Initial states, and states built from bare roots, get their cofactors by
 exact division, which verifies them.
 """
@@ -228,12 +230,22 @@ class LiftState:
             if r * r + self.D != self.pn * m:
                 raise HenselError(f"invalid root {r} at level {self.n}")
 
+    @classmethod
+    def _of(cls, p: int, D: int, n: int, min_roots: tuple[int, ...],
+            cofactors: tuple[int, ...], pn: int, pq: int) -> LiftState:
+        """From all seven fields, already checked: nothing is derived."""
+        state = object.__new__(cls)
+        state.__dict__.update(p=p, D=D, n=n, min_roots=min_roots,
+                              cofactors=cofactors, pn=pn, pq=pq)
+        return state
+
 
 def _next_state(state: LiftState, pairs: list[tuple[int, int]],
                 pn: int) -> LiftState:
     """The level-(n+1) state from lifted (r, m) pairs modulo pn = p^(n+1):
-    flip each to its minimal representative, check the identity modulo
-    _CHECK_Q against the carried p^(n+1) mod _CHECK_Q, and sort."""
+    flip each to its minimal representative and sort.  The first pair's
+    identity is checked modulo _CHECK_Q against the carried p^(n+1) mod
+    _CHECK_Q; a 2-adic second pair must be (pn/2 - r, pn/4 - r + m)."""
     D, p, q = state.D, state.p, _CHECK_Q
     pq = state.pq * p % q
     half = pn >> 1
@@ -242,14 +254,19 @@ def _next_state(state: LiftState, pairs: list[tuple[int, int]],
         if r > half:
             y = pn - r
             r, m = y, y - r + m
-        rq = _mod_check_q(r)
-        if (rq * rq + D - pq * _mod_check_q(m)) % q:
-            raise LiftInvariantError(
-                f"root {r} breaks r^2 + D = p^n m at level {state.n + 1}")
         out.append((r, m))
-    roots, cofactors = zip(*sorted(out))
-    return LiftState(p=p, D=D, n=state.n + 1, min_roots=roots,
-                     cofactors=cofactors, pn=pn, pq=pq)
+    out.sort()
+    r, m = out[0]
+    rq = _mod_check_q(r)
+    if (rq * rq + D - pq * _mod_check_q(m)) % q:
+        raise LiftInvariantError(
+            f"root {r} breaks r^2 + D = p^n m at level {state.n + 1}")
+    for r2, m2 in out[1:]:
+        if p != 2 or r + r2 != half or m2 - m != (half >> 1) - r:
+            raise LiftInvariantError(
+                f"root {r2} is not tied to root {r} at level {state.n + 1}")
+    roots, cofactors = zip(*out)
+    return LiftState._of(p, D, state.n + 1, roots, cofactors, pn, pq)
 
 
 def lift_step_odd(state: LiftState) -> LiftState:
@@ -286,7 +303,7 @@ def lift_two_step(state: LiftState) -> LiftState:
     pairs = []
     for r, m in zip(state.min_roots, state.cofactors, strict=True):
         # r is odd, and in the first branch so is m, so both halvings are
-        # exact (_next_state's residue check would catch a corrupt one)
+        # exact (_next_state's checks would catch a corrupt one)
         if m & 1:
             pairs.append((r + half, (m + r + quarter) >> 1))
         else:

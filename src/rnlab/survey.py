@@ -134,6 +134,7 @@ def run_survey(D: int, p: int, sigma: Fraction, n_max: int,
 
     started = time.perf_counter()
     a, b = sigma.numerator, sigma.denominator
+    sigma_float = a / b
 
     if resume is not None:
         if resume.D != D or resume.p != p:
@@ -161,20 +162,19 @@ def run_survey(D: int, p: int, sigma: Fraction, n_max: int,
     exceptions: list[SurveyRecord] = []
     records = 0
     min_margin: dict | None = None
+    least = math.inf  # min_margin's log10_ratio
     ladder_end_note = ""
     while True:
         n, pn = state.n, state.pn
         for r, mr in zip(state.min_roots, state.cofactors, strict=True):
-            pair = [(r, mr)]
-            y = pn - r
-            if y != r:  # y^2 + D = p^n (y - r + m_r)
-                pair.append((y, y - r + mr))
-            for x, m in pair:
+            y = pn - r  # y^2 + D = p^n (y - r + m_r)
+            for x, m in ((r, mr), (y, y - r + mr)) if y != r else ((r, mr),):
                 records += 1
                 if not power_compare(m, x, a, b):
                     exceptions.append(SurveyRecord(n=n, x=x, m=m, passed=False))
-                margin = math.log10(m) - math.log10(x) * (a / b)
-                if min_margin is None or margin < min_margin["log10_ratio"]:
+                margin = math.log10(m) - math.log10(x) * sigma_float
+                if margin < least:
+                    least = margin
                     min_margin = {"n": n, "x": str(x), "log10_ratio": margin}
         if checkpoint_cb is not None and (n - n_from) % checkpoint_every == 0 \
                 and n > n_from:

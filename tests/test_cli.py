@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -357,11 +358,158 @@ def test_help_and_usage_errors_match_full_parser(capsys, argv):
     assert outcome(main) == outcome(build_parser().parse_args)
 
 
+# one valid call of each subcommand, the seed of the parse and fuzz cases
+_VALID_ARGV = {
+    "certify": ["certify", *_ANCHOR, "--sigma", "1/10"],
+    "survey": ["survey", "--D", "7", "--p", "2", "--sigma", "1/2",
+               "--n-max", "20"],
+    "hensel": ["hensel", "--D", "76", "--p", "101", "--n", "6"],
+    "pade": ["pade", "verify", "--j-max", "2", "--abc-max", "2"],
+    "decompose": ["decompose", *_ANCHOR, "--n", "16"],
+    "audit": ["audit", *_ANCHOR, "--n", "16", "--variant", "7j"],
+    "max-sigma": ["max-sigma", *_ANCHOR, "--variant", "5j"],
+    "scan-huge": ["scan-huge", "--D", "7", "--p", "2", "--n0-max", "15"],
+}
+
+
+def _parse_cases(seed: int) -> list[list[str]]:
+    rng = random.Random(seed)
+    cases = [[], ["--help"], ["-h"], ["bogus"], ["--D", "3"], ["certi"],
+             ["--", "hensel"], ["-h", "hensel"]]
+    for cmd, *rest in _VALID_ARGV.values():
+        opts = [i for i, arg in enumerate(rest) if arg.startswith("--")]
+        i, j, k = (rng.choice(opts) for _ in range(3))
+        at = rng.randrange(len(rest) + 1)
+        shuffled = rng.sample(rest, len(rest))
+        cases += [
+            [cmd, *rest], [cmd, "--help"], [cmd, *rest[:at], "-h"],
+            [cmd, *rest[:i], "--bogus", "1", *rest[i:]],  # unknown option
+            [cmd, *rest[:j + 1], "x", *rest[j + 2:]],  # bad type or choice
+            [cmd, *rest[:k], *rest[k + 2:]],  # a required option missing
+            [cmd, *rest[:at], "extra", *rest[at:]],  # extra positional
+            [cmd, *shuffled],
+            [cmd, *(f"{arg}={rest[n + 1]}" if n in opts else arg
+                    for n, arg in enumerate(rest) if n - 1 not in opts)],
+            [cmd, *(arg[:rng.randrange(3, len(arg) + 1)] if n in opts else arg
+                    for n, arg in enumerate(rest))],  # abbreviations
+            [cmd, "--", *rest],
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("argv", _parse_cases(19), ids=repr)
+def test_parse_matches_full_parser(capsys, monkeypatch, argv):
+    # _parse hands argv[1:] to the subcommand's own parser; build_parser()
+    # parses all of argv.  Both must agree in result, exit code and output
+    from rnlab.cli import _parse, build_parser
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def outcome(fn):
+        try:
+            result, code = vars(fn(list(argv))), None
+        except SystemExit as exc:
+            result, code = None, exc.code
+        captured = capsys.readouterr()
+        return result, code, captured.out, captured.err
+
+    assert outcome(_parse) == outcome(build_parser().parse_args)
+
+
+_FUZZ_VALUES = {
+    "--D": ["-1", "0", "1", "3", "7", "15", "76", "x"],
+    "--p": ["0", "1", "2", "4", "5", "101", "103", PSI12],
+    "--x0": ["-1", "0", "1", "5", "181", "1015"],
+    "--n0": ["0", "1", "3", "5", "15"],
+    "--n": ["0", "1", "6", "16", "30"],
+    "--x": ["-5", "0", "5", "1015"],
+    "--sigma": ["1/2", "9/10", "1/10", "0/1", "1/0", "3/2", "-1/2", "a/b", "1"],
+    "--n-max": ["-1", "0", "1", "5", "20"],
+    "--checkpoint-every": ["-1", "0", "1", "3"],
+    "--variant": ["5j", "7j", "9j"],
+    "--j-max": ["-1", "0", "1", "2"],
+    "--abc-max": ["0", "1", "2"],
+    "--n0-max": ["0", "1", "5", "15"],
+    "--format": ["json", "json", "human", "tsv", "xml"],
+}
+
+_SCHEMAS = {"certify": "rnlab.certificate/1", "survey": "rnlab.survey/1",
+            "hensel": "rnlab.hensel/1", "pade": "rnlab.pade-verify/1",
+            "decompose": "rnlab.decompose/1", "audit": "rnlab.audit/1",
+            "max-sigma": "rnlab.max-sigma/1",
+            "scan-huge": "rnlab.scan-huge/1"}
+
+
+def _fuzz_argv(rng: random.Random, tmp_path) -> list[str]:
+    cmd, *rest = rng.choice(list(_VALID_ARGV.values()))
+    argv = [cmd]
+    for n, arg in enumerate(rest):
+        if not arg.startswith("--"):
+            if n == 0 or not rest[n - 1].startswith("--"):
+                argv.append(arg)  # pade's positional
+            continue
+        roll = rng.random()
+        if roll < 0.02:
+            continue  # a required option missing
+        value = rest[n + 1]
+        if roll < 0.25:
+            value = rng.choice(_FUZZ_VALUES[arg])
+        argv += [arg, value]
+    paths = [str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt"),
+             str(tmp_path)]  # the directory itself cannot be opened
+    if cmd == "survey" and rng.random() < 0.5:
+        argv += ["--resume", rng.choice(paths)]
+        if rng.random() < 0.5:
+            argv += ["--checkpoint-every",
+                     rng.choice(_FUZZ_VALUES["--checkpoint-every"])]
+    if rng.random() < 0.2:
+        argv += ["--out", rng.choice([str(tmp_path / "out.txt"), paths[2]])]
+    if rng.random() < 0.9:
+        argv += ["--format", rng.choice(_FUZZ_VALUES["--format"])]
+    return argv
+
+
+def test_cli_fuzz_exits_cleanly(capsys, tmp_path):
+    # seeded random calls with small and invalid values of every option:
+    # each exits 0, 2 or 3 with no traceback, and JSON carries its schema
+    rng = random.Random(20)
+    outcomes = set()
+    for _ in range(200):
+        argv = _fuzz_argv(rng, tmp_path)
+        out_file = tmp_path / "out.txt"
+        out_file.unlink(missing_ok=True)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: a usage error
+            code = exc.code
+            assert code == 2, argv
+        captured = capsys.readouterr()
+        assert code in (0, 2, 3), argv
+        assert "Traceback" not in captured.err, argv
+        outcomes.add(code)
+        text = captured.out
+        if out_file.exists():
+            assert not text, argv
+            text = out_file.read_text()
+        if argv[-2:] != ["--format", "json"] or not text:
+            continue
+        payload = json.loads(text)
+        if code == 0:
+            assert payload["schema"] == _SCHEMAS[argv[0]], argv
+        elif "error" in payload:
+            assert payload["schema"] == "rnlab.error/1", argv
+            assert payload["error"] == {2: "invalid_input",
+                                        3: "undecidable"}[code], argv
+        else:  # certify reports a status it refuses with exit 2
+            assert (argv[0], code) == ("certify", 2), argv
+            assert payload["schema"] == "rnlab.certificate/1"
+    assert outcomes == {0, 2}
+
+
 def test_build_parser_builds_each_parser_once():
-    from rnlab.cli import build_parser
-    assert build_parser("certify") is build_parser("certify")
+    from rnlab.cli import _command_parser, build_parser
+    assert _command_parser("certify") is _command_parser("certify")
     assert build_parser() is build_parser()
-    assert build_parser("certify") is not build_parser("audit")
+    assert _command_parser("certify") is not _command_parser("audit")
 
 
 def test_cached_parser_keeps_nothing_between_calls(capsys, monkeypatch):

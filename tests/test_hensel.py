@@ -237,6 +237,45 @@ def test_tampered_root_makes_next_lift_raise():
                 lift_step(bad)
 
 
+@pytest.mark.parametrize("D", [7, 15, 23])
+def test_tampered_second_pair_makes_next_lift_raise(D):
+    # only the first pair is reduced modulo q; the second is tied to it
+    for n in (3, 4, 12, 300, 2000, 4000):
+        state = roots_mod_pn(D, 2, n)
+        lift_two_step(state)  # the untouched state lifts
+        (r1, r2), (m1, m2) = state.min_roots, state.cofactors
+        bad = [replace(state, cofactors=(m1, m2 + delta))
+               for delta in (1, -1, 2, -2, 2 ** n)]
+        bad.append(replace(state, min_roots=(r1, r2 + 2 ** n)))
+        for tampered in bad:
+            with pytest.raises(LiftInvariantError):
+                lift_two_step(tampered)
+
+
+def _fields(state):
+    return (state.p, state.D, state.n, state.min_roots, state.cofactors,
+            state.pn, state.pq)
+
+
+@pytest.mark.parametrize("D,p", DIFFERENTIAL_CASES)
+def test_lifted_state_equals_state_from_bare_roots(D, p):
+    # each lifted state skips __post_init__; the public constructor derives
+    # pn, pq and every cofactor again, by exact division
+    state = roots_mod_pn(D, p, 1)
+    while state.n < 4000:
+        if state.n <= 300 or state.n in (2000, 4000):
+            bare = LiftState(p, D, state.n, state.min_roots)
+            assert _fields(state) == _fields(bare), (D, p, state.n)
+            assert state == bare and hash(state) == hash(bare)
+            assert repr(state) == repr(bare)
+            copy = replace(state)
+            assert copy == state and _fields(copy) == _fields(state)
+            state.verify()
+        state = lift_step(state)
+    assert state.n == 4000 and _fields(state) == _fields(
+        LiftState(p, D, 4000, state.min_roots))
+
+
 @pytest.mark.parametrize("D,p,n", [(76, 101, 12), (76, 101, 400),
                                    (7, 2, 12), (7, 2, 3000)])
 def test_wrong_pn_makes_next_lift_raise(D, p, n):
