@@ -28,7 +28,8 @@ is chosen to make it zero).  r and m are reduced by folding (q divides
 read from the state's pn.  The second 2-adic pair is tied to the first
 exactly, (2^(n-1) - r, 2^(n-2) - r + m), which implies its identity.
 Initial states, and states built from bare roots, get their cofactors by
-exact division, which verifies them.
+exact division, which verifies them.  two_adic_root lifts one 2-adic root of
+-D by Newton with a coupled inverse, for the survey to read bit by bit.
 """
 
 from __future__ import annotations
@@ -135,6 +136,11 @@ def sqrt_mod_p(a: int, p: int) -> tuple[int, int] | None:
         raise ValueError("a must be coprime to p")
     if legendre(a, p) != 1:
         return None
+    return _sqrt_mod_prime(a, p)
+
+
+def _sqrt_mod_prime(a: int, p: int) -> tuple[int, int]:
+    """sqrt_mod_p past its gates: p an odd prime, 0 < a < p a residue."""
     if p % 4 == 3:
         r = pow(a, (p + 1) // 4, p)
     else:
@@ -193,7 +199,10 @@ class LiftState:
         if self.cofactors is None:
             cofs = []
             for r in self.min_roots:
-                m, rem = divmod(r * r + self.D, self.pn)
+                x = r * r + self.D
+                # divmod does not shift for a power of two
+                m, rem = ((x >> self.n, x & (self.pn - 1)) if self.p == 2
+                          else divmod(x, self.pn))
                 if rem:
                     raise HenselError(f"invalid root {r} at level {self.n}")
                 cofs.append(m)
@@ -311,6 +320,27 @@ def lift_two_step(state: LiftState) -> LiftState:
     return _next_state(state, pairs, pn << 1)
 
 
+def two_adic_root(state: LiftState, N: int) -> int:
+    """S with 0 < S < 2^(N-1) and S^2 + D = 0 (mod 2^N), for N >= n, by
+    Newton from the first root r of a level-n >= 3 state, so S = r mod
+    2^(n-1).  A root u mod 2^k becomes u - 2^(k-1) t mod 2^(2k-2) with
+    t = ((u^2 + D)/2^k) / u mod 2^(k-2), and 1/u is carried alongside by
+    w <- w (2 - u w): no modular inverse.  S is not checked here; the
+    caller checks S^2 + D = 0 (mod 2^N) once."""
+    D, k, u = state.D, state.n, state.min_roots[0]
+    w, j = u & 7, 3  # odd u is its own inverse mod 8
+    while j < k - 2:
+        j *= 2
+        w = w * (2 - u * w) & ((1 << j) - 1)
+    while k < N:
+        k2 = min(2 * k - 2, N)
+        t = ((u * u + D) >> k) * w & ((1 << (k2 - k)) - 1)
+        u = (u - (t << (k - 1))) & ((1 << (k2 - 1)) - 1)
+        w = w * (2 - u * w) & ((1 << (k2 - 2)) - 1)
+        k = k2
+    return u & ((1 << (N - 1)) - 1)
+
+
 def lift_step(state: LiftState) -> LiftState:
     """One level up: the one place that picks the 2-adic or odd-prime lift."""
     return lift_two_step(state) if state.p == 2 else lift_step_odd(state)
@@ -333,8 +363,9 @@ def roots_mod_pn(D: int, p: int, n: int) -> LiftState:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     check_instance(D, p)
-    state = (_two_initial(D, 1) if p == 2 else
-             LiftState(p=p, D=D, n=1, min_roots=(sqrt_mod_p(-D % p, p)[0],)))
+    # check_instance has proven p prime and -D a residue mod an odd p
+    state = (_two_initial(D, 1) if p == 2 else LiftState(
+        p=p, D=D, n=1, min_roots=(_sqrt_mod_prime(-D % p, p)[0],)))
     state.verify()
     while state.n < n:
         state = lift_step(state)

@@ -9,10 +9,15 @@ tested: any larger x in the class has m > x^2/p^n >= x > x^sigma
 automatically.
 
 As roots_mod_pn does, run_survey gates (D, p) by hensel.check_instance and
-walks hensel.lift_step.  Long runs checkpoint the lift state as a small
-versioned JSON blob; the cofactors are not stored but recomputed, and thereby
-verified, on restore.  A resumed state must be of (D, p), at n <= n_max and
-pass LiftState.verify, which run_survey checks before any other outcome.
+walks hensel.lift_step, except for p = 2 from level 3 on: there it reads the
+records from the bits of one 2-adic root S, checked once, exactly, as
+S^2 + D = 0 (mod 2^n_max).  A record of bit length L at level n has
+m > 2^(2L-2-n); only records this bound cannot settle, or that could lower
+the minimum margin, are built and decided exactly.  Long runs checkpoint the
+lift state as a small versioned JSON blob; the cofactors are not stored but
+recomputed, and thereby verified, on restore.  A resumed state must be of
+(D, p), at n <= n_max and pass LiftState.verify, which run_survey checks
+before any other outcome.
 """
 
 from __future__ import annotations
@@ -24,10 +29,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 # lift_step_odd is not called here: the benchmark self-test traces it here
-from .hensel import (HenselError, LiftState, NoRootError, NoSplitError,
-                     check_instance, lift_step, lift_step_odd, roots_mod_pn)
+from .hensel import (HenselError, LiftInvariantError, LiftState, NoRootError,
+                     NoSplitError, check_instance, lift_step, lift_step_odd,
+                     roots_mod_pn, two_adic_root)
 
 BLOB_VERSION = 1
+
+_LOG10_2 = math.log10(2)
 
 METHOD_NOTE = ("minimal residues 0 < x < p^n only; for x >= p^n the cofactor "
                "m = (x^2+D)/p^n > x^2/p^n >= x > x^sigma holds automatically")
@@ -166,6 +174,8 @@ def run_survey(D: int, p: int, sigma: Fraction, n_max: int,
     ladder_end_note = ""
     while True:
         n, pn = state.n, state.pn
+        if p == 2 and n >= 3:
+            break  # the bits of one 2-adic root give every later level
         for r, mr in zip(state.min_roots, state.cofactors, strict=True):
             y = pn - r  # y^2 + D = p^n (y - r + m_r)
             for x, m in ((r, mr), (y, y - r + mr)) if y != r else ((r, mr),):
@@ -186,6 +196,52 @@ def run_survey(D: int, p: int, sigma: Fraction, n_max: int,
         except NoRootError as exc:
             ladder_end_note = f"; ladder ends at n = {n}: {exc}"
             break
+    if p == 2 and state.n >= 3:
+        S = two_adic_root(state, n_max)
+        if not 0 < S < 1 << (n_max - 1) or (S * S + D) & ((1 << n_max) - 1):
+            raise LiftInvariantError(
+                f"2-adic root {S} breaks S^2 + D = 0 mod 2^{n_max}")
+        # at a level n <= n_max, x < 2^n and m < 2^n + D, so rounding moves
+        # a computed margin and its computed bound below by less than
+        # 2^-48 (n + len(D) + 1) together; the slack is 8 times that
+        slack = (3 * n_max + D.bit_length() + 4) * 2.0 ** -45
+        # records of lengths n, n - 1, n that pass both tests at one level
+        # pass them at every later one: b e - a L and the exact bound grow
+        # with n, least only falls, and the slack covers two roundings
+        width = 4
+        for n, lengths in _record_lengths(S, state.n, n_max):
+            xs, built = None, 0
+            for i in range(width):
+                L = lengths[i]
+                # x >= 2^(L-1), so m > 2^e: power_compare's first test
+                # passes when b e >= a L, and the margin exceeds
+                # (e - sigma L) log10(2)
+                e = 2 * L - 2 - n
+                if b * e >= a * L and \
+                        (e - sigma_float * L) * _LOG10_2 - slack > least:
+                    continue
+                if xs is None:
+                    half, r = 1 << (n - 1), _least_root(S, n)
+                    xs = (r, 2 * half - r, half - r, half + r)
+                x, built = xs[i], i
+                m = x * x + D
+                if m & (2 * half - 1):
+                    raise LiftInvariantError(f"{x} is no root at level {n}")
+                m >>= n
+                if not power_compare(m, x, a, b):
+                    exceptions.append(SurveyRecord(n=n, x=x, m=m, passed=False))
+                margin = math.log10(m) - math.log10(x) * sigma_float
+                if margin < least:
+                    least = margin
+                    min_margin = {"n": n, "x": str(x), "log10_ratio": margin}
+            if not built:
+                width = 1
+            records += 4
+            if checkpoint_cb is not None and \
+                    (n - n_from) % checkpoint_every == 0 and n > n_from:
+                checkpoint_cb(_two_adic_state(D, S, n))
+        if checkpoint_cb is not None:
+            state = _two_adic_state(D, S, n_max)
     if checkpoint_cb is not None:
         checkpoint_cb(state)
 
@@ -194,6 +250,38 @@ def run_survey(D: int, p: int, sigma: Fraction, n_max: int,
         records_checked=records, exceptions=tuple(exceptions),
         min_margin=min_margin, method_note=METHOD_NOTE + ladder_end_note,
         wall_time=time.perf_counter() - started)
+
+
+def _record_lengths(S: int, n_lo: int, n_hi: int):
+    """Yield (n, the bit lengths of the four records at level n), in
+    run_survey's order (r, 2^n - r, 2^(n-1) - r, 2^(n-1) + r), for
+    3 <= n_lo <= n <= n_hi, where 0 < S < 2^(n_hi - 1) is a 2-adic root of
+    -D and r = _least_root(S, n).  The length of r is 1 plus the index of
+    the highest bit below n - 2 that differs from bit n - 2, or 1 if none
+    does: kept with one look at two bits a level."""
+    bits = format(S, "b").zfill(n_hi - 1)[::-1]  # bits[k] is bit k of S
+    ell = _least_root(S, n_lo).bit_length()
+    for n in range(n_lo, n_hi + 1):
+        if n > n_lo and bits[n - 2] != bits[n - 3]:
+            ell = n - 2
+        yield n, (ell, n, n - 1, n)
+
+
+def _least_root(S: int, n: int) -> int:
+    """The least root r of x^2 + D = 0 (mod 2^n), n >= 3, for a 2-adic root
+    S of -D: the smaller of S and -S mod 2^(n-1).  The other minimal root
+    is 2^(n-1) - r."""
+    half = 1 << (n - 1)
+    return min(S & (half - 1), half - (S & (half - 1)))
+
+
+def _two_adic_state(D: int, S: int, n: int) -> LiftState:
+    """The level-n state of the 2-adic root S, its cofactors by exact
+    division."""
+    r = _least_root(S, n)
+    state = LiftState(p=2, D=D, n=n, min_roots=(r, (1 << (n - 1)) - r))
+    state.check_ladder()
+    return state
 
 
 def checkpoint(state: LiftState) -> str:

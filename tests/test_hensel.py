@@ -338,3 +338,20 @@ def test_lift_two_is_the_ladder_at_p_2():
                 continue
             got = lift_two(D, n)
             assert got == want and got.cofactors == want.cofactors
+
+
+def test_roots_mod_pn_proves_the_instance_once(monkeypatch):
+    # check_instance proves p prime and (-D|p) = 1; the level-1 root does
+    # not prove them again (the non-residue search of Tonelli-Shanks stays)
+    primes, symbols = [], []
+    real_prime, real_legendre = hensel.is_probable_prime, hensel.legendre
+    monkeypatch.setattr(hensel, "is_probable_prime",
+                        lambda n: primes.append(n) or real_prime(n))
+    monkeypatch.setattr(hensel, "legendre",
+                        lambda a, p: symbols.append((a, p)) or
+                        real_legendre(a, p))
+    state = roots_mod_pn(76, 101, 5)
+    state.verify()
+    assert state.min_roots[0] % 101 in (5, 96)
+    assert primes == [101]
+    assert symbols.count((-76 % 101, 101)) == 1
