@@ -11,10 +11,10 @@ One builder, _general_triple, gives every triple (P, Q, E) with
   positive coefficients and P - (1-z)^k Q = (-1)^r z^(2r+1) E.
 
 Both public builders re-verify the identity before a system is handed
-out: its defect P - (1-z)^k Q - sign z^(A+C+1) E, formed once and cached,
-must be zero, and cross_constant forms its residual from the defects and
-two short E.Q products.  The audit checks its systems at z0 instead (see
-rnlab.decomposer).
+out: (1-z)^k Q, one product, must equal P - sign z^(A+C+1) E, and the
+verdict is cached.  cross_constant reads the constant of two verified
+systems off their identities with no product.  The audit checks its
+systems at z0 instead (see rnlab.decomposer).
 
 Each coefficient sequence is a product of two binomials, a hypergeometric
 term: t_(i+1)/t_i is a rational function of i (Petkovsek, Wilf and
@@ -316,8 +316,14 @@ class PadeSystem:
         """P - (1-z)^k Q - sign z^(A+C+1) E, formed once per system."""
         return self.P - one_minus_z_pow(self.k) * self.Q - self._remainder()
 
+    @cached_property
+    def _identity(self) -> bool:
+        return one_minus_z_pow(self.k) * self.Q == self.P - self._remainder()
+
     def identity_holds(self) -> bool:
-        return self.defect.is_zero()
+        """Whether (1-z)^k Q = P - sign z^(A+C+1) E, decided once per
+        system by one product."""
+        return self._identity
 
 
 def _q_coeffs(A: int, B: int, C: int) -> list[int]:
@@ -424,6 +430,10 @@ def normalize(sys: PadeSystem) -> PadeSystem:
     return replace(sys, content=c, **parts)
 
 
+def _at_zero(poly: IntPolynomial) -> int:
+    return poly.coeffs[0] if poly.coeffs else 0
+
+
 def cross_constant(sys_r: PadeSystem, sys_r1: PadeSystem) -> int:
     """The constant c in P_r Q_{r+1} - Q_r P_{r+1} = c z^(2r+1).
 
@@ -432,14 +442,26 @@ def cross_constant(sys_r: PadeSystem, sys_r1: PadeSystem) -> int:
     equals Q_(r+1) d_r - Q_r d_(r+1) + s_r z^m_r E_r Q_(r+1) - s_(r+1)
     z^m_(r+1) E_(r+1) Q_r for any triples, so it is exact for a corrupt
     system too.  It must be a nonzero monomial of the expected degree.
+
+    When both identities hold (d = 0), m_r < m_(r+1) and the residual's
+    degree is at most m_r, the residual is divisible by z^m_r and so equals
+    c z^m_r with c = s_r E_r(0) Q_(r+1)(0); a nonzero c is returned with no
+    product.  Every other pair is decided by the residual above.
     """
     if sys_r.k != sys_r1.k:
         raise ValueError(f"mismatched k: {sys_r.k} vs {sys_r1.k}")
     if sys_r1.r != sys_r.r + 1:
         raise ValueError(f"degrees must be adjacent: {sys_r.r}, {sys_r1.r}")
+    expected = sys_r.remainder_degree()
+    if (max(sys_r.P.degree + sys_r1.Q.degree,
+            sys_r.Q.degree + sys_r1.P.degree)
+            <= expected < sys_r1.remainder_degree()
+            and sys_r.identity_holds() and sys_r1.identity_holds()):
+        c = sys_r.identity_sign() * _at_zero(sys_r.E) * _at_zero(sys_r1.Q)
+        if c:
+            return c
     residual = (sys_r1.Q * sys_r.defect - sys_r.Q * sys_r1.defect
                 + sys_r._remainder(sys_r1.Q) - sys_r1._remainder(sys_r.Q))
-    expected = sys_r.remainder_degree()
     if residual.is_zero() or residual.degree != expected:
         raise NotMonomialError(
             f"residual degree {residual.degree}, expected {expected}")

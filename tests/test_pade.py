@@ -428,8 +428,10 @@ def test_cross_constant_rejects_corrupt_system():
         cross_constant(bad, hi)
 
 
-# cross_constant forms its residual from the two defects and two E.Q
-# products; the oracle below is the direct residual P_r Q_(r+1) - Q_r P_(r+1)
+# cross_constant reads c off the two identities once both are verified and
+# the degrees allow it, and otherwise forms its residual from the two defects
+# and two E.Q products; the oracle below is the direct residual
+# P_r Q_(r+1) - Q_r P_(r+1)
 
 
 def _cross_outcome(lo, hi):
@@ -512,15 +514,58 @@ def test_defect_matches_direct_identity():
 
 
 def test_replaced_system_does_not_inherit_cached_defect():
+    # neither the verdict that build caches nor a cached defect carries over
+    # to a system made by replace or normalize
     sys = build_diagonal(3, 1)
-    assert "defect" in vars(sys) and sys.defect.is_zero()  # cached by build
+    assert "_identity" in vars(sys) and sys.identity_holds()  # cached by build
+    assert sys.defect.is_zero() and "defect" in vars(sys)
     bent = replace(sys, P=sys.P + IntPolynomial((1,)))
     starred = normalize(sys)
     assert starred.content > 1
     for derived in (bent, starred):
+        assert "_identity" not in vars(derived)
         assert "defect" not in vars(derived)
         assert derived.defect == _direct_defect(derived)
+        assert derived.identity_holds() == derived.defect.is_zero()
     assert bent.defect == IntPolynomial((1,)) and starred.defect.is_zero()
+    assert not bent.identity_holds() and starred.identity_holds()
+
+
+def test_cross_constant_zero_c_takes_the_residual():
+    # a zero system satisfies its identity and the degree bound, but gives
+    # c = 0: the residual decides, and it is no monomial
+    lo, hi = build_diagonal(2, 1), build_diagonal(2, 0)
+    zero = IntPolynomial.zero()
+    for pair in ((lo, replace(hi, P=zero, Q=zero, E=zero)),
+                 (replace(lo, P=zero, Q=zero, E=zero), hi)):
+        assert all(sys.identity_holds() for sys in pair)
+        assert _direct_outcome(*pair) == "not a monomial"
+        with pytest.raises(NotMonomialError):
+            cross_constant(*pair)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 3),
+       st.integers(-2, 2),
+       st.lists(st.lists(st.integers(-3, 3), max_size=4), min_size=4,
+                max_size=4))
+def test_cross_constant_matches_direct_residual_on_synthetic_pairs(
+        A, B, C, shift, polys):
+    # systems whose identity holds by construction, P = (1-z)^k Q + z^m E
+    # with arbitrary small Q and E (zero ones and E(0) = 0 included), at
+    # (A, B, C) and (A + 1, B1, C1) with the same k = B + C + 1
+    B1 = max(0, min(B + C, B + shift))
+    C1 = B + C - B1
+
+    def system(a, b, c, q, e):
+        q, e = IntPolynomial(q), IntPolynomial(e)
+        p = one_minus_z_pow(b + c + 1) * q + e.shift(a + c + 1)
+        return pade.PadeSystem("general", a, b, c, p, q, e)
+
+    lo = system(A, B, C, polys[0], polys[1])
+    hi = system(A + 1, B1, C1, polys[2], polys[3])
+    assert lo.identity_holds() and hi.identity_holds()
+    assert _cross_outcome(lo, hi) == _direct_outcome(lo, hi)
 
 
 # ---------------------------------------------------------------------------
