@@ -1,39 +1,42 @@
-"""Roots of x^2 + D = 0 (mod p^n): Tonelli-Shanks plus digit-by-digit lifting.
+"""Roots of x^2 + D = 0 (mod p^n): one Newton p-adic root, and the odd ladder.
 
-check_instance gates each instance (D, p); roots_mod_pn and run_survey walk
-lift_step, the one place that picks the odd-prime or the 2-adic lift.
+check_instance gates each instance (D, p).  padic_root lifts one root of -D
+to level N by Newton with a coupled inverse (von zur Gathen & Gerhard,
+Modern Computer Algebra, ch. 15) for every prime, and checks it once,
+exactly.  With e = 1 for p = 2 and 0 for odd p, a root u mod p^k fixes the
+root mod p^(k-e); one step goes to k2 = min(2(k-e), N) by
 
-A LiftState stores one minimal representative r per +/- pair together with
-its exact cofactor m, r^2 + D = p^n m, and the modulus p^n itself; callers
-expand the complements with (p^n - r)^2 + D = p^n (p^n - 2r + m).
+    t = ((u^2 + D)/p^k) w mod p^(k2-k),   u <- u - p^(k-e) t mod p^(k2-e)
 
-Odd split primes carry two roots at every level.  One level adds the next
-p-adic digit d of the root (p-adic Newton/Hensel lifting, von zur Gathen &
-Gerhard, Modern Computer Algebra, ch. 15):
+with w = (2u/p^e)^-1 carried by w <- w (2 - (2u/p^e) w), so the only
+inverse taken is one mod p.  It starts from the Tonelli-Shanks root mod p,
+or from the 2-adic table (one root mod 2, two mod 4 when D = 3 mod 4, four
+mod 8 when D = 7 mod 8), and reduces by shifts and masks for p = 2.
+
+A LiftState stores one minimal representative r per +/- pair with its exact
+cofactor m, r^2 + D = p^n m, and p^n; callers expand the complements with
+(p^n - r)^2 + D = p^n (p^n - 2r + m).  roots_mod_pn builds its state from
+padic_root's root in one step, the cofactors by exact division, which
+verifies them.
+
+The odd ladder, which the odd-p survey walks, adds the next p-adic digit d
+of its stored root per level, in a few linear big-int operations:
 
     d  = -m (2r)^-1 mod p          (an inverse mod p only)
     m' = (m + 2dr + d^2 p^n) / p   (exact; the remainder is checked)
     r' = r + d p^n
 
-The p = 2 ladder has one root mod 2, two mod 4 (D = 3 mod 4) and four mod
-2^n for n >= 3 (D = 7 mod 8); a level keeps r with m' = m/2 when m is even,
-else takes r + 2^(n-1) with m' = (m + r + 2^(n-2))/2.
-
-Every level costs a few linear big-int operations.  The recurrence keeps
-r^2 + D = p^n m exactly; after each level that identity is also checked
-once, on the first stored pair, modulo the Mersenne prime q = 2^127 - 1,
-which catches a corrupted root or cofactor (the divmod remainder cannot: d
-is chosen to make it zero).  r and m are reduced by folding (q divides
-2^t - 1 when 127 | t), and p^n mod q is carried from level to level, not
-read from the state's pn.  The second 2-adic pair is tied to the first
-exactly, (2^(n-1) - r, 2^(n-2) - r + m), which implies its identity.
-Initial states, and states built from bare roots, get their cofactors by
-exact division, which verifies them.  two_adic_root lifts one 2-adic root of
--D by Newton with a coupled inverse, for the survey to read bit by bit.
+and checks r^2 + D = p^n m modulo the Mersenne prime q = 2^127 - 1, which
+catches a corrupted root or cofactor (the remainder cannot: d is chosen to
+make it zero).  r and m are reduced by folding (q divides 2^t - 1 when
+127 | t), and p^n mod q is carried, not read from the state's pn.  For
+p = 2, lift_two_step walks the table from level 1 to level 3 only.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 
 
@@ -219,9 +222,7 @@ class LiftState:
         minimal representatives for level n (the cofactors are not read)."""
         if self.n < 1:
             raise HenselError(f"level n = {self.n} < 1")
-        # one pair for an odd prime not dividing D; for p = 2 one pair up
-        # to n = 2 and two from n = 3 on
-        want = 2 if self.p == 2 and self.n >= 3 else 1
+        want = self.pair_count(self.p, self.n)
         if len(self.min_roots) != want:
             raise HenselError(f"{len(self.min_roots)} stored roots at level "
                               f"{self.n}, the ladder has {want}")
@@ -231,6 +232,12 @@ class LiftState:
             if not 0 < r <= self.pn - r:
                 raise HenselError(f"root {r} is not a minimal residue mod "
                                   f"{self.p}^{self.n}")
+
+    @staticmethod
+    def pair_count(p: int, n: int) -> int:
+        """The number of stored pairs at level n: one for an odd prime not
+        dividing D; for p = 2 one up to n = 2 and two from n = 3 on."""
+        return 2 if p == 2 and n >= 3 else 1
 
     def verify(self) -> None:
         """check_ladder, plus r^2 + D = p^n m exactly for every stored pair."""
@@ -249,48 +256,27 @@ class LiftState:
         return state
 
 
-def _next_state(state: LiftState, pairs: list[tuple[int, int]],
-                pn: int) -> LiftState:
-    """The level-(n+1) state from lifted (r, m) pairs modulo pn = p^(n+1):
-    flip each to its minimal representative and sort.  The first pair's
-    identity is checked modulo _CHECK_Q against the carried p^(n+1) mod
-    _CHECK_Q; a 2-adic second pair must be (pn/2 - r, pn/4 - r + m)."""
-    D, p, q = state.D, state.p, _CHECK_Q
-    pq = state.pq * p % q
-    half = pn >> 1
-    out = []
-    for r, m in pairs:
-        if r > half:
-            y = pn - r
-            r, m = y, y - r + m
-        out.append((r, m))
-    out.sort()
-    r, m = out[0]
+def lift_step_odd(state: LiftState) -> LiftState:
+    """Lift the one stored root a level by its next p-adic digit
+    d = -m (2r)^-1 mod p, carrying the cofactor exactly, and flip it to its
+    minimal representative.  The lifted identity is checked modulo
+    _CHECK_Q against the carried p^(n+1) mod _CHECK_Q."""
+    p, D, pn, q = state.p, state.D, state.pn, _CHECK_Q
+    (r,), (m,) = state.min_roots, state.cofactors
+    d = -(m % p) * pow(2 * r % p, -1, p) % p
+    m, rem = divmod(m + 2 * d * r + d * d * pn, p)
+    if rem:
+        raise LiftInvariantError(
+            f"digit {d} leaves remainder {rem} at level {state.n + 1}")
+    r, pn, pq = r + d * pn, pn * p, state.pq * p % q
+    if r > pn >> 1:
+        y = pn - r
+        r, m = y, y - r + m
     rq = _mod_check_q(r)
     if (rq * rq + D - pq * _mod_check_q(m)) % q:
         raise LiftInvariantError(
             f"root {r} breaks r^2 + D = p^n m at level {state.n + 1}")
-    for r2, m2 in out[1:]:
-        if p != 2 or r + r2 != half or m2 - m != (half >> 1) - r:
-            raise LiftInvariantError(
-                f"root {r2} is not tied to root {r} at level {state.n + 1}")
-    roots, cofactors = zip(*out)
-    return LiftState._of(p, D, state.n + 1, roots, cofactors, pn, pq)
-
-
-def lift_step_odd(state: LiftState) -> LiftState:
-    """Lift every root one level by its next p-adic digit
-    d = -m (2r)^-1 mod p, carrying the cofactor exactly."""
-    p, pn = state.p, state.pn
-    pairs = []
-    for r, m in zip(state.min_roots, state.cofactors, strict=True):
-        d = -(m % p) * pow(2 * r % p, -1, p) % p
-        m2, rem = divmod(m + 2 * d * r + d * d * pn, p)
-        if rem:
-            raise LiftInvariantError(
-                f"digit {d} leaves remainder {rem} at level {state.n + 1}")
-        pairs.append((r + d * pn, m2))
-    return _next_state(state, pairs, pn * p)
+    return LiftState._of(p, D, state.n + 1, (r,), (m,), pn, pq)
 
 
 def _two_initial(D: int, n: int) -> LiftState:
@@ -302,43 +288,12 @@ def _two_initial(D: int, n: int) -> LiftState:
 
 
 def lift_two_step(state: LiftState) -> LiftState:
-    """One 2-adic lift; the ladder widens at levels 2 and 3.  From n >= 3
-    exactly one of r, r + 2^(n-1) survives mod 2^(n+1): r when m is even."""
-    n, pn = state.n, state.pn
-    if n < 3:
-        return _two_initial(state.D, n + 1)
-    half = pn >> 1
-    quarter = half >> 1
-    pairs = []
-    for r, m in zip(state.min_roots, state.cofactors, strict=True):
-        # r is odd, and in the first branch so is m, so both halvings are
-        # exact (_next_state's checks would catch a corrupt one)
-        if m & 1:
-            pairs.append((r + half, (m + r + quarter) >> 1))
-        else:
-            pairs.append((r, m >> 1))
-    return _next_state(state, pairs, pn << 1)
-
-
-def two_adic_root(state: LiftState, N: int) -> int:
-    """S with 0 < S < 2^(N-1) and S^2 + D = 0 (mod 2^N), for N >= n, by
-    Newton from the first root r of a level-n >= 3 state, so S = r mod
-    2^(n-1).  A root u mod 2^k becomes u - 2^(k-1) t mod 2^(2k-2) with
-    t = ((u^2 + D)/2^k) / u mod 2^(k-2), and 1/u is carried alongside by
-    w <- w (2 - u w): no modular inverse.  S is not checked here; the
-    caller checks S^2 + D = 0 (mod 2^N) once."""
-    D, k, u = state.D, state.n, state.min_roots[0]
-    w, j = u & 7, 3  # odd u is its own inverse mod 8
-    while j < k - 2:
-        j *= 2
-        w = w * (2 - u * w) & ((1 << j) - 1)
-    while k < N:
-        k2 = min(2 * k - 2, N)
-        t = ((u * u + D) >> k) * w & ((1 << (k2 - k)) - 1)
-        u = (u - (t << (k - 1))) & ((1 << (k2 - 1)) - 1)
-        w = w * (2 - u * w) & ((1 << (k2 - 2)) - 1)
-        k = k2
-    return u & ((1 << (N - 1)) - 1)
+    """One 2-adic lift below level 3, where the ladder widens: the table
+    state of level n + 1.  padic_root gives every later level."""
+    if state.n >= 3:
+        raise ValueError(f"the 2-adic ladder stops at level 3, not "
+                         f"{state.n}: padic_root lifts past it")
+    return _two_initial(state.D, state.n + 1)
 
 
 def lift_step(state: LiftState) -> LiftState:
@@ -358,18 +313,78 @@ def check_instance(D: int, p: int) -> None:
         raise NoSplitError(f"(-{D}|{p}) = -1: no roots at any level")
 
 
-def roots_mod_pn(D: int, p: int, n: int) -> LiftState:
-    """Full root set of x^2 + D = 0 (mod p^n) for a prime p not dividing D."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+def _newton_root(D: int, p: int, N: int) -> int:
+    """padic_root's Newton loop, unchecked, for an instance that passed
+    check_instance."""
+    if p == 2:  # // and % do not shift for a power of two
+        e, k = 1, min(N, 3)
+        u = _two_initial(D, k).min_roots[0]
+        mod, div, scale = (lambda x, j: x & ((1 << j) - 1),
+                           operator.rshift, operator.lshift)
+    else:
+        e, k = 0, 1
+        # check_instance has proven p prime and -D a residue mod p
+        u = _sqrt_mod_prime(-D % p, p)[0]
+        power = functools.cache(p.__pow__)
+        mod, div, scale = (lambda x, j: x % power(j),
+                           lambda x, j: x // power(j),
+                           lambda x, j: x * power(j))
+    w = pow(u << (1 - e), -1, p)
+    while k < N:
+        k2 = min(2 * (k - e), N)
+        t = mod(div(u * u + D, k) * w, k2 - k)
+        u = mod(u - scale(t, k - e), k2 - e)
+        w = mod(w * (2 - (u << (1 - e)) * w), k2 - 2 * e)
+        k = k2
+    return mod(u, max(N - e, 1))
+
+
+def padic_root(D: int, p: int, N: int) -> int:
+    """R with R^2 + D = 0 (mod p^N) and 0 < R < p^max(N - e, 1), where e is 1
+    for p = 2 and 0 for odd p: the root is fixed mod p^(N-e).  Gated by
+    check_instance; raises NoRootError when p = 2 has no root mod 2^N.
+    R is checked here, once, exactly, so no caller can skip the check."""
+    if N < 1:
+        raise ValueError(f"n must be >= 1, got {N}")
     check_instance(D, p)
-    # check_instance has proven p prime and -D a residue mod an odd p
-    state = (_two_initial(D, 1) if p == 2 else LiftState(
-        p=p, D=D, n=1, min_roots=(_sqrt_mod_prime(-D % p, p)[0],)))
-    state.verify()
-    while state.n < n:
-        state = lift_step(state)
+    R, two = _newton_root(D, p, N), p == 2
+    top = 1 << max(N - 1, 1) if two else p ** N
+    rest = (R * R + D) & ((1 << N) - 1) if two else (R * R + D) % top
+    if rest or not 0 < R < top:
+        raise LiftInvariantError(
+            f"p-adic root {R} breaks R^2 + D = 0 mod {p}^{N}")
+    return R
+
+
+def least_root(S: int, n: int) -> int:
+    """The least root r of x^2 + D = 0 (mod 2^n), n >= 3, for a 2-adic root
+    S of -D: the smaller of S and -S mod 2^(n-1).  The other minimal root
+    is 2^(n-1) - r."""
+    half = 1 << (n - 1)
+    return min(S & (half - 1), half - (S & (half - 1)))
+
+
+def root_state(D: int, p: int, n: int, R: int) -> LiftState:
+    """The level-n state of a root R that padic_root gave at a level N >= n,
+    its cofactors by exact division."""
+    pn = p ** n
+    if p != 2:
+        r = R % pn
+        roots = (min(r, pn - r),)
+    elif n < 3:
+        roots = (1,)
+    else:
+        r = least_root(R, n)
+        roots = (r, (pn >> 1) - r)
+    state = LiftState(p=p, D=D, n=n, min_roots=roots, pn=pn)
+    state.check_ladder()
     return state
+
+
+def roots_mod_pn(D: int, p: int, n: int) -> LiftState:
+    """Full root set of x^2 + D = 0 (mod p^n) for a prime p not dividing D:
+    the level-n state of padic_root."""
+    return root_state(D, p, n, padic_root(D, p, n))
 
 
 def lift_two(D: int, n: int) -> LiftState:

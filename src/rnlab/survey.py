@@ -1,23 +1,23 @@
 """Per-exponent survey of m = (x^2 + D)/p^n against m > x^sigma.
 
 For each n up to n_max the Hensel roots are enumerated (two per level for
-an odd split prime, up to four for p = 2) with their exact cofactors m,
-which the lift carries from level to level (the complement p^n - r has
-cofactor p^n - 2r + m), and the test m > x^(a/b) is decided by exact
-integer powers with a bit-length shortcut.  Only residues 0 < x < p^n are
-tested: any larger x in the class has m > x^2/p^n >= x > x^sigma
-automatically.
+an odd split prime, up to four for p = 2) with their exact cofactors m
+(the complement p^n - r has cofactor p^n - 2r + m), and the test
+m > x^(a/b) is decided by exact integer powers with a bit-length shortcut.
+Only residues 0 < x < p^n are tested: any larger x in the class has
+m > x^2/p^n >= x > x^sigma automatically.
 
-As roots_mod_pn does, run_survey gates (D, p) by hensel.check_instance and
-walks hensel.lift_step, except for p = 2 from level 3 on: there it reads the
-records from the bits of one 2-adic root S, checked once, exactly, as
-S^2 + D = 0 (mod 2^n_max).  A record of bit length L at level n has
-m > 2^(2L-2-n); only records this bound cannot settle, or that could lower
-the minimum margin, are built and decided exactly.  Long runs checkpoint the
-lift state as a small versioned JSON blob; the cofactors are not stored but
-recomputed, and thereby verified, on restore.  A resumed state must be of
-(D, p), at n <= n_max and pass LiftState.verify, which run_survey checks
-before any other outcome.
+run_survey gates (D, p) by hensel.check_instance.  For odd p it walks the
+odd ladder, hensel.lift_step, which carries each cofactor from level to
+level.  For p = 2 it walks the ladder to level 3, then reads every later
+level from the bits of one 2-adic root S = hensel.padic_root(D, 2, n_max),
+which padic_root has checked exactly.  A record of bit length L at level n
+has m > 2^(2L-2-n); only records this bound cannot settle, or that could
+lower the minimum margin, are built and decided exactly.  Long runs
+checkpoint the lift state as a small versioned JSON blob; the cofactors are
+not stored but recomputed, and thereby verified, on restore.  A resumed
+state must be of (D, p), at n <= n_max and pass LiftState.verify, which
+run_survey checks before any other outcome.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from fractions import Fraction
 
 # lift_step_odd is not called here: the benchmark self-test traces it here
 from .hensel import (HenselError, LiftInvariantError, LiftState, NoRootError,
-                     NoSplitError, check_instance, lift_step, lift_step_odd,
-                     roots_mod_pn, two_adic_root)
+                     NoSplitError, check_instance, least_root, lift_step,
+                     lift_step_odd, padic_root, root_state, roots_mod_pn)
 
 BLOB_VERSION = 1
 
@@ -172,6 +172,20 @@ def run_survey(D: int, p: int, sigma: Fraction, n_max: int,
     min_margin: dict | None = None
     least = math.inf  # min_margin's log10_ratio
     ladder_end_note = ""
+
+    def decide(n: int, x: int, m: int) -> None:
+        nonlocal least, min_margin
+        if not power_compare(m, x, a, b):
+            exceptions.append(SurveyRecord(n=n, x=x, m=m, passed=False))
+        margin = math.log10(m) - math.log10(x) * sigma_float
+        if margin < least:
+            least = margin
+            min_margin = {"n": n, "x": str(x), "log10_ratio": margin}
+
+    def checkpoint_due(n: int) -> bool:
+        return checkpoint_cb is not None and n > n_from and \
+            (n - n_from) % checkpoint_every == 0
+
     while True:
         n, pn = state.n, state.pn
         if p == 2 and n >= 3:
@@ -180,14 +194,8 @@ def run_survey(D: int, p: int, sigma: Fraction, n_max: int,
             y = pn - r  # y^2 + D = p^n (y - r + m_r)
             for x, m in ((r, mr), (y, y - r + mr)) if y != r else ((r, mr),):
                 records += 1
-                if not power_compare(m, x, a, b):
-                    exceptions.append(SurveyRecord(n=n, x=x, m=m, passed=False))
-                margin = math.log10(m) - math.log10(x) * sigma_float
-                if margin < least:
-                    least = margin
-                    min_margin = {"n": n, "x": str(x), "log10_ratio": margin}
-        if checkpoint_cb is not None and (n - n_from) % checkpoint_every == 0 \
-                and n > n_from:
+                decide(n, x, m)
+        if checkpoint_due(n):
             checkpoint_cb(state)
         if n >= n_max:
             break
@@ -197,10 +205,7 @@ def run_survey(D: int, p: int, sigma: Fraction, n_max: int,
             ladder_end_note = f"; ladder ends at n = {n}: {exc}"
             break
     if p == 2 and state.n >= 3:
-        S = two_adic_root(state, n_max)
-        if not 0 < S < 1 << (n_max - 1) or (S * S + D) & ((1 << n_max) - 1):
-            raise LiftInvariantError(
-                f"2-adic root {S} breaks S^2 + D = 0 mod 2^{n_max}")
+        S = padic_root(D, 2, n_max)
         # at a level n <= n_max, x < 2^n and m < 2^n + D, so rounding moves
         # a computed margin and its computed bound below by less than
         # 2^-48 (n + len(D) + 1) together; the slack is 8 times that
@@ -221,27 +226,20 @@ def run_survey(D: int, p: int, sigma: Fraction, n_max: int,
                         (e - sigma_float * L) * _LOG10_2 - slack > least:
                     continue
                 if xs is None:
-                    half, r = 1 << (n - 1), _least_root(S, n)
+                    half, r = 1 << (n - 1), least_root(S, n)
                     xs = (r, 2 * half - r, half - r, half + r)
                 x, built = xs[i], i
                 m = x * x + D
                 if m & (2 * half - 1):
                     raise LiftInvariantError(f"{x} is no root at level {n}")
-                m >>= n
-                if not power_compare(m, x, a, b):
-                    exceptions.append(SurveyRecord(n=n, x=x, m=m, passed=False))
-                margin = math.log10(m) - math.log10(x) * sigma_float
-                if margin < least:
-                    least = margin
-                    min_margin = {"n": n, "x": str(x), "log10_ratio": margin}
+                decide(n, x, m >> n)
             if not built:
                 width = 1
             records += 4
-            if checkpoint_cb is not None and \
-                    (n - n_from) % checkpoint_every == 0 and n > n_from:
-                checkpoint_cb(_two_adic_state(D, S, n))
+            if checkpoint_due(n):
+                checkpoint_cb(root_state(D, 2, n, S))
         if checkpoint_cb is not None:
-            state = _two_adic_state(D, S, n_max)
+            state = root_state(D, 2, n_max, S)
     if checkpoint_cb is not None:
         checkpoint_cb(state)
 
@@ -256,32 +254,15 @@ def _record_lengths(S: int, n_lo: int, n_hi: int):
     """Yield (n, the bit lengths of the four records at level n), in
     run_survey's order (r, 2^n - r, 2^(n-1) - r, 2^(n-1) + r), for
     3 <= n_lo <= n <= n_hi, where 0 < S < 2^(n_hi - 1) is a 2-adic root of
-    -D and r = _least_root(S, n).  The length of r is 1 plus the index of
+    -D and r = least_root(S, n).  The length of r is 1 plus the index of
     the highest bit below n - 2 that differs from bit n - 2, or 1 if none
     does: kept with one look at two bits a level."""
     bits = format(S, "b").zfill(n_hi - 1)[::-1]  # bits[k] is bit k of S
-    ell = _least_root(S, n_lo).bit_length()
+    ell = least_root(S, n_lo).bit_length()
     for n in range(n_lo, n_hi + 1):
         if n > n_lo and bits[n - 2] != bits[n - 3]:
             ell = n - 2
         yield n, (ell, n, n - 1, n)
-
-
-def _least_root(S: int, n: int) -> int:
-    """The least root r of x^2 + D = 0 (mod 2^n), n >= 3, for a 2-adic root
-    S of -D: the smaller of S and -S mod 2^(n-1).  The other minimal root
-    is 2^(n-1) - r."""
-    half = 1 << (n - 1)
-    return min(S & (half - 1), half - (S & (half - 1)))
-
-
-def _two_adic_state(D: int, S: int, n: int) -> LiftState:
-    """The level-n state of the 2-adic root S, its cofactors by exact
-    division."""
-    r = _least_root(S, n)
-    state = LiftState(p=2, D=D, n=n, min_roots=(r, (1 << (n - 1)) - r))
-    state.check_ladder()
-    return state
 
 
 def checkpoint(state: LiftState) -> str:
@@ -320,10 +301,13 @@ def restore(blob: str) -> LiftState:
         raise CorruptBlobError(f"unsupported blob version {version}")
     if n < 1 or p < 2:
         raise CorruptBlobError(f"blob has level n = {n}, p = {p}")
-    # a root r at level n has r^2 + D >= p^n: bound n by the stored digits
-    # before p^n is formed
-    if roots and n * (p.bit_length() - 1) >= \
-            (max(roots) ** 2 + D).bit_length():
+    # the root count and, as a root r at level n has r^2 + D >= p^n, n
+    # against the stored digits, are checked before p^n is formed
+    want = LiftState.pair_count(p, n)
+    if len(roots) != want:
+        raise CorruptBlobError(f"blob has {len(roots)} roots at level {n}, "
+                               f"the ladder has {want}")
+    if n * (p.bit_length() - 1) >= (max(roots) ** 2 + D).bit_length():
         raise CorruptBlobError(f"blob level n = {n} exceeds its roots' size")
     try:
         state = LiftState(p=p, D=D, n=n, min_roots=roots)

@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 
@@ -5,11 +6,13 @@ import numpy as np
 import pytest
 
 from rnlab import hensel
+from rnlab.cli import main
 from rnlab.hensel import (PRIME_BOUND, CompositeModulusError, HenselError,
                           LiftInvariantError, LiftState, NoRootError,
                           NoSplitError, PrimeBoundError, is_probable_prime,
                           legendre, lift_step, lift_step_odd, lift_two,
-                          lift_two_step, roots_mod_pn, sqrt_mod_p)
+                          roots_mod_pn, sqrt_mod_p)
+from two_adic_ladder import two_ladder_step
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 101, 103]
 
@@ -194,7 +197,7 @@ def test_digit_recurrence_matches_newton_to_level_300(D, p):
     n0 = 3 if p == 2 else 1
     state = roots_mod_pn(D, p, n0)
     ref = state.min_roots
-    step = lift_two_step if p == 2 else lift_step_odd
+    step = two_ladder_step if p == 2 else lift_step_odd
     flips = 0  # levels whose lifted root is replaced by its complement
     for n in range(n0, 300):
         assert state.min_roots == ref, (D, p, n)
@@ -210,13 +213,11 @@ def test_digit_recurrence_matches_newton_to_level_300(D, p):
 
 
 # level 12, then levels whose residue check folds r and m once and twice
-TAMPER_LEVELS = {(76, 101): (12, 300, 600), (23, 3): (12,),
-                 (7, 2): (12, 2000, 4000)}
+TAMPER_LEVELS = {(76, 101): (12, 300, 600), (23, 3): (12,)}
 
 
 @pytest.mark.parametrize("D,p,step", [(76, 101, lift_step_odd),
-                                      (23, 3, lift_step_odd),
-                                      (7, 2, lift_two_step)])
+                                      (23, 3, lift_step_odd)])
 def test_tampered_cofactor_makes_next_lift_raise(D, p, step):
     for n in TAMPER_LEVELS[D, p]:
         state = roots_mod_pn(D, p, n)
@@ -237,21 +238,6 @@ def test_tampered_root_makes_next_lift_raise():
                 lift_step(bad)
 
 
-@pytest.mark.parametrize("D", [7, 15, 23])
-def test_tampered_second_pair_makes_next_lift_raise(D):
-    # only the first pair is reduced modulo q; the second is tied to it
-    for n in (3, 4, 12, 300, 2000, 4000):
-        state = roots_mod_pn(D, 2, n)
-        lift_two_step(state)  # the untouched state lifts
-        (r1, r2), (m1, m2) = state.min_roots, state.cofactors
-        bad = [replace(state, cofactors=(m1, m2 + delta))
-               for delta in (1, -1, 2, -2, 2 ** n)]
-        bad.append(replace(state, min_roots=(r1, r2 + 2 ** n)))
-        for tampered in bad:
-            with pytest.raises(LiftInvariantError):
-                lift_two_step(tampered)
-
-
 def _fields(state):
     return (state.p, state.D, state.n, state.min_roots, state.cofactors,
             state.pn, state.pq)
@@ -262,6 +248,7 @@ def test_lifted_state_equals_state_from_bare_roots(D, p):
     # each lifted state skips __post_init__; the public constructor derives
     # pn, pq and every cofactor again, by exact division
     state = roots_mod_pn(D, p, 1)
+    step = two_ladder_step if p == 2 else lift_step
     while state.n < 4000:
         if state.n <= 300 or state.n in (2000, 4000):
             bare = LiftState(p, D, state.n, state.min_roots)
@@ -271,13 +258,48 @@ def test_lifted_state_equals_state_from_bare_roots(D, p):
             copy = replace(state)
             assert copy == state and _fields(copy) == _fields(state)
             state.verify()
-        state = lift_step(state)
+        state = step(state)
     assert state.n == 4000 and _fields(state) == _fields(
         LiftState(p, D, 4000, state.min_roots))
 
 
-@pytest.mark.parametrize("D,p,n", [(76, 101, 12), (76, 101, 400),
-                                   (7, 2, 12), (7, 2, 3000)])
+@pytest.mark.parametrize("D,p", DIFFERENTIAL_CASES + [(2 ** 61 - 1, 2)])
+def test_roots_mod_pn_matches_ladder_to_level_600(D, p):
+    # the ladder starts from its own level-1 state and lifts a digit a level
+    start = (1,) if p == 2 else sqrt_mod_p(-D % p, p)[:1]
+    state = LiftState(p, D, 1, start)
+    step = two_ladder_step if p == 2 else lift_step_odd
+    for n in range(1, 601):
+        assert _fields(roots_mod_pn(D, p, n)) == _fields(state), (D, p, n)
+        state = step(state)
+
+
+@pytest.mark.parametrize("D,p", [(76, 101), (23, 3), (7, 2),
+                                 (2 ** 61 - 1, 2)])
+@pytest.mark.parametrize("low", [0, 1], ids=["past_range", "no_root"])
+def test_tampered_newton_root_raises(monkeypatch, capsys, D, p, low):
+    # with e = 1 for p = 2, else 0: R + p^(N-e) is a root past the range
+    # 0 < R < p^(N-e), and R + p^(N-e-1) is no root
+    e = int(p == 2)
+    real = hensel._newton_root
+    monkeypatch.setattr(hensel, "_newton_root",
+                        lambda D, p, N: real(D, p, N) + p ** (N - e - low))
+    argv = ["--D", str(D), "--p", str(p), "--format", "json"]
+    for N in (4, 12, 500, 3000):
+        with pytest.raises(LiftInvariantError):
+            roots_mod_pn(D, p, N)
+        assert main(["hensel", "--n", str(N)] + argv) == 4
+        assert json.loads(capsys.readouterr().out)["error"] == \
+            "internal_invariant_violation"
+    # an odd-p survey takes its level-1 state from padic_root, where R + 1
+    # may be the other root; tests/test_survey_two.py tampers p = 2's root
+    if p != 2 and low == 0:
+        assert main(["survey", "--sigma", "1/2", "--n-max", "12"] + argv) == 4
+        assert json.loads(capsys.readouterr().out)["error"] == \
+            "internal_invariant_violation"
+
+
+@pytest.mark.parametrize("D,p,n", [(76, 101, 12), (76, 101, 400)])
 def test_wrong_pn_makes_next_lift_raise(D, p, n):
     # pn = p^(n-1) with every cofactor times p still has r^2 + D = pn m,
     # but the carried p^n mod q disagrees with it
@@ -327,17 +349,20 @@ def test_cofactors_derived_from_bare_roots():
 
 
 def test_lift_two_is_the_ladder_at_p_2():
+    # the ladder from level 1, ending where the table finds no root
     for D in range(1, 64, 2):
+        state, ended = LiftState(p=2, D=D, n=1, min_roots=(1,)), None
         for n in range(1, 41):
-            try:
-                want = roots_mod_pn(D, 2, n)
-            except NoRootError as exc:
+            if ended is not None:
                 with pytest.raises(NoRootError) as info:
                     lift_two(D, n)
-                assert str(info.value) == str(exc)
+                assert str(info.value) == ended, (D, n)
                 continue
-            got = lift_two(D, n)
-            assert got == want and got.cofactors == want.cofactors
+            assert _fields(lift_two(D, n)) == _fields(state), (D, n)
+            try:
+                state = two_ladder_step(state)
+            except NoRootError as exc:
+                ended = str(exc)
 
 
 def test_roots_mod_pn_proves_the_instance_once(monkeypatch):

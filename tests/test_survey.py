@@ -1,10 +1,12 @@
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rnlab.cli import main
 from rnlab.hensel import (CompositeModulusError, LiftState, PrimeBoundError,
                           roots_mod_pn)
 from rnlab.survey import (CorruptBlobError, InvalidSigmaError, checkpoint,
@@ -330,6 +332,23 @@ def test_restore_rejects_level_beyond_its_roots_quickly():
         for n in (1, 2, 3, 50, 400):
             state = roots_mod_pn(D, p, n)
             assert restore(checkpoint(state)) == state
+
+
+@pytest.mark.parametrize("p, D", [(101, 76), (2, 7)])
+def test_restore_rejects_wrong_root_count_quickly(tmp_path, capsys, p, D):
+    # the root count is checked before p^n is formed: 101^(10^7) alone once
+    # took 43 s to form for this 70-byte blob
+    blob = _blob(D, p, 10 ** 9, [])
+    started = time.perf_counter()
+    with pytest.raises(CorruptBlobError, match="0 roots at level"):
+        restore(blob)
+    path = tmp_path / "survey.ckpt"
+    path.write_text(blob)
+    code = main(["survey", "--D", str(D), "--p", str(p), "--sigma", "1/2",
+                 "--n-max", "20", "--resume", str(path), "--format", "json"])
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "invalid_input"
 
 
 def test_resume_past_n_max_rejected():

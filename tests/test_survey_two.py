@@ -1,8 +1,9 @@
 """The p = 2 survey reads its records from the bits of one 2-adic root.
 
-The oracle is the survey loop that walks the 2-adic ladder, lift_two_step,
-level by level and decides every record by power_compare; the walk of the
-bits must give byte-identical reports and checkpoint blobs.
+The oracle is the survey loop that walks the 2-adic ladder of
+two_adic_ladder.py level by level and decides every record by
+power_compare; the walk of the bits must give byte-identical reports and
+checkpoint blobs.
 """
 
 import functools
@@ -12,11 +13,12 @@ from fractions import Fraction
 
 import pytest
 
-from rnlab import survey
+from rnlab import hensel, survey
 from rnlab.cli import main
-from rnlab.hensel import LiftInvariantError, lift_step, roots_mod_pn
+from rnlab.hensel import LiftInvariantError, padic_root
 from rnlab.survey import (METHOD_NOTE, SurveyRecord, SurveyReport, checkpoint,
                           power_compare, restore, run_survey)
+from two_adic_ladder import two_ladder
 
 F = Fraction
 
@@ -28,10 +30,7 @@ TOP = 3000
 @functools.lru_cache(maxsize=1)
 def ladder(D):
     """The 2-adic ladder states at levels 1..TOP, index n - 1."""
-    states = [roots_mod_pn(D, 2, 1)]
-    while len(states) < TOP:
-        states.append(lift_step(states[-1]))
-    return states
+    return two_ladder(D, TOP)
 
 
 # the oracle and the walk decide the same records many times, with exact
@@ -107,7 +106,7 @@ def test_bit_walk_matches_ladder(monkeypatch, D):
 @pytest.mark.parametrize("D", (7, 15, 39, 71))
 def test_walked_bit_lengths_match_ladder_records(D):
     states = ladder(D)
-    S = survey.two_adic_root(states[2], 2000)
+    S = padic_root(D, 2, 2000)
     for n_lo in (3, 4, 17, 500):
         for n, lengths in survey._record_lengths(S, n_lo, 2000):
             state = states[n - 1]
@@ -121,9 +120,11 @@ def test_walked_bit_lengths_match_ladder_records(D):
                          ids=["top_bit", "bit_1"])
 @pytest.mark.parametrize("n_max", [12, 500, 3000])
 def test_tampered_two_adic_root_raises(monkeypatch, capsys, tamper, n_max):
-    real = survey.two_adic_root
-    monkeypatch.setattr(survey, "two_adic_root",
-                        lambda state, N: tamper(real(state, N), N))
+    # the Newton loop is tampered, not padic_root's check; the survey's
+    # level-1 state is left alone
+    real = hensel._newton_root
+    monkeypatch.setattr(hensel, "_newton_root", lambda D, p, N: tamper(
+        real(D, p, N), N) if N == n_max else real(D, p, N))
     with pytest.raises(LiftInvariantError):
         run_survey(7, 2, F(1, 2), n_max)
     code = main(["survey", "--D", "7", "--p", "2", "--sigma", "1/2",
