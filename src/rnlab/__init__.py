@@ -2,7 +2,8 @@
 
 Modules:
     quadring    exact arithmetic in the ring of integers of Q(sqrt(-D))
-    pade        Pade approximants to (1-z)^k, contents, certified bounds
+    pade        Pade approximants to (1-z)^k, contents, the bound constants
+    bounds      the paper's bound checks (loaded on first use; imports mpmath)
     hensel      Tonelli-Shanks and Hensel lifting mod p^n
     certifier   huge-solution certificates and the maximal sigma
     decomposer  gamma = beta^k mu decompositions and the chain audit
@@ -22,9 +23,8 @@ from .certifier import (HugeSolutionCertificate, MaxSigmaResult, certify,
 from .decomposer import Decomposition, audit_theorem1_chain, decompose
 from .hensel import LiftState, lift_step_odd, lift_two, roots_mod_pn, sqrt_mod_p
 from .pade import (BoundConstants, IntPolynomial, PadeSystem, binom,
-                   build_diagonal, build_general, check_e_bound, check_q_bound,
-                   content, cross_constant, eval_at_z0, factorial_ratio_bounds,
-                   kernel_extrema, normalize)
+                   build_diagonal, build_general, content, cross_constant,
+                   eval_at_z0, normalize)
 from .quadring import QuadInt
 from .survey import (SurveyRecord, SurveyReport, checkpoint, power_compare,
                      restore, run_survey)
@@ -42,3 +42,22 @@ __all__ = [
     "rigorous_compare", "roots_mod_pn", "run_survey", "sqrt_mod_p",
     "thresholds",
 ]
+
+# No subcommand calls the bound checks, so rnlab.cli does not import
+# rnlab.bounds; these names load it on first access (PEP 562).  The hook
+# caches nothing in this module's namespace.
+_LAZY = frozenset({"check_e_bound", "check_q_bound", "factorial_ratio_bounds",
+                   "kernel_extrema"})
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        from . import bounds
+        return getattr(bounds, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    # the eager and lazy names alike, without the hook's own machinery
+    return sorted((globals().keys() | _LAZY)
+                  - {"_LAZY", "__getattr__", "__dir__"})

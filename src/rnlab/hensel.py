@@ -16,8 +16,9 @@ mod 8 when D = 7 mod 8), and reduces by shifts and masks for p = 2.
 A LiftState stores one minimal representative r per +/- pair with its exact
 cofactor m, r^2 + D = p^n m, and p^n; callers expand the complements with
 (p^n - r)^2 + D = p^n (p^n - 2r + m).  roots_mod_pn builds its state from
-padic_root's root in one step, the cofactors by exact division, which
-verifies them.
+padic_root's root in one step.  At odd p the cofactor is the quotient of
+padic_root's exact check; at p = 2 each cofactor is a shift, exact, which
+verifies it.
 
 The odd ladder, which the odd-p survey walks, adds the next p-adic digit d
 of its stored root per level, in a few linear big-int operations:
@@ -339,21 +340,24 @@ def _newton_root(D: int, p: int, N: int) -> int:
     return mod(u, max(N - e, 1))
 
 
-def padic_root(D: int, p: int, N: int) -> int:
-    """R with R^2 + D = 0 (mod p^N) and 0 < R < p^max(N - e, 1), where e is 1
+def padic_root(D: int, p: int, N: int) -> tuple[int, int]:
+    """(R, m) with R^2 + D = p^N m and 0 < R < p^max(N - e, 1), where e is 1
     for p = 2 and 0 for odd p: the root is fixed mod p^(N-e).  Gated by
     check_instance; raises NoRootError when p = 2 has no root mod 2^N.
-    R is checked here, once, exactly, so no caller can skip the check."""
+    R is checked here, once, exactly, so no caller can skip the check; m is
+    the quotient of that one exact division."""
     if N < 1:
         raise ValueError(f"n must be >= 1, got {N}")
     check_instance(D, p)
     R, two = _newton_root(D, p, N), p == 2
     top = 1 << max(N - 1, 1) if two else p ** N
-    rest = (R * R + D) & ((1 << N) - 1) if two else (R * R + D) % top
+    x = R * R + D
+    # divmod does not shift for a power of two
+    m, rest = (x >> N, x & ((1 << N) - 1)) if two else divmod(x, top)
     if rest or not 0 < R < top:
         raise LiftInvariantError(
             f"p-adic root {R} breaks R^2 + D = 0 mod {p}^{N}")
-    return R
+    return R, m
 
 
 def least_root(S: int, n: int) -> int:
@@ -364,27 +368,31 @@ def least_root(S: int, n: int) -> int:
     return min(S & (half - 1), half - (S & (half - 1)))
 
 
-def root_state(D: int, p: int, n: int, R: int) -> LiftState:
-    """The level-n state of a root R that padic_root gave at a level N >= n,
-    its cofactors by exact division."""
-    pn = p ** n
-    if p != 2:
-        r = R % pn
-        roots = (min(r, pn - r),)
-    elif n < 3:
+def two_adic_state(D: int, n: int, S: int) -> LiftState:
+    """The level-n state of a 2-adic root S that padic_root gave at a level
+    N >= n, its cofactors by exact division."""
+    if n < 3:
         roots = (1,)
     else:
-        r = least_root(R, n)
-        roots = (r, (pn >> 1) - r)
-    state = LiftState(p=p, D=D, n=n, min_roots=roots, pn=pn)
+        r = least_root(S, n)
+        roots = (r, (1 << (n - 1)) - r)
+    state = LiftState(p=2, D=D, n=n, min_roots=roots, pn=1 << n)
     state.check_ladder()
     return state
 
 
 def roots_mod_pn(D: int, p: int, n: int) -> LiftState:
     """Full root set of x^2 + D = 0 (mod p^n) for a prime p not dividing D:
-    the level-n state of padic_root."""
-    return root_state(D, p, n, padic_root(D, p, n))
+    the level-n state of padic_root, at odd p with padic_root's cofactor."""
+    R, m = padic_root(D, p, n)
+    if p == 2:
+        return two_adic_state(D, n, R)
+    pn = p ** n
+    if R > pn - R:  # (pn - R)^2 + D = pn (pn - 2R + m)
+        R, m = pn - R, pn - 2 * R + m
+    state = LiftState(p=p, D=D, n=n, min_roots=(R,), cofactors=(m,), pn=pn)
+    state.check_ladder()
+    return state
 
 
 def lift_two(D: int, n: int) -> LiftState:

@@ -10,7 +10,7 @@ m > x^2/p^n >= x > x^sigma automatically.
 run_survey gates (D, p) by hensel.check_instance.  For odd p it walks the
 odd ladder, hensel.lift_step, which carries each cofactor from level to
 level.  For p = 2 it walks the ladder to level 3, then reads every later
-level from the bits of one 2-adic root S = hensel.padic_root(D, 2, n_max),
+level from the bits of the 2-adic root S of hensel.padic_root(D, 2, n_max),
 which padic_root has checked exactly.  A record of bit length L at level n
 has m > 2^(2L-2-n); only records this bound cannot settle, or that could
 lower the minimum margin, are built and decided exactly.  Long runs
@@ -31,7 +31,8 @@ from fractions import Fraction
 # lift_step_odd is not called here: the benchmark self-test traces it here
 from .hensel import (HenselError, LiftInvariantError, LiftState, NoRootError,
                      NoSplitError, check_instance, least_root, lift_step,
-                     lift_step_odd, padic_root, root_state, roots_mod_pn)
+                     lift_step_odd, padic_root, roots_mod_pn,
+                     two_adic_state)
 
 BLOB_VERSION = 1
 
@@ -205,7 +206,7 @@ def run_survey(D: int, p: int, sigma: Fraction, n_max: int,
             ladder_end_note = f"; ladder ends at n = {n}: {exc}"
             break
     if p == 2 and state.n >= 3:
-        S = padic_root(D, 2, n_max)
+        S, _ = padic_root(D, 2, n_max)
         # at a level n <= n_max, x < 2^n and m < 2^n + D, so rounding moves
         # a computed margin and its computed bound below by less than
         # 2^-48 (n + len(D) + 1) together; the slack is 8 times that
@@ -237,9 +238,9 @@ def run_survey(D: int, p: int, sigma: Fraction, n_max: int,
                 width = 1
             records += 4
             if checkpoint_due(n):
-                checkpoint_cb(root_state(D, 2, n, S))
+                checkpoint_cb(two_adic_state(D, n, S))
         if checkpoint_cb is not None:
-            state = root_state(D, 2, n_max, S)
+            state = two_adic_state(D, n_max, S)
     if checkpoint_cb is not None:
         checkpoint_cb(state)
 

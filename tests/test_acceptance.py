@@ -13,13 +13,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from rnlab.bounds import check_q_bound, kernel_extrema
 from rnlab.certifier import certify, max_sigma
 from rnlab.decomposer import audit_theorem1_chain, decompose
 from rnlab.hensel import (NoRootError, NoSplitError, lift_step_odd,
                           roots_mod_pn)
 from rnlab.pade import (BOUNDS, IntPolynomial, ONE_MINUS_Z, build_diagonal,
-                        build_general, check_q_bound, content, cross_constant,
-                        kernel_extrema, normalize)
+                        build_general, content, cross_constant, normalize)
 from rnlab.quadring import QuadInt
 from rnlab.survey import checkpoint, run_survey
 

@@ -8,15 +8,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rnlab.pade import (BOUNDS, BOutOfRangeError, IntPolynomial, NotMonomialError,
-                        ONE_MINUS_Z, _sturm_chain, _sturm_remainder, _variations,
-                        beta_moment_identity_holds,
-                        binom, build_diagonal, build_general, check_e_bound,
-                        check_q_bound, content, cross_constant, eval_at_z0,
-                        assembled_identity_holds, factorial_ratio_bounds,
-                        kernel_extrema, normalize, one_minus_z_pow,
-                        q_prefactor_bound, starred_at_z0)
-from rnlab import pade
+from rnlab.bounds import (BOutOfRangeError, _sturm_chain, _sturm_remainder,
+                          _variations, beta_moment_identity_holds,
+                          check_e_bound, check_q_bound, factorial_ratio_bounds,
+                          kernel_extrema, q_prefactor_bound)
+from rnlab.pade import (BOUNDS, IntPolynomial, NotMonomialError, ONE_MINUS_Z,
+                        binom, build_diagonal, build_general, content,
+                        cross_constant, eval_at_z0, assembled_identity_holds,
+                        normalize, one_minus_z_pow, starred_at_z0)
+from rnlab import bounds, pade
 from rnlab.quadring import MixedDError, QuadInt
 
 F = Fraction
@@ -874,22 +874,22 @@ def test_bound_constant_consistency():
 
 def test_q_bound_verdict_follows_q_base(monkeypatch):
     assert check_q_bound(2, 76, 1030301).ok
-    monkeypatch.setattr(pade, "BOUNDS", replace(BOUNDS, q_base=F(40)))
+    monkeypatch.setattr(bounds, "BOUNDS", replace(BOUNDS, q_base=F(40)))
     rep = check_q_bound(2, 76, 1030301)
     assert rep.bound_sq == (F("0.308") * 40 ** 2) ** 2
     assert not rep.ok and rep.margin_log10 < 0
-    monkeypatch.setattr(pade, "BOUNDS", replace(BOUNDS, q_base=F(1000)))
+    monkeypatch.setattr(bounds, "BOUNDS", replace(BOUNDS, q_base=F(1000)))
     assert check_q_bound(1, 76, 1030301).ok
 
 
 def test_e_bound_verdicts_follow_e_coeff(monkeypatch):
     rep = check_e_bound(1, 1)
     assert rep.raw_ok and rep.norm_ok
-    monkeypatch.setattr(pade, "BOUNDS", replace(BOUNDS, e_coeff=F("0.2")))
+    monkeypatch.setattr(bounds, "BOUNDS", replace(BOUNDS, e_coeff=F("0.2")))
     rep = check_e_bound(1, 1)
     assert not rep.raw_ok and not rep.norm_ok
     assert rep.raw_margin_log10 < 0 and rep.norm_margin_log10 < 0
-    monkeypatch.setattr(pade, "BOUNDS", replace(BOUNDS, e_coeff=F(2)))
+    monkeypatch.setattr(bounds, "BOUNDS", replace(BOUNDS, e_coeff=F(2)))
     assert check_e_bound(2, 1).norm_ok  # fails at 0.377
 
 

@@ -1,11 +1,15 @@
 import json
 import math
-import time
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rnlab
 from rnlab.cli import main
 from rnlab.hensel import (CompositeModulusError, LiftState, PrimeBoundError,
                           roots_mod_pn)
@@ -324,10 +328,57 @@ def test_restore_rejects_level_below_one():
         restore(_blob(76, 0, 3, [5]))
 
 
-def test_restore_rejects_level_beyond_its_roots_quickly():
+# A hostile blob is rejected in a child process: if its guard regresses,
+# restore forms p^n, which no in-process alarm can interrupt, and the
+# timeout then fails the test by name instead of stalling the suite.
+_REJECT_IN_CHILD = """
+import json, sys, time
+from rnlab.cli import main
+from rnlab.survey import CorruptBlobError, restore
+path, argv = sys.argv[1], sys.argv[2:]
+with open(path) as f:
+    blob = f.read()
+started = time.perf_counter()
+try:
+    restore(blob)
+    raised = None
+except CorruptBlobError as exc:
+    raised = str(exc)
+code = main(argv + ["--resume", path, "--format", "json"])
+print(json.dumps({"raised": raised, "code": code,
+                  "seconds": time.perf_counter() - started}))
+"""
+
+
+def _reject_in_child(tmp_path, blob, D, p, timeout=30):
+    """restore(blob), then the CLI survey resumed from it, in a child
+    python: (restore's CorruptBlobError message or None, the CLI's exit
+    code, its JSON report, the seconds both took)."""
+    path = tmp_path / "survey.ckpt"
+    path.write_text(blob)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rnlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["survey", "--D", str(D), "--p", str(p), "--sigma", "1/2",
+            "--n-max", "20"]
+    try:
+        proc = subprocess.run([sys.executable, "-c", _REJECT_IN_CHILD,
+                               str(path), *argv], env=env, capture_output=True,
+                              text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"restoring {blob} ran past {timeout} s")
+    assert proc.returncode == 0, proc.stderr
+    report, result = proc.stdout.splitlines()
+    got = json.loads(result)
+    return got["raised"], got["code"], json.loads(report), got["seconds"]
+
+
+def test_restore_rejects_level_beyond_its_roots_quickly(tmp_path):
     # forming 101^n first would take minutes for this 80-byte blob
-    with pytest.raises(CorruptBlobError):
-        restore(_blob(76, 101, 10 ** 9, [5]))
+    raised, code, report, _ = _reject_in_child(
+        tmp_path, _blob(76, 101, 10 ** 9, [5]), 76, 101)
+    assert raised is not None
+    assert code == 2 and report["error"] == "invalid_input"
     for p, D in ((101, 76), (2, 7), (3, 23)):
         for n in (1, 2, 3, 50, 400):
             state = roots_mod_pn(D, p, n)
@@ -335,20 +386,15 @@ def test_restore_rejects_level_beyond_its_roots_quickly():
 
 
 @pytest.mark.parametrize("p, D", [(101, 76), (2, 7)])
-def test_restore_rejects_wrong_root_count_quickly(tmp_path, capsys, p, D):
+def test_restore_rejects_wrong_root_count_quickly(tmp_path, p, D):
     # the root count is checked before p^n is formed: 101^(10^7) alone once
     # took 43 s to form for this 70-byte blob
-    blob = _blob(D, p, 10 ** 9, [])
-    started = time.perf_counter()
-    with pytest.raises(CorruptBlobError, match="0 roots at level"):
-        restore(blob)
-    path = tmp_path / "survey.ckpt"
-    path.write_text(blob)
-    code = main(["survey", "--D", str(D), "--p", str(p), "--sigma", "1/2",
-                 "--n-max", "20", "--resume", str(path), "--format", "json"])
-    assert time.perf_counter() - started < 1
+    raised, code, report, seconds = _reject_in_child(
+        tmp_path, _blob(D, p, 10 ** 9, []), D, p)
+    assert raised is not None and re.search("0 roots at level", raised)
+    assert seconds < 1
     assert code == 2
-    assert json.loads(capsys.readouterr().out)["error"] == "invalid_input"
+    assert report["error"] == "invalid_input"
 
 
 def test_resume_past_n_max_rejected():

@@ -106,7 +106,7 @@ def test_bit_walk_matches_ladder(monkeypatch, D):
 @pytest.mark.parametrize("D", (7, 15, 39, 71))
 def test_walked_bit_lengths_match_ladder_records(D):
     states = ladder(D)
-    S = padic_root(D, 2, 2000)
+    S, _ = padic_root(D, 2, 2000)
     for n_lo in (3, 4, 17, 500):
         for n, lengths in survey._record_lengths(S, n_lo, 2000):
             state = states[n - 1]
