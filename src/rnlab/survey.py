@@ -13,7 +13,13 @@ level.  For p = 2 it walks the ladder to level 3, then reads every later
 level from the bits of the 2-adic root S of hensel.padic_root(D, 2, n_max),
 which padic_root has checked exactly.  A record of bit length L at level n
 has m > 2^(2L-2-n); only records this bound cannot settle, or that could
-lower the minimum margin, are built and decided exactly.  Long runs
+lower the minimum margin, are built and decided exactly.  Once the three
+wide records of a level settle, later levels test only the least root,
+whose length is n - 1 - t for the run t of equal bits of S ending at bit
+n - 2.  The minimum margin gives a run length g below which every later
+level settles, so the survey jumps by str.find to the next run of g equal
+bits, stopping at checkpoints and n_max: a linear scan of S's bits plus
+one visit per long run, not one per level.  Long runs
 checkpoint the lift state as a small versioned JSON blob; the cofactors are
 not stored but recomputed, and thereby verified, on restore.  A resumed
 state must be of (D, p), at n <= n_max and pass LiftState.verify, which
@@ -207,6 +213,7 @@ def run_survey(D: int, p: int, sigma: Fraction, n_max: int,
             break
     if p == 2 and state.n >= 3:
         S, _ = padic_root(D, 2, n_max)
+        bits = format(S, "b").zfill(n_max - 1)[::-1]  # bits[k] is bit k of S
         # at a level n <= n_max, x < 2^n and m < 2^n + D, so rounding moves
         # a computed margin and its computed bound below by less than
         # 2^-48 (n + len(D) + 1) together; the slack is 8 times that
@@ -214,9 +221,9 @@ def run_survey(D: int, p: int, sigma: Fraction, n_max: int,
         # records of lengths n, n - 1, n that pass both tests at one level
         # pass them at every later one: b e - a L and the exact bound grow
         # with n, least only falls, and the slack covers two roundings
-        width = 4
-        for n, lengths in _record_lengths(S, state.n, n_max):
-            xs, built = None, 0
+        n, width = state.n, 4
+        while True:
+            lengths, xs, built = _level_lengths(bits, n), None, 0
             for i in range(width):
                 L = lengths[i]
                 # x >= 2^(L-1), so m > 2^e: power_compare's first test
@@ -239,6 +246,25 @@ def run_survey(D: int, p: int, sigma: Fraction, n_max: int,
             records += 4
             if checkpoint_due(n):
                 checkpoint_cb(two_adic_state(D, n, S))
+            if n == n_max:
+                break
+            nxt = n + 1
+            if width == 1:
+                # a later level n' can fail only if bits n' - 1 - g to n' - 2
+                # of S are equal: jump to the first such level, or to the
+                # next checkpoint or n_max if that comes first
+                stop = n_max
+                if checkpoint_cb is not None:
+                    stop = min(stop, n + checkpoint_every
+                               - (n - n_from) % checkpoint_every)
+                g = _run_bound(nxt, least, a, b, slack)
+                # bits L - 1 and L differ unless L = 1, so a run that
+                # reaches bit n - 1 starts no lower than bit L - 1
+                lo = max(nxt - 1 - g, lengths[0] - 1)
+                nxt = min([stop] + [k + g + 1 for k in (
+                    bits.find(c * g, lo, stop - 1) for c in "01") if k >= 0])
+            records += 4 * (nxt - n - 1)
+            n = nxt
         if checkpoint_cb is not None:
             state = two_adic_state(D, n_max, S)
     if checkpoint_cb is not None:
@@ -251,19 +277,36 @@ def run_survey(D: int, p: int, sigma: Fraction, n_max: int,
         wall_time=time.perf_counter() - started)
 
 
-def _record_lengths(S: int, n_lo: int, n_hi: int):
-    """Yield (n, the bit lengths of the four records at level n), in
-    run_survey's order (r, 2^n - r, 2^(n-1) - r, 2^(n-1) + r), for
-    3 <= n_lo <= n <= n_hi, where 0 < S < 2^(n_hi - 1) is a 2-adic root of
-    -D and r = least_root(S, n).  The length of r is 1 plus the index of
-    the highest bit below n - 2 that differs from bit n - 2, or 1 if none
-    does: kept with one look at two bits a level."""
-    bits = format(S, "b").zfill(n_hi - 1)[::-1]  # bits[k] is bit k of S
-    ell = least_root(S, n_lo).bit_length()
-    for n in range(n_lo, n_hi + 1):
-        if n > n_lo and bits[n - 2] != bits[n - 3]:
-            ell = n - 2
-        yield n, (ell, n, n - 1, n)
+def _level_lengths(bits: str, n: int) -> tuple[int, int, int, int]:
+    """The bit lengths of the four records at level n >= 3, in run_survey's
+    order (r, 2^n - r, 2^(n-1) - r, 2^(n-1) + r), where bits[k] is bit k of
+    a 2-adic root S of -D and r = least_root(S, n).  The length of r is 1
+    plus the index of the highest bit below n - 2 that differs from bit
+    n - 2, or 1 if none does."""
+    k = bits.rfind("1" if bits[n - 2] == "0" else "0", 0, n - 2)
+    return k + 1 or 1, n, n - 1, n
+
+
+def _run_bound(n: int, least: float, a: int, b: int, slack: float) -> int:
+    """A run length g >= 1 such that each level n' from n to n_max passes
+    both of run_survey's skip tests for its least root against least when
+    the run of equal bits of S from bit n' - 2 down is shorter than g; 1,
+    which spares no level, while least is infinite."""
+    if least == math.inf:
+        return 1
+    # the root has length L >= n' - 1 - t for the run t, and with
+    # e = 2L - 2 - n' both b e - a L and (e - sigma L) log10(2) grow with L
+    # and with n' (a < b), so it passes if L = n - 1 - t passes at n.  There
+    # b e >= a L reads (2b - a) t <= (b - a) n - 4b + a, and the margin test
+    # holds before rounding for t < T, T as below with least + slack.  As
+    # |least| < n_max + len(D), its roundings and those of T move a margin
+    # by under (n_max + len(D) + 3) 2^-49, a sixteenth of slack: the second
+    # slack in T guards them
+    sigma = a / b
+    T = ((1 - sigma) * n - 4 + sigma - (least + 2 * slack) / _LOG10_2) \
+        / (2 - sigma)
+    return max(1, min(((b - a) * n - 4 * b + a) // (2 * b - a) + 1,
+                      math.ceil(T)))
 
 
 def checkpoint(state: LiftState) -> str:
