@@ -3,15 +3,18 @@
 The size condition compares |beta| = p^(n0/2) (or 2^(n0/2-1) when p = 2)
 against C * D^eta, where eta and the exponent of C are exact rational
 functions of sigma.  Rational subexpressions are kept exact; enclosures
-enter only for the logarithms of the two sides, with precision escalated
-until the comparison separates.  That the threshold increases in sigma,
-which max_sigma's bisection relies on, is proven in exact rationals.  The
-same proof shows that the common denominator of eta and the exponent is
+enter only for the logarithms, and all of them are rigor's: each side is a
+rigor.PowProd decided on rigor's one precision ladder, so this module
+imports nothing from mpmath.  That the threshold increases in sigma, which
+max_sigma's bisection relies on, is proven in exact rationals.  The same
+proof shows that the common denominator of eta and the exponent is
 positive on the whole sigma range, so max_sigma multiplies the log
 condition through by it: the condition becomes the sign of an affine form
-alpha + gamma*sigma, and one enclosure of (alpha, gamma) decides every
-bisection point in integer arithmetic.  certify keeps the direct log
-comparison.
+alpha + gamma*sigma, where alpha and gamma are the logs of two more
+PowProds over the bases of beta, C and D, and one enclosure of (alpha,
+gamma) decides every bisection point in integer arithmetic.  certify keeps
+the direct log comparison, and its report prints both sides' enclosures
+at the ladder's first precision (rigor.enclosure_str).
 
 A certificate that fails still carries the thresholds M = 250*n0 and
 X* = p^(250*n0), so downstream surveys can proceed empirically.
@@ -24,12 +27,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from mpmath import iv
-
 from .hensel import require_prime
 from .pade import BOUNDS
 from .rigor import (Comparison, PowProd, affine_sign, enclosure_str,
-                    iv_fraction, rigorous_compare)
+                    rigorous_compare)
 
 F = Fraction
 
@@ -211,18 +212,12 @@ def certify(D: int, p: int, x0: int, n0: int, sigma: Fraction,
 
     beta = _beta_powprod(p, n0)
     threshold = threshold_powprod(D, p, sigma, var)
-    # the report's enclosures at 30 digits read the logs that the verdict's
-    # first round computed at that precision
+    # the report's enclosures, at the ladder's first precision, read the
+    # logs that the verdict's first round computed there
     logs: dict = {}
     verdict = rigorous_compare(beta, threshold, cap_digits, logs)
-
-    saved = iv.dps
-    try:
-        iv.dps = 30
-        beta_enc = enclosure_str(beta.enclosure(logs))
-        thr_enc = enclosure_str(threshold.enclosure(logs))
-    finally:
-        iv.dps = saved
+    beta_enc = enclosure_str(beta, logs)
+    thr_enc = enclosure_str(threshold, logs)
     margin = _powprod_log10(beta) - _powprod_log10(threshold)
 
     if verdict is Comparison.GREATER:
@@ -296,28 +291,26 @@ def _size_condition(D: int, p: int, n0: int, var: VariantConstants,
     """The size condition |beta| > C^exponent(sigma) * D^eta(sigma) as a
     function of sigma, for sigma where den(sigma) = d0 - d1*sigma > 0.
 
-    With L = log|beta| (l * log b, from _beta_powprod), multiplying the log
+    With log|beta| = l * log b (from _beta_powprod), multiplying the log
     condition by den(sigma) turns it into alpha + gamma*sigma > 0, where
-        alpha = d0*L - e0*log C - h0*log D,
-        gamma = log C + h1*log D - d1*L,
+        alpha = log(b^(d0*l) * C^(-e0) * D^(-h0)),
+        gamma = log(C * D^h1 * b^(-d1*l)),
     with d0, d1 = den_const, den_slope, e0 = exp_const and h0, h1 =
-    eta_const, eta_slope.  One enclosure of (alpha, gamma) per precision
-    decides every sigma (rigor.affine_sign); a sigma the cap cannot
-    separate raises UndecidableError.
+    eta_const, eta_slope: two PowProds, enclosed by log_enclosure with one
+    log per base and precision.  One enclosure of (alpha, gamma) per
+    precision decides every sigma (rigor.affine_sign); a sigma the cap
+    cannot separate raises UndecidableError.
     """
     (b, l), = _beta_powprod(p, n0).factors
-    c = var.c_base(p)
+    c, d, one = var.c_base(p), F(D), F(1)
+    alpha = PowProd(one, ((b, var.den_const * l), (c, -var.exp_const),
+                          (d, -var.eta_const)))
+    gamma = PowProd(one, ((c, one), (d, var.eta_slope),
+                          (b, -var.den_slope * l)))
+    logs: dict = {}
 
     def enclose():
-        log_beta = iv_fraction(l) * iv.log(iv_fraction(b))
-        log_c = iv.log(iv_fraction(c))
-        log_d = iv.log(iv.mpf(D))
-        alpha = (iv_fraction(var.den_const) * log_beta
-                 - iv_fraction(var.exp_const) * log_c
-                 - iv_fraction(var.eta_const) * log_d)
-        gamma = (log_c + iv_fraction(var.eta_slope) * log_d
-                 - iv_fraction(var.den_slope) * log_beta)
-        return alpha, gamma
+        return alpha.log_enclosure(logs), gamma.log_enclosure(logs)
 
     sign = affine_sign(enclose, cap_digits)
 

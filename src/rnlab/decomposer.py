@@ -17,6 +17,7 @@ there exactly before any verdict uses them; a failure raises (exit 4).
 The full identity adds nothing to that evidence.  A fault c z^i in one
 coefficient moves one side of that check by c lambda^i times powers of
 beta, conj(beta) and lambda, which is never 0.
+The one inexact verdict, q-lambda, runs on rigor.decide, not on mpmath.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from mpmath import iv
 
 from . import rigor
 from .hensel import require_prime
@@ -248,7 +247,7 @@ def audit_theorem1_chain(dec: Decomposition, systems: dict | None = None
         # informational: (|Q||lambda|)^2 < coeff * |beta|^(2r+0.9746) with
         # coeff = 0.238074^2 * q_base^(2j)
         def lhs_builder():
-            return iv.mpf(a)
+            return rigor.iv_fraction(Fraction(a))
 
         def rhs_builder():
             return (rigor.iv_fraction(coeff) * rigor.iv_pow(

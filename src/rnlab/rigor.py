@@ -1,10 +1,12 @@
 """Certified real comparisons via outward-rounded interval enclosures.
 
-Strict inequalities between expressions built from integers, rationals and
-rational powers are decided by evaluating both sides as mpmath intervals,
-doubling the working precision until the enclosures separate.  Purely
-rational expressions short-circuit to an exact Fraction comparison, so a
-PASS on rational data never depends on floating point at all.
+rigor is the one module that evaluates on mpmath's interval context, and
+_ladder the one place that sets its working precision: every certified
+verdict tries 30 digits, then doubles up to the cap, the cap itself last,
+and a report's enclosure (enclosure_str) is made in the first round.  The
+caller's precision is restored on return.  Purely rational expressions
+short-circuit to an exact Fraction comparison, so a PASS on rational data
+never depends on floating point at all.
 
 Power products are compared in the log domain: log is strictly increasing
 on positive reals, so disjoint enclosures of log(lhs) = sum e_i log b_i
@@ -27,11 +29,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from mpmath import iv
+from mpmath import iv, mp, mpf
 from mpmath.libmp import from_int, mpi_div, round_ceiling, round_floor
 
 DEFAULT_PRECISION_CAP = 4000  # decimal digits
 _START_DPS = 30
+_ONE = Fraction(1)
 
 
 class Comparison(enum.Enum):
@@ -60,11 +63,16 @@ def iv_fraction(fr: Fraction):
     differs once n or d is wider than the precision.
     """
     prec = iv.prec
-    n, d = fr.numerator, fr.denominator
-    return iv.make_mpf(mpi_div(
-        (from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)),
-        (from_int(d, prec, round_floor), from_int(d, prec, round_ceiling)),
-        prec))
+    ends = _int_ends(fr.numerator, prec)
+    if fr.denominator != 1:  # dividing by an exact 1 moves neither end
+        ends = mpi_div(ends, _int_ends(fr.denominator, prec), prec)
+    return iv.make_mpf(ends)
+
+
+def _int_ends(k: int, prec: int) -> tuple:
+    """k rounded down and up to prec bits; one rounding if k fits."""
+    lo = from_int(k, prec, round_floor)
+    return lo, lo if k.bit_length() <= prec else from_int(k, prec, round_ceiling)
 
 
 def _iv_log(base: Fraction, logs: dict | None):
@@ -134,10 +142,13 @@ class PowProd:
         if self.coeff <= 0:
             raise ValueError(
                 f"log_enclosure needs a positive coefficient, got {self.coeff}")
-        acc = iv.mpf(0)
-        for base, exp in ((self.coeff, Fraction(1)), *self.factors):
-            acc += iv_fraction(exp) * _iv_log(base, logs)
-        return acc
+        # log 1 encloses to exactly [0, 0]: leaving out a coefficient of 1,
+        # and starting the sum at its first term, changes no bit
+        factors = self.factors
+        if self.coeff != 1:
+            factors = ((self.coeff, _ONE), *factors)
+        terms = [iv_fraction(exp) * _iv_log(base, logs) for base, exp in factors]
+        return sum(terms[1:], terms[0]) if terms else iv.mpf(0)
 
 
 def _separate(lhs, rhs) -> Comparison | None:
@@ -151,32 +162,39 @@ def _separate(lhs, rhs) -> Comparison | None:
 def _precisions(cap_digits: int | None):
     """The working precisions of one decision: 30 digits, doubled up to the
     cap (the cap itself is the last one tried)."""
-    cap = cap_digits if cap_digits is not None else precision_cap()
     dps = _START_DPS
-    while True:
-        yield dps
-        if dps >= cap:
-            return
+    yield dps
+    # read only when the first precision did not decide, as it mostly does
+    cap = cap_digits if cap_digits is not None else precision_cap()
+    while dps < cap:
         dps = min(2 * dps, cap)
+        yield dps
+
+
+def _ladder(verdict: Callable[[], object], cap_digits: int | None):
+    """The first verdict() that is not None, with iv.dps set to each of
+    _precisions(cap_digits) in turn; UNDECIDABLE if none decides.  The
+    caller's iv.dps is restored on return, and when verdict() raises."""
+    saved = iv.dps
+    try:
+        for dps in _precisions(cap_digits):
+            iv.dps = dps
+            result = verdict()
+            if result is not None:
+                return result
+        return Comparison.UNDECIDABLE
+    finally:
+        iv.dps = saved
 
 
 def decide(build_lhs: Callable[[], object], build_rhs: Callable[[], object],
            cap_digits: int | None = None) -> Comparison:
     """Compare two positive real expressions given as enclosure builders.
 
-    The builders are re-invoked at each precision level; they must read the
-    ambient iv context (iv.dps) when constructing their enclosures.
+    The builders are re-invoked at each precision of the ladder; they must
+    read the ambient iv context (iv.dps) when constructing their enclosures.
     """
-    saved = iv.dps
-    try:
-        for dps in _precisions(cap_digits):
-            iv.dps = dps
-            verdict = _separate(build_lhs(), build_rhs())
-            if verdict is not None:
-                return verdict
-        return Comparison.UNDECIDABLE
-    finally:
-        iv.dps = saved
+    return _ladder(lambda: _separate(build_lhs(), build_rhs()), cap_digits)
 
 
 def rigorous_compare(lhs: PowProd, rhs: PowProd,
@@ -226,55 +244,44 @@ def affine_sign(build: Callable[[], tuple], cap_digits: int | None = None
 
     build returns enclosures of the fixed reals (alpha, gamma) at the
     ambient iv precision; the returned function calls it at most once per
-    precision of decide's ladder, however often it is called itself.  At
+    precision of the ladder, however often it is called itself.  At
     s = u/v, alpha*v + gamma*u increases in alpha and gamma (u, v > 0), so
     its value at the lower (upper) endpoints, an exact integer after
     scaling, proves GREATER when positive (LESS when negative).  Otherwise
     the next precision is tried, and UNDECIDABLE is returned after the cap.
     """
-    cap = cap_digits if cap_digits is not None else precision_cap()
-    # dps -> exact (alpha lo, alpha hi, gamma lo, gamma hi), None if not finite
+    # iv.dps -> exact (alpha lo, alpha hi, gamma lo, gamma hi), or None
     enclosures: dict[int, list | None] = {}
 
-    def ends_at(dps: int):
+    def at_this_precision(u: int, v: int) -> Comparison | None:
+        dps = iv.dps
         if dps not in enclosures:
-            saved = iv.dps
-            try:
-                iv.dps = dps
-                alpha, gamma = build()
-            finally:
-                iv.dps = saved
-            ends = [_dyadic(e) for x in (alpha, gamma) for e in x._mpi_]
+            ends = [_dyadic(e) for x in build() for e in x._mpi_]
             enclosures[dps] = None if None in ends else ends
-        return enclosures[dps]
+        ends = enclosures[dps]
+        if ends is None:
+            return None
+        a_lo, a_hi, g_lo, g_hi = ends
+        if _scaled_value(a_lo, g_lo, u, v) > 0:
+            return Comparison.GREATER
+        if _scaled_value(a_hi, g_hi, u, v) < 0:
+            return Comparison.LESS
+        return None
 
     def sign(s: Fraction) -> Comparison:
         if s <= 0:
             raise ValueError(f"affine_sign needs s > 0, got {s}")
-        u, v = s.numerator, s.denominator
-        for dps in _precisions(cap):
-            ends = ends_at(dps)
-            if ends is None:
-                continue
-            a_lo, a_hi, g_lo, g_hi = ends
-            if _scaled_value(a_lo, g_lo, u, v) > 0:
-                return Comparison.GREATER
-            if _scaled_value(a_hi, g_hi, u, v) < 0:
-                return Comparison.LESS
-        return Comparison.UNDECIDABLE
+        return _ladder(lambda: at_this_precision(s.numerator, s.denominator),
+                       cap_digits)
 
     return sign
 
 
-def enclosure_str(x, digits: int = 20) -> tuple[str, str]:
-    """Decimal endpoint strings of an interval, for reports."""
-    from mpmath import mp, mpf
-
-    saved = mp.dps
-    try:
-        mp.dps = digits
-        lo = mpf(x.a.a)
-        hi = mpf(x.b.b)
-        return mp.nstr(lo, digits), mp.nstr(hi, digits)
-    finally:
-        mp.dps = saved
+def enclosure_str(pp: PowProd, logs: dict, digits: int = 20
+                  ) -> tuple[str, str]:
+    """Decimal endpoint strings of pp's enclosure, for reports.  It is made
+    in the ladder's first round, which never returns None, so it reads the
+    logs (passed to PowProd.enclosure) that a verdict made there."""
+    x = _ladder(lambda: pp.enclosure(logs), None)
+    with mp.workdps(digits):
+        return mp.nstr(mpf(x.a.a), digits), mp.nstr(mpf(x.b.b), digits)

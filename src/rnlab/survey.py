@@ -176,18 +176,16 @@ def run_survey(D: int, p: int, sigma: Fraction, n_max: int,
 
     exceptions: list[SurveyRecord] = []
     records = 0
-    min_margin: dict | None = None
-    least = math.inf  # min_margin's log10_ratio
+    least, least_at = math.inf, None  # the minimum margin and its (n, x)
     ladder_end_note = ""
 
     def decide(n: int, x: int, m: int) -> None:
-        nonlocal least, min_margin
+        nonlocal least, least_at
         if not power_compare(m, x, a, b):
             exceptions.append(SurveyRecord(n=n, x=x, m=m, passed=False))
         margin = math.log10(m) - math.log10(x) * sigma_float
         if margin < least:
-            least = margin
-            min_margin = {"n": n, "x": str(x), "log10_ratio": margin}
+            least, least_at = margin, (n, x)
 
     def checkpoint_due(n: int) -> bool:
         return checkpoint_cb is not None and n > n_from and \
@@ -269,6 +267,8 @@ def run_survey(D: int, p: int, sigma: Fraction, n_max: int,
             state = two_adic_state(D, n_max, S)
     if checkpoint_cb is not None:
         checkpoint_cb(state)
+    min_margin = None if least_at is None else {
+        "n": least_at[0], "x": str(least_at[1]), "log10_ratio": least}
 
     return SurveyReport(
         D=D, p=p, sigma=sigma, n_from=n_from, n_max=n_max, no_split=False,

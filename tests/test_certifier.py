@@ -193,8 +193,10 @@ def test_precision_cap_env(monkeypatch):
     from rnlab import rigor
     monkeypatch.setenv("RNLAB_PRECISION_CAP", "123")
     assert rigor.precision_cap() == 123
-    monkeypatch.setenv("RNLAB_PRECISION_CAP", "junk")
-    assert rigor.precision_cap() == rigor.DEFAULT_PRECISION_CAP
+    # anything but a positive integer means the default
+    for raw in ("junk", "0", "-5", ""):
+        monkeypatch.setenv("RNLAB_PRECISION_CAP", raw)
+        assert rigor.precision_cap() == rigor.DEFAULT_PRECISION_CAP == 4000
 
 
 def _grid_monotone(D, p, var):
@@ -265,15 +267,16 @@ def test_max_sigma_logs_once_per_base(monkeypatch):
 
 
 def test_certify_logs_once_per_base(monkeypatch):
-    # one interval log each of the coefficient 1, 101, C and D: the verdict
-    # separates at 30 digits, and the report's threshold enclosure at 30
-    # digits reads the logs of C and D that the verdict made
+    # one interval log each of 101, C and D (log_enclosure skips the
+    # coefficient 1, whose log is exactly 0): the verdict separates at 30
+    # digits, and the report's threshold enclosure, at the ladder's first
+    # precision, reads the logs of C and D that the verdict made
     from mpmath import iv
     calls = []
     real_log = iv.log
     monkeypatch.setattr(iv, "log", lambda x: calls.append(x) or real_log(x))
     assert certify(76, 101, 1015, 3, F(1, 10)).certified
-    assert len(calls) == 4
+    assert len(calls) == 3
 
 
 def test_max_sigma_runs_certify_gates():

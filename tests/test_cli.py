@@ -81,6 +81,30 @@ def test_certify_beta_too_small_exit_0(capsys):
     assert payload["status"] == "beta_too_small"
 
 
+# the lower end of max_sigma(76, 101, 1015, 3, "5j", width=10^-40): there
+# |beta| and the threshold agree to more than 30 digits
+SIGMA_STAR = ("146759116967824405641020779119970489403876582693/"
+              "1361129467683753853853498429727072845824000000000")
+
+
+def test_certify_undecidable_at_the_cap_exit_3(capsys, monkeypatch):
+    from fractions import Fraction
+
+    from rnlab.certifier import certify, max_sigma
+    sigma = Fraction(SIGMA_STAR)
+    assert max_sigma(76, 101, 1015, 3, "5j",
+                     width=Fraction(1, 10 ** 40)).lo == sigma
+    argv = ("certify", "--D", "76", "--p", "101", "--x0", "1015",
+            "--n0", "3", "--sigma", SIGMA_STAR)
+    code, payload = run_json(capsys, *argv)
+    assert (code, payload["status"]) == (0, "certified")
+    assert certify(76, 101, 1015, 3, sigma,
+                   cap_digits=30).status == "undecidable"
+    monkeypatch.setenv("RNLAB_PRECISION_CAP", "30")
+    code, payload = run_json(capsys, *argv)
+    assert (code, payload["status"]) == (3, "undecidable")
+
+
 def test_sigma_must_be_rational_string(capsys):
     with pytest.raises(SystemExit) as err:
         main(["certify", "--D", "76", "--p", "101", "--x0", "1015",

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv, mp
 
-from rnlab.rigor import (Comparison, PowProd, affine_sign, decide, iv_fraction,
-                         iv_pow, rigorous_compare)
+from rnlab.rigor import (Comparison, PowProd, affine_sign, decide,
+                         enclosure_str, iv_fraction, iv_pow, rigorous_compare)
 
 F = Fraction
 
@@ -186,6 +186,72 @@ def test_affine_sign_agrees_with_exact_rationals(a, g, neg_a, neg_g, s):
         assert sign is Comparison.LESS
     else:
         assert sign is Comparison.UNDECIDABLE
+
+
+# the ladder under RNLAB_PRECISION_CAP=200: 30 digits, doubled, the cap last
+_LADDER_200 = [30, 60, 120, 200]
+
+
+def test_every_verdict_climbs_the_one_ladder(monkeypatch):
+    # each pair below is equal as reals, so no precision decides it: equal
+    # point enclosures touch (a tie is no separation), alpha + gamma*s is
+    # exactly 0 at both endpoints, and 2^(1/2) = 8^(1/6)
+    monkeypatch.setenv("RNLAB_PRECISION_CAP", "200")
+    ambient = iv.dps
+    seen = []
+
+    def one():
+        seen.append(iv.dps)
+        return iv.mpf(1)
+
+    assert decide(one, lambda: iv.mpf(1)) is Comparison.UNDECIDABLE
+    assert seen == _LADDER_200
+    assert iv.dps == ambient
+
+    seen.clear()
+    sign = affine_sign(lambda: (-one(), iv.mpf(3)))
+    assert sign(F(1, 3)) is Comparison.UNDECIDABLE
+    assert sign(F(2, 3)) is Comparison.GREATER
+    assert seen == _LADDER_200
+    assert iv.dps == ambient
+
+    logs = {}
+    lhs = PowProd.of(1, (F(2), F(1, 2)))
+    rhs = PowProd.of(1, (F(8), F(1, 6)))
+    assert rigorous_compare(lhs, rhs, logs=logs) is Comparison.UNDECIDABLE
+    assert list(logs) == [(base, dps) for dps in _LADDER_200
+                          for base in (F(2), F(8))]
+    assert iv.dps == ambient
+
+
+def test_ladder_restores_precision_when_a_builder_raises():
+    ambient = iv.dps
+
+    def fails_at_60():
+        if iv.dps == 60:
+            raise RuntimeError("builder failed")
+        return iv.mpf(1)
+
+    with pytest.raises(RuntimeError, match="builder failed"):
+        decide(fails_at_60, lambda: iv.mpf(1))
+    assert iv.dps == ambient
+    with pytest.raises(RuntimeError, match="builder failed"):
+        affine_sign(lambda: (-fails_at_60(), iv.mpf(3)))(F(1, 3))
+    assert iv.dps == ambient
+    with pytest.raises(ValueError, match="positive base"):
+        rigorous_compare(PowProd.of(1, (F(-2), F(1, 2))), PowProd.of(1))
+    assert iv.dps == ambient
+
+
+def test_enclosure_str_encloses_at_the_ladders_first_precision():
+    # the report reads the logs a verdict made in its first round
+    ambient = iv.dps
+    logs = {}
+    lo, hi = enclosure_str(PowProd.of(3, (F(2), F(1, 3))), logs)
+    assert list(logs) == [(F(2), 30)]
+    assert iv.dps == ambient
+    # 20 significant digits, each endpoint rounded to nearest
+    assert lo == hi == "3.7797631496846194943"
 
 
 def _quotient_of_iv_mpf(fr: Fraction):
