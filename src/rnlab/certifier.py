@@ -163,8 +163,7 @@ def _beta_floor_ok(p: int, n0: int, variant: VariantConstants) -> bool:
 
 
 def certify(D: int, p: int, x0: int, n0: int, sigma: Fraction,
-            variant: str = "5j", cap_digits: int | None = None
-            ) -> HugeSolutionCertificate:
+            variant: str = "5j") -> HugeSolutionCertificate:
     """Evaluate the huge-solution condition with certified arithmetic.
 
     Checks run in order: exact power, shared factor, square D, beta floor,
@@ -214,10 +213,9 @@ def certify(D: int, p: int, x0: int, n0: int, sigma: Fraction,
     threshold = threshold_powprod(D, p, sigma, var)
     # the report's enclosures, at the ladder's first precision, read the
     # logs that the verdict's first round computed there
-    logs: dict = {}
-    verdict = rigorous_compare(beta, threshold, cap_digits, logs)
-    beta_enc = enclosure_str(beta, logs)
-    thr_enc = enclosure_str(threshold, logs)
+    verdict = rigorous_compare(beta, threshold)
+    beta_enc = enclosure_str(beta)
+    thr_enc = enclosure_str(threshold)
     margin = _powprod_log10(beta) - _powprod_log10(threshold)
 
     if verdict is Comparison.GREATER:
@@ -286,8 +284,8 @@ def check_threshold_monotone(D: int, p: int, var: VariantConstants) -> None:
             raise NotMonotoneError(f"threshold not increasing: {failure}")
 
 
-def _size_condition(D: int, p: int, n0: int, var: VariantConstants,
-                    cap_digits: int | None) -> Callable[[Fraction], bool]:
+def _size_condition(D: int, p: int, n0: int, var: VariantConstants
+                    ) -> Callable[[Fraction], bool]:
     """The size condition |beta| > C^exponent(sigma) * D^eta(sigma) as a
     function of sigma, for sigma where den(sigma) = d0 - d1*sigma > 0.
 
@@ -307,12 +305,7 @@ def _size_condition(D: int, p: int, n0: int, var: VariantConstants,
                           (d, -var.eta_const)))
     gamma = PowProd(one, ((c, one), (d, var.eta_slope),
                           (b, -var.den_slope * l)))
-    logs: dict = {}
-
-    def enclose():
-        return alpha.log_enclosure(logs), gamma.log_enclosure(logs)
-
-    sign = affine_sign(enclose, cap_digits)
+    sign = affine_sign(lambda: (alpha.log_enclosure(), gamma.log_enclosure()))
 
     def holds(sigma: Fraction) -> bool:
         verdict = sign(sigma)
@@ -324,8 +317,7 @@ def _size_condition(D: int, p: int, n0: int, var: VariantConstants,
 
 
 def max_sigma(D: int, p: int, x0: int, n0: int, variant: str = "5j",
-              width: Fraction = Fraction(1, 10 ** 6),
-              cap_digits: int | None = None) -> MaxSigmaResult:
+              width: Fraction = Fraction(1, 10 ** 6)) -> MaxSigmaResult:
     """Enclose the largest sigma satisfying the size condition.
 
     Runs certify's input gates, proves in exact rationals that the
@@ -346,7 +338,7 @@ def max_sigma(D: int, p: int, x0: int, n0: int, variant: str = "5j",
     floor_ok = _beta_floor_ok(p, n0, var)
     check_threshold_monotone(D, p, var)
 
-    holds = _size_condition(D, p, n0, var, cap_digits)
+    holds = _size_condition(D, p, n0, var)
     lo = F(1, 10 ** 9)
     hi = SIGMA_MAX - F(1, 10 ** 9)
     if not holds(lo):

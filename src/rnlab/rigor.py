@@ -4,7 +4,9 @@ rigor is the one module that evaluates on mpmath's interval context, and
 _ladder the one place that sets its working precision: every certified
 verdict tries 30 digits, then doubles up to the cap, the cap itself last,
 and a report's enclosure (enclosure_str) is made in the first round.  The
-caller's precision is restored on return.  Purely rational expressions
+caller's precision is restored on return.  The cap is read from
+RNLAB_PRECISION_CAP (decimal digits) by precision_cap, and only once 30
+digits have not decided; no argument sets it.  Purely rational expressions
 short-circuit to an exact Fraction comparison, so a PASS on rational data
 never depends on floating point at all.
 
@@ -13,17 +15,25 @@ on positive reals, so disjoint enclosures of log(lhs) = sum e_i log b_i
 and log(rhs) prove the order of lhs and rhs.  This takes one interval log
 per base and precision and no exp.
 
+The log of a rational base is memoized per process (_iv_log), keyed by its
+numerator, denominator and the working precision in bits, of which the
+enclosure is a pure function.  The memo keeps the 256 most recent logs: one
+certify or max_sigma call reads at most 3 bases at each of at most 9 ladder
+precisions (30, 60, ..., 3840, then the cap of 4000 digits), 27 logs, and
+the benchmark's certify sweep reads 101 distinct logs across 303 calls, so
+repeated calls in one process find theirs.  256 logs at 4000 digits take
+about 1 MB.
+
 affine_sign decides the sign of alpha + gamma*s at many rationals s from
 one enclosure of the reals (alpha, gamma) per precision: the endpoints are
 read exactly as integers times powers of two, so each sign is an integer
 computation.  max_sigma's bisection uses it.
-
-The precision cap is read from RNLAB_PRECISION_CAP (decimal digits).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,6 +44,7 @@ from mpmath.libmp import from_int, mpi_div, round_ceiling, round_floor
 
 DEFAULT_PRECISION_CAP = 4000  # decimal digits
 _START_DPS = 30
+_REPORT_DIGITS = 20  # significant digits of each printed enclosure end
 _ONE = Fraction(1)
 
 
@@ -45,6 +56,9 @@ class Comparison(enum.Enum):
 
 
 def precision_cap() -> int:
+    """The last working precision of the ladder, in decimal digits, from
+    RNLAB_PRECISION_CAP; anything but a positive integer means the default.
+    The ladder always tries 30 digits first, so a cap below 30 means 30."""
     raw = os.environ.get("RNLAB_PRECISION_CAP", "")
     try:
         cap = int(raw)
@@ -75,26 +89,28 @@ def _int_ends(k: int, prec: int) -> tuple:
     return lo, lo if k.bit_length() <= prec else from_int(k, prec, round_ceiling)
 
 
-def _iv_log(base: Fraction, logs: dict | None):
-    """Enclosure of log(base) at the current iv precision; logs, if given,
-    maps (base, iv.dps) to it and is filled on demand."""
-    if base <= 0:
-        raise ValueError(f"iv_pow needs a positive base, got {base}")
-    if logs is None:
-        return iv.log(iv_fraction(base))
-    key = (base, iv.dps)
-    log_base = logs.get(key)
-    if log_base is None:
-        log_base = logs[key] = iv.log(iv_fraction(base))
-    return log_base
+@functools.lru_cache(maxsize=256)
+def _iv_log(numerator: int, denominator: int, prec: int):
+    """Enclosure of log(numerator/denominator), memoized.  prec must be the
+    current iv precision in bits: it keys the memo, and the enclosure, made
+    at the current precision, depends on nothing else."""
+    if numerator <= 0:
+        raise ValueError("iv_pow needs a positive base, got "
+                         f"{Fraction(numerator, denominator)}")
+    return iv.log(iv_fraction(Fraction(numerator, denominator)))
 
 
-def iv_pow(base: Fraction, exp: Fraction, logs: dict | None = None):
+def _log_term(base: Fraction, exp: Fraction):
+    """Enclosure of exp * log(base) at the current iv precision."""
+    return iv_fraction(exp) * _iv_log(base.numerator, base.denominator, iv.prec)
+
+
+def iv_pow(base: Fraction, exp: Fraction):
     """Enclosure of base**exp for base > 0 and rational exp.
 
     Integer exponents are applied to the exact rational first; half-integer
     exponents go through one square root; everything else uses exp(log),
-    with log(base) read from and kept in logs as _iv_log does.
+    with log(base) from the memo of _iv_log.
     """
     if base <= 0:
         raise ValueError(f"iv_pow needs a positive base, got {base}")
@@ -102,7 +118,7 @@ def iv_pow(base: Fraction, exp: Fraction, logs: dict | None = None):
         return iv_fraction(base ** exp.numerator)
     if exp.denominator == 2:
         return iv.sqrt(iv_fraction(base ** exp.numerator))
-    return iv.exp(iv_fraction(exp) * _iv_log(base, logs))
+    return iv.exp(_log_term(base, exp))
 
 
 @dataclass(frozen=True)
@@ -126,19 +142,17 @@ class PowProd:
             value *= base ** exp.numerator
         return value
 
-    def enclosure(self, logs: dict | None = None):
-        """Enclosure of the product at the current iv precision; logs is
-        passed to iv_pow, so an irrational power reads the log(base) that
-        log_enclosure made with the same logs."""
+    def enclosure(self):
+        """Enclosure of the product at the current iv precision; an
+        irrational power reads the log(base) that log_enclosure made."""
         acc = iv_fraction(self.coeff)
         for base, exp in self.factors:
-            acc = acc * iv_pow(base, exp, logs)
+            acc = acc * iv_pow(base, exp)
         return acc
 
-    def log_enclosure(self, logs: dict):
+    def log_enclosure(self):
         """Enclosure of log(coeff) + sum(exp_i * log(base_i)) at the current
-        iv precision; logs maps (base, iv.dps) to an enclosure of log(base)
-        and is filled on demand."""
+        iv precision, one memoized log per base (_iv_log)."""
         if self.coeff <= 0:
             raise ValueError(
                 f"log_enclosure needs a positive coefficient, got {self.coeff}")
@@ -147,7 +161,7 @@ class PowProd:
         factors = self.factors
         if self.coeff != 1:
             factors = ((self.coeff, _ONE), *factors)
-        terms = [iv_fraction(exp) * _iv_log(base, logs) for base, exp in factors]
+        terms = [_log_term(base, exp) for base, exp in factors]
         return sum(terms[1:], terms[0]) if terms else iv.mpf(0)
 
 
@@ -159,25 +173,25 @@ def _separate(lhs, rhs) -> Comparison | None:
     return None
 
 
-def _precisions(cap_digits: int | None):
+def _precisions():
     """The working precisions of one decision: 30 digits, doubled up to the
-    cap (the cap itself is the last one tried)."""
+    cap (the cap itself is the last one tried; a cap below 30 leaves 30)."""
     dps = _START_DPS
     yield dps
     # read only when the first precision did not decide, as it mostly does
-    cap = cap_digits if cap_digits is not None else precision_cap()
+    cap = precision_cap()
     while dps < cap:
         dps = min(2 * dps, cap)
         yield dps
 
 
-def _ladder(verdict: Callable[[], object], cap_digits: int | None):
+def _ladder(verdict: Callable[[], object]):
     """The first verdict() that is not None, with iv.dps set to each of
-    _precisions(cap_digits) in turn; UNDECIDABLE if none decides.  The
+    _precisions() in turn; UNDECIDABLE if none decides.  The
     caller's iv.dps is restored on return, and when verdict() raises."""
     saved = iv.dps
     try:
-        for dps in _precisions(cap_digits):
+        for dps in _precisions():
             iv.dps = dps
             result = verdict()
             if result is not None:
@@ -187,25 +201,22 @@ def _ladder(verdict: Callable[[], object], cap_digits: int | None):
         iv.dps = saved
 
 
-def decide(build_lhs: Callable[[], object], build_rhs: Callable[[], object],
-           cap_digits: int | None = None) -> Comparison:
+def decide(build_lhs: Callable[[], object], build_rhs: Callable[[], object]
+           ) -> Comparison:
     """Compare two positive real expressions given as enclosure builders.
 
     The builders are re-invoked at each precision of the ladder; they must
     read the ambient iv context (iv.dps) when constructing their enclosures.
     """
-    return _ladder(lambda: _separate(build_lhs(), build_rhs()), cap_digits)
+    return _ladder(lambda: _separate(build_lhs(), build_rhs()))
 
 
-def rigorous_compare(lhs: PowProd, rhs: PowProd,
-                     cap_digits: int | None = None,
-                     logs: dict | None = None) -> Comparison:
+def rigorous_compare(lhs: PowProd, rhs: PowProd) -> Comparison:
     """Certified comparison of two power products.
 
     Exact-rational operands are compared exactly (so equal rationals report
     EQUAL rather than exhausting precision).  Otherwise both must be
-    positive, and their log enclosures are compared; the logs of the bases
-    are kept in logs (a new dict if None), keyed as log_enclosure keys them.
+    positive, and their log enclosures are compared.
     """
     lf, rf = lhs.as_fraction(), rhs.as_fraction()
     if lf is not None and rf is not None:
@@ -214,10 +225,7 @@ def rigorous_compare(lhs: PowProd, rhs: PowProd,
         if lf > rf:
             return Comparison.GREATER
         return Comparison.EQUAL
-    if logs is None:
-        logs = {}
-    return decide(lambda: lhs.log_enclosure(logs),
-                  lambda: rhs.log_enclosure(logs), cap_digits)
+    return decide(lhs.log_enclosure, rhs.log_enclosure)
 
 
 def _dyadic(x) -> tuple[int, int] | None:
@@ -238,7 +246,7 @@ def _scaled_value(alpha: tuple[int, int], gamma: tuple[int, int],
     return (ma * v << (ea - e)) + (mg * u << (eg - e))
 
 
-def affine_sign(build: Callable[[], tuple], cap_digits: int | None = None
+def affine_sign(build: Callable[[], tuple]
                 ) -> Callable[[Fraction], Comparison]:
     """The sign of alpha + gamma*s, as a function of a rational s > 0.
 
@@ -271,17 +279,16 @@ def affine_sign(build: Callable[[], tuple], cap_digits: int | None = None
     def sign(s: Fraction) -> Comparison:
         if s <= 0:
             raise ValueError(f"affine_sign needs s > 0, got {s}")
-        return _ladder(lambda: at_this_precision(s.numerator, s.denominator),
-                       cap_digits)
+        return _ladder(lambda: at_this_precision(s.numerator, s.denominator))
 
     return sign
 
 
-def enclosure_str(pp: PowProd, logs: dict, digits: int = 20
-                  ) -> tuple[str, str]:
+def enclosure_str(pp: PowProd) -> tuple[str, str]:
     """Decimal endpoint strings of pp's enclosure, for reports.  It is made
     in the ladder's first round, which never returns None, so it reads the
-    logs (passed to PowProd.enclosure) that a verdict made there."""
-    x = _ladder(lambda: pp.enclosure(logs), None)
-    with mp.workdps(digits):
-        return mp.nstr(mpf(x.a.a), digits), mp.nstr(mpf(x.b.b), digits)
+    memoized logs that a verdict made there."""
+    x = _ladder(pp.enclosure)
+    with mp.workdps(_REPORT_DIGITS):
+        return (mp.nstr(mpf(x.a.a), _REPORT_DIGITS),
+                mp.nstr(mpf(x.b.b), _REPORT_DIGITS))

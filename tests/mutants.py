@@ -48,8 +48,8 @@ MUTANTS = (
      "    while 2 * dps <= cap:\n",
      [f"{_RIGOR}::test_every_verdict_climbs_the_one_ladder"]),
     ("ladder: report enclosed at the second precision", "rigor.py",
-     "x = _ladder(lambda: pp.enclosure(logs), None)",
-     "x = _ladder(lambda: pp.enclosure(logs) if iv.dps > 30 else None, None)",
+     "x = _ladder(pp.enclosure)",
+     "x = _ladder(lambda: pp.enclosure() if iv.dps > 30 else None)",
      [f"{_RIGOR}::test_enclosure_str_encloses_at_the_ladders_first_precision",
       "tests/test_certifier.py::test_certify_logs_once_per_base"]),
     ("ladder: the log-1 skip applied to every coefficient", "rigor.py",
@@ -69,6 +69,25 @@ MUTANTS = (
      "lo if k.bit_length() <= prec else",
      "lo if k.bit_length() <= 2 * prec else",
      [f"{_RIGOR}::test_iv_fraction_matches_quotient_of_iv_mpf"]),
+    ("ladder: the log memo keyed without the precision", "rigor.py",
+     "_iv_log(base.numerator, base.denominator, iv.prec)",
+     "_iv_log(base.numerator, base.denominator, 0)",
+     [f"{_RIGOR}::test_log_enclosure_computes_each_log_once_per_precision",
+      f"{_RIGOR}::test_tight_but_unequal_separates_with_escalation"]),
+    ("certify: an undecidable comparison certifies", "certifier.py",
+     "if verdict is Comparison.GREATER:",
+     "if verdict is not Comparison.LESS:",
+     ["tests/test_cli.py::test_certify_undecidable_at_the_cap_exit_3"]),
+    # the exact identity checks of the Pade systems
+    ("identity: PadeSystem._identity always holds", "pade.py",
+     "        return one_minus_z_pow(self.k) * self.Q == self.P - self._remainder()\n",
+     "        return True\n",
+     ["tests/test_pade.py::test_identity_check_sees_every_coefficient"]),
+    ("identity: starred_at_z0 always holds", "pade.py",
+     "return ev_p, ev_q, assembled, assembled == remainder",
+     "return ev_p, ev_q, assembled, True",
+     ["tests/test_decomposer.py::"
+      "test_z0_check_catches_every_single_coefficient_fault"]),
     # the p = 2 survey's jump between long runs of equal bits
     ("p = 2: g + 1 equal bits", "survey.py",
      "bits.find(c * g, lo, stop - 1)",

@@ -194,13 +194,15 @@ def test_criterion_09_decomposition_sweep():
     assert ok
 
 
-def test_criterion_10_certifier_behavior():
+def test_criterion_10_certifier_behavior(monkeypatch):
     cert = certify(76, 101, 1015, 3, F(1, 10), "5j")
     ok_cert = cert.status == "certified" and cert.M == 750
     small = certify(7, 2, 181, 15, F(1, 10), "5j")
     ok_small = small.status == "beta_too_small"
-    res1 = max_sigma(76, 101, 1015, 3, "5j", cap_digits=2000)
-    res2 = max_sigma(76, 101, 1015, 3, "5j", cap_digits=4000)
+    monkeypatch.setenv("RNLAB_PRECISION_CAP", "2000")
+    res1 = max_sigma(76, 101, 1015, 3, "5j")
+    monkeypatch.setenv("RNLAB_PRECISION_CAP", "4000")
+    res2 = max_sigma(76, 101, 1015, 3, "5j")
     ok_interval = (not res1.empty and res1.width() <= F(1, 10 ** 6)
                    and (res1.lo, res1.hi) == (res2.lo, res2.hi))
     # the informal sigma <= 0.14 is not reproduced; the certified maximum

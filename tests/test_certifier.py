@@ -165,15 +165,19 @@ def test_max_sigma_condition_at_014_holds_for_7j():
     assert rigorous_compare(thr, PowProd.of(995)) is Comparison.LESS
 
 
-def test_max_sigma_stable_under_doubled_precision():
-    res1 = max_sigma(76, 101, 1015, 3, "5j", cap_digits=2000)
-    res2 = max_sigma(76, 101, 1015, 3, "5j", cap_digits=4000)
+def test_max_sigma_stable_under_doubled_precision(monkeypatch):
+    monkeypatch.setenv("RNLAB_PRECISION_CAP", "2000")
+    res1 = max_sigma(76, 101, 1015, 3, "5j")
+    monkeypatch.setenv("RNLAB_PRECISION_CAP", "4000")
+    res2 = max_sigma(76, 101, 1015, 3, "5j")
     assert (res1.lo, res1.hi) == (res2.lo, res2.hi)
 
 
-def test_certify_verdict_stable_under_doubled_cap():
-    c1 = certify(76, 101, 1015, 3, F(1, 10), cap_digits=2000)
-    c2 = certify(76, 101, 1015, 3, F(1, 10), cap_digits=4000)
+def test_certify_verdict_stable_under_doubled_cap(monkeypatch):
+    monkeypatch.setenv("RNLAB_PRECISION_CAP", "2000")
+    c1 = certify(76, 101, 1015, 3, F(1, 10))
+    monkeypatch.setenv("RNLAB_PRECISION_CAP", "4000")
+    c2 = certify(76, 101, 1015, 3, F(1, 10))
     assert c1.status == c2.status == "certified"
 
 
@@ -403,7 +407,7 @@ def test_affine_condition_matches_rigorous_compare(inst, variant, step):
     # on a grid and at the enclosure ends and 1e-12 either side of them
     D, p, x0, n0 = inst
     var = VARIANTS[variant]
-    holds = _size_condition(D, p, n0, var, None)
+    holds = _size_condition(D, p, n0, var)
     sigmas = [F(i, 1000) for i in range(1, 847, step)]
     res = max_sigma(*inst, variant)
     if not res.empty:
@@ -431,3 +435,38 @@ def test_max_sigma_fine_width_agrees_with_rigorous_compare(monkeypatch, inst,
     assert max(dps_seen) > 30
     assert _oracle_holds(D, p, n0, res.lo, VARIANTS[variant])
     assert not _oracle_holds(D, p, n0, res.hi, VARIANTS[variant])
+
+
+def _certify_and_max_sigma_reports(capsys, inst) -> list:
+    # the JSON reports of certify at sigma = 1/10 and of max-sigma on inst
+    from rnlab.cli import main
+    args = ("--D", "--p", "--x0", "--n0")
+    args = [a for pair in zip(args, map(str, inst)) for a in pair]
+    reports = []
+    for argv in (["certify", *args, "--sigma", "1/10"], ["max-sigma", *args]):
+        main([*argv, "--format", "json"])
+        reports.append(capsys.readouterr().out)
+    return reports
+
+
+def test_log_memo_keeps_reports_and_logs_each_base_once(capsys, monkeypatch):
+    # the anchor, another instance, then the anchor again in one process:
+    # each report equals the one made first with an empty memo, and each
+    # log of a base at a precision is computed once for the whole sequence
+    from mpmath import iv
+
+    from rnlab.rigor import _iv_log
+    anchor, other = (76, 101, 1015, 3), (28, 37, 225, 3)
+    fresh = {}
+    for inst in (anchor, other):
+        _iv_log.cache_clear()
+        fresh[inst] = _certify_and_max_sigma_reports(capsys, inst)
+    _iv_log.cache_clear()
+    logged = []
+    real_log = iv.log
+    monkeypatch.setattr(
+        iv, "log", lambda x: logged.append((x._mpi_, iv.dps)) or real_log(x))
+    for inst in (anchor, other, anchor):
+        assert _certify_and_max_sigma_reports(capsys, inst) == fresh[inst], inst
+    # 101, 76, 37, 28 and 5j's C = 2008.832 (both instances), at 30 digits
+    assert len(set(logged)) == len(logged) == 5

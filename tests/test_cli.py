@@ -98,9 +98,8 @@ def test_certify_undecidable_at_the_cap_exit_3(capsys, monkeypatch):
             "--n0", "3", "--sigma", SIGMA_STAR)
     code, payload = run_json(capsys, *argv)
     assert (code, payload["status"]) == (0, "certified")
-    assert certify(76, 101, 1015, 3, sigma,
-                   cap_digits=30).status == "undecidable"
     monkeypatch.setenv("RNLAB_PRECISION_CAP", "30")
+    assert certify(76, 101, 1015, 3, sigma).status == "undecidable"
     code, payload = run_json(capsys, *argv)
     assert (code, payload["status"]) == (3, "undecidable")
 

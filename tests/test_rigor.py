@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv, mp
 
-from rnlab.rigor import (Comparison, PowProd, affine_sign, decide,
+from rnlab.rigor import (Comparison, PowProd, _iv_log, affine_sign, decide,
                          enclosure_str, iv_fraction, iv_pow, rigorous_compare)
 
 F = Fraction
@@ -18,12 +18,13 @@ def test_exact_fast_path_never_escalates():
     assert rigorous_compare(big, other) is Comparison.LESS
 
 
-def test_transcendentally_equal_is_undecidable_at_cap():
+def test_transcendentally_equal_is_undecidable_at_cap(monkeypatch):
     # 2^(1/2) and 8^(1/6) are the same real number; the enclosures can
     # never separate, so the comparison must stop at the cap
+    monkeypatch.setenv("RNLAB_PRECISION_CAP", "200")
     lhs = PowProd.of(1, (F(2), F(1, 2)))
     rhs = PowProd.of(1, (F(8), F(1, 6)))
-    assert rigorous_compare(lhs, rhs, cap_digits=200) is Comparison.UNDECIDABLE
+    assert rigorous_compare(lhs, rhs) is Comparison.UNDECIDABLE
 
 
 def test_tight_but_unequal_separates_with_escalation():
@@ -32,6 +33,25 @@ def test_tight_but_unequal_separates_with_escalation():
     approx = F("1.41421356237309504880168872420")
     lhs = PowProd.of(1, (F(2), F(1, 2)))
     assert rigorous_compare(lhs, PowProd.of(approx)) is Comparison.GREATER
+
+
+def test_a_cap_below_30_digits_means_30(monkeypatch):
+    # the ladder always starts at 30 digits: under a cap of 10 a comparison
+    # that needs more is UNDECIDABLE after exactly one round, at 30
+    approx = F("1.414213562373095048801688724209698078569")  # 40 digits
+    seen = []
+
+    def sqrt2():
+        seen.append(iv.dps)
+        return iv.sqrt(iv.mpf(2))
+
+    monkeypatch.setenv("RNLAB_PRECISION_CAP", "10")
+    assert decide(sqrt2, lambda: iv_fraction(approx)) is Comparison.UNDECIDABLE
+    assert seen == [30]
+    monkeypatch.delenv("RNLAB_PRECISION_CAP")
+    seen.clear()
+    assert decide(sqrt2, lambda: iv_fraction(approx)) is Comparison.GREATER
+    assert seen == [30, 60]
 
 
 def test_powprod_as_fraction():
@@ -57,20 +77,22 @@ def test_log_domain_agrees_with_linear_domain(lhs, rhs, digits, flip):
     elif digits is not None:
         rhs = PowProd(lhs.coeff * (1 + F(1 if flip else -1, 10 ** digits)),
                       lhs.factors)
-    cap = 120
-    log_verdict = rigorous_compare(lhs, rhs, cap)
-    # the linear-domain reference: enclosures of the products themselves
-    lin_verdict = decide(lhs.enclosure, rhs.enclosure, cap)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("RNLAB_PRECISION_CAP", "120")
+        log_verdict = rigorous_compare(lhs, rhs)
+        # the linear-domain reference: enclosures of the products themselves
+        lin_verdict = decide(lhs.enclosure, rhs.enclosure)
     decided = {Comparison.LESS, Comparison.GREATER}
     if log_verdict in decided and lin_verdict in decided:
         assert log_verdict is lin_verdict
 
 
-def test_log_domain_equal_products_stay_undecidable():
-    # 2^(1/2) * 3^(2/3) against 8^(1/6) * 9^(1/3) at the full default cap
+def test_log_domain_equal_products_stay_undecidable(monkeypatch):
+    # 2^(1/2) * 3^(2/3) against 8^(1/6) * 9^(1/3) under a cap of 400 digits
+    monkeypatch.setenv("RNLAB_PRECISION_CAP", "400")
     lhs = PowProd.of(1, (F(2), F(1, 2)), (F(3), F(2, 3)))
     rhs = PowProd.of(1, (F(8), F(1, 6)), (F(9), F(1, 3)))
-    assert rigorous_compare(lhs, rhs, cap_digits=400) is Comparison.UNDECIDABLE
+    assert rigorous_compare(lhs, rhs) is Comparison.UNDECIDABLE
 
 
 @pytest.mark.parametrize("base", [F(0), F(-2), F(-1, 3)])
@@ -99,7 +121,6 @@ def test_log_enclosure_computes_each_log_once_per_precision(monkeypatch):
         return real_log(x)
 
     monkeypatch.setattr(iv, "log", counting_log)
-    logs = {}
     pp = PowProd.of(3, (F(101), F(3, 2)), (F(76), F(7, 9)))
     with mp.workdps(100):
         exact = mp.log(3) + 1.5 * mp.log(101) + mp.mpf(7) / 9 * mp.log(76)
@@ -107,11 +128,12 @@ def test_log_enclosure_computes_each_log_once_per_precision(monkeypatch):
     try:
         for dps in (30, 30, 60):
             iv.dps = dps
-            assert exact in pp.log_enclosure(logs)
+            assert exact in pp.log_enclosure()
     finally:
         iv.dps = saved
+    # the logs of 3, 101 and 76 at 30 digits, read again, then at 60
     assert calls == [30, 30, 30, 60, 60, 60]
-    assert set(logs) == {(b, d) for b in (F(3), F(101), F(76)) for d in (30, 60)}
+    assert _iv_log.cache_info().currsize == 6
 
 
 def _sqrt2_affine():
@@ -148,19 +170,21 @@ def test_affine_sign_escalates_once_per_precision():
     assert builds == [30, 60]
 
 
-def test_affine_sign_undecidable_at_cap():
+def test_affine_sign_undecidable_at_cap(monkeypatch):
     # gamma*s + alpha with alpha = -gamma/3 (as reals) vanishes at s = 1/3
     def build():
         third = iv.log(iv.mpf(3)) / 3
         return -third, iv.log(iv.mpf(3))
 
-    sign = affine_sign(build, cap_digits=120)
+    monkeypatch.setenv("RNLAB_PRECISION_CAP", "120")
+    sign = affine_sign(build)
     assert sign(F(1, 3)) is Comparison.UNDECIDABLE
     assert sign(F(1, 2)) is Comparison.GREATER
 
 
-def test_affine_sign_non_finite_enclosure_is_undecidable():
-    sign = affine_sign(lambda: (iv.mpf([1, "inf"]), iv.mpf(1)), cap_digits=60)
+def test_affine_sign_non_finite_enclosure_is_undecidable(monkeypatch):
+    monkeypatch.setenv("RNLAB_PRECISION_CAP", "60")
+    sign = affine_sign(lambda: (iv.mpf([1, "inf"]), iv.mpf(1)))
     assert sign(F(1, 2)) is Comparison.UNDECIDABLE
 
 
@@ -178,8 +202,9 @@ def test_affine_sign_agrees_with_exact_rationals(a, g, neg_a, neg_g, s):
     # alpha + gamma*s never separates
     alpha, gamma = (-a if neg_a else a), (-g if neg_g else g)
     exact = alpha + gamma * s
-    sign = affine_sign(lambda: (iv_fraction(alpha), iv_fraction(gamma)),
-                       cap_digits=60)(s)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("RNLAB_PRECISION_CAP", "60")
+        sign = affine_sign(lambda: (iv_fraction(alpha), iv_fraction(gamma)))(s)
     if exact > 0:
         assert sign is Comparison.GREATER
     elif exact < 0:
@@ -215,12 +240,14 @@ def test_every_verdict_climbs_the_one_ladder(monkeypatch):
     assert seen == _LADDER_200
     assert iv.dps == ambient
 
-    logs = {}
+    logged = []
+    real_log = iv.log
+    monkeypatch.setattr(
+        iv, "log", lambda x: logged.append((float(x.a), iv.dps)) or real_log(x))
     lhs = PowProd.of(1, (F(2), F(1, 2)))
     rhs = PowProd.of(1, (F(8), F(1, 6)))
-    assert rigorous_compare(lhs, rhs, logs=logs) is Comparison.UNDECIDABLE
-    assert list(logs) == [(base, dps) for dps in _LADDER_200
-                          for base in (F(2), F(8))]
+    assert rigorous_compare(lhs, rhs) is Comparison.UNDECIDABLE
+    assert logged == [(base, dps) for dps in _LADDER_200 for base in (2, 8)]
     assert iv.dps == ambient
 
 
@@ -243,12 +270,15 @@ def test_ladder_restores_precision_when_a_builder_raises():
     assert iv.dps == ambient
 
 
-def test_enclosure_str_encloses_at_the_ladders_first_precision():
+def test_enclosure_str_encloses_at_the_ladders_first_precision(monkeypatch):
     # the report reads the logs a verdict made in its first round
     ambient = iv.dps
-    logs = {}
-    lo, hi = enclosure_str(PowProd.of(3, (F(2), F(1, 3))), logs)
-    assert list(logs) == [(F(2), 30)]
+    logged = []
+    real_log = iv.log
+    monkeypatch.setattr(
+        iv, "log", lambda x: logged.append((float(x.a), iv.dps)) or real_log(x))
+    lo, hi = enclosure_str(PowProd.of(3, (F(2), F(1, 3))))
+    assert logged == [(2, 30)]
     assert iv.dps == ambient
     # 20 significant digits, each endpoint rounded to nearest
     assert lo == hi == "3.7797631496846194943"
