@@ -11,10 +11,22 @@ One builder, _general_triple, gives every triple (P, Q, E) with
   positive coefficients and P - (1-z)^k Q = (-1)^r z^(2r+1) E.
 
 Both public builders re-verify the identity before a system is handed
-out: (1-z)^k Q, one product, must equal P - sign z^(A+C+1) E, and the
-verdict is cached.  cross_constant reads the constant of two verified
-systems off their identities with no product.  The audit checks its
-systems at z0 instead (see rnlab.decomposer).
+out: (1-z)^k Q, one product, must equal T = P - sign z^(A+C+1) E, and the
+verdict is cached.  Where that product is made at four points (see
+below), it is formed on operands divided by the content c of Q:
+(1-z)^k Q = T holds if and only if c divides every coefficient of T and
+(1-z)^k (Q/c) = T/c.  If the identity holds, T is c times the integer
+polynomial (1-z)^k (Q/c), so c divides T, and dividing both sides by c
+gives the second equation; conversely, multiplying the second equation
+by c gives back the first.  (Q = 0 has c = 0 and is never divided.)  A
+coefficient of T that c does not divide thus decides False with no
+product, and normalize reads the starred P, Q and E off the same
+division.  The content of the diagonal Q at g = 0 is 58 of its 278 bits
+at j = 32 and 111 of 526 at j = 60.  Below the four-point cutoff the
+division costs about what it saves, and Q itself is multiplied.
+cross_constant reads the constant of two verified systems off their
+identities with no product.  The audit checks its systems at z0 instead
+(see rnlab.decomposer).
 
 Each coefficient sequence is a product of two binomials, a hypergeometric
 term: t_(i+1)/t_i is a rational function of i (Petkovsek, Wilf and
@@ -28,7 +40,23 @@ byte-aligned slots of w bits chosen so that w exceeds the bit length of
 the largest possible product coefficient plus a sign bit; one big-integer
 product then holds every coefficient of the product polynomial in its own
 slot, and a bias of 2^(w-1) per slot lets each be read back independently.
-The work is one CPython big-integer multiplication plus linear passes.
+
+Above a size cutoff the product c = a b is made at four points instead of
+one (multipoint Kronecker substitution: Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", J. Symb. Comput.
+2009; Gaussian points as in Schoenhage 1982).  Split a into its
+coefficient classes mod 4, a(y) = sum_r y^r A_r(y^4), r = 0..3, and let x
+= 2^(w/4), so that x^4 = 2^w.  Each A_r(2^w) is one packing at slot width
+w, of a quarter of the coefficients, and a(x), a(-x) and a(ix) = a(-ix)
+conjugated are those four packings joined by shifts of multiples of w/4.
+The values c(x) = a(x) b(x) and c(-x) take two integer products of a
+quarter of the one-point size, and the Gaussian c(ix) three (the real
+part rr - ii and the cross term (ar + ai)(br + bi) - rr - ii).  A size-4
+DFT with exact halvings gives x^r C_r(2^w) for each class r, and C_r reads
+back at slot width w as before.  Five products of a quarter size cost
+about 5 / 4^1.585 = 0.56 of one under CPython's Karatsuba.  Below the
+cutoff (_FOUR_POINT_BITS) the eight packings and four read-backs cost
+more than that saves, and the one-point product stays.
 
 eval_at_z0 computes beta^d f(lambda/beta) = sum c_i lambda^i beta^(d-i) in
 the quadratic ring by binary splitting: the partial sum T(lo, hi) over the
@@ -38,7 +66,10 @@ halves have about equal sizes, so the work is O(M(S) log d) for a result
 of S bits, against Theta(d S) for Horner's rule (Bernstein, "Fast
 multiplication and its applications", 2008).  The splits use only about
 two lengths per level, and the beta and lambda powers of those lengths
-are memoized per call.  Values travel as numerator pairs (u, v) of
+are memoized per call.  A range of at most _HORNER_RUN coefficients is
+summed by Horner's rule, times beta per step, with its lambda powers
+memoized too: there the operands are small, and a product by beta costs
+less than a split.  Values travel as numerator pairs (u, v) of
 (u + v sqrt(-D))/2, and one validated QuadInt is built at the end.
 
 starred_at_z0 is the one place that assembles beta^k P*(z0) - conj(beta)^k
@@ -99,6 +130,72 @@ def _pack(coeffs, width: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
+def _unpack(packed: int, n: int, width: int) -> list[int]:
+    """The n signed coefficients of a packing at slot width 8*width bits,
+    each of absolute value below 2^(8*width - 1)."""
+    # add 2^(8*width - 1) to every slot so that each slot is a
+    # nonnegative integer below 2^(8*width) and reads back on its own
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    raw = (packed + bias).to_bytes(n * width, "little")
+    return [int.from_bytes(raw[i:i + width], "little") - half
+            for i in range(0, n * width, width)]
+
+
+# The four-point product pays once the smaller factor packs into about
+# 12 000 bits.  Measured on CPython 3.11 (2 cores), the two products tie
+# within 10% at 12 000-13 600 bits, for balanced factors of 4 to 100
+# coefficients alike; from 18 000 bits on the four-point one is 1.2 to 1.9
+# times faster, for lopsided factors (300 x 3 to 2000 x 30) too.  Below
+# the cutoff its eight packings and four read-backs cost more than the
+# quarter-size products save, as below CPython's own Karatsuba cutoff.
+_FOUR_POINT_BITS = 12_000
+
+
+def _layout(a, b) -> tuple[int, bool]:
+    """(width, four_points) for the product of the nonempty coefficient
+    sequences a and b: the slot width in bytes, and whether the product is
+    made at four points."""
+    # |product coefficient| <= min(len) * max|a| * max|b| < 2^(bits - 2),
+    # which leaves the slot a spare bit and a sign bit
+    shorter = min(len(a), len(b))
+    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+            + shorter.bit_length() + 2)
+    width = (bits + 7) // 8
+    return width, shorter * 8 * width >= _FOUR_POINT_BITS
+
+
+def _four_point(a, b, width: int, n: int) -> list[int]:
+    """The n coefficients of a*b from its values at x, -x, ix and -ix,
+    x = 2^(2*width) (see the module docstring)."""
+    q = 2 * width  # x = 2^q, and x^4 = 2^(8*width) is the slot base
+
+    def values(cs):
+        # a(x), a(-x), and the real and imaginary parts of a(ix)
+        c0, c1, c2, c3 = (_pack(cs[r::4], width) for r in range(4))
+        even, odd = c0 + (c2 << 2 * q), (c1 << q) + (c3 << 3 * q)
+        return (even + odd, even - odd, c0 - (c2 << 2 * q),
+                (c1 << q) - (c3 << 3 * q))
+
+    ap, am, ar, ai = values(a)
+    bp, bm, br, bi = values(b)
+    plus, minus = ap * bp, am * bm
+    # c(ix) = (ar + i ai)(br + i bi) by three products
+    rr, ii = ar * br, ai * bi
+    re, im = rr - ii, (ar + ai) * (br + bi) - rr - ii
+    # size-4 DFT: c(x) + c(-x) = 2 (C0 + x^2 C2), c(x) - c(-x) = 2 (x C1 +
+    # x^3 C3), c(ix) = C0 - x^2 C2 + i (x C1 - x^3 C3); every halving and
+    # every shift by a power of x below is exact
+    even, odd = (plus + minus) >> 1, (plus - minus) >> 1
+    classes = ((even + re) >> 1, (odd + im) >> (1 + q),
+               (even - re) >> (1 + 2 * q), (odd - im) >> (1 + 3 * q))
+    out = [0] * n
+    for r, packed in enumerate(classes):
+        if r < n:
+            out[r::4] = _unpack(packed, (n - r + 3) // 4, width)
+    return out
+
+
 class IntPolynomial:
     """Dense polynomial with exact integer coefficients, index i <-> z^i."""
 
@@ -152,28 +249,20 @@ class IntPolynomial:
         return IntPolynomial._of([-c for c in self.coeffs])
 
     def __mul__(self, other: IntPolynomial | int) -> IntPolynomial:
-        """Product by Kronecker substitution (see the module docstring);
-        a scalar multiplies each coefficient."""
+        """Product by Kronecker substitution at one point, or at four
+        above _FOUR_POINT_BITS (see the module docstring); a scalar
+        multiplies each coefficient."""
         if isinstance(other, int):
             return IntPolynomial(c * other for c in self.coeffs)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPolynomial.zero()
-        # |product coefficient| <= min(len) * max|a| * max|b| < 2^(bits - 2),
-        # which leaves the slot a spare bit and a sign bit
-        bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-                + min(len(a), len(b)).bit_length() + 2)
-        width = (bits + 7) // 8  # slot width in bytes
+        width, four_points = _layout(a, b)
         n = len(a) + len(b) - 1
-        packed = _pack(a, width) * _pack(b, width)
-        # add 2^(8*width - 1) to every slot so that each slot is a
-        # nonnegative integer below 2^(8*width) and reads back on its own
-        half = 1 << (8 * width - 1)
-        bias = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
-        raw = (packed + bias).to_bytes(n * width, "little")
+        if four_points:
+            return IntPolynomial._of(_four_point(a, b, width, n))
         return IntPolynomial._of(
-            [int.from_bytes(raw[i:i + width], "little") - half
-             for i in range(0, n * width, width)])
+            _unpack(_pack(a, width) * _pack(b, width), n, width))
 
     __rmul__ = __mul__
 
@@ -303,12 +392,30 @@ class PadeSystem:
         return self.P - one_minus_z_pow(self.k) * self.Q - self._remainder()
 
     @cached_property
+    def _content_divided(self):
+        """(c, Q/c, T/c) for c = content(Q) and T = P - sign z^(A+C+1) E,
+        with T/c None when c does not divide every coefficient of T.
+        Q = 0 gives c = 0, and c <= 1 leaves Q and T as they are."""
+        c, T = self.Q.content(), self.P - self._remainder()
+        if c <= 1:
+            return c, self.Q, T
+        return c, self.Q.exact_scalar_div(c), T.exact_scalar_div(c)
+
+    @cached_property
     def _identity(self) -> bool:
-        return one_minus_z_pow(self.k) * self.Q == self.P - self._remainder()
+        # (1-z)^k Q = T holds iff c divides T and (1-z)^k (Q/c) = T/c (see
+        # the module docstring)
+        power = one_minus_z_pow(self.k)
+        if self.Q.coeffs and _layout(power.coeffs, self.Q.coeffs)[1]:
+            _, q, t = self._content_divided
+        else:
+            q, t = self.Q, self.P - self._remainder()
+        return t is not None and power * q == t
 
     def identity_holds(self) -> bool:
         """Whether (1-z)^k Q = P - sign z^(A+C+1) E, decided once per
-        system by one product."""
+        system by one product, on operands divided by content(Q) where
+        the product is made at four points."""
         return self._identity
 
 
@@ -404,9 +511,19 @@ def normalize(sys: PadeSystem) -> PadeSystem:
         raise ValueError("only diagonal systems are normalized")
     if sys.starred:
         return sys
-    c = sys.Q.content()
+    c, qc, tc = sys._content_divided  # shared with the identity check
     if c == 1:
         return sys
+    m = sys.remainder_degree()
+    if c > 1 and tc is not None and sys.P.degree < m:
+        # T = P - sign z^m E with deg P < m: T/c holds P/c below z^m and
+        # -sign E/c from z^m on
+        sign = sys.identity_sign()
+        P = IntPolynomial._of(list(tc.coeffs[:m]))
+        E = IntPolynomial._of([-sign * e for e in tc.coeffs[m:]])
+        return replace(sys, content=c, P=P, Q=qc, E=E)
+    # c does not divide T (a ContentViolationError below names P or E),
+    # P reaches z^m, or Q = 0 (c = 0 raises ZeroDivisionError)
     parts = {}
     for name in ("P", "Q", "E"):
         parts[name] = getattr(sys, name).exact_scalar_div(c)
@@ -481,6 +598,14 @@ def _power_table(x: tuple[int, int], D: int):
     return power
 
 
+# eval_at_z0 sums each range of at most this many coefficients by Horner's
+# rule.  Against splitting down to single coefficients, 16 cut the six
+# evaluations of an audit of (76, 101, 1015, 3) by 28-31% at n = 300 to
+# 3600 (CPython 3.11, 2 cores); 8 gained 2-4 points less, and 32 as much
+# as 16 within 4%.
+_HORNER_RUN = 16
+
+
 def eval_at_z0(poly: IntPolynomial, beta: QuadInt, deg_scale: int,
                lam: QuadInt) -> QuadInt:
     """beta^deg_scale * poly(lambda/beta), computed exactly as a QuadInt.
@@ -498,13 +623,18 @@ def eval_at_z0(poly: IntPolynomial, beta: QuadInt, deg_scale: int,
     cs = poly.coeffs
     if not cs:
         return QuadInt.from_int(0, D)
-    beta_pow = _power_table((beta.u, beta.v), D)
+    b = (beta.u, beta.v)
+    beta_pow = _power_table(b, D)
     lam_pow = _power_table((lam.u, lam.v), D)
 
     def split(lo: int, hi: int) -> tuple[int, int]:
         # sum of c_i lambda^(i-lo) beta^(hi-1-i) over lo <= i < hi
-        if hi - lo == 1:
-            return 2 * cs[lo], 0
+        if hi - lo <= _HORNER_RUN:
+            u, v = 2 * cs[lo], 0
+            for i in range(lo + 1, hi):
+                (u, v), (lu, lv) = _qmul((u, v), b, D), lam_pow(i - lo)
+                u, v = u + cs[i] * lu, v + cs[i] * lv
+            return u, v
         mid = (lo + hi) // 2
         lu, lv = _qmul(split(lo, mid), beta_pow(hi - mid), D)
         ru, rv = _qmul(lam_pow(mid - lo), split(mid, hi), D)

@@ -246,6 +246,19 @@ def _scaled_value(alpha: tuple[int, int], gamma: tuple[int, int],
     return (ma * v << (ea - e)) + (mg * u << (eg - e))
 
 
+def _affine_verdict(ends: list | None, u: int, v: int) -> Comparison | None:
+    """The sign of alpha*v + gamma*u that the exact dyadic ends (alpha lo,
+    alpha hi, gamma lo, gamma hi) prove, or None; u, v > 0."""
+    if ends is None:
+        return None
+    a_lo, a_hi, g_lo, g_hi = ends
+    if _scaled_value(a_lo, g_lo, u, v) > 0:
+        return Comparison.GREATER
+    if _scaled_value(a_hi, g_hi, u, v) < 0:
+        return Comparison.LESS
+    return None
+
+
 def affine_sign(build: Callable[[], tuple]
                 ) -> Callable[[Fraction], Comparison]:
     """The sign of alpha + gamma*s, as a function of a rational s > 0.
@@ -257,6 +270,8 @@ def affine_sign(build: Callable[[], tuple]
     its value at the lower (upper) endpoints, an exact integer after
     scaling, proves GREATER when positive (LESS when negative).  Otherwise
     the next precision is tried, and UNDECIDABLE is returned after the cap.
+    A call that the cached ends of the first round decide returns their
+    verdict without entering the ladder.
     """
     # iv.dps -> exact (alpha lo, alpha hi, gamma lo, gamma hi), or None
     enclosures: dict[int, list | None] = {}
@@ -266,20 +281,18 @@ def affine_sign(build: Callable[[], tuple]
         if dps not in enclosures:
             ends = [_dyadic(e) for x in build() for e in x._mpi_]
             enclosures[dps] = None if None in ends else ends
-        ends = enclosures[dps]
-        if ends is None:
-            return None
-        a_lo, a_hi, g_lo, g_hi = ends
-        if _scaled_value(a_lo, g_lo, u, v) > 0:
-            return Comparison.GREATER
-        if _scaled_value(a_hi, g_hi, u, v) < 0:
-            return Comparison.LESS
-        return None
+        return _affine_verdict(enclosures[dps], u, v)
 
     def sign(s: Fraction) -> Comparison:
         if s <= 0:
             raise ValueError(f"affine_sign needs s > 0, got {s}")
-        return _ladder(lambda: at_this_precision(s.numerator, s.denominator))
+        u, v = s.numerator, s.denominator
+        # the ends cached by the ladder's first round settle most calls,
+        # with no change of precision
+        verdict = _affine_verdict(enclosures.get(_START_DPS), u, v)
+        if verdict is not None:
+            return verdict
+        return _ladder(lambda: at_this_precision(u, v))
 
     return sign
 

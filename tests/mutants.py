@@ -34,6 +34,7 @@ SRC = os.path.join(ROOT, "src")
 TIMEOUT_S = 120
 
 _RIGOR = "tests/test_rigor.py"
+_PADE = "tests/test_pade.py"
 _WALK = "tests/test_survey_two.py::test_jumps_decide_the_walked_records"
 
 MUTANTS = (
@@ -80,14 +81,29 @@ MUTANTS = (
      ["tests/test_cli.py::test_certify_undecidable_at_the_cap_exit_3"]),
     # the exact identity checks of the Pade systems
     ("identity: PadeSystem._identity always holds", "pade.py",
-     "        return one_minus_z_pow(self.k) * self.Q == self.P - self._remainder()\n",
+     "        return t is not None and power * q == t\n",
      "        return True\n",
      ["tests/test_pade.py::test_identity_check_sees_every_coefficient"]),
+    ("identity: divisibility of T by content(Q) not checked", "pade.py",
+     "T.exact_scalar_div(c)",
+     "IntPolynomial._of([t // c for t in T.coeffs])",
+     [f"{_PADE}::test_identity_check_on_content_divided_operands"]),
     ("identity: starred_at_z0 always holds", "pade.py",
      "return ev_p, ev_q, assembled, assembled == remainder",
      "return ev_p, ev_q, assembled, True",
      ["tests/test_decomposer.py::"
       "test_z0_check_catches_every_single_coefficient_fault"]),
+    # the four-point Kronecker product
+    ("product: the quarter shift one byte short", "pade.py",
+     "    q = 2 * width  # x = 2^q",
+     "    q = 2 * width - 8  # x = 2^q",
+     [f"{_PADE}::test_mul_every_length_mod_4",
+      f"{_PADE}::test_mul_diagonal_identity_products_match_one_point"]),
+    ("product: the Gaussian cross term without its - ii", "pade.py",
+     "(ar + ai) * (br + bi) - rr - ii",
+     "(ar + ai) * (br + bi) - rr",
+     [f"{_PADE}::test_mul_every_length_mod_4",
+      f"{_PADE}::test_mul_diagonal_identity_products_match_one_point"]),
     # the p = 2 survey's jump between long runs of equal bits
     ("p = 2: g + 1 equal bits", "survey.py",
      "bits.find(c * g, lo, stop - 1)",

@@ -189,6 +189,119 @@ def test_mul_worst_case_carries(bits, n, sign):
         assert a * b == _schoolbook(a, b)
 
 
+# the four-point product above pade._FOUR_POINT_BITS against the one-point
+# product below it, kept here as the oracle
+
+
+def _one_point(a, b):
+    """a * b by one Kronecker product at 2^(8*width), whatever the size."""
+    if a.is_zero() or b.is_zero():
+        return IntPolynomial.zero()
+    a, b = a.coeffs, b.coeffs
+    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+            + min(len(a), len(b)).bit_length() + 2)
+    width = (bits + 7) // 8
+    n = len(a) + len(b) - 1
+    packed = pade._pack(a, width) * pade._pack(b, width)
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    raw = (packed + bias).to_bytes(n * width, "little")
+    return IntPolynomial([int.from_bytes(raw[i:i + width], "little") - half
+                          for i in range(0, n * width, width)])
+
+
+@pytest.fixture
+def four_point_calls(monkeypatch):
+    """The number of products that took the four-point path, as a list
+    that grows by one per call."""
+    calls = []
+    real = pade._four_point
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(pade, "_four_point", spy)
+    return calls
+
+
+def _pair(rng, la, lb, bits, zeros=False):
+    """Two polynomials of la and lb signed coefficients in [-2^bits, 2^bits],
+    each led by 2^bits (so that the slot width is known), with extreme
+    values and zeros drawn often when asked."""
+    top = 2 ** bits
+
+    def poly(n):
+        cs = [rng.choice((top, -top, top - 1, 1 - top, 0))
+              if zeros and rng.random() < 0.3 else rng.randint(-top, top)
+              for _ in range(n - 1)]
+        return IntPolynomial(cs + [top])
+
+    return poly(la), poly(lb)
+
+
+@given(_polys(max_len=300, max_bits=300), _polys(max_len=300, max_bits=300))
+@example(IntPolynomial([2 ** 300] * 300), IntPolynomial([-2 ** 300] * 300))
+@settings(max_examples=40, deadline=None)
+def test_mul_matches_schoolbook_across_the_cutoff(a, b):
+    assert a * b == _schoolbook(a, b) == b * a
+
+
+@pytest.mark.parametrize("la", (1, 2, 3, 4, 5, 97, 98, 99, 100))
+@pytest.mark.parametrize("lb", (1, 2, 3, 4, 61, 62))
+def test_mul_every_length_mod_4(la, lb, four_point_calls):
+    # coefficients large enough that every pair takes the four-point path:
+    # product lengths of every residue mod 4, classes that are empty too
+    rng = random.Random(la * 1000 + lb)
+    a, b = _pair(rng, la, lb, 6000 // min(la, lb), zeros=True)
+    assert a * b == _one_point(a, b) == b * a
+    assert len(four_point_calls) == 2
+
+
+@pytest.mark.parametrize("la,lb", [(300, 1), (300, 3), (2000, 7), (500, 30),
+                                   (64, 60)])
+def test_mul_lopsided_on_both_sides_of_the_cutoff(la, lb, four_point_calls):
+    # the same shapes just below and just above the cutoff, which counts
+    # the bits of the shorter factor's packing
+    rng = random.Random(la + lb)
+    for bits, four in ((pade._FOUR_POINT_BITS // (2 * lb) - 16, 0),
+                       (pade._FOUR_POINT_BITS // (2 * lb) + 8, 1)):
+        a, b = _pair(rng, la, lb, max(bits, 1))
+        four_point_calls.clear()
+        assert a * b == _schoolbook(a, b), (bits, four)
+        assert len(four_point_calls) == four, (bits, four)
+
+
+@pytest.mark.parametrize("bits,n", [(23, 255), (6, 1023), (1000, 7),
+                                    (700, 31), (64, 255)])
+@pytest.mark.parametrize("sign", (1, -1))
+def test_mul_worst_case_carries_at_the_slot_bound(bits, n, sign,
+                                                  four_point_calls):
+    # equal-signed maximal coefficients above the cutoff: the middle
+    # coefficient n top^2 is the largest any slot holds, and at (23, 255)
+    # and (6, 1023) with top = 2^bits - 1 the slot bound is a whole number
+    # of bytes, so the slot has no bit to spare beyond it
+    for top in (2 ** bits, 2 ** bits - 1):
+        a = IntPolynomial([sign * top] * n)
+        b = IntPolynomial([top] * n)
+        expected = [sign * top * top * min(i + 1, n, 2 * n - 1 - i)
+                    for i in range(2 * n - 1)]
+        assert (a * b).coeffs == tuple(expected)
+    assert len(four_point_calls) == 2
+
+
+def test_mul_diagonal_identity_products_match_one_point(four_point_calls):
+    # (1-z)^(5j) Q and (1-z)^(5j) Q/c of every diagonal system with j <= 60
+    for j in range(1, 61):
+        for g in (0, 1):
+            sys = pade._unverified_diagonal(j, g)
+            power = one_minus_z_pow(sys.k)
+            starred_q = sys.Q.exact_scalar_div(sys.Q.content())
+            for q in (sys.Q, starred_q):
+                assert power * q == _one_point(power, q), (j, g)
+    assert four_point_calls  # the products with the raw Q from j = 15 on
+
+
 def test_mul_zero_and_scalar():
     a = IntPolynomial([3, 0, -5])
     assert a * IntPolynomial.zero() == IntPolynomial.zero() * a == IntPolynomial()
@@ -225,6 +338,75 @@ def test_identity_check_sees_every_coefficient(g):
             bent[i] += delta
             mutant = replace(sys, **{name: IntPolynomial(bent)})
             assert not mutant.identity_holds(), (name, i, delta)
+
+
+def _bent(sys, name, i, delta):
+    coeffs = list(getattr(sys, name).coeffs)
+    coeffs[i] += delta
+    return replace(sys, **{name: IntPolynomial(coeffs)})
+
+
+@pytest.mark.parametrize("j,g", [(40, 0), (60, 1)])
+def test_identity_check_on_content_divided_operands(j, g):
+    # c = content(Q) > 1 must divide T = P - sign z^m E: off by one in a
+    # coefficient of P or E, it does not, and the check says False with no
+    # product; off by c, it does, and the product says False
+    sys = build_diagonal(j, g)
+    c, qc, tc = sys._content_divided
+    assert c == content(j, g) > 1 and qc == normalize(sys).Q
+    cases = 0
+    for name in ("P", "E"):
+        size = len(getattr(sys, name).coeffs)
+        for i in (0, size // 2, size - 1):
+            for delta in (1, -1, c, -c):
+                bent = _bent(sys, name, i, delta)
+                assert bent._content_divided[0] == c
+                assert (bent._content_divided[2] is None) == (abs(delta) == 1)
+                assert not bent.identity_holds(), (name, i, delta)
+                assert not _direct_defect(bent).is_zero()
+                cases += 1
+    assert cases == 24
+
+
+def test_identity_check_with_zero_q():
+    # Q = 0 has content 0: the identity is 0 = P - sign z^m E, decided
+    # without a division
+    sys = build_diagonal(3, 0)
+    zero = IntPolynomial.zero()
+    no_q = replace(sys, Q=zero)
+    assert no_q._content_divided[0] == 0
+    assert not no_q.identity_holds()
+    assert replace(sys, P=zero, Q=zero, E=zero).identity_holds()
+    # P = sign z^m E holds it with Q = 0
+    assert replace(no_q, P=sys._remainder()).identity_holds()
+    with pytest.raises(ZeroDivisionError):
+        normalize(no_q)
+
+
+def test_normalize_reads_the_identity_checks_division():
+    # where build_diagonal's check multiplies at four points (j >= 15) it
+    # divides by c, and normalize takes P/c, Q/c and E/c from the cached
+    # T/c; below, the check multiplies Q itself and normalize divides.
+    # Either way each part equals its coefficient-wise division
+    for j, g in ((1, 1), (12, 0), (14, 1), (15, 0), (33, 1), (60, 0)):
+        sys = build_diagonal(j, g)
+        assert ("_content_divided" in vars(sys)) == (j >= 15), (j, g)
+        starred = normalize(sys)
+        c = sys.Q.content()
+        assert starred.content == c
+        for name in ("P", "Q", "E"):
+            assert (getattr(starred, name)
+                    == getattr(sys, name).exact_scalar_div(c)), (j, g, name)
+    # a P that reaches z^m cannot be read off T/c: each part is divided
+    sys = build_diagonal(3, 0)
+    long_p = replace(sys, P=sys.P + IntPolynomial.monomial(
+        content(3, 0), sys.remainder_degree()))
+    assert (normalize(long_p).P
+            == long_p.P.exact_scalar_div(content(3, 0)))
+    with pytest.raises(pade.ContentViolationError, match="divide E"):
+        normalize(_bent(sys, "E", 0, 1))
+    with pytest.raises(pade.ContentViolationError, match="divide P"):
+        normalize(_bent(sys, "P", 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +817,25 @@ def test_eval_matches_horner_oracle(beta):
     other = QuadInt.half(3, 1, 7) if beta.u % 2 else QuadInt.of(5, -2, 76)
     assert (eval_at_z0(poly, beta, 60, other)
             == _horner_eval_at_z0(poly, beta, 60, other))
+
+
+@pytest.mark.parametrize("beta", [BETA76, QuadInt.half(181, 1, 7)],
+                         ids=["integral", "halved"])
+def test_eval_horner_runs_match_a_direct_sum(beta):
+    # degrees 0 to 3 L cover one Horner run, runs of every length up to L
+    # at the leaves of one split, and splits two levels deep
+    run = pade._HORNER_RUN
+    rng = random.Random(run)
+    lam = beta - beta.conj()
+    for degree in range(3 * run + 1):
+        cs = [rng.choice((0, 1, -1, rng.randint(-2 ** 90, 2 ** 90)))
+              for _ in range(degree)] + [rng.choice((-1, 1)) * 2 ** 90]
+        poly = IntPolynomial(cs)
+        for deg_scale in (degree, degree + 2):
+            direct = sum((c * _power(lam, i) * _power(beta, deg_scale - i)
+                          for i, c in enumerate(cs)),
+                         QuadInt.from_int(0, beta.D))
+            assert eval_at_z0(poly, beta, deg_scale, lam) == direct, degree
 
 
 def test_eval_rejects_lambda_of_another_ring():
