@@ -78,7 +78,7 @@ def check_q_bound(j: int, D: int, beta_norm: int) -> QBoundReport:
             raise ValueError(f"beta_norm {beta_norm} has no beta over D={D}")
         beta = QuadInt.half(x0, 1, D)
     sys = normalize(build_diagonal(j, 0))
-    ev_q = eval_at_z0(sys.Q, beta, sys.r, beta - beta.conj())
+    ev_q = eval_at_z0(sys.Q, beta, sys.r)
     n_q = ev_q.norm()
     value_sq = Fraction(n_q, beta_norm ** sys.r)
     bound_sq = (BOUNDS.q_coeff * BOUNDS.q_base ** j) ** 2

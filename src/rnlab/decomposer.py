@@ -175,7 +175,7 @@ def _combination(dec: Decomposition, g: int, systems: dict):
     sys = systems.get((dec.j, g))
     if sys is None:
         sys = systems[dec.j, g] = normalize(_unverified_diagonal(dec.j, g))
-    ev_p, ev_q, e4, assembled_ok = starred_at_z0(sys, dec.beta, dec.lam)
+    ev_p, ev_q, e4, assembled_ok = starred_at_z0(sys, dec.beta)
     if not assembled_ok:
         raise RuntimeError(
             f"assembled identity failed at (j, g) = {(dec.j, g)}")

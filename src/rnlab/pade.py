@@ -12,21 +12,18 @@ One builder, _general_triple, gives every triple (P, Q, E) with
 
 Both public builders re-verify the identity before a system is handed
 out: (1-z)^k Q, one product, must equal T = P - sign z^(A+C+1) E, and the
-verdict is cached.  Where that product is made at four points (see
-below), it is formed on operands divided by the content c of Q:
-(1-z)^k Q = T holds if and only if c divides every coefficient of T and
-(1-z)^k (Q/c) = T/c.  If the identity holds, T is c times the integer
-polynomial (1-z)^k (Q/c), so c divides T, and dividing both sides by c
-gives the second equation; conversely, multiplying the second equation
-by c gives back the first.  (Q = 0 has c = 0 and is never divided.)  A
-coefficient of T that c does not divide thus decides False with no
-product, and normalize reads the starred P, Q and E off the same
+verdict is cached.  The product is formed on operands divided by the
+content c of Q: (1-z)^k Q = T holds if and only if c divides every
+coefficient of T and (1-z)^k (Q/c) = T/c.  If the identity holds, T is c
+times the integer polynomial (1-z)^k (Q/c), so c divides T, and dividing
+both sides by c gives the second equation; conversely, multiplying the
+second equation by c gives back the first.  (Q = 0 has c = 0 and is never
+divided.)  A coefficient of T that c does not divide thus decides False
+with no product, and normalize reads the starred P, Q and E off the same
 division.  The content of the diagonal Q at g = 0 is 58 of its 278 bits
-at j = 32 and 111 of 526 at j = 60.  Below the four-point cutoff the
-division costs about what it saves, and Q itself is multiplied.
-cross_constant reads the constant of two verified systems off their
-identities with no product.  The audit checks its systems at z0 instead
-(see rnlab.decomposer).
+at j = 32 and 111 of 526 at j = 60.  cross_constant reads the constant of
+two verified systems off their identities with no product.  The audit
+checks its systems at z0 instead (see rnlab.decomposer).
 
 Each coefficient sequence is a product of two binomials, a hypergeometric
 term: t_(i+1)/t_i is a rational function of i (Petkovsek, Wilf and
@@ -59,7 +56,8 @@ cutoff (_FOUR_POINT_BITS) the eight packings and four read-backs cost
 more than that saves, and the one-point product stays.
 
 eval_at_z0 computes beta^d f(lambda/beta) = sum c_i lambda^i beta^(d-i) in
-the quadratic ring by binary splitting: the partial sum T(lo, hi) over the
+the quadratic ring, with lambda = beta - conj(beta) formed from beta
+itself.  It sums by binary splitting: the partial sum T(lo, hi) over the
 coefficients lo <= i < hi, scaled to beta^(hi-1-i), is put together from
 its halves as T(lo, mid) beta^(hi-mid) + lambda^(mid-lo) T(mid, hi).  The
 halves have about equal sizes, so the work is O(M(S) log d) for a result
@@ -87,7 +85,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
 
-from .quadring import MixedDError, QuadInt
+from .quadring import QuadInt
 
 
 class PadeError(RuntimeError):
@@ -405,17 +403,12 @@ class PadeSystem:
     def _identity(self) -> bool:
         # (1-z)^k Q = T holds iff c divides T and (1-z)^k (Q/c) = T/c (see
         # the module docstring)
-        power = one_minus_z_pow(self.k)
-        if self.Q.coeffs and _layout(power.coeffs, self.Q.coeffs)[1]:
-            _, q, t = self._content_divided
-        else:
-            q, t = self.Q, self.P - self._remainder()
-        return t is not None and power * q == t
+        _, q, t = self._content_divided
+        return t is not None and one_minus_z_pow(self.k) * q == t
 
     def identity_holds(self) -> bool:
         """Whether (1-z)^k Q = P - sign z^(A+C+1) E, decided once per
-        system by one product, on operands divided by content(Q) where
-        the product is made at four points."""
+        system by one product, on operands divided by content(Q)."""
         return self._identity
 
 
@@ -606,26 +599,24 @@ def _power_table(x: tuple[int, int], D: int):
 _HORNER_RUN = 16
 
 
-def eval_at_z0(poly: IntPolynomial, beta: QuadInt, deg_scale: int,
-               lam: QuadInt) -> QuadInt:
+def eval_at_z0(poly: IntPolynomial, beta: QuadInt,
+               deg_scale: int) -> QuadInt:
     """beta^deg_scale * poly(lambda/beta), computed exactly as a QuadInt.
 
-    Every caller passes lambda = beta - conj(beta): 2*sqrt(-D) for an
-    integral beta, sqrt(-D) for the half-integral one of p = 2.  The sum
-    of c_i lambda^i beta^(deg_scale - i) is formed by binary splitting
-    (see the module docstring).
+    lambda = beta - conj(beta), the numerator pair (0, 2 beta.v):
+    2*sqrt(-D) for an integral beta, sqrt(-D) for the half-integral one of
+    p = 2.  The sum of c_i lambda^i beta^(deg_scale - i) is formed by
+    binary splitting (see the module docstring).
     """
     if deg_scale < poly.degree:
         raise ValueError(f"deg_scale {deg_scale} < degree {poly.degree}")
     D = beta.D
-    if lam.D != D:
-        raise MixedDError(f"mixed rings: D={D} vs D={lam.D}")
     cs = poly.coeffs
     if not cs:
         return QuadInt.from_int(0, D)
     b = (beta.u, beta.v)
     beta_pow = _power_table(b, D)
-    lam_pow = _power_table((lam.u, lam.v), D)
+    lam_pow = _power_table((0, 2 * beta.v), D)
 
     def split(lo: int, hi: int) -> tuple[int, int]:
         # sum of c_i lambda^(i-lo) beta^(hi-1-i) over lo <= i < hi
@@ -645,26 +636,27 @@ def eval_at_z0(poly: IntPolynomial, beta: QuadInt, deg_scale: int,
     return QuadInt(u, v, D)
 
 
-def starred_at_z0(sys: PadeSystem, beta: QuadInt, lam: QuadInt):
-    """(P*(z0), Q*(z0), A, ok) for a starred diagonal system at lambda/beta:
-    A = beta^k P*(z0) - conj(beta)^k Q*(z0), and ok says whether A equals
-    the remainder (-1)^r lambda^(2r+1) beta^(k-2r-1) E*(z0).  All four are
-    scaled by beta^r so that every term is an algebraic integer."""
+def starred_at_z0(sys: PadeSystem, beta: QuadInt):
+    """(P*(z0), Q*(z0), A, ok) for a starred diagonal system at lambda/beta,
+    lambda = beta - conj(beta): A = beta^k P*(z0) - conj(beta)^k Q*(z0),
+    and ok says whether A equals the remainder (-1)^r lambda^(2r+1)
+    beta^(k-2r-1) E*(z0).  All four are scaled by beta^r so that every
+    term is an algebraic integer."""
     k, r = sys.k, sys.r
-    ev_p = eval_at_z0(sys.P, beta, r, lam)
-    ev_q = eval_at_z0(sys.Q, beta, r, lam)
-    ev_e = eval_at_z0(sys.E, beta, k - r - 1, lam)
+    ev_p = eval_at_z0(sys.P, beta, r)
+    ev_q = eval_at_z0(sys.Q, beta, r)
+    ev_e = eval_at_z0(sys.E, beta, k - r - 1)
     beta_k = beta ** k  # conj(beta)^k = conj(beta^k)
     assembled = beta_k * ev_p - beta_k.conj() * ev_q
+    lam = beta - beta.conj()
     remainder = sys.identity_sign() * (lam ** (2 * r + 1)) * ev_e
     return ev_p, ev_q, assembled, assembled == remainder
 
 
-def assembled_identity_holds(j: int, g: int, beta: QuadInt,
-                             lam: QuadInt) -> bool:
+def assembled_identity_holds(j: int, g: int, beta: QuadInt) -> bool:
     """Exact check of the starred identity at (j, g) evaluated at z0
     (see starred_at_z0)."""
-    return starred_at_z0(normalize(build_diagonal(j, g)), beta, lam)[3]
+    return starred_at_z0(normalize(build_diagonal(j, g)), beta)[3]
 
 
 # ---------------------------------------------------------------------------

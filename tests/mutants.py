@@ -35,6 +35,7 @@ TIMEOUT_S = 120
 
 _RIGOR = "tests/test_rigor.py"
 _PADE = "tests/test_pade.py"
+_SURVEY = "tests/test_survey.py"
 _WALK = "tests/test_survey_two.py::test_jumps_decide_the_walked_records"
 
 MUTANTS = (
@@ -81,13 +82,17 @@ MUTANTS = (
      ["tests/test_cli.py::test_certify_undecidable_at_the_cap_exit_3"]),
     # the exact identity checks of the Pade systems
     ("identity: PadeSystem._identity always holds", "pade.py",
-     "        return t is not None and power * q == t\n",
+     "        return t is not None and one_minus_z_pow(self.k) * q == t\n",
      "        return True\n",
      ["tests/test_pade.py::test_identity_check_sees_every_coefficient"]),
     ("identity: divisibility of T by content(Q) not checked", "pade.py",
      "T.exact_scalar_div(c)",
      "IntPolynomial._of([t // c for t in T.coeffs])",
      [f"{_PADE}::test_identity_check_on_content_divided_operands"]),
+    ("identity: lambda halved in eval_at_z0", "pade.py",
+     "_power_table((0, 2 * beta.v), D)",
+     "_power_table((0, beta.v), D)",
+     [f"{_PADE}::test_eval_matches_horner_oracle"]),
     ("identity: starred_at_z0 always holds", "pade.py",
      "return ev_p, ev_q, assembled, assembled == remainder",
      "return ev_p, ev_q, assembled, True",
@@ -104,6 +109,23 @@ MUTANTS = (
      "(ar + ai) * (br + bi) - rr",
      [f"{_PADE}::test_mul_every_length_mod_4",
       f"{_PADE}::test_mul_diagonal_identity_products_match_one_point"]),
+    # the boundaries of the survey's verdict and of its resume checks
+    ("power_compare: the first shortcut one bit wide", "survey.py",
+     "if b * (blm - 1) >= a * blx:",
+     "if b * blm >= a * blx:",
+     [f"{_SURVEY}::test_power_compare_examples"]),
+    ("power_compare: the second shortcut one bit wide", "survey.py",
+     "if b * blm <= a * (blx - 1):",
+     "if b * blm <= a * blx:",
+     [f"{_SURVEY}::test_power_compare_matches_exact_on_a_small_grid"]),
+    ("restore: a root's complement passes check_ladder", "hensel.py",
+     "if not 0 < r <= self.pn - r:",
+     "if not 0 < r < self.pn:",
+     [f"{_SURVEY}::test_restore_rejects_repeated_or_complement_roots"]),
+    ("restore: too few roots pass the count test", "survey.py",
+     "    if len(roots) != want:\n",
+     "    if len(roots) > want:\n",
+     [f"{_SURVEY}::test_restore_rejects_wrong_root_count_quickly"]),
     # the p = 2 survey's jump between long runs of equal bits
     ("p = 2: g + 1 equal bits", "survey.py",
      "bits.find(c * g, lo, stop - 1)",

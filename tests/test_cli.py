@@ -122,27 +122,34 @@ def test_pade_verify(capsys):
 
 
 def test_pade_verify_products(capsys, monkeypatch):
-    # one (1-z)^k Q product per system and no other product: each cross
-    # constant is read off the two verified identities with no E.Q product,
-    # and nothing is multiplied on a starred system
+    # one (1-z)^k Q/c product per system, c = content(Q), and no other
+    # product: each cross constant is read off the two verified identities
+    # with no E.Q product, and nothing is multiplied on a starred P or E.
+    # At j = 16 the identity products are made at four points
+    from rnlab import pade
     from rnlab.pade import (IntPolynomial, build_diagonal, build_general,
                             normalize, one_minus_z_pow)
-    systems = [build_diagonal(j, g) for j in range(1, 9) for g in (0, 1)]
+    systems = [build_diagonal(j, g) for j in range(1, 17) for g in (0, 1)]
     systems += [build_general(a, b, c) for a in (1, 2) for b in (1, 2)
                 for c in (1, 2)]
-    starred = {coeffs for sys in map(normalize, systems[:16]) if sys.starred
-               for poly in (sys.P, sys.Q, sys.E)
+    starred = {coeffs for sys in map(normalize, systems[:32]) if sys.starred
+               for poly in (sys.P, sys.E)
                for coeffs in (poly.coeffs, (-poly).coeffs)}
-    products = []
-    real = IntPolynomial.__mul__
+    products, four_point = [], []
+    real, real_four_point = IntPolynomial.__mul__, pade._four_point
 
     def counting(self, other):
         if isinstance(other, IntPolynomial):
             products.append((self, other))
         return real(self, other)
 
+    def counting_four_point(*args):
+        four_point.append(args)
+        return real_four_point(*args)
+
     monkeypatch.setattr(IntPolynomial, "__mul__", counting)
-    code, _ = run_cli(capsys, "pade", "verify", "--j-max", "8",
+    monkeypatch.setattr(pade, "_four_point", counting_four_point)
+    code, _ = run_cli(capsys, "pade", "verify", "--j-max", "16",
                       "--abc-max", "2")
     assert code == 0
 
@@ -151,10 +158,12 @@ def test_pade_verify_products(capsys, monkeypatch):
 
     identity = [(a.degree, b) for a, b in products if is_identity(a)]
     assert sorted(identity, key=repr) == sorted(
-        ((sys.k, sys.Q) for sys in systems), key=repr)
+        ((sys.k, sys.Q.exact_scalar_div(sys.Q.content())) for sys in systems),
+        key=repr)
     assert [(a, b) for a, b in products if not is_identity(a)] == []
     assert not any(poly.coeffs in starred
                    for pair in products for poly in pair)
+    assert len(four_point) == 2  # (j, g) = (16, 0) and (16, 1)
 
 
 def test_certify_rejects_tsv(capsys):

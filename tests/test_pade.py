@@ -17,7 +17,7 @@ from rnlab.pade import (BOUNDS, IntPolynomial, NotMonomialError, ONE_MINUS_Z,
                         cross_constant, eval_at_z0, assembled_identity_holds,
                         normalize, one_minus_z_pow, starred_at_z0)
 from rnlab import bounds, pade
-from rnlab.quadring import MixedDError, QuadInt
+from rnlab.quadring import QuadInt
 
 F = Fraction
 
@@ -346,11 +346,12 @@ def _bent(sys, name, i, delta):
     return replace(sys, **{name: IntPolynomial(coeffs)})
 
 
-@pytest.mark.parametrize("j,g", [(40, 0), (60, 1)])
+@pytest.mark.parametrize("j,g", [(8, 1), (12, 0), (40, 0), (60, 1)])
 def test_identity_check_on_content_divided_operands(j, g):
     # c = content(Q) > 1 must divide T = P - sign z^m E: off by one in a
     # coefficient of P or E, it does not, and the check says False with no
-    # product; off by c, it does, and the product says False
+    # product; off by c, it does, and the product says False.  The product
+    # is one-point at j = 8 and 12 and four-point at j = 40 and 60
     sys = build_diagonal(j, g)
     c, qc, tc = sys._content_divided
     assert c == content(j, g) > 1 and qc == normalize(sys).Q
@@ -383,15 +384,25 @@ def test_identity_check_with_zero_q():
         normalize(no_q)
 
 
-def test_normalize_reads_the_identity_checks_division():
-    # where build_diagonal's check multiplies at four points (j >= 15) it
-    # divides by c, and normalize takes P/c, Q/c and E/c from the cached
-    # T/c; below, the check multiplies Q itself and normalize divides.
-    # Either way each part equals its coefficient-wise division
+def test_normalize_reads_the_identity_checks_division(monkeypatch):
+    # build_diagonal's check divides by c on both sides of the four-point
+    # cutoff, and normalize takes P/c, Q/c and E/c from the cached T/c with
+    # no division of its own.  Each part equals its coefficient-wise
+    # division
+    divisions = []
+    real = IntPolynomial.exact_scalar_div
+
+    def counting(self, d):
+        divisions.append(d)
+        return real(self, d)
+
     for j, g in ((1, 1), (12, 0), (14, 1), (15, 0), (33, 1), (60, 0)):
         sys = build_diagonal(j, g)
-        assert ("_content_divided" in vars(sys)) == (j >= 15), (j, g)
+        assert "_content_divided" in vars(sys), (j, g)
+        monkeypatch.setattr(IntPolynomial, "exact_scalar_div", counting)
         starred = normalize(sys)
+        monkeypatch.undo()
+        assert divisions == [], (j, g)
         c = sys.Q.content()
         assert starred.content == c
         for name in ("P", "Q", "E"):
@@ -407,6 +418,44 @@ def test_normalize_reads_the_identity_checks_division():
         normalize(_bent(sys, "E", 0, 1))
     with pytest.raises(pade.ContentViolationError, match="divide P"):
         normalize(_bent(sys, "P", 0, 1))
+
+
+def _raw_identity(sys):
+    """The oracle: (1-z)^k Q == P - sign z^(A+C+1) E, with the one-point
+    product on the undivided Q."""
+    remainder = (sys.E * sys.identity_sign()).shift(sys.remainder_degree())
+    return _one_point(one_minus_z_pow(sys.k), sys.Q) == sys.P - remainder
+
+
+def test_identity_holds_matches_the_raw_product(four_point_calls):
+    # the check on content-divided operands against the product on Q
+    # itself: every diagonal system with j <= 60, every general system with
+    # A, B, C <= 6, and systems bent by +-1 and +-c in one coefficient of P
+    # or E below the four-point cutoff, at j = 8 and 12
+    systems = [pade._unverified_diagonal(j, g)
+               for j in range(1, 61) for g in (0, 1)]
+    systems += [replace(build_general(a, b, c))
+                for a in range(1, 7) for b in range(1, 7) for c in range(1, 7)]
+    for sys in systems:
+        assert sys.identity_holds() is _raw_identity(sys) is True, sys.kind
+    assert four_point_calls
+    four_point_calls.clear()
+    bent = 0
+    for j in (8, 12):
+        for g in (0, 1):
+            sys = pade._unverified_diagonal(j, g)
+            c = content(j, g)
+            assert c > 1
+            for name in ("P", "E"):
+                size = len(getattr(sys, name).coeffs)
+                for i in (0, size // 2, size - 1):
+                    for delta in (1, -1, c, -c):
+                        mutant = _bent(sys, name, i, delta)
+                        assert (mutant.identity_holds()
+                                is _raw_identity(mutant) is False), \
+                            (j, g, name, i, delta)
+                        bent += 1
+    assert bent == 96 and four_point_calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -755,37 +804,38 @@ def test_cross_constant_matches_direct_residual_on_synthetic_pairs(
 
 
 BETA76 = QuadInt.of(1015, 1, 76)
-LAM76 = BETA76 - BETA76.conj()  # 2 sqrt(-76)
 
 
 def test_eval_constant():
-    assert eval_at_z0(IntPolynomial([1]), BETA76, 0, LAM76) == 1
+    assert eval_at_z0(IntPolynomial([1]), BETA76, 0) == 1
 
 
 def test_eval_q_norm_is_integer():
     sys = build_diagonal(1, 0)
-    ev = eval_at_z0(sys.Q, BETA76, 4, LAM76)
+    ev = eval_at_z0(sys.Q, BETA76, 4)
     assert ev.norm() > 0  # exact integer by construction
 
 
 def test_eval_deg_scale_too_small():
     with pytest.raises(ValueError):
-        eval_at_z0(IntPolynomial([1, 2, 3]), BETA76, 1, LAM76)
+        eval_at_z0(IntPolynomial([1, 2, 3]), BETA76, 1)
 
 
 def test_eval_conjugation_consistency():
+    # conj(beta) - beta = conj(lambda), so conjugating beta conjugates z0
     sys = build_diagonal(2, 1)
-    lam = LAM76
-    ev = eval_at_z0(sys.Q, BETA76, sys.r, lam)
-    ev_conj = eval_at_z0(sys.Q, BETA76.conj(), sys.r, lam.conj())
+    ev = eval_at_z0(sys.Q, BETA76, sys.r)
+    ev_conj = eval_at_z0(sys.Q, BETA76.conj(), sys.r)
     assert ev.conj() == ev_conj
 
 
-def _horner_eval_at_z0(poly, beta, deg_scale, lam):
-    """The oracle: beta^deg_scale * poly(lambda/beta) by Horner's rule over
-    a table of beta powers, one QuadInt operation at a time."""
+def _horner_eval_at_z0(poly, beta, deg_scale):
+    """The oracle: beta^deg_scale * poly(lambda/beta), lambda = beta -
+    conj(beta), by Horner's rule over a table of beta powers, one QuadInt
+    operation at a time."""
     if deg_scale < poly.degree:
         raise ValueError(f"deg_scale {deg_scale} < degree {poly.degree}")
+    lam = beta - beta.conj()
     beta_pows = [QuadInt.from_int(1, beta.D)]
     for _ in range(deg_scale):
         beta_pows.append(beta_pows[-1] * beta)
@@ -800,7 +850,6 @@ def _horner_eval_at_z0(poly, beta, deg_scale, lam):
                          ids=["integral", "conjugate", "halved"])
 def test_eval_matches_horner_oracle(beta):
     rng = random.Random(20171)
-    lam = beta - beta.conj()
     polys = [IntPolynomial.zero()]
     for degree in range(0, 301, 4):
         bits = rng.choice((1, 8, 64, 600))
@@ -810,13 +859,8 @@ def test_eval_matches_horner_oracle(beta):
     for poly in polys:
         degree = max(poly.degree, 0)
         for deg_scale in (degree, degree + 3):
-            expected = _horner_eval_at_z0(poly, beta, deg_scale, lam)
-            assert eval_at_z0(poly, beta, deg_scale, lam) == expected
-    # a lambda other than beta - conj(beta) enters as given
-    poly = polys[16]
-    other = QuadInt.half(3, 1, 7) if beta.u % 2 else QuadInt.of(5, -2, 76)
-    assert (eval_at_z0(poly, beta, 60, other)
-            == _horner_eval_at_z0(poly, beta, 60, other))
+            expected = _horner_eval_at_z0(poly, beta, deg_scale)
+            assert eval_at_z0(poly, beta, deg_scale) == expected
 
 
 @pytest.mark.parametrize("beta", [BETA76, QuadInt.half(181, 1, 7)],
@@ -835,25 +879,19 @@ def test_eval_horner_runs_match_a_direct_sum(beta):
             direct = sum((c * _power(lam, i) * _power(beta, deg_scale - i)
                           for i, c in enumerate(cs)),
                          QuadInt.from_int(0, beta.D))
-            assert eval_at_z0(poly, beta, deg_scale, lam) == direct, degree
-
-
-def test_eval_rejects_lambda_of_another_ring():
-    with pytest.raises(MixedDError):
-        eval_at_z0(IntPolynomial([1, 2]), BETA76, 1, QuadInt.of(0, 1, 7))
+            assert eval_at_z0(poly, beta, deg_scale) == direct, degree
 
 
 @pytest.mark.parametrize("j", range(1, 5))
 @pytest.mark.parametrize("g", (0, 1))
 def test_assembled_identity(j, g):
-    assert assembled_identity_holds(j, g, BETA76, LAM76)
+    assert assembled_identity_holds(j, g, BETA76)
 
 
 def test_assembled_identity_halved_beta():
-    beta = QuadInt.half(181, 1, 7)
-    lam = beta - beta.conj()  # sqrt(-7)
-    assert assembled_identity_holds(1, 0, beta, lam)
-    assert assembled_identity_holds(1, 1, beta, lam)
+    beta = QuadInt.half(181, 1, 7)  # lambda = sqrt(-7)
+    assert assembled_identity_holds(1, 0, beta)
+    assert assembled_identity_holds(1, 1, beta)
 
 
 def _power(x, e):
@@ -872,14 +910,14 @@ def test_starred_at_z0_matches_three_evaluations(beta, j, g):
     lam = beta - beta.conj()
     sys = normalize(build_diagonal(j, g))
     k, r = sys.k, sys.r
-    ev_p = eval_at_z0(sys.P, beta, r, lam)
-    ev_q = eval_at_z0(sys.Q, beta, r, lam)
-    ev_e = eval_at_z0(sys.E, beta, k - r - 1, lam)
+    ev_p = eval_at_z0(sys.P, beta, r)
+    ev_q = eval_at_z0(sys.Q, beta, r)
+    ev_e = eval_at_z0(sys.E, beta, k - r - 1)
     assembled = _power(beta, k) * ev_p - _power(beta.conj(), k) * ev_q
     assert assembled == (-1) ** r * _power(lam, 2 * r + 1) * ev_e
-    assert starred_at_z0(sys, beta, lam) == (ev_p, ev_q, assembled, True)
+    assert starred_at_z0(sys, beta) == (ev_p, ev_q, assembled, True)
     doctored = replace(sys, P=sys.P + IntPolynomial.monomial(1, 0))
-    assert starred_at_z0(doctored, beta, lam)[3] is False
+    assert starred_at_z0(doctored, beta)[3] is False
 
 
 # ---------------------------------------------------------------------------

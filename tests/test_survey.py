@@ -50,6 +50,15 @@ def test_power_compare_huge_shortcut_consistency():
     assert power_compare(m, x, 9, 10) == (m ** 10 > x ** 9)
 
 
+@pytest.mark.parametrize("a,b", [(1, 2), (2, 3), (9, 10), (7, 50)])
+def test_power_compare_matches_exact_on_a_small_grid(a, b):
+    # every m, x <= 300 crosses both bit-length shortcuts at their
+    # boundaries, such as 15^2 = 225 > 128 with x one bit longer than m
+    for m in range(1, 301):
+        for x in range(1, 301):
+            assert power_compare(m, x, a, b) == (m ** b > x ** a), (m, x)
+
+
 # ---------------------------------------------------------------------------
 # run_survey
 
