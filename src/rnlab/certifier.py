@@ -6,15 +6,18 @@ functions of sigma.  Rational subexpressions are kept exact; enclosures
 enter only for the logarithms, and all of them are rigor's: each side is a
 rigor.PowProd decided on rigor's one precision ladder, so this module
 imports nothing from mpmath.  That the threshold increases in sigma, which
-max_sigma's bisection relies on, is proven in exact rationals.  The same
-proof shows that the common denominator of eta and the exponent is
-positive on the whole sigma range, so max_sigma multiplies the log
-condition through by it: the condition becomes the sign of an affine form
-alpha + gamma*sigma, where alpha and gamma are the logs of two more
-PowProds over the bases of beta, C and D, and one enclosure of (alpha,
-gamma) decides every bisection point in integer arithmetic.  certify keeps
-the direct log comparison, and its report prints both sides' enclosures
-at the ladder's first precision (rigor.enclosure_str).
+max_sigma's bisection relies on, is proven in exact rationals, once per
+variant and C.  The same proof shows that the common denominator of eta
+and the exponent is positive on the whole sigma range, so max_sigma
+multiplies the log condition through by it: the condition becomes the
+sign of an affine form alpha + gamma*sigma, where alpha and gamma are the
+logs of two more PowProds over the bases of beta, C and D, and one pair of
+integer log enclosures of (alpha, gamma) per precision decides every
+bisection point by an integer sign.  The bisection runs on integers too:
+its ends are numerators over one denominator that doubles with each step,
+and it builds its two Fractions once, at the end.  certify keeps the
+direct log comparison, and its report prints both sides' enclosures at
+the ladder's first precision (rigor.enclosure_str).
 
 A certificate that fails still carries the thresholds M = 250*n0 and
 X* = p^(250*n0), so downstream surveys can proceed empirically.
@@ -22,6 +25,7 @@ X* = p^(250*n0), so downstream surveys can proceed empirically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -79,6 +83,14 @@ class VariantConstants:
 
     def c_base(self, p: int) -> Fraction:
         return self.base_two if p == 2 else self.base_odd
+
+    @functools.cached_property
+    def _rational_failures(self) -> tuple[str | None, str | None]:
+        """The first failing rational fact of check_threshold_monotone for
+        C = base_odd and for C = base_two (None where all hold), proved
+        once per instance."""
+        return (_rational_failure(self, self.base_odd),
+                _rational_failure(self, self.base_two))
 
 
 VARIANTS = {
@@ -266,8 +278,21 @@ def check_threshold_monotone(D: int, p: int, var: VariantConstants) -> None:
     has a derivative with the sign of a*c1 - b*c0 wherever c0 - c1 s != 0.
     So T increases when the linear denominator is positive at both ends of
     the range, exponent increases (b = 1), eta does not decrease, C > 1 and
-    D >= 1.  Raises NotMonotoneError naming the first fact that fails.
+    D >= 1.  Raises NotMonotoneError naming the first fact that fails.  The
+    rational facts depend on the variant and C alone, so they are proved
+    once per (variant, C) (VariantConstants._rational_failures); a failure
+    is raised again on every call.
     """
+    failure = var._rational_failures[p == 2]
+    if failure is None and D < 1:
+        failure = f"D = {D} is below 1"
+    if failure is not None:
+        raise NotMonotoneError(f"threshold not increasing: {failure}")
+
+
+def _rational_failure(var: VariantConstants, c: Fraction) -> str | None:
+    """The first of check_threshold_monotone's facts on the variant and C
+    that fails, or None when all hold."""
     facts = (
         (min(var.denominator(F(0)), var.denominator(SIGMA_MAX)) > 0,
          f"denominator {var.den_const} - {var.den_slope}*sigma not positive "
@@ -276,18 +301,16 @@ def check_threshold_monotone(D: int, p: int, var: VariantConstants) -> None:
          "exponent of C not increasing in sigma"),
         (var.eta_const * var.den_slope - var.eta_slope * var.den_const >= 0,
          "eta decreasing in sigma"),
-        (var.c_base(p) > 1, f"C = {var.c_base(p)} is not above 1"),
-        (D >= 1, f"D = {D} is below 1"),
+        (c > 1, f"C = {c} is not above 1"),
     )
-    for holds, failure in facts:
-        if not holds:
-            raise NotMonotoneError(f"threshold not increasing: {failure}")
+    return next((failure for holds, failure in facts if not holds), None)
 
 
 def _size_condition(D: int, p: int, n0: int, var: VariantConstants
-                    ) -> Callable[[Fraction], bool]:
+                    ) -> Callable[[int, int], bool]:
     """The size condition |beta| > C^exponent(sigma) * D^eta(sigma) as a
-    function of sigma, for sigma where den(sigma) = d0 - d1*sigma > 0.
+    function of sigma = u/v (integers u, v > 0), for sigma where den(sigma)
+    = d0 - d1*sigma > 0.
 
     With log|beta| = l * log b (from _beta_powprod), multiplying the log
     condition by den(sigma) turns it into alpha + gamma*sigma > 0, where
@@ -307,10 +330,11 @@ def _size_condition(D: int, p: int, n0: int, var: VariantConstants
                           (b, -var.den_slope * l)))
     sign = affine_sign(lambda: (alpha.log_enclosure(), gamma.log_enclosure()))
 
-    def holds(sigma: Fraction) -> bool:
-        verdict = sign(sigma)
+    def holds(u: int, v: int) -> bool:
+        verdict = sign(u, v)
         if verdict is Comparison.UNDECIDABLE:
-            raise UndecidableError(f"size condition undecidable at sigma={sigma}")
+            raise UndecidableError(
+                f"size condition undecidable at sigma={F(u, v)}")
         return verdict is Comparison.GREATER
 
     return holds
@@ -323,11 +347,12 @@ def max_sigma(D: int, p: int, x0: int, n0: int, variant: str = "5j",
     Runs certify's input gates, proves in exact rationals that the
     threshold increases in sigma and that den(sigma) > 0 on the range
     (check_threshold_monotone), then bisects the condition down to the
-    requested interval width.  Each point is decided by the exact sign of
-    the affine form alpha + gamma*sigma (_size_condition), from one
-    enclosure of (alpha, gamma) per precision for the whole call.  The
-    variant's beta floor is reported as a separate flag (the condition
-    itself does not include it).
+    requested interval width: lo = a/q and hi = b/q in integers, with q
+    doubled at each step.  Each point is decided by the exact sign of the
+    affine form alpha + gamma*sigma (_size_condition), from one enclosure
+    of (alpha, gamma) per precision for the whole call.  The variant's
+    beta floor is reported as a separate flag (the condition itself does
+    not include it).
     """
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
@@ -339,24 +364,26 @@ def max_sigma(D: int, p: int, x0: int, n0: int, variant: str = "5j",
     check_threshold_monotone(D, p, var)
 
     holds = _size_condition(D, p, n0, var)
-    lo = F(1, 10 ** 9)
-    hi = SIGMA_MAX - F(1, 10 ** 9)
-    if not holds(lo):
+    # lo = a/q and hi = b/q: the ends of the range pulled in by 1/q
+    q = 10 ** 9
+    a, b = 1, SIGMA_MAX.numerator * (q // SIGMA_MAX.denominator) - 1
+    if not holds(a, q):
         return MaxSigmaResult(D=D, p=p, x0=x0, n0=n0, variant=variant,
                               empty=True, lo=None, hi=None,
                               beta_floor_ok=floor_ok, monotone_checked=True,
-                              reason=f"condition fails already at sigma={lo}")
-    if holds(hi):
+                              reason=f"condition fails already at sigma={F(a, q)}")
+    if holds(b, q):
         return MaxSigmaResult(D=D, p=p, x0=x0, n0=n0, variant=variant,
-                              empty=False, lo=hi, hi=SIGMA_MAX,
+                              empty=False, lo=F(b, q), hi=SIGMA_MAX,
                               beta_floor_ok=floor_ok, monotone_checked=True,
                               reason="condition holds up to the sigma range limit")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if holds(mid):
-            lo = mid
+    # each step halves b - a over a doubled q
+    while (b - a) * width.denominator > width.numerator * q:
+        mid, q = a + b, 2 * q
+        if holds(mid, q):
+            a, b = mid, 2 * b
         else:
-            hi = mid
+            a, b = 2 * a, mid
     return MaxSigmaResult(D=D, p=p, x0=x0, n0=n0, variant=variant,
-                          empty=False, lo=lo, hi=hi, beta_floor_ok=floor_ok,
-                          monotone_checked=True)
+                          empty=False, lo=F(a, q), hi=F(b, q),
+                          beta_floor_ok=floor_ok, monotone_checked=True)

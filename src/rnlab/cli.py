@@ -138,8 +138,8 @@ def _cmd_certify(args) -> int:
     }
     human = [
         f"status      : {cert.status}",
-        f"|beta|      : [{cert.beta_enclosure[0]}, {cert.beta_enclosure[1]}]",
-        f"threshold   : [{cert.threshold_enclosure[0]}, {cert.threshold_enclosure[1]}]",
+        f"|beta|      : {_enclosure_text(cert.beta_enclosure)}",
+        f"threshold   : {_enclosure_text(cert.threshold_enclosure)}",
         f"M = 250*n0  : {cert.M}",
         f"X* = p^M    : {payload['X_star_digits']} digits",
         f"meaning     : {cert.meaning()}",
@@ -153,6 +153,13 @@ def _cmd_certify(args) -> int:
     if cert.status == certifier.STATUS_UNDECIDABLE:
         return EXIT_UNDECIDABLE
     return EXIT_OK
+
+
+def _enclosure_text(ends: tuple[str, str]) -> str:
+    # a gate that stops before the size condition leaves both ends empty
+    if ends == ("", ""):
+        return "no enclosure made (a gate stopped before the size condition)"
+    return f"[{ends[0]}, {ends[1]}]"
 
 
 def _cmd_survey(args) -> int:

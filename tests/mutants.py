@@ -59,12 +59,12 @@ MUTANTS = (
      "        if False:\n",
      [f"{_RIGOR}::test_log_enclosure_computes_each_log_once_per_precision"]),
     ("ladder: affine sign positive at an exact zero", "rigor.py",
-     "if _scaled_value(a_lo, g_lo, u, v) > 0:",
-     "if _scaled_value(a_lo, g_lo, u, v) >= 0:",
+     "if a_lo * v + g_lo * u > 0:",
+     "if a_lo * v + g_lo * u >= 0:",
      [f"{_RIGOR}::test_every_verdict_climbs_the_one_ladder"]),
     ("ladder: touching enclosures separate", "rigor.py",
-     "    if lhs.b < rhs.a:\n",
-     "    if lhs.b <= rhs.a:\n",
+     "    if l_hi < r_lo:\n",
+     "    if l_hi <= r_lo:\n",
      [f"{_RIGOR}::test_every_verdict_climbs_the_one_ladder"]),
     ("ladder: one rounding for an integer wider than the precision",
      "rigor.py",
@@ -72,10 +72,19 @@ MUTANTS = (
      "lo if k.bit_length() <= 2 * prec else",
      [f"{_RIGOR}::test_iv_fraction_matches_quotient_of_iv_mpf"]),
     ("ladder: the log memo keyed without the precision", "rigor.py",
-     "_iv_log(base.numerator, base.denominator, iv.prec)",
+     "_iv_log(base.numerator, base.denominator, prec)",
      "_iv_log(base.numerator, base.denominator, 0)",
      [f"{_RIGOR}::test_log_enclosure_computes_each_log_once_per_precision",
       f"{_RIGOR}::test_tight_but_unequal_separates_with_escalation"]),
+    ("ladder: a term's integer lower end rounded up", "rigor.py",
+     "return lo * u // v, -(-hi * u // v)",
+     "return -(-lo * u // v), -(-hi * u // v)",
+     [f"{_RIGOR}::test_times_matches_fraction_floor_and_ceil"]),
+    ("max-sigma: the upper numerator not doubled with q", "certifier.py",
+     "            a, b = mid, 2 * b\n",
+     "            a, b = mid, b\n",
+     ["tests/test_certifier.py::test_max_sigma_anchor_enclosure_exact",
+      "tests/test_certifier.py::test_integer_bisection_matches_fraction_loop"]),
     ("certify: an undecidable comparison certifies", "certifier.py",
      "if verdict is Comparison.GREATER:",
      "if verdict is not Comparison.LESS:",

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, log
 
-from rnlab.certifier import (SIGMA_MAX, VARIANTS, NotMonotoneError,
-                             _beta_powprod, _size_condition,
+from rnlab.certifier import (SIGMA_MAX, VARIANTS, MaxSigmaResult,
+                             NotMonotoneError, _beta_floor_ok, _beta_powprod,
+                             _size_condition,
                              certify, check_threshold_monotone, max_sigma,
                              threshold_powprod, thresholds)
 from rnlab.rigor import Comparison, PowProd, decide, rigorous_compare
@@ -248,9 +249,31 @@ def test_monotonicity_facts_of_both_variants():
     {"base_odd": F(1)},           # C = 1
 ])
 def test_doctored_variant_is_not_monotone(monkeypatch, doctored):
+    # the facts are proved once per variant and C, and a failure is raised
+    # on every call
     monkeypatch.setitem(VARIANTS, "5j", replace(VARIANTS["5j"], **doctored))
-    with pytest.raises(NotMonotoneError):
-        max_sigma(76, 101, 1015, 3, "5j")
+    messages = set()
+    for _ in range(3):
+        with pytest.raises(NotMonotoneError) as err:
+            max_sigma(76, 101, 1015, 3, "5j")
+        messages.add(str(err.value))
+    assert len(messages) == 1
+
+
+def test_monotone_proof_reads_d_on_every_call():
+    # the facts on the variant and C are proved once; D >= 1 on each call
+    var = VARIANTS["5j"]
+    for D in (76, 0, 76, -3):
+        if D >= 1:
+            check_threshold_monotone(D, 101, var)
+        else:
+            with pytest.raises(NotMonotoneError, match=f"D = {D} is below 1"):
+                check_threshold_monotone(D, 101, var)
+    # the p = 2 constant C = 7.847 has its own proof
+    doctored = replace(var, base_two=F(1))
+    check_threshold_monotone(76, 101, doctored)
+    with pytest.raises(NotMonotoneError, match="C = 1 is not above 1"):
+        check_threshold_monotone(7, 2, doctored)
 
 
 def test_max_sigma_anchor_enclosure_exact():
@@ -376,6 +399,53 @@ def test_max_sigma_sweep_results_pinned():
 _TWO = (7, 2, 181, 15)
 
 
+def _fraction_max_sigma(D, p, x0, n0, variant, width):
+    # max_sigma's bisection on Fractions, as it was before it kept integer
+    # numerators over one denominator; the oracle of the integer bisection
+    var = VARIANTS[variant]
+    floor_ok = _beta_floor_ok(p, n0, var)
+    check_threshold_monotone(D, p, var)
+    size = _size_condition(D, p, n0, var)
+
+    def holds(sigma):
+        return size(sigma.numerator, sigma.denominator)
+
+    common = dict(D=D, p=p, x0=x0, n0=n0, variant=variant,
+                  beta_floor_ok=floor_ok, monotone_checked=True)
+    lo = F(1, 10 ** 9)
+    hi = SIGMA_MAX - F(1, 10 ** 9)
+    if not holds(lo):
+        return MaxSigmaResult(**common, empty=True, lo=None, hi=None,
+                              reason=f"condition fails already at sigma={lo}")
+    if holds(hi):
+        return MaxSigmaResult(**common, empty=False, lo=hi, hi=SIGMA_MAX,
+                              reason="condition holds up to the sigma range "
+                                     "limit")
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return MaxSigmaResult(**common, empty=False, lo=lo, hi=hi)
+
+
+# the anchor and the other six base solutions that certify under 5j in the
+# certify-sweep box, the p = 2 instance, and one whose enclosure is empty
+_BISECTED = [(28, 37, 225, 3), (76, 101, 1015, 3), (186, 163, 2081, 3),
+             (148, 197, 2765, 3), (193, 257, 4120, 3), (277, 317, 5644, 3),
+             (207, 331, 6022, 3), _TWO, (39, 2, 5, 6)]
+
+
+@pytest.mark.parametrize("width", [F(1, 10 ** 6), F(1, 10 ** 40), F(1, 7)])
+@pytest.mark.parametrize("variant", ["5j", "7j"])
+@pytest.mark.parametrize("inst", _BISECTED,
+                         ids=lambda inst: "-".join(map(str, inst)))
+def test_integer_bisection_matches_fraction_loop(inst, variant, width):
+    assert max_sigma(*inst, variant, width=width) == \
+        _fraction_max_sigma(*inst, variant, width)
+
+
 def _oracle_holds(D, p, n0, sigma, var):
     verdict = rigorous_compare(_beta_powprod(p, n0),
                                threshold_powprod(D, p, sigma, var))
@@ -415,7 +485,8 @@ def test_affine_condition_matches_rigorous_compare(inst, variant, step):
         sigmas += [s + k * eps for s in (res.lo, res.hi) for k in (-1, 0, 1)
                    if 0 < s + k * eps < SIGMA_MAX]
     for sigma in sigmas:
-        assert holds(sigma) == _oracle_holds(D, p, n0, sigma, var), sigma
+        assert holds(sigma.numerator, sigma.denominator) == \
+            _oracle_holds(D, p, n0, sigma, var), sigma
 
 
 @pytest.mark.parametrize("inst", [(76, 101, 1015, 3), _TWO])

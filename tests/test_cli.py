@@ -79,6 +79,22 @@ def test_certify_beta_too_small_exit_0(capsys):
                              "--x0", "181", "--n0", "15", "--sigma", "1/10")
     assert code == 0
     assert payload["status"] == "beta_too_small"
+    assert payload["beta_enclosure"] == payload["threshold_enclosure"] == ["", ""]
+
+
+def test_certify_human_says_when_no_enclosure_was_made(capsys):
+    # a gate that stops before the size condition makes no enclosure
+    code, text = run_cli(capsys, "certify", "--D", "7", "--p", "2", "--x0",
+                         "181", "--n0", "15", "--sigma", "1/10")
+    assert code == 0
+    lines = text.splitlines()
+    assert lines[0] == "status      : beta_too_small"
+    for line, name in zip(lines[1:3], ("|beta|      ", "threshold   ")):
+        assert line == (f"{name}: no enclosure made "
+                        "(a gate stopped before the size condition)")
+    code, text = run_cli(capsys, "certify", *_ANCHOR, "--sigma", "1/10")
+    assert text.splitlines()[1] == (
+        "|beta|      : [1015.0374377332099173, 1015.0374377332099173]")
 
 
 # the lower end of max_sigma(76, 101, 1015, 3, "5j", width=10^-40): there
@@ -338,6 +354,9 @@ _PINNED_REPORTS = {
         ["max-sigma", "--D", "7", "--p", "2", "--x0", "181", "--n0", "15",
          "--variant", "7j"],
         "556ec6a397621f2c5c710342ca37dcbbeeaad2ec0d5bdb433a4a40c4710612e5"),
+    "certify-beta-too-small": (
+        ["certify", *_ANCHOR, "--sigma", "1/10", "--variant", "7j"],
+        "85ec0f3de70a1b46474972ba37db88a7d49ef79bd8539b18fb5efcecc4e8d9b9"),
     "hensel": (
         ["hensel", "--D", "7", "--p", "2", "--n", "15"],
         "fc553d540e43e6ee929683f91fe96f6c04b9c21e796c3ae0250999db2f617c45"),

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv, mp
 
-from rnlab.rigor import (Comparison, PowProd, _iv_log, affine_sign, decide,
-                         enclosure_str, iv_fraction, iv_pow, rigorous_compare)
+from rnlab.rigor import (_GUARD_BITS, Comparison, PowProd, _iv_log, _times,
+                         affine_sign, decide, enclosure_str, iv_fraction,
+                         iv_pow, rigorous_compare)
 
 F = Fraction
 
@@ -112,6 +114,20 @@ def test_nonpositive_coefficient_raises():
         rigorous_compare(PowProd.of(-1, (F(2), F(1, 2))), PowProd.of(1))
 
 
+def _exact(raw) -> Fraction:
+    # a raw mpf value (sign, man, exp, bc) as an exact Fraction
+    sign, man, exp, _ = raw
+    return (-1) ** sign * F(man) * F(2) ** exp
+
+
+def _encloses(ends, value) -> bool:
+    # whether integer ends over 2^(iv.prec + _GUARD_BITS) hold value, an
+    # mpf or every real of an iv interval
+    lo, hi = value._mpi_ if hasattr(value, "_mpi_") else (value._mpf_,) * 2
+    scale = F(2) ** (iv.prec + _GUARD_BITS)
+    return F(ends[0]) / scale <= _exact(lo) and _exact(hi) <= F(ends[1]) / scale
+
+
 def test_log_enclosure_computes_each_log_once_per_precision(monkeypatch):
     calls = []
     real_log = iv.log
@@ -128,12 +144,109 @@ def test_log_enclosure_computes_each_log_once_per_precision(monkeypatch):
     try:
         for dps in (30, 30, 60):
             iv.dps = dps
-            assert exact in pp.log_enclosure()
+            assert _encloses(pp.log_enclosure(), exact)
     finally:
         iv.dps = saved
     # the logs of 3, 101 and 76 at 30 digits, read again, then at 60
     assert calls == [30, 30, 30, 60, 60, 60]
     assert _iv_log.cache_info().currsize == 6
+
+
+@pytest.mark.parametrize("base", [F(1), F(2), F(3, 7), F(101), F(251104, 125),
+                                  F(125, 251104), F(10 ** 50 + 1, 10 ** 50)])
+@pytest.mark.parametrize("dps", [30, 60, 4000])
+def test_log_memo_ends_round_its_interval_outward(base, dps):
+    saved = iv.dps
+    try:
+        iv.dps = dps
+        x, lo, hi = _iv_log(base.numerator, base.denominator, iv.prec)
+        assert x._mpi_ == iv.log(iv_fraction(base))._mpi_
+        scale = 2 ** (iv.prec + _GUARD_BITS)
+        assert lo == math.floor(_exact(x._mpi_[0]) * scale)
+        assert hi == math.ceil(_exact(x._mpi_[1]) * scale)
+    finally:
+        iv.dps = saved
+
+
+def _log_products() -> list:
+    # negative exponents, coefficients other than 1, a base below 1, and
+    # the PowProds of max_sigma's alpha and gamma at the anchor under 5j
+    rng = random.Random(29)
+    out = [PowProd.of(F(7, 3), (F(101), F(-3, 2)), (F(76), F(196, 25))),
+           PowProd.of(F(2, 9), (F(1, 3), F(-7, 11)), (F(2), F(5))),
+           PowProd.of(1, (F(101), F(573, 50)), (F(251104, 125), F(-49, 25)),
+                      (F(76), F(-196, 25))),
+           PowProd.of(1, (F(251104, 125), F(1)), (F(76), F(4)),
+                      (F(101), F(-27, 2)))]
+    for _ in range(6):
+        factors = [(F(rng.randrange(1, 10 ** 6), rng.randrange(1, 10 ** 4)),
+                    F(rng.randrange(-10 ** 4, 10 ** 4), rng.randrange(1, 500)))
+                   for _ in range(3)]
+        out.append(PowProd.of(F(rng.randrange(1, 10 ** 9),
+                                rng.randrange(1, 10 ** 9)), *factors))
+    return out
+
+
+@pytest.mark.parametrize("dps", [30, 60, 4000])
+def test_log_enclosure_integer_ends_hold_a_finer_reference(dps):
+    # the reference encloses the same sum at 70 more digits; its interval
+    # inside the integer ends proves that they hold the exact value, and
+    # the ends are at most a few units of 2^-(prec + 16) wider than the
+    # terms' interval logs
+    saved = iv.dps
+    try:
+        for pp in _log_products():
+            iv.dps = dps
+            ends = pp.log_enclosure()
+            prec = iv.prec
+            iv.dps = dps + 70
+            ref = iv.log(iv_fraction(pp.coeff))
+            for base, exp in pp.factors:
+                ref += iv_fraction(exp) * iv.log(iv_fraction(base))
+            iv.dps = dps
+            assert _encloses(ends, ref), pp
+            size = abs(float(ref.mid)) + sum(
+                abs(float(exp) * math.log(base)) for base, exp in pp.factors)
+            width = F(ends[1] - ends[0], 2 ** (prec + _GUARD_BITS))
+            assert width <= F(8 * (1 + size)) / 2 ** prec, pp
+    finally:
+        iv.dps = saved
+
+
+def test_times_matches_fraction_floor_and_ceil():
+    # (u/v) * [lo, hi] rounded outward, against Fraction's floor and ceil,
+    # on ends and exponents of both signs and zero
+    rng = random.Random(29)
+    cases = [(0, 0, 5, 3), (-7, -7, 2, 3), (-7, 4, 0, 1), (1, 2, -1, 1)]
+    for bits in (4, 30, 200):
+        for _ in range(300):
+            lo, hi = sorted(rng.randrange(-2 ** bits, 2 ** bits)
+                            for _ in range(2))
+            u = rng.randrange(-10 ** 6, 10 ** 6)
+            v = rng.choice([1, 2, 3, rng.randrange(1, 10 ** 6)])
+            cases.append((lo, hi, u, v))
+    for lo, hi, u, v in cases:
+        ends = sorted([F(lo * u, v), F(hi * u, v)])
+        assert _times(lo, hi, u, v) == (math.floor(ends[0]),
+                                        math.ceil(ends[1])), (lo, hi, u, v)
+
+
+def test_decide_reads_integer_ends_and_mpmath_ends_exactly(monkeypatch):
+    monkeypatch.setenv("RNLAB_PRECISION_CAP", "60")
+    assert decide(lambda: (1, 2), lambda: (3, 4)) is Comparison.LESS
+    assert decide(lambda: (3, 4), lambda: (-1, 2)) is Comparison.GREATER
+    # touching ends never separate
+    assert decide(lambda: (1, 3), lambda: (3, 4)) is Comparison.UNDECIDABLE
+    # the ends of mpmath intervals, 3000 binary places apart, read exactly
+    tiny = iv.mpf(2) ** -3000
+    lhs, rhs = iv.mpf([-1, tiny.b]), iv.mpf([(2 * tiny).a, 3])
+    assert decide(lambda: lhs, lambda: rhs) is Comparison.LESS
+    assert decide(lambda: rhs, lambda: -lhs) is Comparison.UNDECIDABLE
+    assert decide(lambda: rhs, lambda: iv.mpf([-2, tiny.b])) \
+        is Comparison.GREATER
+    # an end that is not finite decides nothing
+    assert decide(lambda: iv.mpf([1, "inf"]), lambda: iv.mpf(0)) \
+        is Comparison.UNDECIDABLE
 
 
 def _sqrt2_affine():
@@ -151,9 +264,9 @@ def test_affine_sign_exact_at_rationals():
     build, builds = _sqrt2_affine()
     sign = affine_sign(build)
     ambient = iv.dps
-    assert sign(F(3, 2)) is Comparison.GREATER
-    assert sign(F(7, 5)) is Comparison.LESS
-    assert sign(F(141421356, 10 ** 8)) is Comparison.LESS
+    assert sign(3, 2) is Comparison.GREATER
+    assert sign(7, 5) is Comparison.LESS
+    assert sign(141421356, 10 ** 8) is Comparison.LESS
     assert builds == [30]
     assert iv.dps == ambient
 
@@ -164,9 +277,9 @@ def test_affine_sign_escalates_once_per_precision():
     sign = affine_sign(build)
     below = F("1.414213562373095048801688724209698078569")
     above = below + F(1, 10 ** 39)
-    assert sign(below) is Comparison.LESS
-    assert sign(above) is Comparison.GREATER
-    assert sign(F(3, 2)) is Comparison.GREATER
+    assert sign(below.numerator, below.denominator) is Comparison.LESS
+    assert sign(above.numerator, above.denominator) is Comparison.GREATER
+    assert sign(3, 2) is Comparison.GREATER
     assert builds == [30, 60]
 
 
@@ -178,20 +291,20 @@ def test_affine_sign_undecidable_at_cap(monkeypatch):
 
     monkeypatch.setenv("RNLAB_PRECISION_CAP", "120")
     sign = affine_sign(build)
-    assert sign(F(1, 3)) is Comparison.UNDECIDABLE
-    assert sign(F(1, 2)) is Comparison.GREATER
+    assert sign(1, 3) is Comparison.UNDECIDABLE
+    assert sign(1, 2) is Comparison.GREATER
 
 
 def test_affine_sign_non_finite_enclosure_is_undecidable(monkeypatch):
     monkeypatch.setenv("RNLAB_PRECISION_CAP", "60")
     sign = affine_sign(lambda: (iv.mpf([1, "inf"]), iv.mpf(1)))
-    assert sign(F(1, 2)) is Comparison.UNDECIDABLE
+    assert sign(1, 2) is Comparison.UNDECIDABLE
 
 
 def test_affine_sign_needs_positive_s():
     build, _ = _sqrt2_affine()
     with pytest.raises(ValueError, match="s > 0"):
-        affine_sign(build)(F(0))
+        affine_sign(build)(0, 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -204,7 +317,8 @@ def test_affine_sign_agrees_with_exact_rationals(a, g, neg_a, neg_g, s):
     exact = alpha + gamma * s
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("RNLAB_PRECISION_CAP", "60")
-        sign = affine_sign(lambda: (iv_fraction(alpha), iv_fraction(gamma)))(s)
+        sign = affine_sign(lambda: (iv_fraction(alpha), iv_fraction(gamma)))(
+            s.numerator, s.denominator)
     if exact > 0:
         assert sign is Comparison.GREATER
     elif exact < 0:
@@ -235,8 +349,8 @@ def test_every_verdict_climbs_the_one_ladder(monkeypatch):
 
     seen.clear()
     sign = affine_sign(lambda: (-one(), iv.mpf(3)))
-    assert sign(F(1, 3)) is Comparison.UNDECIDABLE
-    assert sign(F(2, 3)) is Comparison.GREATER
+    assert sign(1, 3) is Comparison.UNDECIDABLE
+    assert sign(2, 3) is Comparison.GREATER
     assert seen == _LADDER_200
     assert iv.dps == ambient
 
@@ -263,7 +377,7 @@ def test_ladder_restores_precision_when_a_builder_raises():
         decide(fails_at_60, lambda: iv.mpf(1))
     assert iv.dps == ambient
     with pytest.raises(RuntimeError, match="builder failed"):
-        affine_sign(lambda: (-fails_at_60(), iv.mpf(3)))(F(1, 3))
+        affine_sign(lambda: (-fails_at_60(), iv.mpf(3)))(1, 3)
     assert iv.dps == ambient
     with pytest.raises(ValueError, match="positive base"):
         rigorous_compare(PowProd.of(1, (F(-2), F(1, 2))), PowProd.of(1))
