@@ -27,7 +27,7 @@ from mpmath import iv
 
 from . import rigor
 from .pade import (BOUNDS, IntPolynomial, PadeError, binom, build_diagonal,
-                   content, eval_at_z0, normalize, one_minus_z_pow)
+                   content, eval_at_z0, one_minus_z_pow)
 from .quadring import QuadInt
 
 
@@ -77,7 +77,7 @@ def check_q_bound(j: int, D: int, beta_norm: int) -> QBoundReport:
         if x0 * x0 + D != 4 * beta_norm:
             raise ValueError(f"beta_norm {beta_norm} has no beta over D={D}")
         beta = QuadInt.half(x0, 1, D)
-    sys = normalize(build_diagonal(j, 0))
+    sys = build_diagonal(j, 0)
     ev_q = eval_at_z0(sys.Q, beta, sys.r)
     n_q = ev_q.norm()
     value_sq = Fraction(n_q, beta_norm ** sys.r)

@@ -31,7 +31,7 @@ from .hensel import require_prime
 # build_diagonal and eval_at_z0 are not called here: the benchmark
 # self-test asserts that both are traced in this namespace
 from .pade import (BOUNDS, _unverified_diagonal, build_diagonal, eval_at_z0,
-                   normalize, starred_at_z0)
+                   starred_at_z0)
 from .quadring import QuadInt
 
 
@@ -174,7 +174,7 @@ def _combination(dec: Decomposition, g: int, systems: dict):
     docstring)."""
     sys = systems.get((dec.j, g))
     if sys is None:
-        sys = systems[dec.j, g] = normalize(_unverified_diagonal(dec.j, g))
+        sys = systems[dec.j, g] = _unverified_diagonal(dec.j, g)
     ev_p, ev_q, e4, assembled_ok = starred_at_z0(sys, dec.beta)
     if not assembled_ok:
         raise RuntimeError(

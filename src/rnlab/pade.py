@@ -10,20 +10,18 @@ One builder, _general_triple, gives every triple (P, Q, E) with
   {0, 1}.  It is the unsigned triple at (A, B, C) = (r, j+g-1, r), so Q has
   positive coefficients and P - (1-z)^k Q = (-1)^r z^(2r+1) E.
 
-Both public builders re-verify the identity before a system is handed
-out: (1-z)^k Q, one product, must equal T = P - sign z^(A+C+1) E, and the
-verdict is cached.  The product is formed on operands divided by the
-content c of Q: (1-z)^k Q = T holds if and only if c divides every
-coefficient of T and (1-z)^k (Q/c) = T/c.  If the identity holds, T is c
-times the integer polynomial (1-z)^k (Q/c), so c divides T, and dividing
-both sides by c gives the second equation; conversely, multiplying the
-second equation by c gives back the first.  (Q = 0 has c = 0 and is never
-divided.)  A coefficient of T that c does not divide thus decides False
-with no product, and normalize reads the starred P, Q and E off the same
-division.  The content of the diagonal Q at g = 0 is 58 of its 278 bits
-at j = 32 and 111 of 526 at j = 60.  cross_constant reads the constant of
-two verified systems off their identities with no product.  The audit
-checks its systems at z0 instead (see rnlab.decomposer).
+Every builder returns its triple divided by c, the content of the raw Q
+(PadeSystem.content).  Each part is its ratio loop started at the first
+term divided by c, and every division is checked exact: once c divides
+the first term, each step is exact exactly when c divides the next term,
+so a remainder raises ContentViolationError.  The public builders re-verify
+the identity on the stored triple: (1-z)^k Q = T, T = P - sign z^(A+C+1) E,
+one product, and dividing both sides by c changes nothing.  As deg P = C <
+A + C + 1, T is P, then zeros, then -sign E, with no subtraction.  The
+content of the diagonal Q at g = 0 is 58 of its 278 bits at j = 32 and 111
+of 526 at j = 60.  cross_constant reads the raw constant of two verified
+systems off their identities with no product.  The audit checks its
+systems at z0 instead (see rnlab.decomposer).
 
 Each coefficient sequence is a product of two binomials, a hypergeometric
 term: t_(i+1)/t_i is a rational function of i (Petkovsek, Wilf and
@@ -80,7 +78,7 @@ in rnlab.bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
@@ -346,8 +344,9 @@ class PadeSystem:
 
     kind is "general" (sign +1) or "diagonal" (params j, g with k = 5j,
     r = 4j - g, built at (A, B, C) = (r, j+g-1, r), sign (-1)^r).  content
-    is 1 until the diagonal triple has been normalized, after which it
-    records the divided-out gcd c_g(j).
+    is the content of the raw Q, which the builders divide out of P, Q and
+    E (c_g(j) for a diagonal system): the raw triple is content times the
+    stored one.  A triple given as is keeps content 1.
     """
 
     kind: str
@@ -369,76 +368,98 @@ class PadeSystem:
     def r(self) -> int:
         return self.A
 
-    @property
-    def starred(self) -> bool:
-        return self.content != 1
-
     def identity_sign(self) -> int:
         return -1 if (self.kind == "diagonal" and self.r % 2 == 1) else 1
 
     def remainder_degree(self) -> int:
         return self.A + self.C + 1
 
-    def _remainder(self, f: IntPolynomial | int = 1) -> IntPolynomial:
-        """sign z^(A+C+1) E f, for a polynomial or an integer f."""
+    def _remainder(self, f: IntPolynomial) -> IntPolynomial:
+        """sign z^(A+C+1) E f."""
         return (self.E * (self.identity_sign() * f)).shift(
             self.remainder_degree())
+
+    def _t(self) -> IntPolynomial:
+        """T = P - sign z^m E, m = A + C + 1, with no product: P below z^m
+        and -sign E from z^m on, added where a P of degree m or more
+        reaches it."""
+        m, sign = self.remainder_degree(), self.identity_sign()
+        P, E = self.P.coeffs, self.E.coeffs
+        t = list(P) + [0] * (m + len(E) - len(P))
+        for i, e in enumerate(E, m):
+            t[i] -= sign * e
+        return IntPolynomial._of(t)
 
     @cached_property
     def defect(self) -> IntPolynomial:
         """P - (1-z)^k Q - sign z^(A+C+1) E, formed once per system."""
-        return self.P - one_minus_z_pow(self.k) * self.Q - self._remainder()
-
-    @cached_property
-    def _content_divided(self):
-        """(c, Q/c, T/c) for c = content(Q) and T = P - sign z^(A+C+1) E,
-        with T/c None when c does not divide every coefficient of T.
-        Q = 0 gives c = 0, and c <= 1 leaves Q and T as they are."""
-        c, T = self.Q.content(), self.P - self._remainder()
-        if c <= 1:
-            return c, self.Q, T
-        return c, self.Q.exact_scalar_div(c), T.exact_scalar_div(c)
+        return self._t() - one_minus_z_pow(self.k) * self.Q
 
     @cached_property
     def _identity(self) -> bool:
-        # (1-z)^k Q = T holds iff c divides T and (1-z)^k (Q/c) = T/c (see
-        # the module docstring)
-        _, q, t = self._content_divided
-        return t is not None and one_minus_z_pow(self.k) * q == t
+        return one_minus_z_pow(self.k) * self.Q == self._t()
 
     def identity_holds(self) -> bool:
         """Whether (1-z)^k Q = P - sign z^(A+C+1) E, decided once per
-        system by one product, on operands divided by content(Q)."""
+        system by one product on the stored triple; the raw triple, content
+        times it, satisfies the identity exactly when it does."""
         return self._identity
 
 
+def _run(first: int, ratios, c: int) -> list[int] | None:
+    """[t_0/c, t_1/c, ...] for the terms t_(i+1) = t_i num/den, (num, den)
+    in ratios, or None when a division, by c or by a den, is not exact."""
+    t, rem = divmod(first, c)
+    out = [t]
+    for num, den in ratios:
+        if rem:
+            return None
+        t, rem = divmod(t * num, den)
+        out.append(t)
+    return None if rem else out
+
+
+def _q_ratios(A: int, B: int, C: int) -> list[tuple[int, int]]:
+    """The term ratios q_(i+1)/q_i = (A-i)(B+i+1) / ((i+1)(A+C-i))."""
+    return [((A - i) * (B + i + 1), (i + 1) * (A + C - i)) for i in range(A)]
+
+
 def _q_coeffs(A: int, B: int, C: int) -> list[int]:
-    """The coefficients q_i = C(A+C-i, C) C(B+i, i) of _general_triple's Q,
-    by q_(i+1) = q_i (A-i)(B+i+1) / ((i+1)(A+C-i))."""
-    q = [math.comb(A + C, C)]
-    for i in range(A):
-        q.append(q[-1] * ((A - i) * (B + i + 1)) // ((i + 1) * (A + C - i)))
-    return q
+    """The coefficients q_i = C(A+C-i, C) C(B+i, i) of _general_triple's
+    raw Q."""
+    return _run(math.comb(A + C, C), _q_ratios(A, B, C), 1)
 
 
-def _general_triple(A: int, B: int, C: int):
-    """(P, Q, E) with P - (1-z)^(B+C+1) Q = (-1)^C z^(A+C+1) E, A,B,C >= 0:
+def _general_triple(A: int, B: int, C: int, c: int):
+    """(P/c, Q/c, E/c) for the raw (P, Q, E) with P - (1-z)^(B+C+1) Q =
+    (-1)^C z^(A+C+1) E, A,B,C >= 0, and a c > 0 that divides all three:
     p_i = (-1)^i C(s, i) C(A+C-i, A), q_i = C(A+C-i, C) C(B+i, i) and
     e_i = (-1)^i C(A+i, i) C(s, A+C+1+i), where s = A + B + C + 1.
 
-    Each sequence is one loop over its term ratio t_(i+1)/t_i = num/den;
-    every division t_i num // den is exact, since t_i num = t_(i+1) den
-    and both neighbouring terms are integers."""
+    Each part is one loop over its term ratio t_(i+1)/t_i = num/den from
+    t_0/c.  If c divides t_i and t_(i+1), then (t_i/c) num = (t_(i+1)/c)
+    den, so the step is exact; if c divides t_i but not t_(i+1), it is
+    not.  A remainder raises ContentViolationError naming the part.  The
+    builders pass the content of Q, which only P or E can fail, so those
+    two come first."""
     s = A + B + C + 1
-    p = [math.comb(A + C, A)]
-    for i in range(C):
-        p.append(-p[-1] * ((s - i) * (C - i)) // ((i + 1) * (A + C - i)))
-    e = [math.comb(s, A + C + 1)]
-    for i in range(B):
-        e.append(-e[-1] * ((A + i + 1) * (B - i))
-                 // ((i + 1) * (A + C + 2 + i)))
-    return (IntPolynomial._of(p), IntPolynomial._of(_q_coeffs(A, B, C)),
-            IntPolynomial._of(e))
+    parts = {
+        "P": (math.comb(A + C, A),
+              [(-(s - i) * (C - i), (i + 1) * (A + C - i)) for i in range(C)]),
+        "E": (math.comb(s, A + C + 1),
+              [(-(A + i + 1) * (B - i), (i + 1) * (A + C + 2 + i))
+               for i in range(B)]),
+        "Q": (math.comb(A + C, C), _q_ratios(A, B, C)),
+    }
+    out = {}
+    for name, (first, ratios) in parts.items():
+        terms = _run(first, ratios, c)
+        if terms is None:
+            raise ContentViolationError(
+                f"content {c} does not divide {name} at (A, B, C) = "
+                f"{(A, B, C)}")
+        out[name] = IntPolynomial._of(terms)
+    return out["P"], out["Q"], out["E"]
 
 
 def _degree_checked(sys: PadeSystem, at: tuple) -> PadeSystem:
@@ -458,13 +479,14 @@ def _verified(sys: PadeSystem, at: tuple) -> PadeSystem:
 def build_general(A: int, B: int, C: int) -> PadeSystem:
     """Three-parameter system with P - (1-z)^(B+C+1) Q = z^(A+C+1) E, for
     positive A, B, C: the triple of _general_triple with P and Q times
-    (-1)^C."""
+    (-1)^C, divided by the content of Q."""
     if min(A, B, C) < 1:
         raise ValueError(f"parameters must be >= 1: {(A, B, C)}")
-    P, Q, E = _general_triple(A, B, C)
+    c = math.gcd(*_q_coeffs(A, B, C))
+    P, Q, E = _general_triple(A, B, C, c)
     if C % 2:
         P, Q = -P, -Q
-    return _verified(PadeSystem("general", A, B, C, P, Q, E), (A, B, C))
+    return _verified(PadeSystem("general", A, B, C, P, Q, E, c), (A, B, C))
 
 
 def _diagonal_params(j: int, g: int) -> tuple[int, int, int]:
@@ -479,12 +501,14 @@ def _diagonal_params(j: int, g: int) -> tuple[int, int, int]:
 
 def _unverified_diagonal(j: int, g: int) -> PadeSystem:
     """Diagonal system at k = 5j, r = 4j - g: the unsigned triple at
-    (A, B, C) = (r, j+g-1, r), so that Q has positive coefficients.  Only
-    deg E = B is checked (for the audit; see rnlab.decomposer)."""
+    (A, B, C) = (r, j+g-1, r), so that Q has positive coefficients, divided
+    by c_g(j).  Only deg E = B is checked (for the audit; see
+    rnlab.decomposer)."""
     A, B, C = _diagonal_params(j, g)
-    P, Q, E = _general_triple(A, B, C)
+    c = math.gcd(*_q_coeffs(A, B, C))
+    P, Q, E = _general_triple(A, B, C, c)
     return _degree_checked(
-        PadeSystem("diagonal", A, B, C, P, Q, E, j=j, g=g), (j, g))
+        PadeSystem("diagonal", A, B, C, P, Q, E, c, j=j, g=g), (j, g))
 
 
 def build_diagonal(j: int, g: int) -> PadeSystem:
@@ -498,32 +522,11 @@ def content(j: int, g: int) -> int:
 
 
 def normalize(sys: PadeSystem) -> PadeSystem:
-    """Divide a diagonal triple by c_g(j), the content of its Q; all three
-    divisions must be exact."""
+    """The starred diagonal system: every builder already divides its
+    triple by c_g(j), so sys is returned as it is."""
     if sys.kind != "diagonal":
         raise ValueError("only diagonal systems are normalized")
-    if sys.starred:
-        return sys
-    c, qc, tc = sys._content_divided  # shared with the identity check
-    if c == 1:
-        return sys
-    m = sys.remainder_degree()
-    if c > 1 and tc is not None and sys.P.degree < m:
-        # T = P - sign z^m E with deg P < m: T/c holds P/c below z^m and
-        # -sign E/c from z^m on
-        sign = sys.identity_sign()
-        P = IntPolynomial._of(list(tc.coeffs[:m]))
-        E = IntPolynomial._of([-sign * e for e in tc.coeffs[m:]])
-        return replace(sys, content=c, P=P, Q=qc, E=E)
-    # c does not divide T (a ContentViolationError below names P or E),
-    # P reaches z^m, or Q = 0 (c = 0 raises ZeroDivisionError)
-    parts = {}
-    for name in ("P", "Q", "E"):
-        parts[name] = getattr(sys, name).exact_scalar_div(c)
-        if parts[name] is None:
-            raise ContentViolationError(
-                f"content {c} does not divide {name} at (j,g)={(sys.j, sys.g)}")
-    return replace(sys, content=c, **parts)
+    return sys
 
 
 def _at_zero(poly: IntPolynomial) -> int:
@@ -531,7 +534,8 @@ def _at_zero(poly: IntPolynomial) -> int:
 
 
 def cross_constant(sys_r: PadeSystem, sys_r1: PadeSystem) -> int:
-    """The constant c in P_r Q_{r+1} - Q_r P_{r+1} = c z^(2r+1).
+    """The constant c in P_r Q_{r+1} - Q_r P_{r+1} = c z^(2r+1), for the
+    raw triples: the residual of the stored ones times both contents.
 
     Both systems must share k and have adjacent degrees r and r + 1.  With
     d, s, m each system's defect, sign and remainder degree, the residual
@@ -549,13 +553,14 @@ def cross_constant(sys_r: PadeSystem, sys_r1: PadeSystem) -> int:
     if sys_r1.r != sys_r.r + 1:
         raise ValueError(f"degrees must be adjacent: {sys_r.r}, {sys_r1.r}")
     expected = sys_r.remainder_degree()
+    scale = sys_r.content * sys_r1.content
     if (max(sys_r.P.degree + sys_r1.Q.degree,
             sys_r.Q.degree + sys_r1.P.degree)
             <= expected < sys_r1.remainder_degree()
             and sys_r.identity_holds() and sys_r1.identity_holds()):
         c = sys_r.identity_sign() * _at_zero(sys_r.E) * _at_zero(sys_r1.Q)
         if c:
-            return c
+            return c * scale
     residual = (sys_r1.Q * sys_r.defect - sys_r.Q * sys_r1.defect
                 + sys_r._remainder(sys_r1.Q) - sys_r1._remainder(sys_r.Q))
     if residual.is_zero() or residual.degree != expected:
@@ -563,7 +568,7 @@ def cross_constant(sys_r: PadeSystem, sys_r1: PadeSystem) -> int:
             f"residual degree {residual.degree}, expected {expected}")
     if any(c != 0 for c in residual.coeffs[:-1]):
         raise NotMonomialError("residual is not a monomial")
-    return residual.coeffs[-1]
+    return residual.coeffs[-1] * scale
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +661,7 @@ def starred_at_z0(sys: PadeSystem, beta: QuadInt):
 def assembled_identity_holds(j: int, g: int, beta: QuadInt) -> bool:
     """Exact check of the starred identity at (j, g) evaluated at z0
     (see starred_at_z0)."""
-    return starred_at_z0(normalize(build_diagonal(j, g)), beta)[3]
+    return starred_at_z0(build_diagonal(j, g), beta)[3]
 
 
 # ---------------------------------------------------------------------------

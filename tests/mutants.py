@@ -91,13 +91,17 @@ MUTANTS = (
      ["tests/test_cli.py::test_certify_undecidable_at_the_cap_exit_3"]),
     # the exact identity checks of the Pade systems
     ("identity: PadeSystem._identity always holds", "pade.py",
-     "        return t is not None and one_minus_z_pow(self.k) * q == t\n",
+     "        return one_minus_z_pow(self.k) * self.Q == self._t()\n",
      "        return True\n",
      ["tests/test_pade.py::test_identity_check_sees_every_coefficient"]),
-    ("identity: divisibility of T by content(Q) not checked", "pade.py",
-     "T.exact_scalar_div(c)",
-     "IntPolynomial._of([t // c for t in T.coeffs])",
-     [f"{_PADE}::test_identity_check_on_content_divided_operands"]),
+    ("content: a starred step's remainder not checked", "pade.py",
+     "        t, rem = divmod(t * num, den)\n",
+     "        t, rem = t * num // den, 0\n",
+     [f"{_PADE}::test_doctored_content_raises_naming_p_or_e"]),
+    ("content: cross constant not scaled by the contents", "pade.py",
+     "    scale = sys_r.content * sys_r1.content\n",
+     "    scale = 1\n",
+     [f"{_PADE}::test_cross_constant_monomial"]),
     ("identity: lambda halved in eval_at_z0", "pade.py",
      "_power_table((0, 2 * beta.v), D)",
      "_power_table((0, beta.v), D)",

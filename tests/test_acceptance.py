@@ -89,14 +89,16 @@ def test_criterion_03_pade_identity_suite():
 
 
 def test_criterion_04_content_bound():
+    # build_diagonal divides P, Q and E by c with every step checked exact
+    # (ContentViolationError otherwise), so each built system is the
+    # integral starred triple; gcd(Q*) = 1 makes c all of Q's content
     bound_ok = True
     divides_ok = True
     for j in range(1, 121):
         for g in (0, 1):
             sys = build_diagonal(j, g)
             c = content(j, g)
-            assert c == sys.Q.content()
-            divides_ok &= sys.P.content() % c == 0 and sys.E.content() % c == 0
+            divides_ok &= sys.content == c and sys.Q.content() == 1
             if j >= 51:
                 bound_ok &= c * 1000 ** j > 2943 ** j
     ok = bound_ok and divides_ok
@@ -109,8 +111,8 @@ def test_criterion_05_cross_identity():
     ok = True
     for j in range(1, 9):
         lo, hi = build_diagonal(j, 1), build_diagonal(j, 0)
-        c = cross_constant(lo, hi)
-        residual = lo.P * hi.Q - lo.Q * hi.P
+        c = cross_constant(lo, hi)  # of the raw triples
+        residual = (lo.P * hi.Q - lo.Q * hi.P) * (lo.content * hi.content)
         ok &= c != 0 and residual == IntPolynomial.monomial(c, 2 * lo.r + 1)
     _report(5, "cross products are nonzero monomials of degree 2r+1", ok)
     assert ok

@@ -8,7 +8,7 @@ from rnlab.decomposer import (PreconditionFailError, audit_theorem1_chain,
                               decompose)
 from rnlab.hensel import CompositeModulusError, roots_mod_pn
 from rnlab.pade import (IntPolynomial, _unverified_diagonal, build_diagonal,
-                        content, normalize, starred_at_z0)
+                        starred_at_z0)
 from rnlab.quadring import QuadInt
 from rnlab.survey import run_survey
 
@@ -149,7 +149,7 @@ def test_audit_lambda_norm_enters_exactly():
 
 def _doctored(j, g):
     """The starred system at (j, g) with 1 added to one P* coefficient."""
-    sys = normalize(build_diagonal(j, g))
+    sys = build_diagonal(j, g)
     return replace(sys, P=sys.P + IntPolynomial.monomial(1, 0))
 
 
@@ -164,12 +164,12 @@ def test_audit_rejects_doctored_system():
 def test_cli_audit_doctored_system_exit_4(capsys, monkeypatch):
     from rnlab import decomposer
     from rnlab.cli import main
-    real = decomposer.normalize
+    real = decomposer._unverified_diagonal
 
-    def doctored(sys):
-        return _doctored(sys.j, sys.g) if sys.g == 1 else real(sys)
+    def doctored(j, g):
+        return _doctored(j, g) if g == 1 else real(j, g)
 
-    monkeypatch.setattr(decomposer, "normalize", doctored)
+    monkeypatch.setattr(decomposer, "_unverified_diagonal", doctored)
     code = main(["audit", "--D", "76", "--p", "101", "--x0", "1015",
                  "--n0", "3", "--n", "16", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
@@ -195,7 +195,7 @@ def test_z0_check_catches_every_single_coefficient_fault(beta):
     # docstring): each of the 2880 mutants per beta must fail there
     for j in range(1, 13):
         for g in (0, 1):
-            sys = normalize(_unverified_diagonal(j, g))
+            sys = _unverified_diagonal(j, g)
             assert starred_at_z0(sys, beta)[3]
             for mutant in _mutants(sys):
                 assert not starred_at_z0(mutant, beta)[3], mutant
@@ -215,8 +215,8 @@ _P2 = ["--D", "7", "--p", "2", "--x0", "181", "--n0", "15", "--n", "80"]
 ], ids=["anchor-P", "anchor-Q", "anchor-E", "p2-E", "p2-Q"])
 def test_cli_audit_mutant_system_exit_4(capsys, monkeypatch, instance, g,
                                         part, i, delta):
-    # the mutant enters through the audit's own builder, scaled by the
-    # content so that the starred system is off by delta z^i
+    # the mutant enters through the audit's own builder, whose system is
+    # already starred: it is off by delta z^i
     from rnlab import decomposer
     from rnlab.cli import main
 
@@ -224,7 +224,7 @@ def test_cli_audit_mutant_system_exit_4(capsys, monkeypatch, instance, g,
         sys = _unverified_diagonal(j, g_)
         if g_ != g:
             return sys
-        fault = IntPolynomial.monomial(delta * content(j, g), i)
+        fault = IntPolynomial.monomial(delta, i)
         return replace(sys, **{part: getattr(sys, part) + fault})
 
     monkeypatch.setattr(decomposer, "_unverified_diagonal", mutated)

@@ -87,6 +87,18 @@ def _oracle_general(A, B, C):
     return p, q, e
 
 
+def _raw(sys):
+    """The raw (P, Q, E) of a built system: content times the stored one."""
+    return tuple(IntPolynomial([sys.content * c for c in poly.coeffs])
+                 for poly in (sys.P, sys.Q, sys.E))
+
+
+def _raw_system(sys):
+    """sys with its raw triple stored, at content 1."""
+    P, Q, E = _raw(sys)
+    return replace(sys, P=P, Q=Q, E=E, content=1)
+
+
 def _as_fractions(poly):
     return [F(c) for c in poly.coeffs]
 
@@ -94,11 +106,11 @@ def _as_fractions(poly):
 @pytest.mark.parametrize("A,B,C", [(1, 1, 1), (2, 1, 3), (3, 3, 3),
                                    (1, 4, 2), (4, 2, 1)])
 def test_general_matches_integral_oracle(A, B, C):
-    sys = build_general(A, B, C)
+    P, Q, E = _raw(build_general(A, B, C))
     op, oq, oe = _oracle_general(A, B, C)
-    assert _as_fractions(sys.P) == op[:sys.P.degree + 1]
-    assert _as_fractions(sys.Q) == oq[:sys.Q.degree + 1]
-    assert _as_fractions(sys.E) == oe[:sys.E.degree + 1]
+    assert _as_fractions(P) == op[:P.degree + 1]
+    assert _as_fractions(Q) == oq[:Q.degree + 1]
+    assert _as_fractions(E) == oe[:E.degree + 1]
 
 
 @pytest.mark.parametrize("j,g", [(1, 0), (1, 1), (2, 0), (2, 1)])
@@ -106,12 +118,13 @@ def test_diagonal_matches_integral_oracle(j, g):
     # diagonal triple = (-1)^r * general triple at A = C = r, B = k - r - 1
     # on P and Q; E agrees directly
     sys = build_diagonal(j, g)
+    P, Q, E = _raw(sys)
     r, b = sys.r, sys.k - sys.r - 1
     op, oq, oe = _oracle_general(r, b, r)
     sign = F(-1) ** r
-    assert _as_fractions(sys.P) == [sign * c for c in op]
-    assert _as_fractions(sys.Q) == [sign * c for c in oq]
-    got_e = _as_fractions(sys.E)
+    assert _as_fractions(P) == [sign * c for c in op]
+    assert _as_fractions(Q) == [sign * c for c in oq]
+    got_e = _as_fractions(E)
     assert got_e == oe[:len(got_e)]
     assert all(c == 0 for c in oe[len(got_e):])
 
@@ -121,8 +134,7 @@ def test_diagonal_matches_integral_oracle(j, g):
 def test_unverified_diagonal_matches_build_diagonal(j, g):
     # the audit's builder skips only the identity product: its starred
     # systems are those of the verified builder
-    assert (normalize(pade._unverified_diagonal(j, g))
-            == normalize(build_diagonal(j, g)))
+    assert pade._unverified_diagonal(j, g) == build_diagonal(j, g)
 
 
 def test_unverified_diagonal_checks_deg_e(monkeypatch):
@@ -296,8 +308,7 @@ def test_mul_diagonal_identity_products_match_one_point(four_point_calls):
         for g in (0, 1):
             sys = pade._unverified_diagonal(j, g)
             power = one_minus_z_pow(sys.k)
-            starred_q = sys.Q.exact_scalar_div(sys.Q.content())
-            for q in (sys.Q, starred_q):
+            for q in (_raw(sys)[1], sys.Q):
                 assert power * q == _one_point(power, q), (j, g)
     assert four_point_calls  # the products with the raw Q from j = 15 on
 
@@ -348,90 +359,106 @@ def _bent(sys, name, i, delta):
 
 @pytest.mark.parametrize("j,g", [(8, 1), (12, 0), (40, 0), (60, 1)])
 def test_identity_check_on_content_divided_operands(j, g):
-    # c = content(Q) > 1 must divide T = P - sign z^m E: off by one in a
-    # coefficient of P or E, it does not, and the check says False with no
-    # product; off by c, it does, and the product says False.  The product
-    # is one-point at j = 8 and 12 and four-point at j = 40 and 60
+    # the check runs on the stored triple, the raw one divided by c > 1:
+    # off by 1 or by c in one coefficient of P or E, it says False, and so
+    # does the direct defect of the raw triple, content times the stored
+    # one.  The product is one-point at j = 8 and 12 and four-point at
+    # j = 40 and 60
     sys = build_diagonal(j, g)
-    c, qc, tc = sys._content_divided
-    assert c == content(j, g) > 1 and qc == normalize(sys).Q
+    c = sys.content
+    assert c == content(j, g) > 1 and sys.Q.content() == 1
     cases = 0
     for name in ("P", "E"):
         size = len(getattr(sys, name).coeffs)
         for i in (0, size // 2, size - 1):
             for delta in (1, -1, c, -c):
                 bent = _bent(sys, name, i, delta)
-                assert bent._content_divided[0] == c
-                assert (bent._content_divided[2] is None) == (abs(delta) == 1)
                 assert not bent.identity_holds(), (name, i, delta)
-                assert not _direct_defect(bent).is_zero()
+                assert not _direct_defect(_raw_system(bent)).is_zero()
                 cases += 1
     assert cases == 24
 
 
 def test_identity_check_with_zero_q():
-    # Q = 0 has content 0: the identity is 0 = P - sign z^m E, decided
-    # without a division
+    # Q = 0: the identity is 0 = P - sign z^m E
     sys = build_diagonal(3, 0)
     zero = IntPolynomial.zero()
     no_q = replace(sys, Q=zero)
-    assert no_q._content_divided[0] == 0
     assert not no_q.identity_holds()
     assert replace(sys, P=zero, Q=zero, E=zero).identity_holds()
     # P = sign z^m E holds it with Q = 0
-    assert replace(no_q, P=sys._remainder()).identity_holds()
-    with pytest.raises(ZeroDivisionError):
-        normalize(no_q)
+    remainder = IntPolynomial.monomial(sys.identity_sign(),
+                                       sys.remainder_degree())
+    assert replace(no_q, P=_schoolbook(remainder, sys.E)).identity_holds()
 
 
-def test_normalize_reads_the_identity_checks_division(monkeypatch):
-    # build_diagonal's check divides by c on both sides of the four-point
-    # cutoff, and normalize takes P/c, Q/c and E/c from the cached T/c with
-    # no division of its own.  Each part equals its coefficient-wise
-    # division
-    divisions = []
-    real = IntPolynomial.exact_scalar_div
+@pytest.mark.parametrize("j,g", [(3, 0), (3, 1)])
+def test_identity_check_with_p_reaching_z_m(j, g):
+    # a P of degree m = A + C + 1 or more overlaps sign z^m E in T: adding
+    # sign z^m to P and 1 to E leaves T, and the identity, as they were
+    sys = build_diagonal(j, g)
+    m, sign = sys.remainder_degree(), sys.identity_sign()
+    longer = replace(sys, P=sys.P + IntPolynomial.monomial(sign, m),
+                     E=sys.E + IntPolynomial((1,)))
+    assert longer.P.degree == m and longer.identity_holds()
+    assert longer._t() == sys._t() == sys.P - _schoolbook(
+        IntPolynomial.monomial(sign, m), sys.E)
+    assert not _bent(longer, "P", m, 1).identity_holds()
+    assert not _bent(longer, "E", 0, 1).identity_holds()
 
-    def counting(self, d):
-        divisions.append(d)
-        return real(self, d)
 
+def test_build_and_check_neither_divide_nor_subtract_nor_scale(monkeypatch):
+    # the builders take each part already divided by the content from its
+    # ratio loop, and the identity check concatenates T: no
+    # exact_scalar_div, no IntPolynomial.__sub__ and no product by a scalar
+    # inside build_diagonal, build_general, normalize or identity_holds, on
+    # both sides of the four-point cutoff
+    calls = []
+    real_div = IntPolynomial.exact_scalar_div
+    real_sub, real_mul = IntPolynomial.__sub__, IntPolynomial.__mul__
+
+    def div(self, d):
+        calls.append("exact_scalar_div")
+        return real_div(self, d)
+
+    def sub(self, other):
+        calls.append("__sub__")
+        return real_sub(self, other)
+
+    def mul(self, other):
+        if isinstance(other, int):
+            calls.append("scalar __mul__")
+        return real_mul(self, other)
+
+    monkeypatch.setattr(IntPolynomial, "exact_scalar_div", div)
+    monkeypatch.setattr(IntPolynomial, "__sub__", sub)
+    monkeypatch.setattr(IntPolynomial, "__mul__", mul)
+    monkeypatch.setattr(IntPolynomial, "__rmul__", mul)
     for j, g in ((1, 1), (12, 0), (14, 1), (15, 0), (33, 1), (60, 0)):
-        sys = build_diagonal(j, g)
-        assert "_content_divided" in vars(sys), (j, g)
-        monkeypatch.setattr(IntPolynomial, "exact_scalar_div", counting)
-        starred = normalize(sys)
-        monkeypatch.undo()
-        assert divisions == [], (j, g)
-        c = sys.Q.content()
-        assert starred.content == c
-        for name in ("P", "Q", "E"):
-            assert (getattr(starred, name)
-                    == getattr(sys, name).exact_scalar_div(c)), (j, g, name)
-    # a P that reaches z^m cannot be read off T/c: each part is divided
-    sys = build_diagonal(3, 0)
-    long_p = replace(sys, P=sys.P + IntPolynomial.monomial(
-        content(3, 0), sys.remainder_degree()))
-    assert (normalize(long_p).P
-            == long_p.P.exact_scalar_div(content(3, 0)))
-    with pytest.raises(pade.ContentViolationError, match="divide E"):
-        normalize(_bent(sys, "E", 0, 1))
-    with pytest.raises(pade.ContentViolationError, match="divide P"):
-        normalize(_bent(sys, "P", 0, 1))
+        sys = normalize(build_diagonal(j, g))
+        assert sys.identity_holds() and sys.content == content(j, g)
+    for abc in itertools.product((1, 2, 5), repeat=3):
+        assert build_general(*abc).identity_holds()
+    assert calls == []
+    # the counters see each of the three
+    3 * IntPolynomial((1, 2)) - IntPolynomial((4,)).exact_scalar_div(2)
+    assert sorted(calls) == ["__sub__", "exact_scalar_div", "scalar __mul__"]
 
 
 def _raw_identity(sys):
-    """The oracle: (1-z)^k Q == P - sign z^(A+C+1) E, with the one-point
-    product on the undivided Q."""
-    remainder = (sys.E * sys.identity_sign()).shift(sys.remainder_degree())
-    return _one_point(one_minus_z_pow(sys.k), sys.Q) == sys.P - remainder
+    """The oracle: (1-z)^k Q == P - sign z^(A+C+1) E for the raw triple,
+    content times the stored one, with the one-point product on the
+    undivided Q."""
+    P, Q, E = _raw(sys)
+    remainder = (E * sys.identity_sign()).shift(sys.remainder_degree())
+    return _one_point(one_minus_z_pow(sys.k), Q) == P - remainder
 
 
 def test_identity_holds_matches_the_raw_product(four_point_calls):
-    # the check on content-divided operands against the product on Q
-    # itself: every diagonal system with j <= 60, every general system with
-    # A, B, C <= 6, and systems bent by +-1 and +-c in one coefficient of P
-    # or E below the four-point cutoff, at j = 8 and 12
+    # the check on the stored, content-divided triple against the product
+    # on the raw Q: every diagonal system with j <= 60, every general system
+    # with A, B, C <= 6, and systems bent by +-1 and +-c in one coefficient
+    # of P or E below the four-point cutoff, at j = 8 and 12
     systems = [pade._unverified_diagonal(j, g)
                for j in range(1, 61) for g in (0, 1)]
     systems += [replace(build_general(a, b, c))
@@ -490,13 +517,64 @@ def _comb_general(A, B, C):
     return [sign * c for c in p], [sign * c for c in q], e
 
 
+def _divided_oracle(p, q, e):
+    """(c, (P/c, Q/c, E/c)) for the raw binomial triple and c = gcd(Q): the
+    division that every built system once went through, by
+    exact_scalar_div."""
+    c = math.gcd(*q)
+    return c, tuple(IntPolynomial(part).exact_scalar_div(c)
+                    for part in (p, q, e))
+
+
 def test_general_triple_matches_comb():
-    # zeros included: the diagonal system at j = 1, g = 0 has B = 0
+    # zeros included: the diagonal system at j = 1, g = 0 has B = 0.  At
+    # c = 1 the loops give the raw triple, at c = gcd(Q) the divided one
     for A in range(9):
         for B in range(9):
             for C in range(9):
-                expected = tuple(map(IntPolynomial, _comb_triple(A, B, C)))
-                assert pade._general_triple(A, B, C) == expected, (A, B, C)
+                raw = _comb_triple(A, B, C)
+                c, divided = _divided_oracle(*raw)
+                assert (pade._general_triple(A, B, C, 1)
+                        == tuple(map(IntPolynomial, raw))), (A, B, C)
+                assert pade._general_triple(A, B, C, c) == divided, (A, B, C)
+
+
+@pytest.mark.parametrize("j", [*range(1, 121), 240, 480])
+def test_starred_diagonal_matches_the_divided_raw_triple(j):
+    # the old path as the oracle: each part of the raw binomial triple
+    # divided by gcd(Q).  The stored triple and content equal it, and
+    # content times the stored triple gives the raw formulas back
+    for g in (0, 1):
+        raw = _comb_diagonal(j, g)
+        c, divided = _divided_oracle(*raw)
+        sys = pade._unverified_diagonal(j, g)
+        assert (sys.content, (sys.P, sys.Q, sys.E)) == (c, divided), g
+        assert _raw(sys) == tuple(map(IntPolynomial, raw)), g
+
+
+def test_starred_general_matches_the_divided_raw_triple():
+    for abc in itertools.product(range(1, 7), repeat=3):
+        raw = _comb_general(*abc)
+        c, divided = _divided_oracle(*raw)
+        sys = build_general(*abc)
+        assert (sys.content, (sys.P, sys.Q, sys.E)) == (c, divided), abc
+        assert _raw(sys) == tuple(map(IntPolynomial, raw)), abc
+
+
+@pytest.mark.parametrize("factor", (2, 3))
+def test_doctored_content_raises_naming_p_or_e(factor):
+    # c times 2 or 3 does not divide every coefficient: it stops the loop
+    # of P or E, at the first term or at a step (at (8, 1, 8), j = 2, it
+    # divides the first term of every part, so only a step's remainder
+    # stops it).  Q comes last, as its content is c itself
+    params = [pade._diagonal_params(j, g) for j in range(1, 13)
+              for g in (0, 1)]
+    params += list(itertools.product((1, 2, 5), repeat=3))
+    for A, B, C in params:
+        c = math.gcd(*_comb_triple(A, B, C)[1])
+        with pytest.raises(pade.ContentViolationError,
+                           match=r"does not divide [PE] at"):
+            pade._general_triple(A, B, C, factor * c)
 
 
 def test_diagonal_recurrences_match_comb():
@@ -504,7 +582,7 @@ def test_diagonal_recurrences_match_comb():
         for g in (0, 1):
             p, q, e = _comb_diagonal(j, g)
             sys = build_diagonal(j, g)
-            assert (sys.P, sys.Q, sys.E) == tuple(map(IntPolynomial, (p, q, e)))
+            assert _raw(sys) == tuple(map(IntPolynomial, (p, q, e)))
             assert (sys.k, sys.r) == (5 * j, 4 * j - g)
             assert (sys.A, sys.B, sys.C) == (sys.r, j + g - 1, sys.r)
             assert sys.remainder_degree() == 2 * sys.r + 1
@@ -517,7 +595,7 @@ def test_general_recurrences_match_comb():
             for C in range(1, 7):
                 sys = build_general(A, B, C)
                 expected = tuple(map(IntPolynomial, _comb_general(A, B, C)))
-                assert (sys.P, sys.Q, sys.E) == expected, (A, B, C)
+                assert _raw(sys) == expected, (A, B, C)
                 assert (sys.k, sys.r) == (B + C + 1, A)
 
 
@@ -531,6 +609,7 @@ def test_diagonal_is_signed_general():
                 continue
             gen = build_general(diag.A, diag.B, diag.C)
             sign = (-1) ** diag.r
+            assert diag.content == gen.content
             assert (diag.P, diag.Q, diag.E) == (gen.P * sign, gen.Q * sign,
                                                 gen.E)
 
@@ -567,7 +646,7 @@ def test_general_constant_terms_agree():
             for C in range(1, 5):
                 sys = build_general(A, B, C)
                 assert sys.P.coeffs[0] == sys.Q.coeffs[0]
-                assert abs(sys.P.coeffs[0]) == binom(A + C, A)
+                assert abs(sys.content * sys.P.coeffs[0]) == binom(A + C, A)
 
 
 def test_build_diagonal_10():
@@ -582,7 +661,7 @@ def test_build_diagonal_10():
 
 def test_build_diagonal_11():
     sys = build_diagonal(1, 1)
-    assert list(sys.Q.coeffs) == [20, 20, 12, 4]
+    assert list(_raw(sys)[1].coeffs) == [20, 20, 12, 4]
     assert [binom(6 - i, 3) * (i + 1) for i in range(4)] == [20, 20, 12, 4]
 
 
@@ -605,7 +684,9 @@ def test_content_examples():
 def test_content_equals_gcd_of_built_q():
     for j in range(1, 13):
         for g in (0, 1):
-            assert content(j, g) == build_diagonal(j, g).Q.content()
+            sys = build_diagonal(j, g)
+            assert content(j, g) == sys.content == _raw(sys)[1].content()
+            assert sys.Q.content() == 1
 
 
 def test_content_lower_bound_at_51():
@@ -629,14 +710,16 @@ def test_normalize_divides_all_three_at_scale():
 
 @pytest.mark.parametrize("j", range(1, 9))
 def test_cross_constant_monomial(j):
+    # the constant of the raw triples, content times the stored ones
     lo, hi = build_diagonal(j, 1), build_diagonal(j, 0)
     c = cross_constant(lo, hi)
     assert c != 0
-    residual = lo.P * hi.Q - lo.Q * hi.P
+    (p_lo, q_lo, _), (p_hi, q_hi, _) = _raw(lo), _raw(hi)
+    residual = p_lo * q_hi - q_lo * p_hi
     assert residual == IntPolynomial.monomial(c, 8 * j - 1)
-    # starred variant is a monomial of the same degree
-    cs = cross_constant(normalize(lo), normalize(hi))
-    assert cs != 0
+    # the stored triples give it divided by both contents
+    assert (lo.P * hi.Q - lo.Q * hi.P == IntPolynomial.monomial(
+        c // (lo.content * hi.content), 8 * j - 1))
 
 
 def test_cross_constant_self_rejected():
@@ -662,7 +745,7 @@ def test_cross_constant_rejects_corrupt_system():
 # cross_constant reads c off the two identities once both are verified and
 # the degrees allow it, and otherwise forms its residual from the two defects
 # and two E.Q products; the oracle below is the direct residual
-# P_r Q_(r+1) - Q_r P_(r+1)
+# P_r Q_(r+1) - Q_r P_(r+1) of the raw triples, content times the stored ones
 
 
 def _cross_outcome(lo, hi):
@@ -673,7 +756,8 @@ def _cross_outcome(lo, hi):
 
 
 def _direct_outcome(lo, hi):
-    residual = lo.P * hi.Q - lo.Q * hi.P
+    (p_lo, q_lo, _), (p_hi, q_hi, _) = _raw(lo), _raw(hi)
+    residual = p_lo * q_hi - q_lo * p_hi
     c = residual.coeffs[-1] if residual.coeffs else 0
     if c and residual == IntPolynomial.monomial(c, lo.remainder_degree()):
         return c
@@ -683,7 +767,7 @@ def _direct_outcome(lo, hi):
 def test_cross_constant_matches_direct_residual_on_diagonal_pairs():
     for j in range(1, 41):
         lo, hi = build_diagonal(j, 1), build_diagonal(j, 0)
-        for pair in ((lo, hi), (normalize(lo), normalize(hi))):
+        for pair in ((lo, hi), (_raw_system(lo), _raw_system(hi))):
             c = _direct_outcome(*pair)
             assert c != "not a monomial" and cross_constant(*pair) == c, j
 
@@ -746,20 +830,20 @@ def test_defect_matches_direct_identity():
 
 def test_replaced_system_does_not_inherit_cached_defect():
     # neither the verdict that build caches nor a cached defect carries over
-    # to a system made by replace or normalize
+    # to a system made by replace
     sys = build_diagonal(3, 1)
     assert "_identity" in vars(sys) and sys.identity_holds()  # cached by build
     assert sys.defect.is_zero() and "defect" in vars(sys)
+    assert normalize(sys) is sys and sys.content > 1
     bent = replace(sys, P=sys.P + IntPolynomial((1,)))
-    starred = normalize(sys)
-    assert starred.content > 1
-    for derived in (bent, starred):
+    raw = _raw_system(sys)
+    for derived in (bent, raw):
         assert "_identity" not in vars(derived)
         assert "defect" not in vars(derived)
         assert derived.defect == _direct_defect(derived)
         assert derived.identity_holds() == derived.defect.is_zero()
-    assert bent.defect == IntPolynomial((1,)) and starred.defect.is_zero()
-    assert not bent.identity_holds() and starred.identity_holds()
+    assert bent.defect == IntPolynomial((1,)) and raw.defect.is_zero()
+    assert not bent.identity_holds() and raw.identity_holds()
 
 
 def test_cross_constant_zero_c_takes_the_residual():
