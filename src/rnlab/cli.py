@@ -226,8 +226,6 @@ def _verify_one_diagonal(sys_jg: pade.PadeSystem) -> dict:
 
 
 def _cmd_pade(args) -> int:
-    if args.pade_cmd != "verify":
-        raise ValueError(f"unknown pade subcommand {args.pade_cmd!r}")
     if args.j_max < 1 or args.abc_max < 1:
         raise ValueError("j_max and abc_max must be >= 1")
     abc = range(1, args.abc_max + 1)

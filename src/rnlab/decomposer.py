@@ -17,7 +17,7 @@ there exactly before any verdict uses them; a failure raises (exit 4).
 The full identity adds nothing to that evidence.  A fault c z^i in one
 coefficient moves one side of that check by c lambda^i times powers of
 beta, conj(beta) and lambda, which is never 0.
-The one inexact verdict, q-lambda, runs on rigor.decide, not on mpmath.
+The one inexact verdict, q-lambda, runs on rigor.rigorous_compare.
 """
 
 from __future__ import annotations
@@ -245,16 +245,12 @@ def audit_theorem1_chain(dec: Decomposition, systems: dict | None = None
         nine_tenths_ok = a * nine_sq.denominator < nine_sq.numerator * lhs_sq
 
         # informational: (|Q||lambda|)^2 < coeff * |beta|^(2r+0.9746) with
-        # coeff = 0.238074^2 * q_base^(2j)
-        def lhs_builder():
-            return rigor.iv_fraction(Fraction(a))
-
-        def rhs_builder():
-            return (rigor.iv_fraction(coeff) * rigor.iv_pow(
-                Fraction(beta_norm), sys.r + AUDIT_CONSTANTS.beta_exp))
-
-        q_lambda_ok = (rigor.decide(lhs_builder, rhs_builder)
-                       is rigor.Comparison.LESS)
+        # coeff = 0.238074^2 * q_base^(2j); a log enclosure needs a > 0
+        q_lambda_ok = a == 0 or rigor.rigorous_compare(
+            rigor.PowProd.of(a),
+            rigor.PowProd.of(coeff, (beta_norm,
+                                     sys.r + AUDIT_CONSTANTS.beta_exp)),
+        ) is rigor.Comparison.LESS
         margins = {
             "ii_log10_slack": (flog10(a + b) - flog10(lhs_sq)) / 2,
             "iii_log10_slack": flog10(dec.m * dec.p ** gap) - flog10(n_mu),

@@ -374,11 +374,6 @@ class PadeSystem:
     def remainder_degree(self) -> int:
         return self.A + self.C + 1
 
-    def _remainder(self, f: IntPolynomial) -> IntPolynomial:
-        """sign z^(A+C+1) E f."""
-        return (self.E * (self.identity_sign() * f)).shift(
-            self.remainder_degree())
-
     def _t(self) -> IntPolynomial:
         """T = P - sign z^m E, m = A + C + 1, with no product: P below z^m
         and -sign E from z^m on, added where a P of degree m or more
@@ -389,11 +384,6 @@ class PadeSystem:
         for i, e in enumerate(E, m):
             t[i] -= sign * e
         return IntPolynomial._of(t)
-
-    @cached_property
-    def defect(self) -> IntPolynomial:
-        """P - (1-z)^k Q - sign z^(A+C+1) E, formed once per system."""
-        return self._t() - one_minus_z_pow(self.k) * self.Q
 
     @cached_property
     def _identity(self) -> bool:
@@ -428,6 +418,11 @@ def _q_coeffs(A: int, B: int, C: int) -> list[int]:
     """The coefficients q_i = C(A+C-i, C) C(B+i, i) of _general_triple's
     raw Q."""
     return _run(math.comb(A + C, C), _q_ratios(A, B, C), 1)
+
+
+def _content(A: int, B: int, C: int) -> int:
+    """The content of _general_triple's raw Q: the gcd of its q_i."""
+    return math.gcd(*_q_coeffs(A, B, C))
 
 
 def _general_triple(A: int, B: int, C: int, c: int):
@@ -482,7 +477,7 @@ def build_general(A: int, B: int, C: int) -> PadeSystem:
     (-1)^C, divided by the content of Q."""
     if min(A, B, C) < 1:
         raise ValueError(f"parameters must be >= 1: {(A, B, C)}")
-    c = math.gcd(*_q_coeffs(A, B, C))
+    c = _content(A, B, C)
     P, Q, E = _general_triple(A, B, C, c)
     if C % 2:
         P, Q = -P, -Q
@@ -505,7 +500,7 @@ def _unverified_diagonal(j: int, g: int) -> PadeSystem:
     by c_g(j).  Only deg E = B is checked (for the audit; see
     rnlab.decomposer)."""
     A, B, C = _diagonal_params(j, g)
-    c = math.gcd(*_q_coeffs(A, B, C))
+    c = _content(A, B, C)
     P, Q, E = _general_triple(A, B, C, c)
     return _degree_checked(
         PadeSystem("diagonal", A, B, C, P, Q, E, c, j=j, g=g), (j, g))
@@ -518,7 +513,7 @@ def build_diagonal(j: int, g: int) -> PadeSystem:
 
 def content(j: int, g: int) -> int:
     """c_g(j): gcd of the diagonal Q coefficients (binomial products)."""
-    return math.gcd(*_q_coeffs(*_diagonal_params(j, g)))
+    return _content(*_diagonal_params(j, g))
 
 
 def normalize(sys: PadeSystem) -> PadeSystem:
@@ -537,16 +532,18 @@ def cross_constant(sys_r: PadeSystem, sys_r1: PadeSystem) -> int:
     """The constant c in P_r Q_{r+1} - Q_r P_{r+1} = c z^(2r+1), for the
     raw triples: the residual of the stored ones times both contents.
 
-    Both systems must share k and have adjacent degrees r and r + 1.  With
-    d, s, m each system's defect, sign and remainder degree, the residual
-    equals Q_(r+1) d_r - Q_r d_(r+1) + s_r z^m_r E_r Q_(r+1) - s_(r+1)
-    z^m_(r+1) E_(r+1) Q_r for any triples, so it is exact for a corrupt
-    system too.  It must be a nonzero monomial of the expected degree.
+    Both systems must share k and have adjacent degrees r and r + 1.  The
+    residual is formed by its definition, two products on the stored
+    triples, so a corrupt system gets its exact residual too.  It must be a
+    nonzero monomial of the expected degree.
 
-    When both identities hold (d = 0), m_r < m_(r+1) and the residual's
-    degree is at most m_r, the residual is divisible by z^m_r and so equals
-    c z^m_r with c = s_r E_r(0) Q_(r+1)(0); a nonzero c is returned with no
-    product.  Every other pair is decided by the residual above.
+    With s, m each system's sign and remainder degree, once both identities
+    P = (1-z)^k Q + s z^m E hold the (1-z)^k Q_r Q_(r+1) terms cancel, and
+    the residual is s_r z^m_r E_r Q_(r+1) - s_(r+1) z^m_(r+1) E_(r+1) Q_r.
+    If also m_r < m_(r+1) and the residual's degree is at most m_r, it is
+    divisible by z^m_r and so equals c z^m_r with c = s_r E_r(0)
+    Q_(r+1)(0); a nonzero c is returned with no product (pade verify's
+    path).  Every other pair takes the two products.
     """
     if sys_r.k != sys_r1.k:
         raise ValueError(f"mismatched k: {sys_r.k} vs {sys_r1.k}")
@@ -561,8 +558,7 @@ def cross_constant(sys_r: PadeSystem, sys_r1: PadeSystem) -> int:
         c = sys_r.identity_sign() * _at_zero(sys_r.E) * _at_zero(sys_r1.Q)
         if c:
             return c * scale
-    residual = (sys_r1.Q * sys_r.defect - sys_r.Q * sys_r1.defect
-                + sys_r._remainder(sys_r1.Q) - sys_r1._remainder(sys_r.Q))
+    residual = sys_r.P * sys_r1.Q - sys_r.Q * sys_r1.P
     if residual.is_zero() or residual.degree != expected:
         raise NotMonomialError(
             f"residual degree {residual.degree}, expected {expected}")

@@ -36,6 +36,7 @@ TIMEOUT_S = 120
 _RIGOR = "tests/test_rigor.py"
 _PADE = "tests/test_pade.py"
 _SURVEY = "tests/test_survey.py"
+_DECOMPOSER = "tests/test_decomposer.py"
 _WALK = "tests/test_survey_two.py::test_jumps_decide_the_walked_records"
 
 MUTANTS = (
@@ -102,6 +103,12 @@ MUTANTS = (
      "    scale = sys_r.content * sys_r1.content\n",
      "    scale = 1\n",
      [f"{_PADE}::test_cross_constant_monomial"]),
+    ("cross: the second product taken from the wrong pair", "pade.py",
+     "sys_r.Q * sys_r1.P\n",
+     "sys_r1.Q * sys_r.P\n",
+     [f"{_PADE}::test_cross_constant_matches_direct_residual_on_general_pairs",
+      f"{_PADE}::"
+      "test_cross_constant_matches_direct_residual_on_synthetic_pairs"]),
     ("identity: lambda halved in eval_at_z0", "pade.py",
      "_power_table((0, 2 * beta.v), D)",
      "_power_table((0, beta.v), D)",
@@ -111,6 +118,15 @@ MUTANTS = (
      "return ev_p, ev_q, assembled, True",
      ["tests/test_decomposer.py::"
       "test_z0_check_catches_every_single_coefficient_fault"]),
+    # the audit's one inexact verdict
+    ("q-lambda: a zero a takes a log", "decomposer.py",
+     "q_lambda_ok = a == 0 or ",
+     "q_lambda_ok = ",
+     [f"{_DECOMPOSER}::test_q_lambda_holds_when_q_star_vanishes"]),
+    ("q-lambda: GREATER passes", "decomposer.py",
+     "is rigor.Comparison.LESS",
+     "is rigor.Comparison.GREATER",
+     [f"{_DECOMPOSER}::test_q_lambda_matches_interval_builders"]),
     # the four-point Kronecker product
     ("product: the quarter shift one byte short", "pade.py",
      "    q = 2 * width  # x = 2^q",

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from rnlab.decomposer import (PreconditionFailError, audit_theorem1_chain,
-                              decompose)
+from rnlab import rigor
+from rnlab.decomposer import (AUDIT_CONSTANTS, PreconditionFailError,
+                              audit_theorem1_chain, decompose)
 from rnlab.hensel import CompositeModulusError, roots_mod_pn
-from rnlab.pade import (IntPolynomial, _unverified_diagonal, build_diagonal,
-                        starred_at_z0)
+from rnlab.pade import (BOUNDS, IntPolynomial, _unverified_diagonal,
+                        build_diagonal, starred_at_z0)
 from rnlab.quadring import QuadInt
 from rnlab.survey import run_survey
 
@@ -140,6 +141,61 @@ def test_audit_verdicts_follow_their_constants(monkeypatch):
     reports = audit_theorem1_chain(dec)
     assert all(r.nine_tenths_ok for r in reports)
     assert reports[0].margins["nine_tenths_log10_slack"] > 0
+
+
+def _q_lambda_by_intervals(dec, sys):
+    """The q-lambda verdict by mpmath interval builders, a against coeff *
+    |beta|^(2(r + beta_exp)), each end compared by rigor.decide."""
+    a = starred_at_z0(sys, dec.beta)[1].norm() * dec.lam.norm()
+    coeff = (AUDIT_CONSTANTS.q_lambda_coeff ** 2
+             * BOUNDS.q_base ** (2 * dec.j))
+
+    def lhs():
+        return rigor.iv_fraction(F(a))
+
+    def rhs():
+        return rigor.iv_fraction(coeff) * rigor.iv_pow(
+            F(dec.beta.norm()), sys.r + AUDIT_CONSTANTS.beta_exp)
+
+    return rigor.decide(lhs, rhs) is rigor.Comparison.LESS
+
+
+def test_q_lambda_matches_interval_builders():
+    # the integer log ends of rigorous_compare give the verdict of the
+    # interval builders on both roots and both g: the anchor at n = 15j + 1,
+    # j <= 60 (one level per j), and (7, 2, 181, 15) at five levels
+    cases = [(76, 101, 1015, 3, 15 * j + 1) for j in range(1, 61)]
+    cases += [(7, 2, 181, 15, n) for n in (80, 151, 301, 601, 1201)]
+    verdicts = []
+    for D, p, x0, n0, n in cases:
+        systems = {}
+        for x in roots_mod_pn(D, p, n).all_roots():
+            dec = decompose(D, p, x0, n0, x, n)
+            for rep in audit_theorem1_chain(dec, systems):
+                want = _q_lambda_by_intervals(dec, systems[dec.j, rep.g])
+                assert rep.q_lambda_ok == want, (D, p, n, x, rep.g)
+                verdicts.append(want)
+    assert len(verdicts) == 4 * 60 + 8 * 5
+    assert False in verdicts and True in verdicts
+
+
+def test_q_lambda_holds_when_q_star_vanishes(monkeypatch):
+    # Q*(z0) = 0 gives a = 0 < coeff |beta|^(2r+0.9746): True, as the
+    # interval [0, 0] of the builders above says, with no log of a taken
+    from rnlab import decomposer
+    real = decomposer.starred_at_z0
+
+    def zero_q(sys, beta):
+        ev_p, _, assembled, ok = real(sys, beta)
+        return ev_p, QuadInt.from_int(0, beta.D), assembled, ok
+
+    x = roots_mod_pn(76, 101, 16).all_roots()[0]
+    dec = decompose(76, 101, 1015, 3, x, 16)
+    assert [r.q_lambda_ok for r in audit_theorem1_chain(dec)] == [False, True]
+    monkeypatch.setattr(decomposer, "starred_at_z0", zero_q)
+    reports = audit_theorem1_chain(dec)
+    assert all(r.nonzero_this_g for r in reports)
+    assert all(r.q_lambda_ok for r in reports)
 
 
 def test_audit_lambda_norm_enters_exactly():

@@ -743,9 +743,9 @@ def test_cross_constant_rejects_corrupt_system():
 
 
 # cross_constant reads c off the two identities once both are verified and
-# the degrees allow it, and otherwise forms its residual from the two defects
-# and two E.Q products; the oracle below is the direct residual
-# P_r Q_(r+1) - Q_r P_(r+1) of the raw triples, content times the stored ones
+# the degrees allow it, and otherwise forms the residual P_r Q_(r+1) -
+# Q_r P_(r+1) of the stored triples; the oracle below is that residual of
+# the raw triples, content times the stored ones
 
 
 def _cross_outcome(lo, hi):
@@ -791,8 +791,8 @@ def test_cross_constant_matches_direct_residual_on_general_pairs():
 
 @pytest.mark.parametrize("j", range(1, 7))
 def test_cross_constant_matches_direct_residual_on_mutants(j):
-    # +-1 on any one coefficient of P, Q or E in either system: the defect
-    # terms carry the corruption, so the outcome is the direct one
+    # +-1 on any one coefficient of P, Q or E in either system: a bent
+    # system fails its identity, so the outcome is the direct residual's
     pair = [build_diagonal(j, 1), build_diagonal(j, 0)]
     for side in (0, 1):
         for name in ("P", "Q", "E"):
@@ -818,31 +818,30 @@ def _direct_defect(sys):
 
 
 def test_defect_matches_direct_identity():
+    # identity_holds agrees with the direct defect, on the built systems and
+    # on each bent by z^B in Q
     systems = [build_diagonal(j, g) for j in range(1, 13) for g in (0, 1)]
     systems += [build_general(*t)
                 for t in itertools.product(range(1, 5), repeat=3)]
     for sys in systems:
-        assert sys.defect.is_zero() and _direct_defect(sys).is_zero()
+        assert sys.identity_holds() and _direct_defect(sys).is_zero()
         bent = replace(sys, Q=sys.Q + IntPolynomial.monomial(1, sys.B))
-        assert bent.defect == _direct_defect(bent) != IntPolynomial.zero()
+        assert not _direct_defect(bent).is_zero()
         assert not bent.identity_holds()
 
 
 def test_replaced_system_does_not_inherit_cached_defect():
-    # neither the verdict that build caches nor a cached defect carries over
-    # to a system made by replace
+    # the identity verdict that build caches does not carry over to a
+    # system made by replace: each derived system decides its own
     sys = build_diagonal(3, 1)
     assert "_identity" in vars(sys) and sys.identity_holds()  # cached by build
-    assert sys.defect.is_zero() and "defect" in vars(sys)
     assert normalize(sys) is sys and sys.content > 1
     bent = replace(sys, P=sys.P + IntPolynomial((1,)))
     raw = _raw_system(sys)
     for derived in (bent, raw):
         assert "_identity" not in vars(derived)
-        assert "defect" not in vars(derived)
-        assert derived.defect == _direct_defect(derived)
-        assert derived.identity_holds() == derived.defect.is_zero()
-    assert bent.defect == IntPolynomial((1,)) and raw.defect.is_zero()
+        assert derived.identity_holds() == _direct_defect(derived).is_zero()
+    assert _direct_defect(bent) == IntPolynomial((1,))
     assert not bent.identity_holds() and raw.identity_holds()
 
 
