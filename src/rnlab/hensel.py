@@ -24,14 +24,14 @@ The odd ladder, which the odd-p survey walks, adds the next p-adic digit d
 of its stored root per level, in a few linear big-int operations:
 
     d  = -m (2r)^-1 mod p          (an inverse mod p only)
-    m' = (m + 2dr + d^2 p^n) / p   (exact; the remainder is checked)
+    m' = (m + 2dr + d^2 p^n) / p   (exact by choice of d)
     r' = r + d p^n
 
-and checks r^2 + D = p^n m modulo the Mersenne prime q = 2^127 - 1, which
-catches a corrupted root or cofactor (the remainder cannot: d is chosen to
-make it zero).  r and m are reduced by folding (q divides 2^t - 1 when
-127 | t), and p^n mod q is carried, not read from the state's pn.  For
-p = 2, lift_two_step walks the table from level 1 to level 3 only.
+It keeps e = r^2 + D - p^n m, as (r + d p^n)^2 + D - p^n (m + 2dr +
+d^2 p^n) = e, and so does the flip to y = p^n - r with cofactor y - r + m.
+An exact start stays exact, a corrupted root or cofactor keeps its e != 0,
+and LiftState.verify of a state, which checks p^n too, proves every level
+up to it.  For p = 2, lift_two_step walks the table from level 1 to level 3.
 """
 
 from __future__ import annotations
@@ -71,19 +71,6 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_13: the least strong pseudoprime to all of _MR_WITNESSES (Sorenson &
 # Webster, Math. Comp. 86 (2017)); below it the test above is a proof
 PRIME_BOUND = 3317044064679887385961981
-
-# prime modulus of the per-level residue check; it exceeds PRIME_BOUND, so
-# it never divides p^n
-_CHECK_Q = 2 ** 127 - 1
-
-
-def _mod_check_q(x: int) -> int:
-    """x mod _CHECK_Q: fold x = hi 2^t + lo into hi + lo, with 127 | t,
-    while x is long (2^t = 1 mod q), then one % on a short x."""
-    while x.bit_length() > 1536:
-        t = x.bit_length() // 254 * 127
-        x = (x >> t) + (x & ((1 << t) - 1))
-    return x % _CHECK_Q
 
 
 def is_probable_prime(n: int) -> bool:
@@ -180,10 +167,11 @@ def _sqrt_mod_prime(a: int, p: int) -> tuple[int, int]:
 class LiftState:
     """Roots of x^2 + D = 0 (mod p^n), one stored per +/- pair.
 
-    cofactors[i] is the exact m with min_roots[i]^2 + D = p^n m, pn is p^n
-    and pq is p^n mod _CHECK_Q.  Each is derived when not given; deriving a
-    cofactor is an exact division that raises HenselError if the root is not
-    one.  Equality compares (p, D, n, min_roots) only.
+    cofactors[i] is the exact m with min_roots[i]^2 + D = p^n m and pn is
+    p^n.  Each is derived when not given; deriving a cofactor is an exact
+    division that raises HenselError if the root is not one.  Given ones are
+    not checked: verify() is the check.  Equality compares (p, D, n,
+    min_roots) only.
     """
 
     p: int
@@ -193,13 +181,10 @@ class LiftState:
     cofactors: tuple[int, ...] | None = field(default=None, compare=False,
                                               repr=False)
     pn: int = field(default=0, compare=False, repr=False)
-    pq: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.pn:
             object.__setattr__(self, "pn", self.p ** self.n)
-        if not self.pq:
-            object.__setattr__(self, "pq", pow(self.p, self.n, _CHECK_Q))
         if self.cofactors is None:
             cofs = []
             for r in self.min_roots:
@@ -241,43 +226,39 @@ class LiftState:
         return 2 if p == 2 and n >= 3 else 1
 
     def verify(self) -> None:
-        """check_ladder, plus r^2 + D = p^n m exactly for every stored pair."""
+        """check_ladder, plus pn = p^n and r^2 + D = p^n m exactly for every
+        stored pair."""
         self.check_ladder()
+        if self.pn != self.p ** self.n:
+            raise HenselError(f"pn is not {self.p}^{self.n}")
         for r, m in zip(self.min_roots, self.cofactors, strict=True):
             if r * r + self.D != self.pn * m:
                 raise HenselError(f"invalid root {r} at level {self.n}")
 
     @classmethod
     def _of(cls, p: int, D: int, n: int, min_roots: tuple[int, ...],
-            cofactors: tuple[int, ...], pn: int, pq: int) -> LiftState:
-        """From all seven fields, already checked: nothing is derived."""
+            cofactors: tuple[int, ...], pn: int) -> LiftState:
+        """From all six fields: nothing is derived or checked."""
         state = object.__new__(cls)
         state.__dict__.update(p=p, D=D, n=n, min_roots=min_roots,
-                              cofactors=cofactors, pn=pn, pq=pq)
+                              cofactors=cofactors, pn=pn)
         return state
 
 
 def lift_step_odd(state: LiftState) -> LiftState:
     """Lift the one stored root a level by its next p-adic digit
     d = -m (2r)^-1 mod p, carrying the cofactor exactly, and flip it to its
-    minimal representative.  The lifted identity is checked modulo
-    _CHECK_Q against the carried p^(n+1) mod _CHECK_Q."""
-    p, D, pn, q = state.p, state.D, state.pn, _CHECK_Q
+    minimal representative.  Nothing is checked here: the step keeps
+    r^2 + D - p^n m, and LiftState.verify is the check."""
+    p, pn = state.p, state.pn
     (r,), (m,) = state.min_roots, state.cofactors
     d = -(m % p) * pow(2 * r % p, -1, p) % p
-    m, rem = divmod(m + 2 * d * r + d * d * pn, p)
-    if rem:
-        raise LiftInvariantError(
-            f"digit {d} leaves remainder {rem} at level {state.n + 1}")
-    r, pn, pq = r + d * pn, pn * p, state.pq * p % q
+    m = (m + 2 * d * r + d * d * pn) // p
+    r, pn = r + d * pn, pn * p
     if r > pn >> 1:
         y = pn - r
         r, m = y, y - r + m
-    rq = _mod_check_q(r)
-    if (rq * rq + D - pq * _mod_check_q(m)) % q:
-        raise LiftInvariantError(
-            f"root {r} breaks r^2 + D = p^n m at level {state.n + 1}")
-    return LiftState._of(p, D, state.n + 1, (r,), (m,), pn, pq)
+    return LiftState._of(p, state.D, state.n + 1, (r,), (m,), pn)
 
 
 def _two_initial(D: int, n: int) -> LiftState:

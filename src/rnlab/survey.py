@@ -2,28 +2,28 @@
 
 For each n up to n_max the Hensel roots are enumerated (two per level for
 an odd split prime, up to four for p = 2) with their exact cofactors m
-(the complement p^n - r has cofactor p^n - 2r + m), and the test
-m > x^(a/b) is decided by exact integer powers with a bit-length shortcut.
-Only residues 0 < x < p^n are tested: any larger x in the class has
-m > x^2/p^n >= x > x^sigma automatically.
+(the complement p^n - r has cofactor p^n - 2r + m), and power_compare
+decides m > x^(a/b) exactly.  Only residues 0 < x < p^n are tested: any
+larger x in the class has m > x^2/p^n >= x > x^sigma automatically.
 
 run_survey gates (D, p) by hensel.check_instance.  For odd p it walks the
-odd ladder, hensel.lift_step, which carries each cofactor from level to
-level.  For p = 2 it walks the ladder to level 3, then reads every later
-level from the bits of the 2-adic root S of hensel.padic_root(D, 2, n_max),
-which padic_root has checked exactly.  A record of bit length L at level n
-has m > 2^(2L-2-n); only records this bound cannot settle, or that could
+odd ladder, hensel.lift_step, which carries each cofactor unchecked, and
+verifies exactly each state it checkpoints and the last before the report.
+For p = 2 it walks the ladder to level 3, then reads every later level
+from the bits of the 2-adic root S of hensel.padic_root(D, 2, n_max),
+checked there exactly.  A record of bit length L at level n has
+m > 2^(2L-2-n); only records this bound cannot settle, or that could
 lower the minimum margin, are built and decided exactly.  Once the three
 wide records of a level settle, later levels test only the least root,
 whose length is n - 1 - t for the run t of equal bits of S ending at bit
 n - 2.  The minimum margin gives a run length g below which every later
 level settles, so the survey jumps by str.find to the next run of g equal
 bits, stopping at checkpoints and n_max: a linear scan of S's bits plus
-one visit per long run, not one per level.  Long runs
-checkpoint the lift state as a small versioned JSON blob; the cofactors are
-not stored but recomputed, and thereby verified, on restore.  A resumed
-state must be of (D, p), at n <= n_max and pass LiftState.verify, which
-run_survey checks before any other outcome.
+one visit per long run, not one per level.  A checkpoint stores the lift
+state's roots as a small versioned JSON blob; restore recomputes, and so
+verifies, the cofactors.  A resumed state must be of (D, p), at
+n <= n_max and pass LiftState.verify, which run_survey checks before any
+other outcome.
 """
 
 from __future__ import annotations
@@ -60,8 +60,10 @@ def power_compare(m: int, x: int, a: int, b: int) -> bool:
     """Decide m > x^(a/b) exactly, i.e. m^b > x^a.
 
     A bit-length pre-check settles almost every case without forming the
-    big powers; the fallback is the exact integer comparison, so the
-    result always equals the exact one.
+    big powers.  Past it, with a/b in lowest terms, equal powers are found
+    by _equal_powers, and unequal ones separate as enclosures of k bits
+    (_power_ends), k doubled from 64: at the latest when k reaches the
+    powers' length, where nothing rounds.
     """
     if m < 1 or x < 1:
         raise ValueError("m and x must be >= 1")
@@ -72,7 +74,67 @@ def power_compare(m: int, x: int, a: int, b: int) -> bool:
         return True  # m^b >= 2^(b(blm-1)) >= 2^(a blx) > x^a
     if b * blm <= a * (blx - 1):
         return False  # m^b < 2^(b blm) <= 2^(a(blx-1)) <= x^a
-    return m ** b > x ** a
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    if _equal_powers(m, a, x, b):
+        return False
+    k = 64
+    while True:
+        m_lo, m_hi = _power_ends(m, b, k)
+        x_lo, x_hi = _power_ends(x, a, k)
+        if m_lo > x_hi:
+            return True
+        if m_hi < x_lo:
+            return False
+        k *= 2
+
+
+def _equal_powers(m: int, a: int, x: int, b: int) -> bool:
+    """m^b = x^a for coprime 0 < a < b, which holds exactly when m = t^a and
+    x = t^b for an integer t.  Euclid's algorithm on (a, b) finds t: with
+    b = qa + r, x = m^q t^r, so m^q must divide x, and then x / m^q and m
+    are t^r and t^a for the coprime pair r < a.  At r = 0, t^0 must be 1.
+    No power formed exceeds x."""
+    while a:
+        q, r = divmod(b, a)
+        if q * (m.bit_length() - 1) >= x.bit_length():
+            return False  # m^q >= 2^(q(bitlen(m)-1)) > x
+        x, rest = divmod(x, m ** q)
+        if rest:
+            return False
+        m, a, x, b = x, r, m, a
+    return m == 1
+
+
+def _power_ends(x: int, e: int, k: int) -> tuple[tuple[int, int], ...]:
+    """Ends lo <= x^e <= hi, each an (exponent s, mantissa u) pair of value
+    u 2^s with 2^(k-1) <= u < 2^k, so that two ends compare as tuples as
+    their values do.  Square and multiply, each product rounded down for
+    lo and up for hi."""
+    ends = []
+    for up in (False, True):
+        base = acc = _round(x, 0, k, up)
+        for bit in bin(e)[3:]:
+            acc = _round(acc[1] * acc[1], 2 * acc[0], k, up)
+            if bit == "1":
+                acc = _round(acc[1] * base[1], acc[0] + base[0], k, up)
+        ends.append(acc)
+    return tuple(ends)
+
+
+def _round(u: int, s: int, k: int, up: bool) -> tuple[int, int]:
+    """u 2^s, u >= 1, as (exponent, mantissa of k bits), rounded down, or
+    up if up."""
+    shift = u.bit_length() - k
+    if shift <= 0:
+        return s + shift, u << -shift
+    v = u >> shift
+    if up and u & ((1 << shift) - 1):
+        v += 1
+        if v >> k:  # 2^k: one bit more
+            v >>= 1
+            shift += 1
+    return s + shift, v
 
 
 @dataclass(frozen=True)
@@ -191,24 +253,39 @@ def run_survey(D: int, p: int, sigma: Fraction, n_max: int,
         return checkpoint_cb is not None and n > n_from and \
             (n - n_from) % checkpoint_every == 0
 
-    while True:
-        n, pn = state.n, state.pn
-        if p == 2 and n >= 3:
-            break  # the bits of one 2-adic root give every later level
-        for r, mr in zip(state.min_roots, state.cofactors, strict=True):
-            y = pn - r  # y^2 + D = p^n (y - r + m_r)
-            for x, m in ((r, mr), (y, y - r + mr)) if y != r else ((r, mr),):
-                records += 1
-                decide(n, x, m)
-        if checkpoint_due(n):
-            checkpoint_cb(state)
-        if n >= n_max:
-            break
+    def check_state(state: LiftState) -> None:
+        # one exact check of a ladder state proves every level before it
+        # (hensel), so no corrupted state reaches a checkpoint or the report
         try:
-            state = lift_step(state)
-        except NoRootError as exc:
-            ladder_end_note = f"; ladder ends at n = {n}: {exc}"
-            break
+            state.verify()
+        except HenselError as exc:
+            raise LiftInvariantError(
+                f"ladder at level {state.n}: {exc}") from exc
+
+    try:
+        while True:
+            n, pn = state.n, state.pn
+            if p == 2 and n >= 3:
+                break  # the bits of one 2-adic root give every later level
+            for r, mr in zip(state.min_roots, state.cofactors, strict=True):
+                y = pn - r  # y^2 + D = p^n (y - r + m_r)
+                pairs = ((r, mr), (y, y - r + mr)) if y != r else ((r, mr),)
+                for x, m in pairs:
+                    records += 1
+                    decide(n, x, m)
+            if checkpoint_due(n):
+                check_state(state)
+                checkpoint_cb(state)
+            if n >= n_max:
+                break
+            try:
+                state = lift_step(state)
+            except NoRootError as exc:
+                ladder_end_note = f"; ladder ends at n = {n}: {exc}"
+                break
+    finally:  # also a corrupted state that stopped the walk is reported
+        if state is not resume:  # which passed verify above
+            check_state(state)
     if p == 2 and state.n >= 3:
         S, _ = padic_root(D, 2, n_max)
         bits = format(S, "b").zfill(n_max - 1)[::-1]  # bits[k] is bit k of S

@@ -36,6 +36,7 @@ TIMEOUT_S = 120
 _RIGOR = "tests/test_rigor.py"
 _PADE = "tests/test_pade.py"
 _SURVEY = "tests/test_survey.py"
+_HENSEL = "tests/test_hensel.py"
 _DECOMPOSER = "tests/test_decomposer.py"
 _WALK = "tests/test_survey_two.py::test_jumps_decide_the_walked_records"
 
@@ -147,6 +148,37 @@ MUTANTS = (
      "if b * blm <= a * (blx - 1):",
      "if b * blm <= a * blx:",
      [f"{_SURVEY}::test_power_compare_matches_exact_on_a_small_grid"]),
+    ("power_compare: an enclosure's upper end rounded down", "survey.py",
+     "        v += 1\n",
+     "        v += 0\n",
+     [f"{_SURVEY}::test_power_ends_enclose_the_power",
+      f"{_SURVEY}::test_power_compare_near_equal_powers_matches_exact"]),
+    ("power_compare: the equality test skipped", "survey.py",
+     "    if _equal_powers(m, a, x, b):\n",
+     "    if False:\n",
+     [f"{_SURVEY}::test_power_compare_near_equal_powers_matches_exact"]),
+    # the odd ladder, checked once at its end
+    ("odd ladder: the final verify() skipped", "survey.py",
+     "            check_state(state)\n    if p == 2",
+     "            pass\n    if p == 2",
+     [f"{_HENSEL}::test_tampered_cofactor_fails_the_final_check",
+      "tests/test_cli.py::test_tampered_cofactor_exit_4"]),
+    ("odd ladder: a checkpoint written unchecked", "survey.py",
+     "                check_state(state)\n",
+     "                pass\n",
+     [f"{_HENSEL}::test_tampered_run_keeps_its_last_good_blob"]),
+    ("odd ladder: verify() does not test pn = p^n", "hensel.py",
+     "        if self.pn != self.p ** self.n:\n",
+     "        if False:\n",
+     [f"{_HENSEL}::test_wrong_pn_fails_the_final_check"]),
+    ("odd ladder: the flip keeps the unflipped cofactor", "hensel.py",
+     "        r, m = y, y - r + m\n",
+     "        r, m = y, m\n",
+     [f"{_SURVEY}::test_survey_sigma_09_finds_small_n_exceptions"]),
+    ("roots_mod_pn: the complement's cofactor p^n - R + m", "hensel.py",
+     "pn - 2 * R + m",
+     "pn - R + m",
+     [f"{_HENSEL}::test_roots_mod_pn_matches_ladder_to_level_600"]),
     ("restore: a root's complement passes check_ladder", "hensel.py",
      "if not 0 < r <= self.pn - r:",
      "if not 0 < r < self.pn:",

@@ -1,17 +1,18 @@
 import json
-import random
 from dataclasses import replace
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from rnlab import hensel
+from rnlab import hensel, survey
 from rnlab.cli import main
 from rnlab.hensel import (PRIME_BOUND, CompositeModulusError, HenselError,
                           LiftInvariantError, LiftState, NoRootError,
                           NoSplitError, PrimeBoundError, is_probable_prime,
                           legendre, lift_step, lift_step_odd, lift_two,
                           roots_mod_pn, sqrt_mod_p)
+from rnlab.survey import CorruptBlobError, checkpoint, run_survey
 from two_adic_ladder import two_ladder_step
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 101, 103]
@@ -212,41 +213,118 @@ def test_digit_recurrence_matches_newton_to_level_300(D, p):
     assert flips > 0 or p == 2
 
 
-# level 12, then levels whose residue check folds r and m once and twice
+# level 12, and two deeper levels of (76, 101)
 TAMPER_LEVELS = {(76, 101): (12, 300, 600), (23, 3): (12,)}
 
+# one corruption of each field of an odd state
+TAMPERS = {
+    "cofactor": lambda s: replace(s, cofactors=(s.cofactors[0] + 1,)),
+    "root": lambda s: replace(s, min_roots=(s.min_roots[0] + s.pn,)),
+    "pn": lambda s: replace(s, pn=s.pn // s.p,
+                            cofactors=(s.cofactors[0] * s.p,)),
+}
 
-@pytest.mark.parametrize("D,p,step", [(76, 101, lift_step_odd),
-                                      (23, 3, lift_step_odd)])
-def test_tampered_cofactor_makes_next_lift_raise(D, p, step):
+
+def _error(state):
+    """e = r^2 + D - p^n m of the one stored pair, p^n as the state carries
+    it: each odd lift keeps it."""
+    (r,), (m,) = state.min_roots, state.cofactors
+    return r * r + state.D - state.pn * m
+
+
+def _fails_the_final_check(monkeypatch, good, bad, e):
+    """Lifting bad 50 levels keeps its error e, verify() refuses bad and the
+    state lifted from it, and run_survey raises where its report would be:
+    CorruptBlobError with bad as the resume state, and LiftInvariantError
+    when the ladder lifts bad in place of its own level good.n state."""
+    D, p, n = good.D, good.p, good.n
+    state = bad
+    assert _error(state) == e
+    for _ in range(50):
+        state = lift_step_odd(state)
+        assert _error(state) == e
+    for tampered in (bad, state):
+        with pytest.raises(HenselError):
+            tampered.verify()
+    with pytest.raises(CorruptBlobError):
+        run_survey(D, p, F(1, 2), n + 50, resume=bad)
+    monkeypatch.setattr(survey, "lift_step",
+                        lambda s: lift_step(bad if s == good else s))
+    with pytest.raises(LiftInvariantError):
+        run_survey(D, p, F(1, 2), n + 50)
+    monkeypatch.undo()
+
+
+@pytest.mark.parametrize("D,p", list(TAMPER_LEVELS))
+def test_tampered_cofactor_fails_the_final_check(monkeypatch, D, p):
     for n in TAMPER_LEVELS[D, p]:
         state = roots_mod_pn(D, p, n)
-        step(state)  # the untouched state lifts
         for delta in (1, -1, 2, p ** n):
-            cofs = (state.cofactors[0] + delta,) + state.cofactors[1:]
-            with pytest.raises(LiftInvariantError):
-                step(replace(state, cofactors=cofs))
+            bad = replace(state, cofactors=(state.cofactors[0] + delta,))
+            _fails_the_final_check(monkeypatch, state, bad, -delta * p ** n)
 
 
-def test_tampered_root_makes_next_lift_raise():
+def test_tampered_root_fails_the_final_check(monkeypatch):
+    # at (23, 3, 12) the state lifted from r + 3^12 has a cofactor below 1,
+    # which power_compare refuses before the walk ends: the final check
+    # still reports the corruption
     for (D, p), levels in TAMPER_LEVELS.items():
         for n in levels:
             state = roots_mod_pn(D, p, n)
-            bad = replace(state, min_roots=(state.min_roots[0] + p ** n,)
-                          + state.min_roots[1:])
-            with pytest.raises(LiftInvariantError):
-                lift_step(bad)
+            (r,), pn = state.min_roots, state.pn
+            _fails_the_final_check(monkeypatch, state, TAMPERS["root"](state),
+                                   2 * r * pn + pn * pn)
+
+
+@pytest.mark.parametrize("D,p,n", [(76, 101, 12), (76, 101, 400)])
+def test_wrong_pn_fails_the_final_check(monkeypatch, D, p, n):
+    # pn = p^(n-1) with every cofactor times p has e = 0: only verify()'s
+    # test of pn = p^n sees it, on bad and on every state lifted from it
+    state = roots_mod_pn(D, p, n)
+    _fails_the_final_check(monkeypatch, state, TAMPERS["pn"](state), 0)
+
+
+@pytest.mark.parametrize("kind", list(TAMPERS))
+def test_tampered_run_keeps_its_last_good_blob(monkeypatch, capsys, tmp_path,
+                                               kind):
+    # the tampered run checkpoints levels 11, 21 and 31; the check before
+    # the one at 21 ends it in exit 4, so the blob of 11 stays on disk and
+    # resumes to the report of a clean run.  The blob it would have written
+    # at 31, of the state lifted from the tampered one, is refused
+    good = roots_mod_pn(76, 101, 12)
+    bad = TAMPERS[kind](good)
+    path = tmp_path / "survey.ckpt"
+    argv = ["survey", "--D", "76", "--p", "101", "--sigma", "1/2",
+            "--n-max", "40", "--checkpoint-every", "10", "--resume",
+            str(path), "--format", "json"]
+    monkeypatch.setattr(survey, "lift_step",
+                        lambda s: lift_step(bad if s == good else s))
+    assert main(argv) == 4
+    assert json.loads(capsys.readouterr().out)["error"] == \
+        "internal_invariant_violation"
+    assert path.read_text() == checkpoint(roots_mod_pn(76, 101, 11))
+    monkeypatch.undo()
+    assert main(argv) == 0
+    resumed = capsys.readouterr().out
+    path.write_text(checkpoint(roots_mod_pn(76, 101, 11)))
+    assert main(argv) == 0 and capsys.readouterr().out == resumed
+    state = bad
+    while state.n < 31:
+        state = lift_step_odd(state)
+    path.write_text(checkpoint(state))
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "invalid_input"
 
 
 def _fields(state):
     return (state.p, state.D, state.n, state.min_roots, state.cofactors,
-            state.pn, state.pq)
+            state.pn)
 
 
 @pytest.mark.parametrize("D,p", DIFFERENTIAL_CASES)
 def test_lifted_state_equals_state_from_bare_roots(D, p):
     # each lifted state skips __post_init__; the public constructor derives
-    # pn, pq and every cofactor again, by exact division
+    # pn and every cofactor again, by exact division
     state = roots_mod_pn(D, p, 1)
     step = two_ladder_step if p == 2 else lift_step
     while state.n < 4000:
@@ -299,51 +377,10 @@ def test_tampered_newton_root_raises(monkeypatch, capsys, D, p, low):
             "internal_invariant_violation"
 
 
-@pytest.mark.parametrize("D,p,n", [(76, 101, 12), (76, 101, 400)])
-def test_wrong_pn_makes_next_lift_raise(D, p, n):
-    # pn = p^(n-1) with every cofactor times p still has r^2 + D = pn m,
-    # but the carried p^n mod q disagrees with it
-    state = roots_mod_pn(D, p, n)
-    bad = replace(state, pn=state.pn // p,
-                  cofactors=tuple(m * p for m in state.cofactors))
-    try:
-        lift_step(bad)
-    except LiftInvariantError:
-        return
-    pytest.fail(f"lifted quietly with pn = {p}^{n - 1} at level {n}")
-
-
-def test_mod_check_q_matches_remainder(monkeypatch):
-    q = hensel._CHECK_Q
-    xs = [0, 1, q - 1, q, q + 1, q * q, q ** 5 + 3]
-    # the last lengths t of 2^t - 1 before the kernel first folds 1, ..., 8
-    # times
-    for edge in (1536, 2932, 5726, 11314, 22490, 44842, 89546, 178954):
-        for t in range(edge - 2, edge + 3):
-            xs += [2 ** t - 1, 2 ** t, 2 ** t + 1]
-    rng = random.Random(127)
-    xs += [rng.getrandbits(rng.randrange(1, 200_001)) for _ in range(60)]
-    xs += [rng.getrandbits(200_000) | 1 << 199_999 for _ in range(4)]
-    # the final % must see a short operand: stopping a fold early stays
-    # exact but gives back the cost the folds remove
-    seen = []
-
-    class Recording(int):
-        def __rmod__(self, x):
-            seen.append(x.bit_length())
-            return x % int(self)
-
-    monkeypatch.setattr(hensel, "_CHECK_Q", Recording(q))
-    for x in xs:
-        assert hensel._mod_check_q(x) == x % q, x.bit_length()
-    assert len(seen) == len(xs) and max(seen) <= 1536
-
-
 def test_cofactors_derived_from_bare_roots():
     state = roots_mod_pn(76, 101, 30)
     bare = LiftState(p=101, D=76, n=30, min_roots=state.min_roots)
     assert bare.cofactors == state.cofactors and bare.pn == 101 ** 30
-    assert bare.pq == state.pq == pow(101, 30, hensel._CHECK_Q)
     with pytest.raises(HenselError):
         LiftState(p=101, D=76, n=30, min_roots=(state.min_roots[0] + 1,))
 

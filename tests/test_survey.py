@@ -10,11 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rnlab
+from rnlab import survey
 from rnlab.cli import main
 from rnlab.hensel import (CompositeModulusError, LiftState, PrimeBoundError,
                           roots_mod_pn)
-from rnlab.survey import (CorruptBlobError, InvalidSigmaError, checkpoint,
-                          power_compare, restore, run_survey)
+from rnlab.rigor import Comparison, PowProd, rigorous_compare
+from rnlab.survey import (CorruptBlobError, InvalidSigmaError, _equal_powers,
+                          _power_ends, checkpoint, power_compare, restore,
+                          run_survey)
 
 F = Fraction
 
@@ -57,6 +60,110 @@ def test_power_compare_matches_exact_on_a_small_grid(a, b):
     for m in range(1, 301):
         for x in range(1, 301):
             assert power_compare(m, x, a, b) == (m ** b > x ** a), (m, x)
+
+
+def _child(code, *args, timeout=30):
+    """The stdout of code run by a child python on args, which fails the
+    test by name if it runs past timeout seconds: an alarm cannot stop a
+    big-integer power inside this process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rnlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    try:
+        proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                              env=env, capture_output=True, text=True,
+                              timeout=timeout)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{args or 'the child'} ran past {timeout} s")
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _grid():
+    """(m, x, a, b) near m^b = x^a, equal ones included: m = t^a + i and
+    x = t^b + j for |i|, |j| <= 1, and a gcd(a, b) > 1 for some."""
+    for b in range(2, 14):
+        for a in range(1, b):
+            for t in range(1, 12):
+                for i in (-1, 0, 1):
+                    for j in (-1, 0, 1):
+                        if t ** a + i >= 1 and t ** b + j >= 1:
+                            yield t ** a + i, t ** b + j, a, b
+
+
+def test_power_compare_near_equal_powers_matches_exact(monkeypatch):
+    # every case past the bit-length tests takes the equality test and the
+    # enclosures.  No power here reaches 600 bits, so no end rounds at
+    # k = 1024 and unequal powers separate there: a wider k means that an
+    # equal pair, which never separates, got past the equality test
+    real = survey._power_ends
+
+    def bounded(x, e, k):
+        assert k <= 1024, (x, e, k)
+        return real(x, e, k)
+
+    monkeypatch.setattr(survey, "_power_ends", bounded)
+    cases = list(_grid())
+    assert sum(m ** b == x ** a for m, x, a, b in cases) > 500
+    for m, x, a, b in cases:
+        assert power_compare(m, x, a, b) == (m ** b > x ** a), (m, x, a, b)
+
+
+def test_equal_powers_matches_exact():
+    for m, x, a, b in _grid():
+        g = math.gcd(a, b)
+        assert _equal_powers(m, a // g, x, b // g) == (m ** b == x ** a), \
+            (m, x, a, b)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 64, 200])
+def test_power_ends_enclose_the_power(k):
+    for x in (1, 2, 3, 7, 2 ** 64 - 1, 2 ** 64, 10 ** 30 + 7, 3 ** 200):
+        for e in (1, 2, 3, 10, 63, 64, 99):
+            ends = _power_ends(x, e, k)
+            for s, u in ends:
+                assert 2 ** (k - 1) <= u < 2 ** k
+            (s_lo, lo), (s_hi, hi) = ends
+            lo, hi = F(lo) * F(2) ** s_lo, F(hi) * F(2) ** s_hi
+            assert lo <= x ** e <= hi, (x, e, k)
+            # each end is off by less than 3e roundings of 2^(1-k) each
+            assert k < 16 or hi - lo < lo * F(6 * e, 2 ** (k - 1)), (x, e, k)
+
+
+# sigma = a/b with a big b: the exact powers m^b, x^a once took hours
+_HANGING = [(76, 101, "999999/1000000", 50), (7, 2, "999999/1000000", 200),
+            (76, 101, f"{10 ** 20 - 1}/{10 ** 20}", 50),
+            (7, 2, f"{10 ** 20 - 1}/{10 ** 20}", 200)]
+
+_SURVEY_IN_CHILD = """
+import sys
+from rnlab.cli import main
+main(["survey", "--D", sys.argv[1], "--p", sys.argv[2], "--sigma",
+      sys.argv[3], "--n-max", sys.argv[4], "--format", "json"])
+"""
+
+
+@pytest.mark.parametrize("D,p,sigma,n_max", _HANGING)
+def test_survey_with_a_long_sigma_finishes(D, p, sigma, n_max):
+    report = json.loads(_child(_SURVEY_IN_CHILD, D, p, sigma, n_max))
+    got = {(r["n"], int(r["x"]), int(r["m"])) for r in report["exceptions"]}
+    # the oracle: every record, m against x^sigma by rigor's log enclosures
+    sigma, want, records = F(sigma), set(), 0
+    for n in range(1, n_max + 1):
+        for x in roots_mod_pn(D, p, n).all_roots():
+            m = (x * x + D) // p ** n
+            records += 1
+            if x == 1:
+                passed = m > 1
+            else:
+                verdict = rigorous_compare(PowProd.of(m),
+                                           PowProd.of(1, (x, sigma)))
+                assert verdict in (Comparison.GREATER, Comparison.LESS)
+                passed = verdict is Comparison.GREATER
+            if not passed:
+                want.add((n, x, m))
+    assert report["counts"]["records"] == records
+    assert got == want and len(got) == report["counts"]["exceptions"]
 
 
 # ---------------------------------------------------------------------------
@@ -365,19 +472,9 @@ def _reject_in_child(tmp_path, blob, D, p, timeout=30):
     code, its JSON report, the seconds both took)."""
     path = tmp_path / "survey.ckpt"
     path.write_text(blob)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(rnlab.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
-    argv = ["survey", "--D", str(D), "--p", str(p), "--sigma", "1/2",
-            "--n-max", "20"]
-    try:
-        proc = subprocess.run([sys.executable, "-c", _REJECT_IN_CHILD,
-                               str(path), *argv], env=env, capture_output=True,
-                              text=True, timeout=timeout)
-    except subprocess.TimeoutExpired:
-        pytest.fail(f"restoring {blob} ran past {timeout} s")
-    assert proc.returncode == 0, proc.stderr
-    report, result = proc.stdout.splitlines()
+    argv = ["survey", "--D", D, "--p", p, "--sigma", "1/2", "--n-max", 20]
+    report, result = _child(_REJECT_IN_CHILD, path, *argv,
+                            timeout=timeout).splitlines()
     got = json.loads(result)
     return got["raised"], got["code"], json.loads(report), got["seconds"]
 
