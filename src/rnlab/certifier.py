@@ -6,18 +6,16 @@ functions of sigma.  Rational subexpressions are kept exact; enclosures
 enter only for the logarithms, and all of them are rigor's: each side is a
 rigor.PowProd decided on rigor's one precision ladder, so this module
 imports nothing from mpmath.  That the threshold increases in sigma, which
-max_sigma's bisection relies on, is proven in exact rationals, once per
-variant and C.  The same proof shows that the common denominator of eta
-and the exponent is positive on the whole sigma range, so max_sigma
-multiplies the log condition through by it: the condition becomes the
-sign of an affine form alpha + gamma*sigma, where alpha and gamma are the
-logs of two more PowProds over the bases of beta, C and D, and one pair of
-integer log enclosures of (alpha, gamma) per precision decides every
-bisection point by an integer sign.  The bisection runs on integers too:
-its ends are numerators over one denominator that doubles with each step,
-and it builds its two Fractions once, at the end.  certify keeps the
-direct log comparison, and its report prints both sides' enclosures at
-the ladder's first precision (rigor.enclosure_str).
+max_sigma relies on, is proven in exact rationals, once per variant and
+C.  The same proof shows that the common denominator of eta and the
+exponent is positive on the whole sigma range, so max_sigma multiplies
+the log condition through by it: the condition becomes the sign of an
+affine form alpha + gamma*sigma, where alpha and gamma are the logs of two
+more PowProds over the bases of beta, C and D.  One pair of integer log
+enclosures of (alpha, gamma) per precision gives the cell of a fixed
+rational grid where that sign changes (rigor.sign_change).  certify keeps
+the direct log comparison, and its report prints both sides' enclosures
+at the ladder's first precision (rigor.enclosure_str).
 
 A certificate that fails still carries the thresholds M = 250*n0 and
 X* = p^(250*n0), so downstream surveys can proceed empirically.
@@ -29,12 +27,11 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 from .hensel import require_prime
 from .pade import BOUNDS
-from .rigor import (Comparison, PowProd, affine_sign, enclosure_str,
-                    rigorous_compare)
+from .rigor import (Comparison, PowProd, enclosure_str, rigorous_compare,
+                    sign_change)
 
 F = Fraction
 
@@ -306,53 +303,25 @@ def _rational_failure(var: VariantConstants, c: Fraction) -> str | None:
     return next((failure for holds, failure in facts if not holds), None)
 
 
-def _size_condition(D: int, p: int, n0: int, var: VariantConstants
-                    ) -> Callable[[int, int], bool]:
-    """The size condition |beta| > C^exponent(sigma) * D^eta(sigma) as a
-    function of sigma = u/v (integers u, v > 0), for sigma where den(sigma)
-    = d0 - d1*sigma > 0.
-
-    With log|beta| = l * log b (from _beta_powprod), multiplying the log
-    condition by den(sigma) turns it into alpha + gamma*sigma > 0, where
-        alpha = log(b^(d0*l) * C^(-e0) * D^(-h0)),
-        gamma = log(C * D^h1 * b^(-d1*l)),
-    with d0, d1 = den_const, den_slope, e0 = exp_const and h0, h1 =
-    eta_const, eta_slope: two PowProds, enclosed by log_enclosure with one
-    log per base and precision.  One enclosure of (alpha, gamma) per
-    precision decides every sigma (rigor.affine_sign); a sigma the cap
-    cannot separate raises UndecidableError.
-    """
-    (b, l), = _beta_powprod(p, n0).factors
-    c, d, one = var.c_base(p), F(D), F(1)
-    alpha = PowProd(one, ((b, var.den_const * l), (c, -var.exp_const),
-                          (d, -var.eta_const)))
-    gamma = PowProd(one, ((c, one), (d, var.eta_slope),
-                          (b, -var.den_slope * l)))
-    sign = affine_sign(lambda: (alpha.log_enclosure(), gamma.log_enclosure()))
-
-    def holds(u: int, v: int) -> bool:
-        verdict = sign(u, v)
-        if verdict is Comparison.UNDECIDABLE:
-            raise UndecidableError(
-                f"size condition undecidable at sigma={F(u, v)}")
-        return verdict is Comparison.GREATER
-
-    return holds
-
-
 def max_sigma(D: int, p: int, x0: int, n0: int, variant: str = "5j",
               width: Fraction = Fraction(1, 10 ** 6)) -> MaxSigmaResult:
     """Enclose the largest sigma satisfying the size condition.
 
     Runs certify's input gates, proves in exact rationals that the
-    threshold increases in sigma and that den(sigma) > 0 on the range
-    (check_threshold_monotone), then bisects the condition down to the
-    requested interval width: lo = a/q and hi = b/q in integers, with q
-    doubled at each step.  Each point is decided by the exact sign of the
-    affine form alpha + gamma*sigma (_size_condition), from one enclosure
-    of (alpha, gamma) per precision for the whole call.  The variant's
-    beta floor is reported as a separate flag (the condition itself does
-    not include it).
+    threshold increases in sigma and that den(sigma) = d0 - d1*sigma > 0 on
+    the range (check_threshold_monotone), then encloses the root.  With
+    log|beta| = l * log B (from _beta_powprod), multiplying the log
+    condition by den(sigma) turns it into alpha + gamma*sigma > 0, where
+        alpha = log(B^(d0*l) * C^(-e0) * D^(-h0)),
+        gamma = log(C * D^h1 * B^(-d1*l)),
+    with e0 = exp_const and h0, h1 = eta_const, eta_slope: two PowProds
+    whose integer log ends rigor.sign_change reads once per precision.  The
+    result is the cell of the grid where that sign changes, the grid that a
+    bisection of [1, 846999999]/10^9 down to width probes, and the cell is
+    the one that bisection returns.  A cell the cap cannot decide raises
+    UndecidableError at the point the bisection would find undecidable
+    first.  The variant's beta floor is reported as a separate flag (the
+    condition itself does not include it).
     """
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
@@ -363,27 +332,36 @@ def max_sigma(D: int, p: int, x0: int, n0: int, variant: str = "5j",
     floor_ok = _beta_floor_ok(p, n0, var)
     check_threshold_monotone(D, p, var)
 
-    holds = _size_condition(D, p, n0, var)
-    # lo = a/q and hi = b/q: the ends of the range pulled in by 1/q
+    (base, l), = _beta_powprod(p, n0).factors
+    c, d, one = var.c_base(p), F(D), F(1)
+    alpha = PowProd(one, ((base, var.den_const * l), (c, -var.exp_const),
+                          (d, -var.eta_const)))
+    gamma = PowProd(one, ((c, one), (d, var.eta_slope),
+                          (base, -var.den_slope * l)))
+    # the grid sigma_t = (first + t*step)/den, t = 0..n: [a/q, b/q] cut into
+    # n = 2^T cells, with T the halvings that bring a cell down to width
     q = 10 ** 9
     a, b = 1, SIGMA_MAX.numerator * (q // SIGMA_MAX.denominator) - 1
-    if not holds(a, q):
-        return MaxSigmaResult(D=D, p=p, x0=x0, n0=n0, variant=variant,
-                              empty=True, lo=None, hi=None,
-                              beta_floor_ok=floor_ok, monotone_checked=True,
+    step = b - a
+    T = (-(-step * width.denominator // (width.numerator * q)) - 1).bit_length()
+    first, den, n = a << T, q << T, 1 << T
+    i, j = sign_change(lambda: (alpha.log_enclosure(), gamma.log_enclosure()),
+                       first, step, den, n)
+    if j != i + 1:
+        # the bisection probes t = 0, then n, then midpoints: the first
+        # undecided one is 0 or else the one in [i + 1, j - 1] with the most
+        # trailing zero bits, which is unique
+        shift = max(((i + 1) ^ (j - 1)).bit_length() - 1, 0)
+        t = 0 if i < 0 else (j - 1) >> shift << shift
+        raise UndecidableError(
+            f"size condition undecidable at sigma={F(first + t * step, den)}")
+    common = dict(D=D, p=p, x0=x0, n0=n0, variant=variant,
+                  beta_floor_ok=floor_ok, monotone_checked=True)
+    if i < 0:
+        return MaxSigmaResult(**common, empty=True, lo=None, hi=None,
                               reason=f"condition fails already at sigma={F(a, q)}")
-    if holds(b, q):
-        return MaxSigmaResult(D=D, p=p, x0=x0, n0=n0, variant=variant,
-                              empty=False, lo=F(b, q), hi=SIGMA_MAX,
-                              beta_floor_ok=floor_ok, monotone_checked=True,
+    if i == n:
+        return MaxSigmaResult(**common, empty=False, lo=F(b, q), hi=SIGMA_MAX,
                               reason="condition holds up to the sigma range limit")
-    # each step halves b - a over a doubled q
-    while (b - a) * width.denominator > width.numerator * q:
-        mid, q = a + b, 2 * q
-        if holds(mid, q):
-            a, b = mid, 2 * b
-        else:
-            a, b = 2 * a, mid
-    return MaxSigmaResult(D=D, p=p, x0=x0, n0=n0, variant=variant,
-                          empty=False, lo=F(a, q), hi=F(b, q),
-                          beta_floor_ok=floor_ok, monotone_checked=True)
+    return MaxSigmaResult(**common, empty=False, lo=F(first + i * step, den),
+                          hi=F(first + j * step, den))

@@ -163,6 +163,12 @@ def _sqrt_mod_prime(a: int, p: int) -> tuple[int, int]:
     return (r, p - r) if r <= p - r else (p - r, r)
 
 
+def _stored(i: int, r: int) -> str:
+    """Stored root i named by its bit length: an error message never holds
+    a root in decimal, which may run to thousands of digits."""
+    return f"stored root {i} ({r.bit_length()} bits)"
+
+
 @dataclass(frozen=True)
 class LiftState:
     """Roots of x^2 + D = 0 (mod p^n), one stored per +/- pair.
@@ -187,13 +193,14 @@ class LiftState:
             object.__setattr__(self, "pn", self.p ** self.n)
         if self.cofactors is None:
             cofs = []
-            for r in self.min_roots:
+            for i, r in enumerate(self.min_roots):
                 x = r * r + self.D
                 # divmod does not shift for a power of two
                 m, rem = ((x >> self.n, x & (self.pn - 1)) if self.p == 2
                           else divmod(x, self.pn))
                 if rem:
-                    raise HenselError(f"invalid root {r} at level {self.n}")
+                    raise HenselError(f"{_stored(i, r)} is invalid at level "
+                                      f"{self.n}")
                 cofs.append(m)
             object.__setattr__(self, "cofactors", tuple(cofs))
 
@@ -214,10 +221,10 @@ class LiftState:
                               f"{self.n}, the ladder has {want}")
         if len(set(self.min_roots)) != want:
             raise HenselError(f"repeated root at level {self.n}")
-        for r in self.min_roots:
+        for i, r in enumerate(self.min_roots):
             if not 0 < r <= self.pn - r:
-                raise HenselError(f"root {r} is not a minimal residue mod "
-                                  f"{self.p}^{self.n}")
+                raise HenselError(f"{_stored(i, r)} is not a minimal residue "
+                                  f"mod {self.p}^{self.n}")
 
     @staticmethod
     def pair_count(p: int, n: int) -> int:
@@ -231,9 +238,11 @@ class LiftState:
         self.check_ladder()
         if self.pn != self.p ** self.n:
             raise HenselError(f"pn is not {self.p}^{self.n}")
-        for r, m in zip(self.min_roots, self.cofactors, strict=True):
+        for i, (r, m) in enumerate(zip(self.min_roots, self.cofactors,
+                                       strict=True)):
             if r * r + self.D != self.pn * m:
-                raise HenselError(f"invalid root {r} at level {self.n}")
+                raise HenselError(f"{_stored(i, r)} is invalid at level "
+                                  f"{self.n}")
 
     @classmethod
     def _of(cls, p: int, D: int, n: int, min_roots: tuple[int, ...],
@@ -337,7 +346,8 @@ def padic_root(D: int, p: int, N: int) -> tuple[int, int]:
     m, rest = (x >> N, x & ((1 << N) - 1)) if two else divmod(x, top)
     if rest or not 0 < R < top:
         raise LiftInvariantError(
-            f"p-adic root {R} breaks R^2 + D = 0 mod {p}^{N}")
+            f"p-adic root of {R.bit_length()} bits breaks R^2 + D = 0 "
+            f"mod {p}^{N}")
     return R, m
 
 

@@ -19,9 +19,9 @@ enclosure is read as two integers over 2**(prec + G), the lower end
 rounded down and the upper rounded up, and PowProd.log_enclosure returns
 the sum of the terms e_i log b_i as two such integers (each term rounded
 outward by _times).  Every verdict then compares integers: two log
-enclosures by their ends (_separate), the affine forms of affine_sign by
-the sign of an integer combination of them.  Enclosures that other
-modules build as mpmath intervals are read exactly too (_exact_ends).
+enclosures by their ends (_separate), and the grid cell where an affine
+form in two of them changes sign by floor divisions (sign_change).
+decide reads mpmath intervals' ends exactly too (_exact_ends).
 
 G = _GUARD_BITS = 16.  Where |log b| >= 1/2, an interval log at prec bits
 is at least 2**-prec wide, one unit in its last place.  Rounding its ends
@@ -43,11 +43,6 @@ cap of 4000 digits), 27 logs, and the benchmark's certify sweep reads 101
 distinct logs across 303 calls, so repeated calls in one process find
 theirs.  256 logs at 4000 digits take about 2 MB (tracemalloc), half of it
 the integer ends.
-
-affine_sign decides the sign of alpha + gamma*u/v at many integer pairs
-(u, v) from one enclosure of the reals (alpha, gamma) per precision: the
-sign of alpha*v + gamma*u at the ends is an integer computation.
-max_sigma's bisection uses it.
 """
 
 from __future__ import annotations
@@ -304,56 +299,58 @@ def _dyadic(x) -> tuple[int, int] | None:
     return (-int(man) if sign else int(man)), exp
 
 
-def _affine_verdict(ends: list | None, u: int, v: int) -> Comparison | None:
-    """The sign of alpha*v + gamma*u that the exact integer ends (alpha lo,
-    alpha hi, gamma lo, gamma hi) over one power of two prove, or None;
-    u, v > 0."""
-    if ends is None:
-        return None
-    a_lo, a_hi, g_lo, g_hi = ends
-    if a_lo * v + g_lo * u > 0:
-        return Comparison.GREATER
-    if a_hi * v + g_hi * u < 0:
-        return Comparison.LESS
-    return None
+def sign_change(build: Callable[[], tuple], first: int, step: int,
+                den: int, n: int) -> tuple[int, int]:
+    """Where alpha + gamma*s changes sign on the grid s_t = (first +
+    t*step)/den, t = 0..n, for integers first, step, den, n > 0, when the
+    caller has proven that the form is positive on an initial segment of
+    the grid.
 
+    build returns integer end pairs of log_enclosure for the fixed reals
+    (alpha, gamma) at the ambient iv precision; it is called once per
+    precision of the ladder.  The result is (i, j), i < j: at the deciding
+    precision, the form is proven positive at every t <= i and, its
+    positive set being an initial segment, not positive at any t >= j.  It
+    is decided when j = i + 1: (-1, 0) if the form is negative at s_0 and
+    (n, n + 1) if it is positive at s_n.  After the cap it is the bounds of
+    the last precision, (-1, n + 1) while s_0 is undecided and (0, n + 1)
+    while s_n is.
 
-def affine_sign(build: Callable[[], tuple]
-                ) -> Callable[[int, int], Comparison]:
-    """The sign of alpha + gamma*s at s = u/v, as a function of integers
-    u, v > 0.
-
-    build returns enclosures of the fixed reals (alpha, gamma) at the
-    ambient iv precision, as two integer end pairs of log_enclosure or as
-    two mpmath intervals; the returned function calls it at most once per
-    precision of the ladder, however often it is called itself.
-    alpha*v + gamma*u increases in alpha and gamma, so its value at the
-    lower (upper) ends, exact integers over one power of two
-    (_exact_ends), proves GREATER when positive (LESS when negative).
-    Otherwise the next precision is tried, and UNDECIDABLE is returned
-    after the cap.  A call that the cached ends of the first round decide
-    returns their verdict without entering the ladder.
+    With den*(alpha + gamma*s_t) = alpha*den + gamma*(first + t*step), the
+    lower ends (a_lo, g_lo) give a lower bound f_lo(t) on it and the upper
+    ends an upper bound f_hi(t), as den and first + t*step are positive.
+    Once f_lo(0) > 0 and f_hi(n) < 0, g_hi < 0 follows:
+        g_hi*(first + n*step) < -a_hi*den <= -a_lo*den < g_lo*first
+        <= g_hi*first,
+    so g_hi*n*step < 0, and g_lo <= g_hi < 0.  Then f_lo and f_hi decrease
+    in t, so f_lo(t) > 0 exactly for t <= i = (f_lo(0) - 1) // (-g_lo*step),
+    and f_hi(t) < 0 exactly for t >= j = f_hi(0) // (-g_hi*step) + 1.
     """
-    # iv.dps -> exact (alpha lo, alpha hi, gamma lo, gamma hi), or None
-    enclosures: dict[int, list | None] = {}
+    if min(first, step, den, n) <= 0:
+        raise ValueError(f"sign_change needs a positive grid, got first = "
+                         f"{first}, step = {step}, den = {den}, n = {n}")
+    bounds = (-1, n + 1)
 
-    def at_this_precision(u: int, v: int) -> Comparison | None:
-        dps = iv.dps
-        if dps not in enclosures:
-            enclosures[dps] = _exact_ends(build())
-        return _affine_verdict(enclosures[dps], u, v)
+    def at_this_precision() -> tuple[int, int] | None:
+        nonlocal bounds
+        (a_lo, a_hi), (g_lo, g_hi) = build()
+        lo0, hi0 = a_lo * den + g_lo * first, a_hi * den + g_hi * first
+        last = first + n * step
+        if hi0 < 0:
+            bounds = (-1, 0)
+        elif lo0 <= 0:
+            bounds = (-1, n + 1)
+        elif a_lo * den + g_lo * last > 0:
+            bounds = (n, n + 1)
+        elif a_hi * den + g_hi * last >= 0:
+            bounds = (0, n + 1)
+        else:
+            bounds = ((lo0 - 1) // (-g_lo * step),
+                      hi0 // (-g_hi * step) + 1)
+        return bounds if bounds[1] == bounds[0] + 1 else None
 
-    def sign(u: int, v: int) -> Comparison:
-        if u <= 0 or v <= 0:
-            raise ValueError(f"affine_sign needs s > 0, got {u}/{v}")
-        # the ends cached by the ladder's first round settle most calls,
-        # with no change of precision
-        verdict = _affine_verdict(enclosures.get(_START_DPS), u, v)
-        if verdict is not None:
-            return verdict
-        return _ladder(lambda: at_this_precision(u, v))
-
-    return sign
+    _ladder(at_this_precision)
+    return bounds
 
 
 def enclosure_str(pp: PowProd) -> tuple[str, str]:

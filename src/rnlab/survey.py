@@ -314,7 +314,9 @@ def run_survey(D: int, p: int, sigma: Fraction, n_max: int,
                 x, built = xs[i], i
                 m = x * x + D
                 if m & (2 * half - 1):
-                    raise LiftInvariantError(f"{x} is no root at level {n}")
+                    raise LiftInvariantError(
+                        f"record {i} ({x.bit_length()} bits) is no root at "
+                        f"level {n}")
                 decide(n, x, m >> n)
             if not built:
                 width = 1

@@ -38,6 +38,7 @@ _PADE = "tests/test_pade.py"
 _SURVEY = "tests/test_survey.py"
 _HENSEL = "tests/test_hensel.py"
 _DECOMPOSER = "tests/test_decomposer.py"
+_CERTIFIER = "tests/test_certifier.py"
 _WALK = "tests/test_survey_two.py::test_jumps_decide_the_walked_records"
 
 MUTANTS = (
@@ -60,10 +61,6 @@ MUTANTS = (
      "        if self.coeff != 1:\n",
      "        if False:\n",
      [f"{_RIGOR}::test_log_enclosure_computes_each_log_once_per_precision"]),
-    ("ladder: affine sign positive at an exact zero", "rigor.py",
-     "if a_lo * v + g_lo * u > 0:",
-     "if a_lo * v + g_lo * u >= 0:",
-     [f"{_RIGOR}::test_every_verdict_climbs_the_one_ladder"]),
     ("ladder: touching enclosures separate", "rigor.py",
      "    if l_hi < r_lo:\n",
      "    if l_hi <= r_lo:\n",
@@ -82,11 +79,22 @@ MUTANTS = (
      "return lo * u // v, -(-hi * u // v)",
      "return -(-lo * u // v), -(-hi * u // v)",
      [f"{_RIGOR}::test_times_matches_fraction_floor_and_ceil"]),
-    ("max-sigma: the upper numerator not doubled with q", "certifier.py",
-     "            a, b = mid, 2 * b\n",
-     "            a, b = mid, b\n",
-     ["tests/test_certifier.py::test_max_sigma_anchor_enclosure_exact",
-      "tests/test_certifier.py::test_integer_bisection_matches_fraction_loop"]),
+    ("max-sigma: the proven-holds index one too high", "rigor.py",
+     "bounds = ((lo0 - 1) // (-g_lo * step),",
+     "bounds = ((lo0 - 1) // (-g_lo * step) + 1,",
+     [f"{_RIGOR}::test_sign_change_exact_at_rationals",
+      f"{_CERTIFIER}::test_max_sigma_anchor_enclosure_exact"]),
+    ("max-sigma: the proven-fails index one too low", "rigor.py",
+     "hi0 // (-g_hi * step) + 1)",
+     "hi0 // (-g_hi * step))",
+     [f"{_RIGOR}::test_sign_change_exact_at_rationals",
+      f"{_CERTIFIER}::test_max_sigma_anchor_enclosure_exact"]),
+    ("max-sigma: the cap names hi, not the coarsest undecided point",
+     "certifier.py",
+     "t = 0 if i < 0 else (j - 1) >> shift << shift",
+     "t = 0 if i < 0 else j - 1",
+     [f"{_CERTIFIER}::"
+      "test_undecidable_at_the_cap_names_the_bisections_point"]),
     ("certify: an undecidable comparison certifies", "certifier.py",
      "if verdict is Comparison.GREATER:",
      "if verdict is not Comparison.LESS:",
@@ -211,6 +219,15 @@ MUTANTS = (
      "    if least == math.inf:\n        pass\n",
      ["tests/test_survey_two.py::"
       "test_run_bound_spares_no_level_while_least_is_infinite"]),
+    ("p = 2: the highest one bit read where the highest zero bit is due",
+     "survey.py",
+     '"1" if bits[n - 2] == "0" else "0"',
+     '"1"',
+     [_WALK, "tests/test_survey_two.py::test_bit_walk_matches_ladder"]),
+    ("p = 2: e = 2L - 1 - n", "survey.py",
+     "e = 2 * L - 2 - n",
+     "e = 2 * L - 1 - n",
+     [_WALK, "tests/test_survey_two.py::test_bit_walk_matches_ladder"]),
     ("p = 2: built < 3", "survey.py",
      "            if not built:\n                width = 1\n",
      "            if built < 3:\n                width = 1\n",

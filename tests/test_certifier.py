@@ -5,11 +5,11 @@ import pytest
 from mpmath import mp, log
 
 from rnlab.certifier import (SIGMA_MAX, VARIANTS, MaxSigmaResult,
-                             NotMonotoneError, _beta_floor_ok, _beta_powprod,
-                             _size_condition,
-                             certify, check_threshold_monotone, max_sigma,
+                             NotMonotoneError, UndecidableError,
+                             _beta_floor_ok, _beta_powprod, certify,
+                             check_threshold_monotone, max_sigma,
                              threshold_powprod, thresholds)
-from rnlab.rigor import Comparison, PowProd, decide, rigorous_compare
+from rnlab.rigor import Comparison, PowProd, _ladder, decide, rigorous_compare
 
 F = Fraction
 
@@ -284,7 +284,7 @@ def test_max_sigma_anchor_enclosure_exact():
 
 
 def test_max_sigma_logs_once_per_base(monkeypatch):
-    # one interval log each of 101, C and D for the whole bisection
+    # one interval log each of 101, C and D for the whole call
     from mpmath import iv
     calls = []
     real_log = iv.log
@@ -320,7 +320,7 @@ def test_max_sigma_runs_certify_gates():
 
 @pytest.mark.parametrize("width", [F(0), F(-1)])
 def test_max_sigma_refuses_nonpositive_width(width):
-    # the bisection could never end; the width is checked before any gate
+    # no grid has cells of such a width; it is checked before any gate
     with pytest.raises(ValueError, match=f"width must be positive, got {width}"):
         max_sigma(76, 101, 1015, 3, width=width)
     with pytest.raises(ValueError, match="width"):
@@ -399,16 +399,23 @@ def test_max_sigma_sweep_results_pinned():
 _TWO = (7, 2, 181, 15)
 
 
+def _oracle_holds(D, p, n0, sigma, var):
+    verdict = rigorous_compare(_beta_powprod(p, n0),
+                               threshold_powprod(D, p, sigma, var))
+    assert verdict in (Comparison.GREATER, Comparison.LESS)
+    return verdict is Comparison.GREATER
+
+
 def _fraction_max_sigma(D, p, x0, n0, variant, width):
     # max_sigma's bisection on Fractions, as it was before it kept integer
-    # numerators over one denominator; the oracle of the integer bisection
+    # numerators over one denominator, with each point decided by the direct
+    # log comparison that certify makes
     var = VARIANTS[variant]
     floor_ok = _beta_floor_ok(p, n0, var)
     check_threshold_monotone(D, p, var)
-    size = _size_condition(D, p, n0, var)
 
     def holds(sigma):
-        return size(sigma.numerator, sigma.denominator)
+        return _oracle_holds(D, p, n0, sigma, var)
 
     common = dict(D=D, p=p, x0=x0, n0=n0, variant=variant,
                   beta_floor_ok=floor_ok, monotone_checked=True)
@@ -442,51 +449,106 @@ _BISECTED = [(28, 37, 225, 3), (76, 101, 1015, 3), (186, 163, 2081, 3),
 @pytest.mark.parametrize("inst", _BISECTED,
                          ids=lambda inst: "-".join(map(str, inst)))
 def test_integer_bisection_matches_fraction_loop(inst, variant, width):
+    # max_sigma's grid cell is the cell the Fraction bisection ends in
     assert max_sigma(*inst, variant, width=width) == \
         _fraction_max_sigma(*inst, variant, width)
 
 
-def _oracle_holds(D, p, n0, sigma, var):
-    verdict = rigorous_compare(_beta_powprod(p, n0),
-                               threshold_powprod(D, p, sigma, var))
-    assert verdict in (Comparison.GREATER, Comparison.LESS)
-    return verdict is Comparison.GREATER
+def _sweep_cases():
+    return [pytest.param(inst, variant,
+                         id=f"{inst[0]}-{inst[1]}-{inst[3]}-{variant}")
+            for inst in [*_sweep_base_solutions(), _TWO]
+            for variant in ("5j", "7j")]
 
 
-def _differential_cases():
-    # sigma = i/1000 for every i at the anchor and the p = 2 instance, every
-    # 5th i at the other non-empty instances and every 50th at the empty
-    # ones (each rigorous_compare takes about 0.3 ms)
-    cases = []
-    for inst in [*_sweep_base_solutions(), _TWO]:
-        for variant in ("5j", "7j"):
-            if inst in ((76, 101, 1015, 3), _TWO):
-                step = 1
-            elif (*inst, variant) in _NONEMPTY_ENCLOSURES:
-                step = 5
-            else:
-                step = 50
-            cases.append(pytest.param(inst, variant, step,
-                                      id=f"{inst[0]}-{inst[1]}-{inst[3]}-{variant}"))
-    return cases
-
-
-@pytest.mark.parametrize("inst, variant, step", _differential_cases())
-def test_affine_condition_matches_rigorous_compare(inst, variant, step):
-    # the affine decision against the direct log comparison certify makes,
-    # on a grid and at the enclosure ends and 1e-12 either side of them
+@pytest.mark.parametrize("inst, variant", _sweep_cases())
+def test_affine_condition_matches_rigorous_compare(inst, variant):
+    # max_sigma's cell of the affine condition against the direct log
+    # comparison that certify makes: the condition holds at lo and fails at
+    # hi, or fails already at 1/10^9 when the enclosure is empty
     D, p, x0, n0 = inst
     var = VARIANTS[variant]
-    holds = _size_condition(D, p, n0, var)
-    sigmas = [F(i, 1000) for i in range(1, 847, step)]
     res = max_sigma(*inst, variant)
-    if not res.empty:
-        eps = F(1, 10 ** 12)
-        sigmas += [s + k * eps for s in (res.lo, res.hi) for k in (-1, 0, 1)
-                   if 0 < s + k * eps < SIGMA_MAX]
-    for sigma in sigmas:
-        assert holds(sigma.numerator, sigma.denominator) == \
-            _oracle_holds(D, p, n0, sigma, var), sigma
+    if res.empty:
+        assert not _oracle_holds(D, p, n0, F(1, 10 ** 9), var)
+    else:
+        assert _oracle_holds(D, p, n0, res.lo, var)
+        assert res.hi == SIGMA_MAX or not _oracle_holds(D, p, n0, res.hi, var)
+
+
+def _point_bisection(D, p, n0, variant, width):
+    # max_sigma as an integer bisection that decides each point u/v by the
+    # sign of alpha*v + gamma*u at the integer log ends, climbing rigor's
+    # ladder from its first precision at every point: (lo, hi), "empty" or
+    # "limit", or the UndecidableError of the first point the cap leaves
+    var = VARIANTS[variant]
+    (base, l), = _beta_powprod(p, n0).factors
+    c, d, one = var.c_base(p), F(D), F(1)
+    alpha = PowProd(one, ((base, var.den_const * l), (c, -var.exp_const),
+                          (d, -var.eta_const)))
+    gamma = PowProd(one, ((c, one), (d, var.eta_slope),
+                          (base, -var.den_slope * l)))
+
+    def holds(u, v):
+        def verdict():
+            (a_lo, a_hi), (g_lo, g_hi) = (alpha.log_enclosure(),
+                                          gamma.log_enclosure())
+            if a_lo * v + g_lo * u > 0:
+                return True
+            if a_hi * v + g_hi * u < 0:
+                return False
+            return None
+
+        result = _ladder(verdict)
+        if result is Comparison.UNDECIDABLE:
+            raise UndecidableError(
+                f"size condition undecidable at sigma={F(u, v)}")
+        return result
+
+    q = 10 ** 9
+    a, b = 1, 846999999
+    if not holds(a, q):
+        return "empty"
+    if holds(b, q):
+        return "limit"
+    while (b - a) * width.denominator > width.numerator * q:
+        mid, q = a + b, 2 * q
+        if holds(mid, q):
+            a, b = mid, 2 * b
+        else:
+            a, b = 2 * a, mid
+    return F(a, q), F(b, q)
+
+
+@pytest.mark.parametrize("cap, exponents", [(30, (32, 40, 60)),
+                                            (60, (64, 100))])
+def test_undecidable_at_the_cap_names_the_bisections_point(monkeypatch, cap,
+                                                           exponents):
+    # at widths finer than the cap resolves, max_sigma raises the message
+    # of the point a point-by-point bisection finds undecidable first, and
+    # where that bisection ends, max_sigma ends with it
+    monkeypatch.setenv("RNLAB_PRECISION_CAP", str(cap))
+    undecidable = 0
+    for inst in _BISECTED:
+        for variant in ("5j", "7j"):
+            for k in exponents:
+                width = F(1, 10 ** k)
+                try:
+                    want = _point_bisection(*inst[:2], inst[3], variant, width)
+                except UndecidableError as exc:
+                    undecidable += 1
+                    with pytest.raises(UndecidableError) as got:
+                        max_sigma(*inst, variant, width=width)
+                    assert str(got.value) == str(exc), (inst, variant, k)
+                    continue
+                res = max_sigma(*inst, variant, width=width)
+                if want == "empty":
+                    assert res.empty, (inst, variant, k)
+                elif want == "limit":
+                    assert res.hi == SIGMA_MAX, (inst, variant, k)
+                else:
+                    assert (res.lo, res.hi) == want, (inst, variant, k)
+    assert undecidable >= 10
 
 
 @pytest.mark.parametrize("inst", [(76, 101, 1015, 3), _TWO])

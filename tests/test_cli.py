@@ -4,9 +4,11 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 
 import pytest
+from hypothesis import Phase, given, seed, settings, strategies as st
 
 import rnlab
 from rnlab.cli import main
@@ -810,6 +812,27 @@ def test_tampered_cofactor_exit_4(capsys, monkeypatch):
     assert payload["error"] == "internal_invariant_violation"
 
 
+def test_tampered_survey_error_line_is_short(capsys, monkeypatch):
+    # the final check names the level, the stored index and the bit length
+    # of a 33 289-bit root, not its 10 021 decimal digits
+    from rnlab import survey
+    real = survey.roots_mod_pn
+
+    def tampered(D, p, n):
+        state = real(D, p, n)
+        return replace(state, cofactors=(state.cofactors[0] + 1,))
+
+    monkeypatch.setattr(survey, "roots_mod_pn", tampered)
+    code, out = run_cli(capsys, "survey", "--D", "76", "--p", "101",
+                        "--sigma", "1/2", "--n-max", "5000", "--format",
+                        "json")
+    assert code == 4
+    assert len(out.encode()) < 300
+    assert json.loads(out)["message"] == (
+        "ladder at level 5000: stored root 0 (33289 bits) is invalid at "
+        "level 5000")
+
+
 def _subprocess_env() -> dict:
     src = os.path.dirname(os.path.dirname(os.path.abspath(rnlab.__file__)))
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -829,7 +852,7 @@ def test_audit_same_under_python_O():
 
 
 def test_max_sigma_same_under_python_O():
-    # the affine bisection decides each point by integer signs, not asserts;
+    # the grid cell is read off integer log ends by tests, not asserts;
     # (7, 2, 181, 15) is a p = 2 instance with a non-empty enclosure
     outs = {}
     for flags in ([], ["-O"]):
@@ -869,3 +892,98 @@ def test_closed_stdout_exits_1_quietly(argv):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+# the exit-code contract on drawn argv: every subcommand with zero,
+# negative and huge integers, composite and even p, square D, malformed and
+# extreme sigma, tiny --n-max, and corrupt or foreign resume blobs
+_INTS = st.sampled_from(
+    ["0", "-1", "-76", "1", "2", "4", "7", "9", "36", "76", "101", "221",
+     "1000000007", "2305843009213693951", str(10 ** 30), str(-10 ** 30),
+     str(2 ** 127 - 1), "12x", ""])
+_LEVELS = st.sampled_from(["-3", "0", "1", "2", "3", "3", "5", "15", "40",
+                           "40"])
+_SIGMAS = st.sampled_from(
+    ["1/2", "7/50", "9/10", "0/1", "1/1", "2/1", "-1/2", "1/0", "3", "a/b",
+     "1.5/2", "847/1000", "1/" + "9" * 25,
+     "9" * 20 + "/1" + "0" * 20])
+# base solutions x0^2 + D = p^n0 half the time, so that valid runs are drawn
+_INSTANCES = st.one_of(
+    st.sampled_from([("76", "101", "1015", "3"), ("7", "2", "181", "15"),
+                     ("28", "37", "225", "3"), ("39", "2", "5", "6")]),
+    st.tuples(_INTS, _INTS, _INTS, _LEVELS))
+_BLOBS = st.sampled_from([
+    None, "", "{", "\x00\xff garbage", '{"version": 1}',
+    '{"version": 1, "D": 7, "p": 2, "n": 5, "roots": ["3", "13"]}',
+    '{"version": 1, "D": 76, "p": 101, "n": 2, "roots": ["5"]}',
+    '{"version": 2, "D": 76, "p": 101, "n": 1, "roots": ["5"]}',
+    '{"version": 1, "D": 76, "p": 101, "n": 1000000000, "roots": ["5"]}',
+    '[1, 2, 3]'])
+
+
+def _options(names, values):
+    return [a for name, value in zip(names, values) for a in (name, value)]
+
+
+_INSTANCE_OPTIONS = ("--D", "--p", "--x0", "--n0")
+
+
+@st.composite
+def _argv(draw) -> tuple[list, str | None]:
+    """One drawn command line and the text of its resume blob (or None)."""
+    command = draw(st.sampled_from(
+        ["certify", "survey", "hensel", "pade", "decompose", "audit",
+         "max-sigma", "scan-huge"]))
+    inst = draw(_INSTANCES)
+    blob = None
+    if command in ("certify", "max-sigma", "decompose", "audit"):
+        argv = [command, *_options(_INSTANCE_OPTIONS, inst)]
+        if command in ("decompose", "audit"):
+            argv += ["--n", draw(_LEVELS)]
+        if command in ("certify", "audit") and (
+                command == "certify" or draw(st.booleans())):
+            argv += ["--sigma", draw(_SIGMAS)]
+        if command != "decompose" and draw(st.booleans()):
+            argv += ["--variant", draw(st.sampled_from(["5j", "7j", "9j"]))]
+    elif command == "survey":
+        argv = [command, *_options(("--D", "--p"), inst[:2]), "--sigma",
+                draw(_SIGMAS), "--n-max", draw(_LEVELS)]
+        if draw(st.booleans()):
+            argv += ["--checkpoint-every", draw(_LEVELS)]
+        blob = draw(_BLOBS)
+    elif command == "hensel":
+        argv = [command, *_options(("--D", "--p"), inst[:2]), "--n",
+                draw(_LEVELS)]
+    elif command == "scan-huge":
+        argv = [command, *_options(("--D", "--p"), inst[:2]), "--n0-max",
+                draw(_LEVELS)]
+    else:
+        small = st.sampled_from(["-1", "0", "1", "2", "4"])
+        argv = [command, draw(st.sampled_from(["verify", "check"])),
+                "--j-max", draw(small), "--abc-max", draw(small)]
+    return argv + ["--format", "json"], blob
+
+
+@seed(1015)
+@settings(max_examples=40, deadline=None, database=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(_argv())
+def test_every_argv_keeps_the_exit_code_contract(drawn):
+    # each draw runs in a child process: exit 0, 2, 3 or 4, no traceback,
+    # and a report with its schema on exit 0
+    argv, blob = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        if blob is not None:
+            path = os.path.join(tmp, "survey.ckpt")
+            if blob:
+                with open(path, "w") as fh:
+                    fh.write(blob)
+            argv = argv + ["--resume", path]
+        run = subprocess.run([sys.executable, "-m", "rnlab", *argv],
+                             env=_subprocess_env(), cwd=tmp,
+                             capture_output=True, text=True, timeout=60)
+    assert run.returncode in (0, 2, 3, 4), (argv, run.stderr)
+    assert "Traceback" not in run.stderr, (argv, run.stderr)
+    if run.returncode == 0:
+        schema = json.loads(run.stdout)["schema"]
+        assert schema.startswith("rnlab.") and schema != "rnlab.error/1"

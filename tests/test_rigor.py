@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from mpmath import iv, mp
 
 from rnlab.rigor import (_GUARD_BITS, Comparison, PowProd, _iv_log, _times,
-                         affine_sign, decide, enclosure_str, iv_fraction,
-                         iv_pow, rigorous_compare)
+                         decide, enclosure_str, iv_fraction, iv_pow,
+                         rigorous_compare, sign_change)
 
 F = Fraction
 
@@ -249,82 +249,112 @@ def test_decide_reads_integer_ends_and_mpmath_ends_exactly(monkeypatch):
         is Comparison.UNDECIDABLE
 
 
-def _sqrt2_affine():
-    # alpha + gamma*s with alpha = -sqrt(2), gamma = 1: positive iff s > sqrt 2
+def _rational_ends(x: Fraction) -> tuple[int, int]:
+    # x enclosed by integers over 2**(iv.prec + G), the scale of
+    # log_enclosure's ends
+    scaled = x * 2 ** (iv.prec + _GUARD_BITS)
+    return math.floor(scaled), math.ceil(scaled)
+
+
+def _exact_cell(alpha, gamma, first, step, den, n) -> int:
+    # the last t at which alpha + gamma*s_t > 0 (-1 if none), for a form
+    # positive on an initial segment of the grid
+    return sum(alpha + gamma * F(first + t * step, den) > 0
+               for t in range(n + 1)) - 1
+
+
+def _counted(ends):
+    # a builder of fixed integer ends that logs the precision of each call
     builds = []
 
     def build():
         builds.append(iv.dps)
-        return -iv.sqrt(iv.mpf(2)), iv.mpf(1)
+        return ends
 
     return build, builds
 
 
-def test_affine_sign_exact_at_rationals():
-    build, builds = _sqrt2_affine()
-    sign = affine_sign(build)
+def test_sign_change_exact_at_rationals():
+    # exact ends (alpha = 7, gamma = -3 in units of any power of two):
+    # every grid point off the root 7/3 is decided at the first precision
     ambient = iv.dps
-    assert sign(3, 2) is Comparison.GREATER
-    assert sign(7, 5) is Comparison.LESS
-    assert sign(141421356, 10 ** 8) is Comparison.LESS
-    assert builds == [30]
-    assert iv.dps == ambient
+    for grid in ((1, 1, 1, 4), (1, 1, 4, 40), (2, 3, 7, 1), (5, 1, 1, 8),
+                 (1, 5, 1, 1)):
+        build, builds = _counted(((7, 7), (-3, -3)))
+        k = _exact_cell(F(7), F(-3), *grid)
+        assert sign_change(build, *grid) == (k, k + 1), grid
+        assert builds == [30]
+        assert iv.dps == ambient
 
 
-def test_affine_sign_escalates_once_per_precision():
-    # the first 40 digits of sqrt(2) sit closer to it than 30 digits resolve
-    build, builds = _sqrt2_affine()
-    sign = affine_sign(build)
-    below = F("1.414213562373095048801688724209698078569")
-    above = below + F(1, 10 ** 39)
-    assert sign(below.numerator, below.denominator) is Comparison.LESS
-    assert sign(above.numerator, above.denominator) is Comparison.GREATER
-    assert sign(3, 2) is Comparison.GREATER
+def test_sign_change_builds_once_per_precision():
+    # alpha + gamma*s = log 3 - s log 2 changes sign at log2(3), which a
+    # grid 10^-40 apart pins closer than 30 digits resolve
+    lhs, rhs = PowProd.of(3), PowProd.of(1, (F(2), F(-1)))
+    builds = []
+
+    def build():
+        builds.append(iv.dps)
+        return lhs.log_enclosure(), rhs.log_enclosure()
+
+    with mp.workdps(80):
+        root = mp.log(3) / mp.log(2)
+        first = int(mp.floor(root * 10 ** 40)) - 5
+    assert sign_change(build, first, 1, 10 ** 40, 10) == (5, 6)
     assert builds == [30, 60]
 
 
-def test_affine_sign_undecidable_at_cap(monkeypatch):
-    # gamma*s + alpha with alpha = -gamma/3 (as reals) vanishes at s = 1/3
-    def build():
-        third = iv.log(iv.mpf(3)) / 3
-        return -third, iv.log(iv.mpf(3))
-
+def test_sign_change_undecidable_at_cap(monkeypatch):
+    # log 3 - s log 9 vanishes at s = 1/2 = s_1 as reals: s_1 never
+    # separates, s_0 = 1/4 and s_2 = 3/4 do
     monkeypatch.setenv("RNLAB_PRECISION_CAP", "120")
-    sign = affine_sign(build)
-    assert sign(1, 3) is Comparison.UNDECIDABLE
-    assert sign(1, 2) is Comparison.GREATER
+    lhs, rhs = PowProd.of(3), PowProd.of(1, (F(9), F(-1)))
+    grid = (1, 1, 4, 3)
+    assert sign_change(lambda: (lhs.log_enclosure(), rhs.log_enclosure()),
+                       *grid) == (0, 2)
+    # undecided s_0 or s_n, whatever else the ends prove
+    assert sign_change(lambda: (lhs.log_enclosure(), rhs.log_enclosure()),
+                       2, 1, 4, 3) == (-1, 4)
+    assert sign_change(lambda: (lhs.log_enclosure(), rhs.log_enclosure()),
+                       1, 1, 8, 3) == (0, 4)
 
 
-def test_affine_sign_non_finite_enclosure_is_undecidable(monkeypatch):
-    monkeypatch.setenv("RNLAB_PRECISION_CAP", "60")
-    sign = affine_sign(lambda: (iv.mpf([1, "inf"]), iv.mpf(1)))
-    assert sign(1, 2) is Comparison.UNDECIDABLE
-
-
-def test_affine_sign_needs_positive_s():
-    build, _ = _sqrt2_affine()
-    with pytest.raises(ValueError, match="s > 0"):
-        affine_sign(build)(0, 1)
+def test_sign_change_needs_a_positive_grid():
+    build, builds = _counted(((7, 7), (-3, -3)))
+    for grid in ((0, 1, 1, 4), (1, 0, 1, 4), (1, 1, 0, 4), (1, 1, 1, 0)):
+        with pytest.raises(ValueError, match="positive grid"):
+            sign_change(build, *grid)
+    assert builds == []
 
 
 @settings(max_examples=200, deadline=None)
-@given(_fractions, _fractions, st.booleans(), st.booleans(),
-       st.builds(F, st.integers(1, 10 ** 9), st.integers(1, 10 ** 9)))
-def test_affine_sign_agrees_with_exact_rationals(a, g, neg_a, neg_g, s):
-    # rational alpha and gamma: the sign is known exactly, and a zero of
-    # alpha + gamma*s never separates
-    alpha, gamma = (-a if neg_a else a), (-g if neg_g else g)
-    exact = alpha + gamma * s
+@given(_fractions, _fractions, st.booleans(), st.integers(1, 10 ** 6),
+       st.integers(1, 10 ** 6), st.integers(1, 10 ** 6), st.integers(1, 64),
+       st.none() | st.integers(0, 64))
+def test_sign_change_agrees_with_exact_rationals(a, g, neg_a, first, step,
+                                                 den, n, zero_at):
+    # rational alpha and gamma = -g < 0: the cell is known exactly, and a
+    # zero of alpha + gamma*s_t (put at t = zero_at) never separates
+    gamma = -g
+    alpha = -a if neg_a else a
+    if zero_at is not None and zero_at <= n:
+        alpha = -gamma * F(first + zero_at * step, den)
+    values = [alpha + gamma * F(first + t * step, den) for t in range(n + 1)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("RNLAB_PRECISION_CAP", "60")
-        sign = affine_sign(lambda: (iv_fraction(alpha), iv_fraction(gamma)))(
-            s.numerator, s.denominator)
-    if exact > 0:
-        assert sign is Comparison.GREATER
-    elif exact < 0:
-        assert sign is Comparison.LESS
+        got = sign_change(
+            lambda: (_rational_ends(alpha), _rational_ends(gamma)),
+            first, step, den, n)
+    if 0 not in values:
+        k = _exact_cell(alpha, gamma, first, step, den, n)
+        assert got == (k, k + 1)
+    elif values[0] == 0:
+        assert got == (-1, n + 1)
+    elif values[n] == 0:
+        assert got == (0, n + 1)
     else:
-        assert sign is Comparison.UNDECIDABLE
+        z = values.index(0)
+        assert got == (z - 1, z + 1)
 
 
 # the ladder under RNLAB_PRECISION_CAP=200: 30 digits, doubled, the cap last
@@ -332,9 +362,9 @@ _LADDER_200 = [30, 60, 120, 200]
 
 
 def test_every_verdict_climbs_the_one_ladder(monkeypatch):
-    # each pair below is equal as reals, so no precision decides it: equal
-    # point enclosures touch (a tie is no separation), alpha + gamma*s is
-    # exactly 0 at both endpoints, and 2^(1/2) = 8^(1/6)
+    # no precision decides any of these: equal point enclosures touch (a
+    # tie is no separation), alpha + gamma*s is exactly 0 at a grid point,
+    # and 2^(1/2) = 8^(1/6)
     monkeypatch.setenv("RNLAB_PRECISION_CAP", "200")
     ambient = iv.dps
     seen = []
@@ -348,9 +378,13 @@ def test_every_verdict_climbs_the_one_ladder(monkeypatch):
     assert iv.dps == ambient
 
     seen.clear()
-    sign = affine_sign(lambda: (-one(), iv.mpf(3)))
-    assert sign(1, 3) is Comparison.UNDECIDABLE
-    assert sign(2, 3) is Comparison.GREATER
+
+    def ends():
+        seen.append(iv.dps)
+        return (1, 1), (-3, -3)
+
+    # 1 - 3s at s = 1/6, 1/3, 1/2: the zero at 1/3 never separates
+    assert sign_change(ends, 1, 1, 6, 2) == (0, 2)
     assert seen == _LADDER_200
     assert iv.dps == ambient
 
@@ -377,7 +411,8 @@ def test_ladder_restores_precision_when_a_builder_raises():
         decide(fails_at_60, lambda: iv.mpf(1))
     assert iv.dps == ambient
     with pytest.raises(RuntimeError, match="builder failed"):
-        affine_sign(lambda: (-fails_at_60(), iv.mpf(3)))(1, 3)
+        # the zero at s_1 = 1/3 sends the ladder on to 60 digits
+        sign_change(lambda: (fails_at_60() and (1, 1), (-3, -3)), 1, 1, 6, 2)
     assert iv.dps == ambient
     with pytest.raises(ValueError, match="positive base"):
         rigorous_compare(PowProd.of(1, (F(-2), F(1, 2))), PowProd.of(1))

@@ -221,5 +221,8 @@ def test_tampered_two_adic_root_raises(monkeypatch, capsys, tamper, n_max):
     code = main(["survey", "--D", "7", "--p", "2", "--sigma", "1/2",
                  "--n-max", str(n_max), "--format", "json"])
     assert code == 4
-    assert json.loads(capsys.readouterr().out)["error"] == \
-        "internal_invariant_violation"
+    error = json.loads(capsys.readouterr().out)
+    assert error["error"] == "internal_invariant_violation"
+    # the root is named by its bit length, not by its decimal digits
+    assert f"mod 2^{n_max}" in error["message"] and \
+        len(error["message"]) < 100
