@@ -13,9 +13,8 @@ the log condition through by it: the condition becomes the sign of an
 affine form alpha + gamma*sigma, where alpha and gamma are the logs of two
 more PowProds over the bases of beta, C and D.  One pair of integer log
 enclosures of (alpha, gamma) per precision gives the cell of a fixed
-rational grid where that sign changes (rigor.sign_change).  certify keeps
-the direct log comparison, and its report prints both sides' enclosures
-at the ladder's first precision (rigor.enclosure_str).
+rational grid where that sign changes (rigor.sign_change).  certify
+compares the two logs and prints both sides rounded outward (enclosure_str).
 
 A certificate that fails still carries the thresholds M = 250*n0 and
 X* = p^(250*n0), so downstream surveys can proceed empirically.

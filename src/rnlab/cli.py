@@ -19,7 +19,7 @@ import tempfile
 from fractions import Fraction
 from itertools import product
 
-from . import certifier, decomposer, hensel, pade, survey
+from . import certifier, decomposer, hensel, pade, rigor, survey
 
 EXIT_OK = 0
 EXIT_STDOUT_CLOSED = 1
@@ -311,6 +311,12 @@ def _cmd_audit(args) -> int:
     return EXIT_OK
 
 
+def _decimal_9(x: Fraction, up: bool) -> str:
+    # x in [0, 1) rounded down, or up if up, to 9 decimals
+    k = rigor.round_scaled(x, 9, up)
+    return f"{k // 10 ** 9}.{k % 10 ** 9:09d}"
+
+
 def _cmd_max_sigma(args) -> int:
     res = certifier.max_sigma(args.D, args.p, args.x0, args.n0, args.variant)
     payload = {
@@ -320,8 +326,8 @@ def _cmd_max_sigma(args) -> int:
         "empty": res.empty,
         "lo": _fraction_str(res.lo) if res.lo is not None else None,
         "hi": _fraction_str(res.hi) if res.hi is not None else None,
-        "lo_decimal": f"{float(res.lo):.9f}" if res.lo is not None else None,
-        "hi_decimal": f"{float(res.hi):.9f}" if res.hi is not None else None,
+        "lo_decimal": _decimal_9(res.lo, False) if res.lo is not None else None,
+        "hi_decimal": _decimal_9(res.hi, True) if res.hi is not None else None,
         "beta_floor_ok": res.beta_floor_ok,
         "monotone_checked": res.monotone_checked,
         "reason": res.reason,

@@ -2,9 +2,8 @@
 
 rigor is the one module that evaluates on mpmath's interval context, and
 _ladder the one place that sets its working precision: every certified
-verdict tries 30 digits, then doubles up to the cap, the cap itself last,
-and a report's enclosure (enclosure_str) is made in the first round.  The
-caller's precision is restored on return.  The cap is read from
+verdict tries 30 digits, then doubles up to the cap, the cap itself last.
+The caller's precision is restored on return.  The cap is read from
 RNLAB_PRECISION_CAP (decimal digits) by precision_cap, and only once 30
 digits have not decided; no argument sets it.  Purely rational expressions
 short-circuit to an exact Fraction comparison, so a PASS on rational data
@@ -34,28 +33,27 @@ would buy nothing.  Every base that certify and max_sigma read has
 A base nearer to 1 keeps only the absolute precision 2**-(prec + G): still
 sound, and a verdict that needs more climbs the ladder.
 
-The log of a rational base is memoized per process (_iv_log), keyed by its
-numerator, denominator and the working precision in bits, of which both
-the interval log and its integer ends are pure functions.  The memo keeps
-the 256 most recent logs: one certify or max_sigma call reads at most 3
-bases at each of at most 9 ladder precisions (30, 60, ..., 3840, then the
-cap of 4000 digits), 27 logs, and the benchmark's certify sweep reads 101
-distinct logs across 303 calls, so repeated calls in one process find
-theirs.  256 logs at 4000 digits take about 2 MB (tracemalloc), half of it
-the integer ends.
+_iv_log memoizes the integer log ends of a rational base per process,
+keyed by numerator, denominator and working precision in bits, 256 at a
+time: a certify or max_sigma call reads at most 3 bases at each of at most
+9 ladder precisions, the benchmark's certify sweep 101 logs in 303 calls,
+and 256 at 4000 digits take about 1 MB (tracemalloc).  A report prints
+the exp of the ends at 30 digits, rounded outward (enclosure_str).
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from mpmath import iv, mp, mpf
-from mpmath.libmp import from_int, mpi_div, round_ceiling, round_floor
+from mpmath import iv
+from mpmath.libmp import (from_int, from_man_exp, mpf_exp, mpi_div,
+                          round_ceiling, round_floor, to_rational)
 
 DEFAULT_PRECISION_CAP = 4000  # decimal digits
 _START_DPS = 30
@@ -106,27 +104,17 @@ def _int_ends(k: int, prec: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=256)
-def _iv_log(numerator: int, denominator: int, prec: int
-            ) -> tuple[object, int, int]:
-    """log(numerator/denominator), memoized: its interval enclosure, and
-    that enclosure's ends as integers over 2**(prec + _GUARD_BITS), the
-    lower rounded down and the upper rounded up.  prec must be the current
-    iv precision in bits: it keys the memo and sets the integers' scale,
-    and the enclosure, made at the current precision, depends on nothing
-    else."""
+def _iv_log(numerator: int, denominator: int, prec: int) -> tuple[int, int]:
+    """The ends of an enclosure of log(numerator/denominator) as integers
+    over 2**(prec + _GUARD_BITS), rounded outward; prec must be the current
+    iv precision in bits.  Memoized."""
     if numerator <= 0:
-        raise ValueError("iv_pow needs a positive base, got "
+        raise ValueError("a power product needs positive bases, got "
                          f"{Fraction(numerator, denominator)}")
     x = iv.log(iv_fraction(Fraction(numerator, denominator)))
-    (m_lo, e_lo), (m_hi, e_hi) = (_dyadic(end) for end in x._mpi_)
-    scale = prec + _GUARD_BITS
-    return (x, _shift_floor(m_lo, e_lo + scale),
-            -_shift_floor(-m_hi, e_hi + scale))
-
-
-def _shift_floor(m: int, k: int) -> int:
-    """floor(m * 2**k)."""
-    return m << k if k >= 0 else m >> -k
+    (a, b), (c, d) = (to_rational(end) for end in x._mpi_)
+    scale = 1 << (prec + _GUARD_BITS)
+    return a * scale // b, -(-c * scale // d)
 
 
 def _times(lo: int, hi: int, u: int, v: int) -> tuple[int, int]:
@@ -134,23 +122,6 @@ def _times(lo: int, hi: int, u: int, v: int) -> tuple[int, int]:
     if u < 0:
         lo, hi = hi, lo
     return lo * u // v, -(-hi * u // v)
-
-
-def iv_pow(base: Fraction, exp: Fraction):
-    """Enclosure of base**exp for base > 0 and rational exp.
-
-    Integer exponents are applied to the exact rational first; half-integer
-    exponents go through one square root; everything else uses exp(log),
-    with log(base) from the memo of _iv_log.
-    """
-    if base <= 0:
-        raise ValueError(f"iv_pow needs a positive base, got {base}")
-    if exp.denominator == 1:
-        return iv_fraction(base ** exp.numerator)
-    if exp.denominator == 2:
-        return iv.sqrt(iv_fraction(base ** exp.numerator))
-    log, _, _ = _iv_log(base.numerator, base.denominator, iv.prec)
-    return iv.exp(iv_fraction(exp) * log)
 
 
 @dataclass(frozen=True)
@@ -174,14 +145,6 @@ class PowProd:
             value *= base ** exp.numerator
         return value
 
-    def enclosure(self):
-        """Enclosure of the product at the current iv precision; an
-        irrational power reads the log(base) that log_enclosure made."""
-        acc = iv_fraction(self.coeff)
-        for base, exp in self.factors:
-            acc = acc * iv_pow(base, exp)
-        return acc
-
     def log_enclosure(self) -> tuple[int, int]:
         """Integer ends of an enclosure of log(coeff) + sum(exp_i *
         log(base_i)) over 2**(iv.prec + _GUARD_BITS): each term is its
@@ -197,7 +160,7 @@ class PowProd:
         prec = iv.prec
         lo = hi = 0
         for base, exp in factors:
-            _, b_lo, b_hi = _iv_log(base.numerator, base.denominator, prec)
+            b_lo, b_hi = _iv_log(base.numerator, base.denominator, prec)
             t_lo, t_hi = _times(b_lo, b_hi, exp.numerator, exp.denominator)
             lo += t_lo
             hi += t_hi
@@ -353,11 +316,42 @@ def sign_change(build: Callable[[], tuple], first: int, step: int,
     return bounds
 
 
+def round_scaled(x: Fraction, scale: int, up: bool) -> int:
+    """x * 10**scale rounded down to an integer, or up if up."""
+    return (math.ceil if up else math.floor)(x * Fraction(10) ** scale)
+
+
+def _decimal(x: Fraction, up: bool) -> str:
+    """x > 0 rounded down, or up if up, to _REPORT_DIGITS significant
+    digits in mp.nstr's notation: fixed point for a decimal exponent e with
+    -6 < e < _REPORT_DIGITS, else d.ddde+N; trailing zeros stripped."""
+    if x <= 0:
+        raise ValueError(f"a printed enclosure end must be positive, got {x}")
+    n = _REPORT_DIGITS
+    # x * 10**s >= 1 has e + 1 + s digits: the bit lengths put log10(x) in
+    # ((b - 1) log10(2), (b + 1) log10(2)), and 0.30103 > log10(2)
+    b = x.numerator.bit_length() - x.denominator.bit_length()
+    s = n - b * 30103 // 10 ** 5
+    e = len(str(round_scaled(x, s, False))) - 1 - s
+    digits = str(round_scaled(x, n - 1 - e, up))
+    if len(digits) > n:  # rounded up to 10**(e + 1)
+        digits, e = digits[:n], e + 1
+    if -6 < e < n:
+        digits, split, suffix = "0" * -e + digits, max(e, 0) + 1, ""
+    else:
+        split, suffix = 1, f"e{e:+d}"
+    return f"{digits[:split]}.{digits[split:].rstrip('0') or '0'}{suffix}"
+
+
 def enclosure_str(pp: PowProd) -> tuple[str, str]:
-    """Decimal endpoint strings of pp's enclosure, for reports.  It is made
-    in the ladder's first round, which never returns None, so it reads the
-    memoized logs that a verdict made there."""
-    x = _ladder(pp.enclosure)
-    with mp.workdps(_REPORT_DIGITS):
-        return (mp.nstr(mpf(x.a.a), _REPORT_DIGITS),
-                mp.nstr(mpf(x.b.b), _REPORT_DIGITS))
+    """Decimal ends of an enclosure of pp for reports, each rounded outward
+    (_decimal): pp's value where it is rational, else the exp of the
+    integer ends of pp.log_enclosure() in the ladder's first round (the
+    logs that a verdict made there), the lower rounded down, the upper up."""
+    lo = hi = pp.as_fraction()
+    if lo is None:
+        prec, ends = _ladder(lambda: (iv.prec, pp.log_enclosure()))
+        lo, hi = (Fraction(*to_rational(mpf_exp(
+            from_man_exp(end, -prec - _GUARD_BITS), prec, rnd)))
+            for end, rnd in zip(ends, (round_floor, round_ceiling)))
+    return _decimal(lo, False), _decimal(hi, True)

@@ -14,7 +14,9 @@ and the row's selectors run against it with ``pytest -x``.  The run fails
 if a fragment does not occur exactly once in its file (the code moved on
 and the row must follow it), or if the selected tests pass on a mutant (it
 survived).  A row whose tests do not finish within TIMEOUT_S counts as
-killed, and is reported as such.
+killed, and is reported as such.  Each row of EQUIVALENT is a mutant that
+no input can tell from the code, listed with the reason in place of
+selectors: its fragment must occur once, and no test runs on it.
 
 Standard library only; pytest does not collect this file, whose name does
 not start with ``test_``.
@@ -53,10 +55,23 @@ MUTANTS = (
      "    while 2 * dps <= cap:\n",
      [f"{_RIGOR}::test_every_verdict_climbs_the_one_ladder"]),
     ("ladder: report enclosed at the second precision", "rigor.py",
-     "x = _ladder(pp.enclosure)",
-     "x = _ladder(lambda: pp.enclosure() if iv.dps > 30 else None)",
+     "_ladder(lambda: (iv.prec, pp.log_enclosure()))",
+     "_ladder(lambda: (iv.prec, pp.log_enclosure()) if iv.dps > 30 else None)",
      [f"{_RIGOR}::test_enclosure_str_encloses_at_the_ladders_first_precision",
-      "tests/test_certifier.py::test_certify_logs_once_per_base"]),
+      f"{_CERTIFIER}::test_certify_logs_once_per_base"]),
+    ("report: a printed lower end rounded up", "rigor.py",
+     "return _decimal(lo, False), _decimal(hi, True)",
+     "return _decimal(lo, True), _decimal(hi, True)",
+     [f"{_RIGOR}::test_enclosure_str_rounds_each_end_outward",
+      f"{_CERTIFIER}::test_printed_ends_bracket_their_values"]),
+    ("report: the lower exp end rounded up", "rigor.py",
+     "zip(ends, (round_floor, round_ceiling))",
+     "zip(ends, (round_ceiling, round_ceiling))",
+     [f"{_RIGOR}::test_enclosure_str_rounds_each_end_outward"]),
+    ("report: max-sigma's lo_decimal rounded up", "cli.py",
+     "_decimal_9(res.lo, False)",
+     "_decimal_9(res.lo, True)",
+     [f"{_CERTIFIER}::test_printed_ends_bracket_their_values"]),
     ("ladder: the log-1 skip applied to every coefficient", "rigor.py",
      "        if self.coeff != 1:\n",
      "        if False:\n",
@@ -89,6 +104,14 @@ MUTANTS = (
      "hi0 // (-g_hi * step))",
      [f"{_RIGOR}::test_sign_change_exact_at_rationals",
       f"{_CERTIFIER}::test_max_sigma_anchor_enclosure_exact"]),
+    ("max-sigma: negative at s_0 includes a zero", "rigor.py",
+     "        if hi0 < 0:\n",
+     "        if hi0 <= 0:\n",
+     [f"{_RIGOR}::test_sign_change_exact_at_rationals"]),
+    ("max-sigma: undecided at s_0 excludes a zero", "rigor.py",
+     "        elif lo0 <= 0:\n",
+     "        elif lo0 < 0:\n",
+     [f"{_RIGOR}::test_sign_change_exact_at_rationals"]),
     ("max-sigma: the cap names hi, not the coarsest undecided point",
      "certifier.py",
      "t = 0 if i < 0 else (j - 1) >> shift << shift",
@@ -191,6 +214,10 @@ MUTANTS = (
      "if not 0 < r <= self.pn - r:",
      "if not 0 < r < self.pn:",
      [f"{_SURVEY}::test_restore_rejects_repeated_or_complement_roots"]),
+    ("restore: a level at its roots' size bound passes", "survey.py",
+     "if n * (p.bit_length() - 1) >= (max(roots) ** 2 + D).bit_length():",
+     "if n * (p.bit_length() - 1) > (max(roots) ** 2 + D).bit_length():",
+     [f"{_SURVEY}::test_restore_level_bound_is_exact"]),
     ("restore: too few roots pass the count test", "survey.py",
      "    if len(roots) != want:\n",
      "    if len(roots) > want:\n",
@@ -232,6 +259,15 @@ MUTANTS = (
      "            if not built:\n                width = 1\n",
      "            if built < 3:\n                width = 1\n",
      [_WALK]),
+)
+
+
+EQUIVALENT = (
+    ("padic_root: R = top passes the range test", "hensel.py",
+     "not 0 < R < top",
+     "not 0 < R <= top",
+     "R = p^(N-e) is 0 mod p, so R^2 + D = D mod p, which check_instance "
+     "proves nonzero: the rest test rejects it first"),
 )
 
 
@@ -278,12 +314,23 @@ def _apply(src: str, file: str, fragment: str, replacement: str) -> str | None:
 
 
 def main(argv: list) -> int:
-    rows = [row for row in MUTANTS
-            if not argv or any(word in row[0] for word in argv)]
-    if not rows:
+    rows, equivalent = ([row for row in table
+                         if not argv or any(word in row[0] for word in argv)]
+                        for table in (MUTANTS, EQUIVALENT))
+    if not rows and not equivalent:
         print(f"no row matches {argv}")
         return 2
     failures = []
+    for name, file, fragment, _, reason in equivalent:
+        with open(os.path.join(SRC, "rnlab", file)) as fh:
+            count = fh.read().count(fragment)
+        if count != 1:
+            print(f"FAILED (fragment occurs {count} times in {file}) {name}")
+            failures.append(name)
+        else:
+            print(f"{'equivalent':10} {name}: {reason}", flush=True)
+    if not rows:
+        return 1 if failures else 0
     with tempfile.TemporaryDirectory() as tmp:
         src = _copy_src(os.path.join(tmp, "clean"))
         selectors = list(dict.fromkeys(s for row in rows for s in row[4]))
@@ -307,7 +354,8 @@ def main(argv: list) -> int:
                   f"{name}: {last}", flush=True)
             if reason is not None:
                 failures.append(name)
-    print(f"{len(rows) - len(failures)} of {len(rows)} mutants killed")
+    print(f"{len(rows) - len(failures)} of {len(rows)} mutants killed, "
+          f"{len(equivalent)} listed as equivalent")
     return 1 if failures else 0
 
 

@@ -1,15 +1,18 @@
+import json
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, log
+from mpmath import iv, log, mp
 
 from rnlab.certifier import (SIGMA_MAX, VARIANTS, MaxSigmaResult,
                              NotMonotoneError, UndecidableError,
                              _beta_floor_ok, _beta_powprod, certify,
                              check_threshold_monotone, max_sigma,
                              threshold_powprod, thresholds)
-from rnlab.rigor import Comparison, PowProd, _ladder, decide, rigorous_compare
+from rnlab.rigor import (Comparison, PowProd, _ladder, decide, enclosure_str,
+                         iv_fraction, rigorous_compare)
 
 F = Fraction
 
@@ -204,14 +207,22 @@ def test_precision_cap_env(monkeypatch):
         assert rigor.precision_cap() == rigor.DEFAULT_PRECISION_CAP == 4000
 
 
+def _linear(pp: PowProd):
+    # pp's value at the current iv precision by mpmath's interval powers
+    acc = iv_fraction(pp.coeff)
+    for base, exp in pp.factors:
+        acc *= iv_fraction(base) ** iv_fraction(exp)
+    return acc
+
+
 def _grid_monotone(D, p, var):
     # the interval-grid pre-check max_sigma used to run, kept as reference:
     # thresholds at 15 grid points compared in the linear domain
     grid = [SIGMA_MAX * F(i, 16) for i in range(1, 16)]
     return all(
-        decide(threshold_powprod(D, p, s1, var).enclosure,
-               threshold_powprod(D, p, s2, var).enclosure) is Comparison.LESS
-        for s1, s2 in zip(grid, grid[1:]))
+        decide(lambda: _linear(threshold_powprod(D, p, s1, var)),
+               lambda: _linear(threshold_powprod(D, p, s2, var)))
+        is Comparison.LESS for s1, s2 in zip(grid, grid[1:]))
 
 
 def _proof_holds(D, p, var):
@@ -603,3 +614,92 @@ def test_log_memo_keeps_reports_and_logs_each_base_once(capsys, monkeypatch):
         assert _certify_and_max_sigma_reports(capsys, inst) == fresh[inst], inst
     # 101, 76, 37, 28 and 5j's C = 2008.832 (both instances), at 30 digits
     assert len(set(logged)) == len(logged) == 5
+
+
+# ROADMAP item 2's seven base solutions that certify under 5j, each at the
+# lower end of its max-sigma enclosure floored to 1/1000
+_CLOSED = [((28, 37, 225, 3), F(3, 250)), ((76, 101, 1015, 3), F(107, 1000)),
+           ((186, 163, 2081, 3), F(31, 500)),
+           ((148, 197, 2765, 3), F(147, 1000)),
+           ((193, 257, 4120, 3), F(4, 25)), ((277, 317, 5644, 3), F(73, 500)),
+           ((207, 331, 6022, 3), F(197, 1000))]
+SIGMA_STAR = ("146759116967824405641020779119970489403876582693/"
+              "1361129467683753853853498429727072845824000000000")
+
+
+def _seed_7_draws() -> list:
+    # the sweep instances with the sigma that the benchmark's seed 7 draws
+    rng = random.Random(7)
+    instances = _sweep_base_solutions()
+    rng.shuffle(instances)
+    return [(inst, F(rng.randrange(1, 847), 1000)) for inst in instances]
+
+
+def _certify_cases() -> list:
+    # (instance, sigma, variant): the anchor at sigma* and 1/10, the seven
+    # rows above, and every sweep instance under both variants at 1/10,
+    # 7/50 and its seed 7 sigma
+    cases = [((76, 101, 1015, 3), F(SIGMA_STAR), "5j"),
+             ((76, 101, 1015, 3), F(1, 10), "5j"), (_TWO, F(1, 10), "5j")]
+    cases += [(inst, sigma, "5j") for inst, sigma in _CLOSED]
+    cases += [(inst, sigma, variant) for inst, mine in _seed_7_draws()
+              for sigma in (mine, F(1, 10), F(7, 50))
+              for variant in ("5j", "7j")]
+    return cases
+
+
+def _exact_ends_at_80_digits(pp: PowProd) -> tuple:
+    saved = iv.dps
+    try:
+        iv.dps = 80
+        x = _linear(pp)
+    finally:
+        iv.dps = saved
+    return tuple(F((-1) ** sign * man) * F(2) ** exp
+                 for sign, man, exp, _ in x._mpi_)
+
+
+def _both_sides(D, p, n0, sigma, variant):
+    # |beta| and the threshold, built here from p, n0, C, eta and exponent
+    var = VARIANTS[variant]
+    return (PowProd.of(1, (F(p), F(n0 - 2 * (p == 2), 2))),
+            PowProd.of(1, (var.c_base(p), var.exponent(sigma)),
+                       (F(D), var.eta(sigma))))
+
+
+def test_printed_ends_bracket_their_values(capsys):
+    # every printed end against its value enclosed by mpmath intervals at
+    # 80 digits: the certificates of _certify_cases, enclosure_str of both
+    # sides of every sweep instance at its seed 7 sigma (gates or not), and
+    # every max-sigma decimal against the exact lo and hi it stands for
+    from rnlab.cli import main
+    printed = []  # (label, lo string, exact lo, exact hi, hi string)
+    for (D, p, x0, n0), sigma, variant in _certify_cases():
+        cert = certify(D, p, x0, n0, sigma, variant)
+        if cert.beta_enclosure == ("", ""):
+            continue  # a gate stopped before the size condition
+        for pp, ends in zip(_both_sides(D, p, n0, sigma, variant),
+                            (cert.beta_enclosure, cert.threshold_enclosure)):
+            printed.append(((D, p, n0, sigma, variant), ends[0],
+                            *_exact_ends_at_80_digits(pp), ends[1]))
+    for (D, p, x0, n0), sigma in _seed_7_draws():
+        for variant in ("5j", "7j"):
+            for pp in _both_sides(D, p, n0, sigma, variant):
+                printed.append(((D, p, n0, sigma, variant),
+                                enclosure_str(pp)[0],
+                                *_exact_ends_at_80_digits(pp),
+                                enclosure_str(pp)[1]))
+    for inst in [*_sweep_base_solutions(), _TWO]:
+        for variant in ("5j", "7j"):
+            main(["max-sigma", *(f"--{k}={v}" for k, v in
+                                 zip(("D", "p", "x0", "n0"), inst)),
+                  "--variant", variant, "--format", "json"])
+            rep = json.loads(capsys.readouterr().out)
+            if not rep["empty"]:
+                printed.append(((*inst, variant), rep["lo_decimal"],
+                                F(rep["lo"]), F(rep["hi"]), rep["hi_decimal"]))
+    assert len(printed) > 600
+    outside = [(label, end) for label, lo_s, lo, hi, hi_s in printed
+               for end, holds in (("lo", F(lo_s) <= lo), ("hi", hi <= F(hi_s)))
+               if not holds]
+    assert not outside, f"{len(outside)} of {2 * len(printed)}: {outside[:4]}"

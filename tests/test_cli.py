@@ -96,7 +96,7 @@ def test_certify_human_says_when_no_enclosure_was_made(capsys):
                         "(a gate stopped before the size condition)")
     code, text = run_cli(capsys, "certify", *_ANCHOR, "--sigma", "1/10")
     assert text.splitlines()[1] == (
-        "|beta|      : [1015.0374377332099173, 1015.0374377332099173]")
+        "|beta|      : [1015.0374377332099172, 1015.0374377332099173]")
 
 
 # the lower end of max_sigma(76, 101, 1015, 3, "5j", width=10^-40): there
@@ -340,7 +340,7 @@ _PINNED_REPORTS = {
         "2ad39519f72703633b44d7d65fa3e3b5a0b2788336eb44b6da17814740cb77a2"),
     "certify-anchor": (
         ["certify", *_ANCHOR, "--sigma", "1/10"],
-        "eb93f40bff836bd57d8e5017d8b898cb79ccf6312241c1d708bcf96a1f8c2145"),
+        "b637d4865afc64649e98d470f51612edd9dcec29e3a56cbd355260e039dd0df7"),
     "survey-odd": (
         ["survey", "--D", "76", "--p", "101", "--sigma", "9/10",
          "--n-max", "3000"],
@@ -350,7 +350,7 @@ _PINNED_REPORTS = {
         "64269ca3fdf6006305ab33c9d0d41710c0835b0e8870b07f2b7b3d3d445c0001"),
     "max-sigma-anchor": (
         ["max-sigma", *_ANCHOR],
-        "196d46ecdb0e8a90170064414a1f60671159dd05cfe49ce683ccb151b713ef46"),
+        "72ab6a445b6a03a843830b5578c6864b89419d86c9d9651003f745b6097a68c1"),
     "max-sigma-7j": (
         ["max-sigma", "--D", "7", "--p", "2", "--x0", "181", "--n0", "15",
          "--variant", "7j"],

@@ -3,6 +3,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from mpmath import iv
 
 from rnlab import rigor
 from rnlab.decomposer import (AUDIT_CONSTANTS, PreconditionFailError,
@@ -154,8 +155,8 @@ def _q_lambda_by_intervals(dec, sys):
         return rigor.iv_fraction(F(a))
 
     def rhs():
-        return rigor.iv_fraction(coeff) * rigor.iv_pow(
-            F(dec.beta.norm()), sys.r + AUDIT_CONSTANTS.beta_exp)
+        return rigor.iv_fraction(coeff) * iv.mpf(dec.beta.norm()) ** \
+            rigor.iv_fraction(sys.r + AUDIT_CONSTANTS.beta_exp)
 
     return rigor.decide(lhs, rhs) is rigor.Comparison.LESS
 

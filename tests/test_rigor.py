@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from mpmath import iv, mp
 
 from rnlab.rigor import (_GUARD_BITS, Comparison, PowProd, _iv_log, _times,
-                         decide, enclosure_str, iv_fraction, iv_pow,
-                         rigorous_compare, sign_change)
+                         decide, enclosure_str, iv_fraction, rigorous_compare,
+                         sign_change)
 
 F = Fraction
 
@@ -61,6 +61,21 @@ def test_powprod_as_fraction():
     assert PowProd.of(1, (F(2), F(1, 2))).as_fraction() is None
 
 
+def _linear_enclosure(pp: PowProd):
+    """An interval of pp's value at the current iv precision, as rigor once
+    made it for reports: an integer power of the exact rational, a square
+    root for a half-integer exponent, else exp(exponent * log(base))."""
+    acc = iv_fraction(pp.coeff)
+    for base, exp in pp.factors:
+        if exp.denominator == 1:
+            acc *= iv_fraction(base ** exp.numerator)
+        elif exp.denominator == 2:
+            acc *= iv.sqrt(iv_fraction(base ** exp.numerator))
+        else:
+            acc *= iv.exp(iv_fraction(exp) * iv.log(iv_fraction(base)))
+    return acc
+
+
 _fractions = st.builds(F, st.integers(1, 10 ** 6), st.integers(1, 10 ** 4))
 _exponents = st.builds(F, st.integers(-60, 60), st.sampled_from([1, 2, 3, 6, 7, 100]))
 _powprods = st.builds(
@@ -83,7 +98,8 @@ def test_log_domain_agrees_with_linear_domain(lhs, rhs, digits, flip):
         patch.setenv("RNLAB_PRECISION_CAP", "120")
         log_verdict = rigorous_compare(lhs, rhs)
         # the linear-domain reference: enclosures of the products themselves
-        lin_verdict = decide(lhs.enclosure, rhs.enclosure)
+        lin_verdict = decide(lambda: _linear_enclosure(lhs),
+                             lambda: _linear_enclosure(rhs))
     decided = {Comparison.LESS, Comparison.GREATER}
     if log_verdict in decided and lin_verdict in decided:
         assert log_verdict is lin_verdict
@@ -100,13 +116,13 @@ def test_log_domain_equal_products_stay_undecidable(monkeypatch):
 @pytest.mark.parametrize("base", [F(0), F(-2), F(-1, 3)])
 def test_nonpositive_base_raises_same_error(base):
     bad = PowProd.of(1, (base, F(1, 2)))
-    msg = f"iv_pow needs a positive base, got {base}"
+    msg = f"a power product needs positive bases, got {base}"
     with pytest.raises(ValueError, match=re.escape(msg)):
         rigorous_compare(bad, PowProd.of(1, (F(2), F(1, 3))))
     with pytest.raises(ValueError, match=re.escape(msg)):
         rigorous_compare(PowProd.of(1, (F(2), F(1, 3))), bad)
     with pytest.raises(ValueError, match=re.escape(msg)):
-        iv_pow(base, F(1, 2))
+        enclosure_str(bad)
 
 
 def test_nonpositive_coefficient_raises():
@@ -159,8 +175,8 @@ def test_log_memo_ends_round_its_interval_outward(base, dps):
     saved = iv.dps
     try:
         iv.dps = dps
-        x, lo, hi = _iv_log(base.numerator, base.denominator, iv.prec)
-        assert x._mpi_ == iv.log(iv_fraction(base))._mpi_
+        lo, hi = _iv_log(base.numerator, base.denominator, iv.prec)
+        x = iv.log(iv_fraction(base))
         scale = 2 ** (iv.prec + _GUARD_BITS)
         assert lo == math.floor(_exact(x._mpi_[0]) * scale)
         assert hi == math.ceil(_exact(x._mpi_[1]) * scale)
@@ -274,7 +290,7 @@ def _counted(ends):
     return build, builds
 
 
-def test_sign_change_exact_at_rationals():
+def test_sign_change_exact_at_rationals(monkeypatch):
     # exact ends (alpha = 7, gamma = -3 in units of any power of two):
     # every grid point off the root 7/3 is decided at the first precision
     ambient = iv.dps
@@ -285,6 +301,12 @@ def test_sign_change_exact_at_rationals():
         assert sign_change(build, *grid) == (k, k + 1), grid
         assert builds == [30]
         assert iv.dps == ambient
+    # the root at s_0 or at s_n, where an end is exactly 0, stays undecided
+    monkeypatch.setenv("RNLAB_PRECISION_CAP", "60")
+    for grid, cell in (((7, 1, 3, 4), (-1, 5)), ((3, 1, 3, 4), (0, 5))):
+        build, builds = _counted(((7, 7), (-3, -3)))
+        assert sign_change(build, *grid) == cell, grid
+        assert builds == [30, 60]
 
 
 def test_sign_change_builds_once_per_precision():
@@ -420,17 +442,76 @@ def test_ladder_restores_precision_when_a_builder_raises():
 
 
 def test_enclosure_str_encloses_at_the_ladders_first_precision(monkeypatch):
-    # the report reads the logs a verdict made in its first round
+    # the report reads the logs a verdict made in its first round: those of
+    # the coefficient 3 and the base 2, both at 30 digits
     ambient = iv.dps
     logged = []
     real_log = iv.log
     monkeypatch.setattr(
         iv, "log", lambda x: logged.append((float(x.a), iv.dps)) or real_log(x))
     lo, hi = enclosure_str(PowProd.of(3, (F(2), F(1, 3))))
-    assert logged == [(2, 30)]
+    assert logged == [(3, 30), (2, 30)]
     assert iv.dps == ambient
-    # 20 significant digits, each endpoint rounded to nearest
-    assert lo == hi == "3.7797631496846194943"
+    # 20 significant digits, the lower end rounded down, the upper up
+    assert (lo, hi) == ("3.7797631496846194943", "3.7797631496846194944")
+
+
+@pytest.mark.parametrize("pp, ends", [
+    # irrational exponents of bases whose powers are short decimals: the exp
+    # of each log end lies strictly on its side of the value, so rounding
+    # it the wrong way can land on the value itself
+    (PowProd.of(1, (F(81, 64), F(1, 2))),
+     ("1.1249999999999999999", "1.1250000000000000001")),
+    (PowProd.of(1, (F(4), F(1, 2))),
+     ("1.9999999999999999999", "2.0000000000000000001")),
+    (PowProd.of(F(1, 10 ** 9), (F(1000), F(2, 3))),
+     ("9.9999999999999999999e-8", "1.0000000000000000001e-7")),
+    # exact values print as themselves, rounded outward where they are not
+    # 20-digit decimals
+    (PowProd.of(1, (F(101), F(2))), ("10201.0", "10201.0")),
+    (PowProd.of(F(1, 7)), ("0.14285714285714285714", "0.14285714285714285715")),
+    (PowProd.of(F(10 ** 20) - F(1, 10 ** 9)),
+     ("99999999999999999999.0", "1.0e+20")),
+])
+def test_enclosure_str_rounds_each_end_outward(pp, ends):
+    assert enclosure_str(pp) == ends
+
+
+def _at_dps(dps: int, pp: PowProd):
+    saved = iv.dps
+    try:
+        iv.dps = dps
+        return _linear_enclosure(pp)
+    finally:
+        iv.dps = saved
+
+
+def test_enclosure_str_matches_nearest_where_it_rounds_outward():
+    # the report's ends as they were printed before they were rounded
+    # outward: mp.nstr, which rounds to nearest, of the linear-domain
+    # interval at 30 digits.  Wherever such an end lies on its outward side
+    # of the value (enclosed at 80 digits), the new end is the same string
+    rng = random.Random(34)
+    pps = [PowProd.of(3, (F(2), F(1, 3))), PowProd.of(1, (F(101), F(3, 2))),
+           PowProd.of(1, (F(397), F(39, 2))),
+           PowProd.of(F(1, 10 ** 9), (F(3), F(1, 3)))]
+    pps += [PowProd.of(F(rng.randrange(1, 10 ** 6), rng.randrange(1, 10 ** 6)),
+                       (F(rng.randrange(2, 10 ** 4)),
+                        F(rng.randrange(-300, 300), rng.randrange(2, 60))))
+            for _ in range(200)]
+    compared = 0
+    for pp in pps:
+        x, value = _at_dps(30, pp), _at_dps(80, pp)
+        with mp.workdps(20):
+            old = mp.nstr(mp.mpf(x.a.a), 20), mp.nstr(mp.mpf(x.b.b), 20)
+        new = enclosure_str(pp)
+        if F(old[0]) <= _exact(value._mpi_[0]):
+            assert new[0] == old[0], (pp, new, old)
+            compared += 1
+        if F(old[1]) >= _exact(value._mpi_[1]):
+            assert new[1] == old[1], (pp, new, old)
+            compared += 1
+    assert compared > 200
 
 
 def _quotient_of_iv_mpf(fr: Fraction):

@@ -491,6 +491,16 @@ def test_restore_rejects_level_beyond_its_roots_quickly(tmp_path):
             assert restore(checkpoint(state)) == state
 
 
+def test_restore_level_bound_is_exact():
+    # 3072^2 + 76 has 24 bits and 101^n >= 2^(6n): at n = 4 the bit-length
+    # test itself rejects the level, at n = 3 it passes, and 3072 then
+    # fails as a root of level 3
+    with pytest.raises(CorruptBlobError, match="exceeds its roots' size"):
+        restore(_blob(76, 101, 4, [3072]))
+    with pytest.raises(CorruptBlobError, match="blob roots are invalid"):
+        restore(_blob(76, 101, 3, [3072]))
+
+
 @pytest.mark.parametrize("p, D", [(101, 76), (2, 7)])
 def test_restore_rejects_wrong_root_count_quickly(tmp_path, p, D):
     # the root count is checked before p^n is formed: 101^(10^7) alone once
