@@ -8,7 +8,9 @@ with it mpmath and rnlab.rigor stay off rnlab.pade's import path.
 
 All bound checks compare exact Fractions built from the constants in
 pade.BOUNDS, or fall back to directed-rounding enclosures when pi or a
-square root appears.
+square root appears.  This is the one module that evaluates on mpmath's
+interval context: its builders run on rigor's ladder and make their
+intervals at rigor's working precision (_at_working_prec).
 kernel_extrema holds its kernels times d^2 at b = n/d, so that they have
 integer coefficients, and divides each reported value by d^2 once.  Its
 Sturm chain takes pseudo-remainders scaled by |lead| of the divisor, with
@@ -19,11 +21,13 @@ Modern Computer Algebra, ch. 6).
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import iv
+from mpmath.libmp import from_int, mpi_div, round_ceiling, round_floor
 
 from . import rigor
 from .pade import (BOUNDS, IntPolynomial, PadeError, binom, build_diagonal,
@@ -37,6 +41,39 @@ class BOutOfRangeError(ValueError):
 
 def _log10(fr: Fraction) -> float:
     return math.log10(fr.numerator) - math.log10(fr.denominator)
+
+
+def iv_fraction(fr: Fraction):
+    """Enclosure of an exact rational at the current iv precision.
+
+    The same bits as iv.mpf(numerator) / iv.mpf(denominator): iv.mpf
+    rounds an integer down and up by from_int, and iv's division is
+    mpi_div at the working precision; only iv's type dispatch is skipped.
+    Rounding n/d once per endpoint (from_rational) is not the same: it
+    differs once n or d is wider than the precision.
+    """
+    prec = iv.prec
+    ends = _int_ends(fr.numerator, prec)
+    if fr.denominator != 1:  # dividing by an exact 1 moves neither end
+        ends = mpi_div(ends, _int_ends(fr.denominator, prec), prec)
+    return iv.make_mpf(ends)
+
+
+def _int_ends(k: int, prec: int) -> tuple:
+    """k rounded down and up to prec bits; one rounding if k fits."""
+    lo = from_int(k, prec, round_floor)
+    return lo, lo if k.bit_length() <= prec else from_int(k, prec, round_ceiling)
+
+
+@contextlib.contextmanager
+def _at_working_prec():
+    """iv's precision set to rigor's working precision, and restored."""
+    saved = iv.prec
+    iv.prec = rigor.working_prec()
+    try:
+        yield
+    finally:
+        iv.prec = saved
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +361,14 @@ def factorial_ratio_bounds(A: int, B: int, C: int | None = None
     radicand = Fraction(n, math.prod(args))
 
     def lhs_builder():
-        return rigor.iv_fraction(lhs)
+        with _at_working_prec():
+            return iv_fraction(lhs)
 
     def rhs():
-        divisor = iv.sqrt(2 * iv.pi) if C is None else 2 * iv.pi
-        return (rigor.iv_fraction(power) * iv.sqrt(rigor.iv_fraction(radicand))
-                / divisor)
+        with _at_working_prec():
+            divisor = iv.sqrt(2 * iv.pi) if C is None else 2 * iv.pi
+            return (iv_fraction(power) * iv.sqrt(iv_fraction(radicand))
+                    / divisor)
 
     verdict = rigor.decide(lhs_builder, rhs)
     ok = verdict is rigor.Comparison.LESS
@@ -355,9 +394,11 @@ def q_prefactor_bound(j: int) -> bool:
     target = Fraction(3 ** (18 * j + 1), 8 * lhs * 2 ** (16 * j))
 
     def pi_builder():
-        return iv.pi
+        with _at_working_prec():
+            return +iv.pi
 
     def target_builder():
-        return rigor.iv_fraction(target)
+        with _at_working_prec():
+            return iv_fraction(target)
 
     return rigor.decide(pi_builder, target_builder) is rigor.Comparison.LESS

@@ -313,7 +313,7 @@ def _cmd_audit(args) -> int:
 
 def _decimal_9(x: Fraction, up: bool) -> str:
     # x in [0, 1) rounded down, or up if up, to 9 decimals
-    k = rigor.round_scaled(x, 9, up)
+    k = rigor.round_scaled(x.numerator, x.denominator, 9, up)
     return f"{k // 10 ** 9}.{k % 10 ** 9:09d}"
 
 

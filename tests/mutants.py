@@ -46,7 +46,7 @@ _WALK = "tests/test_survey_two.py::test_jumps_decide_the_walked_records"
 MUTANTS = (
     # the precision ladder of rigor and the verdicts on it
     ("ladder: caller's precision not restored", "rigor.py",
-     "    finally:\n        iv.dps = saved\n",
+     "    finally:\n        _prec = saved\n",
      "    finally:\n        pass\n",
      [f"{_RIGOR}::test_every_verdict_climbs_the_one_ladder",
       f"{_RIGOR}::test_ladder_restores_precision_when_a_builder_raises"]),
@@ -55,18 +55,19 @@ MUTANTS = (
      "    while 2 * dps <= cap:\n",
      [f"{_RIGOR}::test_every_verdict_climbs_the_one_ladder"]),
     ("ladder: report enclosed at the second precision", "rigor.py",
-     "_ladder(lambda: (iv.prec, pp.log_enclosure()))",
-     "_ladder(lambda: (iv.prec, pp.log_enclosure()) if iv.dps > 30 else None)",
+     "_ladder(lambda: (_prec, pp.log_enclosure()))",
+     "_ladder(lambda: (_prec, pp.log_enclosure()) if _prec > _bits(30) "
+     "else None)",
      [f"{_RIGOR}::test_enclosure_str_encloses_at_the_ladders_first_precision",
       f"{_CERTIFIER}::test_certify_logs_once_per_base"]),
     ("report: a printed lower end rounded up", "rigor.py",
-     "return _decimal(lo, False), _decimal(hi, True)",
-     "return _decimal(lo, True), _decimal(hi, True)",
+     "return _decimal(*lo, False), _decimal(*hi, True)",
+     "return _decimal(*lo, True), _decimal(*hi, True)",
      [f"{_RIGOR}::test_enclosure_str_rounds_each_end_outward",
       f"{_CERTIFIER}::test_printed_ends_bracket_their_values"]),
     ("report: the lower exp end rounded up", "rigor.py",
-     "zip(ends, (round_floor, round_ceiling))",
-     "zip(ends, (round_ceiling, round_ceiling))",
+     "zip(ends, (False, True))",
+     "zip(ends, (True, True))",
      [f"{_RIGOR}::test_enclosure_str_rounds_each_end_outward"]),
     ("report: max-sigma's lo_decimal rounded up", "cli.py",
      "_decimal_9(res.lo, False)",
@@ -80,11 +81,38 @@ MUTANTS = (
      "    if l_hi < r_lo:\n",
      "    if l_hi <= r_lo:\n",
      [f"{_RIGOR}::test_every_verdict_climbs_the_one_ladder"]),
-    ("ladder: one rounding for an integer wider than the precision",
+    ("ladder: no rounding for an integer wider than the precision",
      "rigor.py",
+     "    if shift <= 0:\n        return k, 0\n",
+     "    if shift <= prec:\n        return k, 0\n",
+     [f"{_RIGOR}::test_integer_log_matches_the_interval_log"]),
+    ("bounds: one rounding for an integer wider than the precision",
+     "bounds.py",
      "lo if k.bit_length() <= prec else",
      "lo if k.bit_length() <= 2 * prec else",
      [f"{_RIGOR}::test_iv_fraction_matches_quotient_of_iv_mpf"]),
+    ("ladder: the quotient n/d rounded inward", "rigor.py",
+     "lo, g_lo = _quotient(n_lo, d_hi, prec, False)",
+     "lo, g_lo = _quotient(n_lo, d_hi, prec, True)",
+     [f"{_RIGOR}::test_integer_log_matches_the_interval_log",
+      f"{_RIGOR}::test_log_memo_ends_round_its_interval_outward"]),
+    ("log: the series' error term dropped from the upper end", "rigor.py",
+     "lo, hi = 2 * s, 2 * s + 4 * i + 6",
+     "lo, hi = 2 * s, 2 * s",
+     [f"{_RIGOR}::test_log_fixed_encloses_the_log"]),
+    ("log: ln 2's lower end used for k < 0", "rigor.py",
+     "    if k < 0:\n        l_lo, l_hi = l_hi, l_lo\n",
+     "    if False:\n        l_lo, l_hi = l_hi, l_lo\n",
+     [f"{_RIGOR}::test_log_fixed_encloses_the_log"]),
+    ("exp: the Taylor error term dropped from the upper end", "rigor.py",
+     "lo, hi = s, s + 2 * i + 4",
+     "lo, hi = s, s",
+     [f"{_RIGOR}::test_exp_fixed_encloses_the_exp"]),
+    ("rounding: the Ziv agreement test skipped", "rigor.py",
+     "        if all(a == b for a, b in ends):\n",
+     "        if True:\n",
+     [f"{_RIGOR}::"
+      "test_rounding_retries_while_the_ends_of_an_enclosure_differ"]),
     ("ladder: the log memo keyed without the precision", "rigor.py",
      "_iv_log(base.numerator, base.denominator, prec)",
      "_iv_log(base.numerator, base.denominator, 0)",

@@ -11,8 +11,9 @@ from rnlab.certifier import (SIGMA_MAX, VARIANTS, MaxSigmaResult,
                              _beta_floor_ok, _beta_powprod, certify,
                              check_threshold_monotone, max_sigma,
                              threshold_powprod, thresholds)
-from rnlab.rigor import (Comparison, PowProd, _ladder, decide, enclosure_str,
-                         iv_fraction, rigorous_compare)
+from rnlab.bounds import _at_working_prec, iv_fraction
+from rnlab.rigor import (Comparison, PowProd, _bits, _ladder, decide,
+                         enclosure_str, rigorous_compare)
 
 F = Fraction
 
@@ -215,13 +216,22 @@ def _linear(pp: PowProd):
     return acc
 
 
+def _linear_at_working_prec(pp: PowProd):
+    # a decide builder: _linear(pp) at rigor's working precision
+    def build():
+        with _at_working_prec():
+            return _linear(pp)
+
+    return build
+
+
 def _grid_monotone(D, p, var):
     # the interval-grid pre-check max_sigma used to run, kept as reference:
     # thresholds at 15 grid points compared in the linear domain
     grid = [SIGMA_MAX * F(i, 16) for i in range(1, 16)]
     return all(
-        decide(lambda: _linear(threshold_powprod(D, p, s1, var)),
-               lambda: _linear(threshold_powprod(D, p, s2, var)))
+        decide(_linear_at_working_prec(threshold_powprod(D, p, s1, var)),
+               _linear_at_working_prec(threshold_powprod(D, p, s2, var)))
         is Comparison.LESS for s1, s2 in zip(grid, grid[1:]))
 
 
@@ -294,27 +304,19 @@ def test_max_sigma_anchor_enclosure_exact():
     assert res.monotone_checked
 
 
-def test_max_sigma_logs_once_per_base(monkeypatch):
-    # one interval log each of 101, C and D for the whole call
-    from mpmath import iv
-    calls = []
-    real_log = iv.log
-    monkeypatch.setattr(iv, "log", lambda x: calls.append(x) or real_log(x))
+def test_max_sigma_logs_once_per_base(logged):
+    # one integer log each of 101, C and D for the whole call
     max_sigma(76, 101, 1015, 3, "5j")
-    assert len(calls) == 3
+    assert len(logged) == 3
 
 
-def test_certify_logs_once_per_base(monkeypatch):
-    # one interval log each of 101, C and D (log_enclosure skips the
+def test_certify_logs_once_per_base(logged):
+    # one integer log each of 101, C and D (log_enclosure skips the
     # coefficient 1, whose log is exactly 0): the verdict separates at 30
     # digits, and the report's threshold enclosure, at the ladder's first
     # precision, reads the logs of C and D that the verdict made
-    from mpmath import iv
-    calls = []
-    real_log = iv.log
-    monkeypatch.setattr(iv, "log", lambda x: calls.append(x) or real_log(x))
     assert certify(76, 101, 1015, 3, F(1, 10)).certified
-    assert len(calls) == 3
+    assert len(logged) == 3
 
 
 def test_max_sigma_runs_certify_gates():
@@ -564,19 +566,14 @@ def test_undecidable_at_the_cap_names_the_bisections_point(monkeypatch, cap,
 
 @pytest.mark.parametrize("inst", [(76, 101, 1015, 3), _TWO])
 @pytest.mark.parametrize("variant", ["5j", "7j"])
-def test_max_sigma_fine_width_agrees_with_rigorous_compare(monkeypatch, inst,
+def test_max_sigma_fine_width_agrees_with_rigorous_compare(logged, inst,
                                                            variant):
     # at width 1e-40 the last points are too close to the root for 30
     # digits, so both deciders climb the precision ladder
-    from mpmath import iv
-    dps_seen = set()
-    real_log = iv.log
-    monkeypatch.setattr(iv, "log",
-                        lambda x: dps_seen.add(iv.dps) or real_log(x))
     D, p, x0, n0 = inst
     res = max_sigma(*inst, variant, width=F(1, 10 ** 40))
     assert res.width() <= F(1, 10 ** 40)
-    assert max(dps_seen) > 30
+    assert max(prec for _, prec in logged) > _bits(30)
     assert _oracle_holds(D, p, n0, res.lo, VARIANTS[variant])
     assert not _oracle_holds(D, p, n0, res.hi, VARIANTS[variant])
 
@@ -593,12 +590,10 @@ def _certify_and_max_sigma_reports(capsys, inst) -> list:
     return reports
 
 
-def test_log_memo_keeps_reports_and_logs_each_base_once(capsys, monkeypatch):
+def test_log_memo_keeps_reports_and_logs_each_base_once(capsys, logged):
     # the anchor, another instance, then the anchor again in one process:
     # each report equals the one made first with an empty memo, and each
     # log of a base at a precision is computed once for the whole sequence
-    from mpmath import iv
-
     from rnlab.rigor import _iv_log
     anchor, other = (76, 101, 1015, 3), (28, 37, 225, 3)
     fresh = {}
@@ -606,10 +601,7 @@ def test_log_memo_keeps_reports_and_logs_each_base_once(capsys, monkeypatch):
         _iv_log.cache_clear()
         fresh[inst] = _certify_and_max_sigma_reports(capsys, inst)
     _iv_log.cache_clear()
-    logged = []
-    real_log = iv.log
-    monkeypatch.setattr(
-        iv, "log", lambda x: logged.append((x._mpi_, iv.dps)) or real_log(x))
+    logged.clear()
     for inst in (anchor, other, anchor):
         assert _certify_and_max_sigma_reports(capsys, inst) == fresh[inst], inst
     # 101, 76, 37, 28 and 5j's C = 2008.832 (both instances), at 30 digits

@@ -6,6 +6,7 @@ import pytest
 from mpmath import iv
 
 from rnlab import rigor
+from rnlab.bounds import _at_working_prec, iv_fraction
 from rnlab.decomposer import (AUDIT_CONSTANTS, PreconditionFailError,
                               audit_theorem1_chain, decompose)
 from rnlab.hensel import CompositeModulusError, roots_mod_pn
@@ -152,11 +153,13 @@ def _q_lambda_by_intervals(dec, sys):
              * BOUNDS.q_base ** (2 * dec.j))
 
     def lhs():
-        return rigor.iv_fraction(F(a))
+        with _at_working_prec():
+            return iv_fraction(F(a))
 
     def rhs():
-        return rigor.iv_fraction(coeff) * iv.mpf(dec.beta.norm()) ** \
-            rigor.iv_fraction(sys.r + AUDIT_CONSTANTS.beta_exp)
+        with _at_working_prec():
+            return iv_fraction(coeff) * iv.mpf(dec.beta.norm()) ** \
+                iv_fraction(sys.r + AUDIT_CONSTANTS.beta_exp)
 
     return rigor.decide(lhs, rhs) is rigor.Comparison.LESS
 

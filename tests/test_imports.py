@@ -1,5 +1,6 @@
 """The package's import layout: the paper's bound checks live in rnlab.bounds,
-which rnlab.cli does not import, and rnlab serves their names lazily."""
+which rnlab.cli does not import, and rnlab serves their names lazily.
+rnlab.bounds is the one module that imports mpmath."""
 
 import ast
 import json
@@ -60,8 +61,45 @@ print(json.dumps(loaded))
 """) == [False, False, False]
 
 
-def test_pade_imports_neither_mpmath_nor_rigor():
-    with open(os.path.join(os.path.dirname(rnlab.__file__), "pade.py")) as f:
+def test_no_subcommand_imports_mpmath():
+    # rigor's logs and exps are integer arithmetic: one process runs every
+    # subcommand, and mpmath is loaded after none of them
+    assert _fresh("""
+import contextlib, io, json, sys
+import rnlab.cli
+instance = ["--D", "76", "--p", "101"]
+base = instance + ["--x0", "1015", "--n0", "3"]
+loaded = ["mpmath" in sys.modules]
+for argv in (["survey"] + instance + ["--sigma", "9/10", "--n-max", "30"],
+             ["hensel"] + instance + ["--n", "30"],
+             ["pade", "verify", "--j-max", "2", "--abc-max", "2"],
+             ["decompose"] + base + ["--n", "16"],
+             ["audit"] + base + ["--n", "16"],
+             ["certify"] + base + ["--sigma", "1/10"],
+             ["max-sigma"] + base,
+             ["scan-huge"] + instance + ["--n0-max", "4"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rnlab.cli.main(argv + ["--format", "json"])
+    loaded.append("mpmath" in sys.modules)
+print(json.dumps(loaded))
+""") == [False] * 9
+
+
+def test_lazy_bound_checks_load_bounds_and_mpmath():
+    assert _fresh("""
+import json, sys
+import rnlab
+before = ["rnlab.bounds" in sys.modules, "mpmath" in sys.modules]
+rnlab.check_q_bound
+print(json.dumps(before + ["rnlab.bounds" in sys.modules,
+                           "mpmath" in sys.modules]))
+""") == [False, False, True, True]
+
+
+def _imported(module: str) -> set:
+    """The names that rnlab's module imports anywhere in its source."""
+    with open(os.path.join(os.path.dirname(rnlab.__file__),
+                           f"{module}.py")) as f:
         tree = ast.parse(f.read())
     imported = set()
     for node in ast.walk(tree):
@@ -71,9 +109,18 @@ def test_pade_imports_neither_mpmath_nor_rigor():
             imported.add(node.module or "")
             imported.update(f"{node.module or ''}.{alias.name}"
                             for alias in node.names)
-    assert not {name for name in imported
+    return imported
+
+
+def test_pade_imports_neither_mpmath_nor_rigor():
+    # nor does any module on the CLI's import path import mpmath
+    assert not {name for name in _imported("pade")
                 if name.split(".")[0] == "mpmath"
                 or name.split(".")[-1] == "rigor"}
+    for module in ("rigor", "certifier", "decomposer", "survey", "hensel",
+                   "cli"):
+        assert not {name for name in _imported(module)
+                    if name.split(".")[0] == "mpmath"}, module
 
 
 def test_all_and_dir_unchanged():

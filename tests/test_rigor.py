@@ -1,3 +1,4 @@
+import contextlib
 import math
 import random
 import re
@@ -7,11 +8,34 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv, mp
 
-from rnlab.rigor import (_GUARD_BITS, Comparison, PowProd, _iv_log, _times,
-                         decide, enclosure_str, iv_fraction, rigorous_compare,
-                         sign_change)
+from rnlab import rigor
+from rnlab.bounds import _at_working_prec, iv_fraction
+from rnlab.rigor import (_GUARD_BITS, Comparison, PowProd, _bits, _iv_log,
+                         _times, decide, enclosure_str, rigorous_compare,
+                         sign_change, working_prec)
 
 F = Fraction
+
+
+@contextlib.contextmanager
+def _rigor_at(dps: int):
+    # rigor's working precision set to dps digits, as a rung of the ladder
+    # sets it, and restored
+    saved = rigor._prec
+    rigor._prec = _bits(dps)
+    try:
+        yield
+    finally:
+        rigor._prec = saved
+
+
+def _built(make, *args):
+    # a decide builder: make(*args) on iv at rigor's working precision
+    def build():
+        with _at_working_prec():
+            return make(*args)
+
+    return build
 
 
 def test_exact_fast_path_never_escalates():
@@ -44,16 +68,18 @@ def test_a_cap_below_30_digits_means_30(monkeypatch):
     seen = []
 
     def sqrt2():
-        seen.append(iv.dps)
+        seen.append(working_prec())
         return iv.sqrt(iv.mpf(2))
 
     monkeypatch.setenv("RNLAB_PRECISION_CAP", "10")
-    assert decide(sqrt2, lambda: iv_fraction(approx)) is Comparison.UNDECIDABLE
-    assert seen == [30]
+    assert decide(_built(sqrt2), _built(iv_fraction, approx)) \
+        is Comparison.UNDECIDABLE
+    assert seen == [_bits(30)]
     monkeypatch.delenv("RNLAB_PRECISION_CAP")
     seen.clear()
-    assert decide(sqrt2, lambda: iv_fraction(approx)) is Comparison.GREATER
-    assert seen == [30, 60]
+    assert decide(_built(sqrt2), _built(iv_fraction, approx)) \
+        is Comparison.GREATER
+    assert seen == [_bits(30), _bits(60)]
 
 
 def test_powprod_as_fraction():
@@ -98,8 +124,8 @@ def test_log_domain_agrees_with_linear_domain(lhs, rhs, digits, flip):
         patch.setenv("RNLAB_PRECISION_CAP", "120")
         log_verdict = rigorous_compare(lhs, rhs)
         # the linear-domain reference: enclosures of the products themselves
-        lin_verdict = decide(lambda: _linear_enclosure(lhs),
-                             lambda: _linear_enclosure(rhs))
+        lin_verdict = decide(_built(_linear_enclosure, lhs),
+                             _built(_linear_enclosure, rhs))
     decided = {Comparison.LESS, Comparison.GREATER}
     if log_verdict in decided and lin_verdict in decided:
         assert log_verdict is lin_verdict
@@ -136,35 +162,23 @@ def _exact(raw) -> Fraction:
     return (-1) ** sign * F(man) * F(2) ** exp
 
 
-def _encloses(ends, value) -> bool:
-    # whether integer ends over 2^(iv.prec + _GUARD_BITS) hold value, an
-    # mpf or every real of an iv interval
+def _encloses(ends, value, prec: int) -> bool:
+    # whether integer ends over 2^(prec + _GUARD_BITS) hold value, an mpf
+    # or every real of an iv interval
     lo, hi = value._mpi_ if hasattr(value, "_mpi_") else (value._mpf_,) * 2
-    scale = F(2) ** (iv.prec + _GUARD_BITS)
+    scale = F(2) ** (prec + _GUARD_BITS)
     return F(ends[0]) / scale <= _exact(lo) and _exact(hi) <= F(ends[1]) / scale
 
 
-def test_log_enclosure_computes_each_log_once_per_precision(monkeypatch):
-    calls = []
-    real_log = iv.log
-
-    def counting_log(x):
-        calls.append(iv.dps)
-        return real_log(x)
-
-    monkeypatch.setattr(iv, "log", counting_log)
+def test_log_enclosure_computes_each_log_once_per_precision(logged):
     pp = PowProd.of(3, (F(101), F(3, 2)), (F(76), F(7, 9)))
     with mp.workdps(100):
         exact = mp.log(3) + 1.5 * mp.log(101) + mp.mpf(7) / 9 * mp.log(76)
-    saved = iv.dps
-    try:
-        for dps in (30, 30, 60):
-            iv.dps = dps
-            assert _encloses(pp.log_enclosure(), exact)
-    finally:
-        iv.dps = saved
+    for dps in (30, 30, 60):
+        with _rigor_at(dps):
+            assert _encloses(pp.log_enclosure(), exact, _bits(dps))
     # the logs of 3, 101 and 76 at 30 digits, read again, then at 60
-    assert calls == [30, 30, 30, 60, 60, 60]
+    assert [prec for _, prec in logged] == [_bits(30)] * 3 + [_bits(60)] * 3
     assert _iv_log.cache_info().currsize == 6
 
 
@@ -209,18 +223,17 @@ def test_log_enclosure_integer_ends_hold_a_finer_reference(dps):
     # inside the integer ends proves that they hold the exact value, and
     # the ends are at most a few units of 2^-(prec + 16) wider than the
     # terms' interval logs
+    prec = _bits(dps)
     saved = iv.dps
     try:
         for pp in _log_products():
-            iv.dps = dps
-            ends = pp.log_enclosure()
-            prec = iv.prec
+            with _rigor_at(dps):
+                ends = pp.log_enclosure()
             iv.dps = dps + 70
             ref = iv.log(iv_fraction(pp.coeff))
             for base, exp in pp.factors:
                 ref += iv_fraction(exp) * iv.log(iv_fraction(base))
-            iv.dps = dps
-            assert _encloses(ends, ref), pp
+            assert _encloses(ends, ref, prec), pp
             size = abs(float(ref.mid)) + sum(
                 abs(float(exp) * math.log(base)) for base, exp in pp.factors)
             width = F(ends[1] - ends[0], 2 ** (prec + _GUARD_BITS))
@@ -266,9 +279,9 @@ def test_decide_reads_integer_ends_and_mpmath_ends_exactly(monkeypatch):
 
 
 def _rational_ends(x: Fraction) -> tuple[int, int]:
-    # x enclosed by integers over 2**(iv.prec + G), the scale of
+    # x enclosed by integers over 2**(working_prec() + G), the scale of
     # log_enclosure's ends
-    scaled = x * 2 ** (iv.prec + _GUARD_BITS)
+    scaled = x * 2 ** (working_prec() + _GUARD_BITS)
     return math.floor(scaled), math.ceil(scaled)
 
 
@@ -284,7 +297,7 @@ def _counted(ends):
     builds = []
 
     def build():
-        builds.append(iv.dps)
+        builds.append(working_prec())
         return ends
 
     return build, builds
@@ -293,20 +306,20 @@ def _counted(ends):
 def test_sign_change_exact_at_rationals(monkeypatch):
     # exact ends (alpha = 7, gamma = -3 in units of any power of two):
     # every grid point off the root 7/3 is decided at the first precision
-    ambient = iv.dps
+    ambient = working_prec()
     for grid in ((1, 1, 1, 4), (1, 1, 4, 40), (2, 3, 7, 1), (5, 1, 1, 8),
                  (1, 5, 1, 1)):
         build, builds = _counted(((7, 7), (-3, -3)))
         k = _exact_cell(F(7), F(-3), *grid)
         assert sign_change(build, *grid) == (k, k + 1), grid
-        assert builds == [30]
-        assert iv.dps == ambient
+        assert builds == [_bits(30)]
+        assert working_prec() == ambient
     # the root at s_0 or at s_n, where an end is exactly 0, stays undecided
     monkeypatch.setenv("RNLAB_PRECISION_CAP", "60")
     for grid, cell in (((7, 1, 3, 4), (-1, 5)), ((3, 1, 3, 4), (0, 5))):
         build, builds = _counted(((7, 7), (-3, -3)))
         assert sign_change(build, *grid) == cell, grid
-        assert builds == [30, 60]
+        assert builds == [_bits(30), _bits(60)]
 
 
 def test_sign_change_builds_once_per_precision():
@@ -316,14 +329,14 @@ def test_sign_change_builds_once_per_precision():
     builds = []
 
     def build():
-        builds.append(iv.dps)
+        builds.append(working_prec())
         return lhs.log_enclosure(), rhs.log_enclosure()
 
     with mp.workdps(80):
         root = mp.log(3) / mp.log(2)
         first = int(mp.floor(root * 10 ** 40)) - 5
     assert sign_change(build, first, 1, 10 ** 40, 10) == (5, 6)
-    assert builds == [30, 60]
+    assert builds == [_bits(30), _bits(60)]
 
 
 def test_sign_change_undecidable_at_cap(monkeypatch):
@@ -383,75 +396,68 @@ def test_sign_change_agrees_with_exact_rationals(a, g, neg_a, first, step,
 _LADDER_200 = [30, 60, 120, 200]
 
 
-def test_every_verdict_climbs_the_one_ladder(monkeypatch):
+def test_every_verdict_climbs_the_one_ladder(monkeypatch, logged):
     # no precision decides any of these: equal point enclosures touch (a
     # tie is no separation), alpha + gamma*s is exactly 0 at a grid point,
     # and 2^(1/2) = 8^(1/6)
     monkeypatch.setenv("RNLAB_PRECISION_CAP", "200")
-    ambient = iv.dps
+    ladder = [_bits(dps) for dps in _LADDER_200]
+    ambient = working_prec()
     seen = []
 
     def one():
-        seen.append(iv.dps)
+        seen.append(working_prec())
         return iv.mpf(1)
 
     assert decide(one, lambda: iv.mpf(1)) is Comparison.UNDECIDABLE
-    assert seen == _LADDER_200
-    assert iv.dps == ambient
+    assert seen == ladder
+    assert working_prec() == ambient
 
     seen.clear()
 
     def ends():
-        seen.append(iv.dps)
+        seen.append(working_prec())
         return (1, 1), (-3, -3)
 
     # 1 - 3s at s = 1/6, 1/3, 1/2: the zero at 1/3 never separates
     assert sign_change(ends, 1, 1, 6, 2) == (0, 2)
-    assert seen == _LADDER_200
-    assert iv.dps == ambient
+    assert seen == ladder
+    assert working_prec() == ambient
 
-    logged = []
-    real_log = iv.log
-    monkeypatch.setattr(
-        iv, "log", lambda x: logged.append((float(x.a), iv.dps)) or real_log(x))
     lhs = PowProd.of(1, (F(2), F(1, 2)))
     rhs = PowProd.of(1, (F(8), F(1, 6)))
     assert rigorous_compare(lhs, rhs) is Comparison.UNDECIDABLE
-    assert logged == [(base, dps) for dps in _LADDER_200 for base in (2, 8)]
-    assert iv.dps == ambient
+    assert logged == [(base, prec) for prec in ladder for base in (2, 8)]
+    assert working_prec() == ambient
 
 
 def test_ladder_restores_precision_when_a_builder_raises():
-    ambient = iv.dps
+    ambient = working_prec()
 
     def fails_at_60():
-        if iv.dps == 60:
+        if working_prec() == _bits(60):
             raise RuntimeError("builder failed")
         return iv.mpf(1)
 
     with pytest.raises(RuntimeError, match="builder failed"):
         decide(fails_at_60, lambda: iv.mpf(1))
-    assert iv.dps == ambient
+    assert working_prec() == ambient
     with pytest.raises(RuntimeError, match="builder failed"):
         # the zero at s_1 = 1/3 sends the ladder on to 60 digits
         sign_change(lambda: (fails_at_60() and (1, 1), (-3, -3)), 1, 1, 6, 2)
-    assert iv.dps == ambient
+    assert working_prec() == ambient
     with pytest.raises(ValueError, match="positive base"):
         rigorous_compare(PowProd.of(1, (F(-2), F(1, 2))), PowProd.of(1))
-    assert iv.dps == ambient
+    assert working_prec() == ambient
 
 
-def test_enclosure_str_encloses_at_the_ladders_first_precision(monkeypatch):
+def test_enclosure_str_encloses_at_the_ladders_first_precision(logged):
     # the report reads the logs a verdict made in its first round: those of
     # the coefficient 3 and the base 2, both at 30 digits
-    ambient = iv.dps
-    logged = []
-    real_log = iv.log
-    monkeypatch.setattr(
-        iv, "log", lambda x: logged.append((float(x.a), iv.dps)) or real_log(x))
+    ambient = working_prec()
     lo, hi = enclosure_str(PowProd.of(3, (F(2), F(1, 3))))
-    assert logged == [(3, 30), (2, 30)]
-    assert iv.dps == ambient
+    assert logged == [(3, _bits(30)), (2, _bits(30))]
+    assert working_prec() == ambient
     # 20 significant digits, the lower end rounded down, the upper up
     assert (lo, hi) == ("3.7797631496846194943", "3.7797631496846194944")
 
@@ -545,3 +551,261 @@ def test_iv_fraction_matches_quotient_of_iv_mpf(dps):
             assert iv_fraction(fr)._mpi_ == _quotient_of_iv_mpf(fr)._mpi_, fr
     finally:
         iv.dps = saved
+
+
+# ---------------------------------------------------------------------------
+# rigor's integer log and exp ends against mpmath's interval log and mpf_exp
+
+
+def _round_down_bits(x: Fraction, prec: int) -> Fraction:
+    # x rounded down to prec significant bits
+    if x == 0:
+        return x
+    j = abs(x.numerator).bit_length() - x.denominator.bit_length()
+    if F(2) ** j > abs(x):
+        j -= 1  # now 2^j <= |x| < 2^(j + 1)
+    unit = F(2) ** (j + 1 - prec)
+    return math.floor(x / unit) * unit
+
+
+def _log_end_of(x: Fraction, prec: int, up: bool) -> int:
+    # x rounded to prec bits, then to an integer over 2^(prec + G), both
+    # down, or both up if up
+    if up:
+        return -_log_end_of(-x, prec, False)
+    return math.floor(_round_down_bits(x, prec) * 2 ** (prec + _GUARD_BITS))
+
+
+def _reference(make, bits: int):
+    # the exact ends of the interval make() at 80 more digits than bits
+    saved = iv.prec
+    try:
+        iv.prec = bits + 266
+        return [_exact(end) for end in make()._mpi_]
+    finally:
+        iv.prec = saved
+
+
+def _parent_iv_log(n: int, d: int, dps: int) -> tuple:
+    # the integer log ends as rigor made them from mpmath: the ends of
+    # iv.log of the interval quotient n/d at dps digits, rounded outward
+    # to integers over 2^(prec + G); and the quotient's ends
+    saved = iv.dps
+    try:
+        iv.dps = dps
+        q = iv_fraction(F(n, d))
+        x = iv.log(q)
+        scale = 2 ** (iv.prec + _GUARD_BITS)
+        lo, hi = (_exact(end) * scale for end in x._mpi_)
+        quotient = [_exact(end) for end in q._mpi_]
+        return (math.floor(lo), math.ceil(hi)), quotient
+    finally:
+        iv.dps = saved
+
+
+def _log_rationals() -> list:
+    # integers up to 40 digits, ratios of up to 30 digits, and n/d with n
+    # within 3 of d, 1000 of each, in lowest terms; and powers of two and
+    # of ten whose low bits are zeros wider than the precision
+    rng = random.Random(35)
+    out = [F(1), F(2), F(1, 2), F(3), F(10 ** 40), F(1, 10 ** 40),
+           F(2 ** 200), F(1, 2 ** 300), F(10 ** 50 + 1, 10 ** 50),
+           F(10 ** 50, 10 ** 50 + 1), F(2 ** 140 + 1, 2 ** 140)]
+    for _ in range(1000):
+        out.append(F(rng.randrange(1, 10 ** rng.randrange(1, 41))))
+        out.append(F(rng.randrange(1, 10 ** rng.randrange(1, 31)),
+                     rng.randrange(1, 10 ** rng.randrange(1, 31))))
+        d = rng.randrange(4, 10 ** rng.randrange(1, 41))
+        out.append(F(d + rng.randrange(-3, 4), d))
+    return out
+
+
+_LOG_RATIONALS = _log_rationals()
+
+
+@pytest.mark.parametrize("dps", [30, 60, 120, 240, 480])
+def test_integer_log_matches_the_interval_log(dps):
+    # each mismatch must be mpmath's misrounding, shown against a log at 80
+    # more digits; none is known
+    prec = _bits(dps)
+    mismatches = []
+    for x in _LOG_RATIONALS:
+        got = _iv_log(x.numerator, x.denominator, prec)
+        want, quotient = _parent_iv_log(x.numerator, x.denominator, dps)
+        if got != want:
+            for end, up, mine, theirs in zip(quotient, (False, True), got,
+                                             want):
+                ref = [_log_end_of(y, prec, up) for y in _reference(
+                    lambda: iv.log(iv.mpf(end.numerator) / end.denominator),
+                    prec)]
+                assert ref[0] == ref[1] == mine != theirs, (x, dps, up)
+            mismatches.append(x)
+    assert len(_LOG_RATIONALS) >= 3000
+    assert mismatches == []
+
+
+def _neighbours(v: Fraction, prec: int) -> tuple[Fraction, Fraction]:
+    # the prec-bit floats next below and next above v, itself one
+    j = v.numerator.bit_length() - v.denominator.bit_length()
+    if F(2) ** j > v:
+        j -= 1
+    unit = F(2) ** (j + 1 - prec)
+    assert (v / unit).denominator == 1, (v, prec)
+    return v - (unit / 2 if v == F(2) ** j else unit), v + unit
+
+
+def _exp_rounds_correctly(v: Fraction, x: int, prec: int, up: bool) -> bool:
+    # whether v is exp(x / 2^(prec + G)) rounded down, or up if up, to prec
+    # bits, shown by an enclosure of the exp at 80 more digits
+    lo, hi = _reference(
+        lambda: iv.exp(iv.mpf(x) / 2 ** (prec + _GUARD_BITS)), prec)
+    below, above = _neighbours(v, prec)
+    return below < lo and hi <= v if up else v <= lo and hi < above
+
+
+def _exp_ends() -> list:
+    # (x, prec): 2000 log ends uniform in magnitude up to 8000, and 500
+    # more down to the smallest ends, both signs
+    rng = random.Random(35)
+    out = []
+    for prec in (103, 203, 401, 801):
+        scale = prec + _GUARD_BITS
+        out += [(rng.randrange(-8000 << scale, 8000 << scale), prec)
+                for _ in range(500)]
+        out += [(rng.choice((-1, 1)) * rng.randrange(1, 2 << scale)
+                 >> rng.randrange(0, scale), prec) for _ in range(125)]
+    return out
+
+
+def test_exp_end_matches_mpf_exp():
+    from mpmath.libmp import (from_man_exp, mpf_exp, round_ceiling,
+                              round_floor)
+    mismatches = []
+    for x, prec in _exp_ends():
+        for up, rnd in ((False, round_floor), (True, round_ceiling)):
+            m, e = rigor._exp_end(x, prec, up)
+            got = F(m) * F(2) ** e
+            want = _exact(mpf_exp(from_man_exp(x, -prec - _GUARD_BITS),
+                                  prec, rnd))
+            if got != want:
+                # only mpmath's misrounding, against 80 more digits
+                assert _exp_rounds_correctly(got, x, prec, up), (x, prec, up)
+                assert not _exp_rounds_correctly(want, x, prec, up)
+                mismatches.append((x, prec, up))
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("prec", [103, 203])
+def test_exp_end_of_a_tiny_end_rounds_up_above_1(prec):
+    # mpf_exp rounds exp(2 * 2^-(prec + G)) > 1 up to 1 itself
+    from mpmath.libmp import from_man_exp, mpf_exp, round_ceiling
+    for x in (2, 3):
+        assert _exact(mpf_exp(from_man_exp(x, -prec - _GUARD_BITS), prec,
+                              round_ceiling)) == 1
+        m, e = rigor._exp_end(x, prec, True)
+        assert F(m) * F(2) ** e == 1 + F(1, 2 ** (prec - 1))
+        assert _exp_rounds_correctly(1 + F(1, 2 ** (prec - 1)), x, prec, True)
+    assert rigor._exp_end(0, prec, True) == rigor._exp_end(0, prec, False) \
+        == (1, 0)
+
+
+# ---------------------------------------------------------------------------
+# the enclosures under the integer log and exp, and Ziv's rounding test
+
+
+def test_ln2_encloses_ln2():
+    for w in (60, 151, 1000, 13400):
+        lo, hi = rigor._ln2(w)
+        ref = _reference(lambda: iv.log(2), w)
+        assert lo <= ref[0] * 2 ** w and ref[1] * 2 ** w <= hi
+        assert hi - lo <= 2
+
+
+_LOG_ARGUMENTS = [
+    # (m, e): t above and below 1 and near it on both sides, the exact 1
+    # and 2, and 2^k t with k large of both signs
+    (1, 0), (2, 0), (3, 0), (5, 0), (7, -3), (101, 0), (251104, -7),
+    (2 ** 100 + 1, -100), (2 ** 100 - 1, -100), (3, -3000), (5, -3000),
+    (11, -100000), (7, 4000), (13, 100000),
+    (8595072328292469101236721483, -2 ** 17),
+    (6212283749109018128462817791, 5000)]
+
+
+@pytest.mark.parametrize("w", [151, 500, 2000])
+def test_log_fixed_encloses_the_log(w):
+    for m, e in _LOG_ARGUMENTS:
+        lo, hi, W = rigor._log_fixed(m, e, w)
+        assert W >= w
+        ref = _reference(lambda: iv.log(iv.mpf(m) * iv.mpf(2) ** e),
+                         W + 20)
+        assert lo <= ref[0] * 2 ** W and ref[1] * 2 ** W <= hi, (m, e, w)
+
+
+@pytest.mark.parametrize("prec", [103, 401])
+def test_exp_fixed_encloses_the_exp(prec):
+    scale = prec + _GUARD_BITS
+    rng = random.Random(35)
+    xs = [1, -1, 2, -3, 1 << scale, -(1 << scale), 8000 << scale,
+          -(8000 << scale)]
+    xs += [rng.randrange(-8000 << scale, 8000 << scale) for _ in range(40)]
+    for w in (scale + 32, scale + 64):
+        for x in xs:
+            lo, hi, W = rigor._exp_fixed(x, scale, w)
+            ref = _reference(lambda: iv.exp(iv.mpf(x) / 2 ** scale),
+                             prec + 32)
+            assert lo <= ref[0] * F(2) ** W and ref[1] * F(2) ** W <= hi, x
+
+
+def _first_rounds_widened(real, prec: int, grid: int | None):
+    # real, but the first enclosure for each argument (w aside) is made 16
+    # units in the last place of prec bits, and at least 16 units of the
+    # grid 2^-(prec + grid), wider on both sides
+    seen = set()
+
+    def enclose(*args):
+        lo, hi, W = real(*args)
+        if args[:-1] not in seen:
+            seen.add(args[:-1])
+            bits = max(abs(lo).bit_length(), abs(hi).bit_length()) - prec
+            if grid is not None:
+                bits = max(bits, W - prec - grid)
+            lo, hi = lo - (16 << bits), hi + (16 << bits)
+        return lo, hi, W
+
+    return enclose, seen
+
+
+def _exp_values(xs, prec: int) -> list:
+    return [F(m) * F(2) ** e for m, e in
+            (rigor._exp_end(x, prec, up) for x in xs for up in (False, True))]
+
+
+@pytest.mark.parametrize("prec", [103, 203])
+def test_rounding_retries_while_the_ends_of_an_enclosure_differ(monkeypatch,
+                                                                prec):
+    # first enclosures 16 units in the last place wider on each side round
+    # differently at their two ends; the ends returned are those of the
+    # next enclosure, the same as without the padding
+    bases = [F(3), F(101), F(3, 7), F(251104, 125), F(10 ** 30 + 1, 10 ** 30)]
+    xs = [1 << (prec + 12), 5 << (prec + 14), -7, 3, -(1 << (prec + 30))]
+    want_logs = [_iv_log(b.numerator, b.denominator, prec) for b in bases]
+    want_exps = _exp_values(xs, prec)
+    _iv_log.cache_clear()
+    calls = []
+
+    def counted(enclose):
+        def wrapper(*args):
+            calls.append(args)
+            return enclose(*args)
+        return wrapper
+
+    log_fixed, logs_seen = _first_rounds_widened(rigor._log_fixed, prec,
+                                                 _GUARD_BITS)
+    exp_fixed, exps_seen = _first_rounds_widened(rigor._exp_fixed, prec, None)
+    monkeypatch.setattr(rigor, "_log_fixed", counted(log_fixed))
+    monkeypatch.setattr(rigor, "_exp_fixed", counted(exp_fixed))
+    assert [_iv_log(b.numerator, b.denominator, prec)
+            for b in bases] == want_logs
+    assert _exp_values(xs, prec) == want_exps
+    # one more round for each enclosure widened
+    assert len(calls) >= 2 * (len(logs_seen) + len(exps_seen))
