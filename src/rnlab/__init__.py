@@ -3,7 +3,7 @@
 Modules:
     quadring    exact arithmetic in the ring of integers of Q(sqrt(-D))
     pade        Pade approximants to (1-z)^k, contents, the bound constants
-    bounds      the paper's bound checks (loaded on first use; imports mpmath)
+    bounds      the paper's bound checks (loaded on first use)
     hensel      Tonelli-Shanks and Hensel lifting mod p^n
     certifier   huge-solution certificates and the maximal sigma
     decomposer  gamma = beta^k mu decompositions and the chain audit

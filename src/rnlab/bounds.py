@@ -4,13 +4,13 @@ These are the Q-value bound (check_q_bound), the E bound (check_e_bound),
 the kernel constants (kernel_extrema), the factorial ratios
 (factorial_ratio_bounds, q_prefactor_bound) and the beta moment identity.
 No subcommand calls them, so rnlab.cli does not import this module, and
-with it mpmath and rnlab.rigor stay off rnlab.pade's import path.
+with it rnlab.rigor stays off rnlab.pade's import path.
 
 All bound checks compare exact Fractions built from the constants in
-pade.BOUNDS, or fall back to directed-rounding enclosures when pi or a
-square root appears.  This is the one module that evaluates on mpmath's
-interval context: its builders run on rigor's ladder and make their
-intervals at rigor's working precision (_at_working_prec).
+pade.BOUNDS, except where pi appears.  There both sides, all positive,
+are squared where a square root appears, so that the check compares pi,
+or pi**2, with an exact rational, by rigor's integer ends of pi on
+rigor's ladder (_compare_pi).
 kernel_extrema holds its kernels times d^2 at b = n/d, so that they have
 integer coefficients, and divides each reported value by d^2 once.  Its
 Sturm chain takes pseudo-remainders scaled by |lead| of the divisor, with
@@ -21,13 +21,9 @@ Modern Computer Algebra, ch. 6).
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from mpmath import iv
-from mpmath.libmp import from_int, mpi_div, round_ceiling, round_floor
 
 from . import rigor
 from .pade import (BOUNDS, IntPolynomial, PadeError, binom, build_diagonal,
@@ -43,37 +39,20 @@ def _log10(fr: Fraction) -> float:
     return math.log10(fr.numerator) - math.log10(fr.denominator)
 
 
-def iv_fraction(fr: Fraction):
-    """Enclosure of an exact rational at the current iv precision.
+def _compare_pi(k: int, target: Fraction) -> rigor.Comparison:
+    """pi**k against target, k >= 1, on rigor's ladder: the ends of pi
+    over 2**w, w = rigor.working_prec(), raised to the k-th power (all
+    positive, so they stay in order), against target's floor and ceiling
+    over 2**(k w)."""
+    def pi_power():
+        lo, hi = rigor.pi_ends(rigor.working_prec())
+        return lo ** k, hi ** k
 
-    The same bits as iv.mpf(numerator) / iv.mpf(denominator): iv.mpf
-    rounds an integer down and up by from_int, and iv's division is
-    mpi_div at the working precision; only iv's type dispatch is skipped.
-    Rounding n/d once per endpoint (from_rational) is not the same: it
-    differs once n or d is wider than the precision.
-    """
-    prec = iv.prec
-    ends = _int_ends(fr.numerator, prec)
-    if fr.denominator != 1:  # dividing by an exact 1 moves neither end
-        ends = mpi_div(ends, _int_ends(fr.denominator, prec), prec)
-    return iv.make_mpf(ends)
+    def target_ends():
+        scaled = target * 2 ** (k * rigor.working_prec())
+        return math.floor(scaled), math.ceil(scaled)
 
-
-def _int_ends(k: int, prec: int) -> tuple:
-    """k rounded down and up to prec bits; one rounding if k fits."""
-    lo = from_int(k, prec, round_floor)
-    return lo, lo if k.bit_length() <= prec else from_int(k, prec, round_ceiling)
-
-
-@contextlib.contextmanager
-def _at_working_prec():
-    """iv's precision set to rigor's working precision, and restored."""
-    saved = iv.prec
-    iv.prec = rigor.working_prec()
-    try:
-        yield
-    finally:
-        iv.prec = saved
+    return rigor.decide(pi_power, target_ends)
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +327,10 @@ def factorial_ratio_bounds(A: int, B: int, C: int | None = None
 
         (A+B+C)!/(A!B!C!) < 1/(2 pi) sqrt((A+B+C)/(ABC)) N^N/(A^A B^B C^C)
 
-    and, with C omitted, the two-argument form with 1/sqrt(2 pi).  The left
-    side is exact; the right side is enclosed with directed rounding and
-    precision is escalated until the comparison is strict.
+    and, with C omitted, the two-argument form with 1/sqrt(2 pi).  All
+    sides are positive, so with k = 1 for two arguments and 2 for three it
+    holds iff pi**k < power**2 * radicand / (2**k * lhs**2), which
+    _compare_pi decides.
     """
     args = (A, B) if C is None else (A, B, C)
     if min(args) < 1:
@@ -359,22 +339,12 @@ def factorial_ratio_bounds(A: int, B: int, C: int | None = None
     lhs = Fraction(math.factorial(n), math.prod(map(math.factorial, args)))
     power = Fraction(n ** n, math.prod(a ** a for a in args))
     radicand = Fraction(n, math.prod(args))
-
-    def lhs_builder():
-        with _at_working_prec():
-            return iv_fraction(lhs)
-
-    def rhs():
-        with _at_working_prec():
-            divisor = iv.sqrt(2 * iv.pi) if C is None else 2 * iv.pi
-            return (iv_fraction(power) * iv.sqrt(iv_fraction(radicand))
-                    / divisor)
-
-    verdict = rigor.decide(lhs_builder, rhs)
+    k = len(args) - 1
+    verdict = _compare_pi(k, power ** 2 * radicand / (2 ** k * lhs ** 2))
     ok = verdict is rigor.Comparison.LESS
     # informational margin (digits of slack), not part of the certificate
     rhs_est = (_log10(power) + 0.5 * _log10(radicand)
-               - (len(args) - 1) / 2 * math.log10(2 * math.pi))
+               - k / 2 * math.log10(2 * math.pi))
     return FactorialBoundReport(A=A, B=B, C=C, ok=ok,
                                 margin_log10=rhs_est - _log10(lhs))
 
@@ -392,13 +362,4 @@ def q_prefactor_bound(j: int) -> bool:
     if rem:
         raise PadeError(f"(9j)!/((j-1)! ((4j)!)^2) is not an integer at j = {j}")
     target = Fraction(3 ** (18 * j + 1), 8 * lhs * 2 ** (16 * j))
-
-    def pi_builder():
-        with _at_working_prec():
-            return +iv.pi
-
-    def target_builder():
-        with _at_working_prec():
-            return iv_fraction(target)
-
-    return rigor.decide(pi_builder, target_builder) is rigor.Comparison.LESS
+    return _compare_pi(1, target) is rigor.Comparison.LESS

@@ -21,8 +21,7 @@ the upper rounded up, and PowProd.log_enclosure returns the sum of the
 terms e_i log b_i as two such integers (each term rounded outward by
 _times).  Every verdict then compares integers: two log enclosures by
 their ends (_separate), and the grid cell where an affine form in two of
-them changes sign by floor divisions (sign_change).  decide reads the ends
-of mpmath intervals, which rnlab.bounds builds, exactly too (_exact_ends).
+them changes sign by floor divisions (sign_change).
 
 G = _GUARD_BITS = 16.  Where |log b| >= 1/2, a log rounded to prec bits is
 at least 2**-prec wide, one unit in its last place.  Rounding its ends
@@ -69,6 +68,10 @@ by under 1.04 units of atanh.  So atanh(|z|) 2**W lies in [S, S + 2N +
 18 atanh(1/26) - 2 atanh(1/4801) + 8 atanh(1/8749), each sum of exact
 floors floor(2**x / ((2i + 1) q**(2i + 1))) short by under N + 2 in all,
 at x = W + 20 bits, rounded outward to W and memoized per W (_ln2).
+rnlab.bounds reads pi = 16 atan(1/5) - 4 atan(1/239) by the same sums
+with alternating signs, each within N + 1 of its value either way
+(_acoth), at W + 20 bits rounded outward to W (pi_ends, not memoized:
+a verdict reads it once per rung).
 
 _exp_fixed writes x = k ln 2 + s with s >= 0 (k = floor(x / ln 2's end
 that keeps s's lower end nonnegative)), halves s r times, r =
@@ -164,7 +167,7 @@ def _fraction_ends(n: int, d: int, prec: int
     """The ends of an enclosure of n/d > 0 at prec bits as (m, e) pairs: n
     and d rounded down and up, the quotients of the outer pairs rounded
     outward.  These are the ends of mpmath's iv.mpf(n) / iv.mpf(d), whose
-    roundings are each correct (rnlab.bounds.iv_fraction)."""
+    roundings are each correct."""
     (n_lo, e_lo), (n_hi, e_hi) = (_round_int(n, prec, up)
                                   for up in (False, True))
     if d == 1:  # dividing by an exact 1 moves neither end
@@ -176,17 +179,22 @@ def _fraction_ends(n: int, d: int, prec: int
     return (lo, g_lo + e_lo - f_hi), (hi, g_hi + e_hi - f_lo)
 
 
-def _acoth(q: int, x: int) -> tuple[int, int]:
-    """atanh(1/q) * 2**x enclosed by integers, q >= 2: the sum of exact
-    floors of 2**x / ((2i + 1) q**(2i + 1)), each short by under 1, and a
-    tail under 2 after the first zero power."""
+def _acoth(q: int, x: int, sign: int = 1) -> tuple[int, int]:
+    """atanh(1/q) * 2**x, or atan(1/q) * 2**x if sign = -1, enclosed by
+    integers, q >= 2: S = the sum of sign**i times the exact floors of
+    a_i = 2**x / ((2i + 1) q**(2i + 1)) over the N terms before the first
+    zero power, each short of a_i by under 1.  The a_i after the first
+    zero power, under 1, fall by q**2 >= 4, so atanh's tail is under 2 and
+    it lies in [S, S + N + 2).  atan's tail alternates and falls, so it is
+    under its first term, under 1; each floor moves S by under 1 either
+    way, and atan lies in (S - N - 1, S + N + 1)."""
     p, q2 = (1 << x) // q, q * q
     s = i = 0
     while p:
-        s += p // (2 * i + 1)
+        s += sign ** i * (p // (2 * i + 1))
         p //= q2
         i += 1
-    return s, s + i + 2
+    return (s, s + i + 2) if sign == 1 else (s - i - 1, s + i + 1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -195,6 +203,13 @@ def _ln2(w: int) -> tuple[int, int]:
     2 atanh(1/4801) + 8 atanh(1/8749) at w + 20 bits, rounded outward."""
     (a, b), (c, d), (e, f) = (_acoth(q, w + 20) for q in (26, 4801, 8749))
     return (18 * a - 2 * d + 8 * e) >> 20, -(-(18 * b - 2 * c + 8 * f) >> 20)
+
+
+def pi_ends(w: int) -> tuple[int, int]:
+    """pi * 2**w enclosed by integers: 16 atan(1/5) - 4 atan(1/239) at
+    w + 20 bits, rounded outward."""
+    (a, b), (c, d) = (_acoth(q, w + 20, -1) for q in (5, 239))
+    return (16 * a - 4 * d) >> 20, -(-(16 * b - 4 * c) >> 20)
 
 
 def _log_fixed(m: int, e: int, w: int) -> tuple[int, int, int]:
@@ -363,27 +378,9 @@ class PowProd:
         return lo, hi
 
 
-def _exact_ends(pair: tuple) -> list[int] | None:
-    """The four ends of a pair of enclosures as integers over one power of
-    two, or None if one of them is not finite.  Two integer end pairs of
-    log_enclosure, made at one precision, are that already; the ends of
-    two mpmath intervals are read exactly (_dyadic) and shifted to the
-    least exponent among them."""
-    x, y = pair
-    if type(x) is tuple:
-        return [*x, *y]
-    ends = [_dyadic(end) for z in pair for end in z._mpi_]
-    if None in ends:
-        return None
-    least = min(e for _, e in ends)
-    return [m << (e - least) for m, e in ends]
-
-
-def _separate(lhs, rhs) -> Comparison | None:
-    ends = _exact_ends((lhs, rhs))
-    if ends is None:
-        return None
-    l_lo, l_hi, r_lo, r_hi = ends
+def _separate(lhs: tuple[int, int], rhs: tuple[int, int]
+              ) -> Comparison | None:
+    (l_lo, l_hi), (r_lo, r_hi) = lhs, rhs
     if l_hi < r_lo:
         return Comparison.LESS
     if l_lo > r_hi:
@@ -421,15 +418,14 @@ def _ladder(verdict: Callable[[], object]):
         _prec = saved
 
 
-def decide(build_lhs: Callable[[], object], build_rhs: Callable[[], object]
-           ) -> Comparison:
+def decide(build_lhs: Callable[[], tuple[int, int]],
+           build_rhs: Callable[[], tuple[int, int]]) -> Comparison:
     """Compare two real expressions given as enclosure builders.
 
     The builders are re-invoked at each precision of the ladder; they must
     read the working precision (working_prec()) when constructing their
-    enclosures.  Both return mpmath intervals, or both integer end pairs of
-    log_enclosure; either way the ends are compared as exact integers
-    (_exact_ends), and an end that is not finite decides nothing.
+    enclosures.  Both return the integer ends (lo, hi) of an enclosure
+    over one power of two, such as those of log_enclosure.
     """
     return _ladder(lambda: _separate(build_lhs(), build_rhs()))
 
@@ -449,15 +445,6 @@ def rigorous_compare(lhs: PowProd, rhs: PowProd) -> Comparison:
             return Comparison.GREATER
         return Comparison.EQUAL
     return decide(lhs.log_enclosure, rhs.log_enclosure)
-
-
-def _dyadic(x) -> tuple[int, int] | None:
-    """An mpf endpoint as exact (m, e) with value m * 2**e, or None for an
-    infinity or a nan."""
-    sign, man, exp, bc = x
-    if not man:
-        return (0, 0) if bc == 0 else None
-    return (-int(man) if sign else int(man)), exp
 
 
 def sign_change(build: Callable[[], tuple], first: int, step: int,

@@ -86,11 +86,23 @@ MUTANTS = (
      "    if shift <= 0:\n        return k, 0\n",
      "    if shift <= prec:\n        return k, 0\n",
      [f"{_RIGOR}::test_integer_log_matches_the_interval_log"]),
-    ("bounds: one rounding for an integer wider than the precision",
-     "bounds.py",
-     "lo if k.bit_length() <= prec else",
-     "lo if k.bit_length() <= 2 * prec else",
-     [f"{_RIGOR}::test_iv_fraction_matches_quotient_of_iv_mpf"]),
+    ("pi: the upper end rounded down", "rigor.py",
+     "-(-(16 * b - 4 * c) >> 20)",
+     "(16 * b - 4 * c) >> 20",
+     [f"{_RIGOR}::test_pi_ends_enclose_pi"]),
+    ("atan: the alternating series' error term dropped from its lower end",
+     "rigor.py",
+     "else (s - i - 1, s + i + 1)",
+     "else (s, s + i + 1)",
+     [f"{_RIGOR}::test_acoth_series_encloses_atanh_and_atan"]),
+    ("bounds: pi**2 compared as pi in the three-argument form", "bounds.py",
+     "return lo ** k, hi ** k",
+     "return lo, hi",
+     [f"{_PADE}::test_pi_power_compares_one_unit_either_side"]),
+    ("bounds: the target of pi**2 scaled as pi's", "bounds.py",
+     "target * 2 ** (k * rigor.working_prec())",
+     "target * 2 ** rigor.working_prec()",
+     [f"{_PADE}::test_pi_power_compares_one_unit_either_side"]),
     ("ladder: the quotient n/d rounded inward", "rigor.py",
      "lo, g_lo = _quotient(n_lo, d_hi, prec, False)",
      "lo, g_lo = _quotient(n_lo, d_hi, prec, True)",
@@ -139,6 +151,14 @@ MUTANTS = (
     ("max-sigma: undecided at s_0 excludes a zero", "rigor.py",
      "        elif lo0 <= 0:\n",
      "        elif lo0 < 0:\n",
+     [f"{_RIGOR}::test_sign_change_exact_at_rationals"]),
+    ("max-sigma: positive at s_n includes a zero", "rigor.py",
+     "        elif a_lo * den + g_lo * last > 0:\n",
+     "        elif a_lo * den + g_lo * last >= 0:\n",
+     [f"{_RIGOR}::test_sign_change_exact_at_rationals"]),
+    ("max-sigma: undecided at s_n excludes a zero", "rigor.py",
+     "        elif a_hi * den + g_hi * last >= 0:\n",
+     "        elif a_hi * den + g_hi * last > 0:\n",
      [f"{_RIGOR}::test_sign_change_exact_at_rationals"]),
     ("max-sigma: the cap names hi, not the coarsest undecided point",
      "certifier.py",

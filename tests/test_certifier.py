@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 from mpmath import iv, log, mp
 
+from iv_oracle import built, iv_fraction
 from rnlab.certifier import (SIGMA_MAX, VARIANTS, MaxSigmaResult,
                              NotMonotoneError, UndecidableError,
                              _beta_floor_ok, _beta_powprod, certify,
                              check_threshold_monotone, max_sigma,
                              threshold_powprod, thresholds)
-from rnlab.bounds import _at_working_prec, iv_fraction
 from rnlab.rigor import (Comparison, PowProd, _bits, _ladder, decide,
                          enclosure_str, rigorous_compare)
 
@@ -216,22 +216,13 @@ def _linear(pp: PowProd):
     return acc
 
 
-def _linear_at_working_prec(pp: PowProd):
-    # a decide builder: _linear(pp) at rigor's working precision
-    def build():
-        with _at_working_prec():
-            return _linear(pp)
-
-    return build
-
-
 def _grid_monotone(D, p, var):
     # the interval-grid pre-check max_sigma used to run, kept as reference:
     # thresholds at 15 grid points compared in the linear domain
     grid = [SIGMA_MAX * F(i, 16) for i in range(1, 16)]
     return all(
-        decide(_linear_at_working_prec(threshold_powprod(D, p, s1, var)),
-               _linear_at_working_prec(threshold_powprod(D, p, s2, var)))
+        decide(built(_linear, threshold_powprod(D, p, s1, var)),
+               built(_linear, threshold_powprod(D, p, s2, var)))
         is Comparison.LESS for s1, s2 in zip(grid, grid[1:]))
 
 

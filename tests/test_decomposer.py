@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from mpmath import iv
 
+from iv_oracle import built, iv_fraction
 from rnlab import rigor
-from rnlab.bounds import _at_working_prec, iv_fraction
 from rnlab.decomposer import (AUDIT_CONSTANTS, PreconditionFailError,
                               audit_theorem1_chain, decompose)
 from rnlab.hensel import CompositeModulusError, roots_mod_pn
@@ -152,16 +152,12 @@ def _q_lambda_by_intervals(dec, sys):
     coeff = (AUDIT_CONSTANTS.q_lambda_coeff ** 2
              * BOUNDS.q_base ** (2 * dec.j))
 
-    def lhs():
-        with _at_working_prec():
-            return iv_fraction(F(a))
-
     def rhs():
-        with _at_working_prec():
-            return iv_fraction(coeff) * iv.mpf(dec.beta.norm()) ** \
-                iv_fraction(sys.r + AUDIT_CONSTANTS.beta_exp)
+        return iv_fraction(coeff) * iv.mpf(dec.beta.norm()) ** \
+            iv_fraction(sys.r + AUDIT_CONSTANTS.beta_exp)
 
-    return rigor.decide(lhs, rhs) is rigor.Comparison.LESS
+    return rigor.decide(built(iv_fraction, F(a)), built(rhs)) \
+        is rigor.Comparison.LESS
 
 
 def test_q_lambda_matches_interval_builders():

@@ -1,6 +1,6 @@
 """The package's import layout: the paper's bound checks live in rnlab.bounds,
-which rnlab.cli does not import, and rnlab serves their names lazily.
-rnlab.bounds is the one module that imports mpmath."""
+which rnlab.cli does not import, and rnlab serves their names lazily.  No
+module of rnlab imports mpmath: the tests alone use it, as their oracle."""
 
 import ast
 import json
@@ -85,7 +85,7 @@ print(json.dumps(loaded))
 """) == [False] * 9
 
 
-def test_lazy_bound_checks_load_bounds_and_mpmath():
+def test_lazy_bound_checks_load_bounds_and_not_mpmath():
     assert _fresh("""
 import json, sys
 import rnlab
@@ -93,7 +93,14 @@ before = ["rnlab.bounds" in sys.modules, "mpmath" in sys.modules]
 rnlab.check_q_bound
 print(json.dumps(before + ["rnlab.bounds" in sys.modules,
                            "mpmath" in sys.modules]))
-""") == [False, False, True, True]
+""") == [False, False, True, False]
+
+
+def _modules() -> list:
+    """Every module of the package: each *.py in its directory."""
+    return sorted(name[:-3] for name in
+                  os.listdir(os.path.dirname(rnlab.__file__))
+                  if name.endswith(".py"))
 
 
 def _imported(module: str) -> set:
@@ -113,12 +120,12 @@ def _imported(module: str) -> set:
 
 
 def test_pade_imports_neither_mpmath_nor_rigor():
-    # nor does any module on the CLI's import path import mpmath
+    # nor does any module of the package import mpmath
     assert not {name for name in _imported("pade")
-                if name.split(".")[0] == "mpmath"
-                or name.split(".")[-1] == "rigor"}
-    for module in ("rigor", "certifier", "decomposer", "survey", "hensel",
-                   "cli"):
+                if name.split(".")[-1] == "rigor"}
+    modules = _modules()
+    assert {"bounds", "cli", "pade", "rigor"} <= set(modules)
+    for module in modules:
         assert not {name for name in _imported(module)
                     if name.split(".")[0] == "mpmath"}, module
 

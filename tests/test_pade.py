@@ -7,9 +7,13 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from mpmath import iv, mp
 
-from rnlab.bounds import (BOutOfRangeError, _sturm_chain, _sturm_remainder,
-                          _variations, beta_moment_identity_holds,
+from iv_oracle import built, iv_fraction
+from rnlab import rigor
+from rnlab.bounds import (BOutOfRangeError, _compare_pi, _sturm_chain,
+                          _sturm_remainder, _variations,
+                          beta_moment_identity_holds,
                           check_e_bound, check_q_bound, factorial_ratio_bounds,
                           kernel_extrema, q_prefactor_bound)
 from rnlab.pade import (BOUNDS, IntPolynomial, NotMonomialError, ONE_MINUS_Z,
@@ -1176,6 +1180,55 @@ def test_factorial_ratio_reports_pinned():
 
 def test_q_prefactor_bound_sweep():
     assert all(q_prefactor_bound(j) for j in range(1, 61))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_pi_power_compares_one_unit_either_side(monkeypatch, k):
+    # pi**k rounded down to 60 digits, and one unit more: 30 digits cannot
+    # tell either from pi**k, 60 digits tell both
+    with mp.workdps(80):
+        below = F(int(mp.floor(mp.pi ** k * 10 ** 59)), 10 ** 59)
+    above = below + F(1, 10 ** 59)
+    for cap, want in (("30", [rigor.Comparison.UNDECIDABLE] * 2),
+                      ("60", [rigor.Comparison.GREATER,
+                              rigor.Comparison.LESS])):
+        monkeypatch.setenv("RNLAB_PRECISION_CAP", cap)
+        assert [_compare_pi(k, x) for x in (below, above)] == want
+
+
+def _factorial_ratio_by_intervals(*args) -> bool:
+    # the mpmath interval builders that factorial_ratio_bounds decided on
+    # before pi was enclosed in integers, kept as its oracle
+    n = sum(args)
+    lhs = F(math.factorial(n), math.prod(map(math.factorial, args)))
+    power = F(n ** n, math.prod(a ** a for a in args))
+    radicand = F(n, math.prod(args))
+
+    def rhs():
+        divisor = iv.sqrt(2 * iv.pi) if len(args) == 2 else 2 * iv.pi
+        return iv_fraction(power) * iv.sqrt(iv_fraction(radicand)) / divisor
+
+    return rigor.decide(built(iv_fraction, lhs), built(rhs)) \
+        is rigor.Comparison.LESS
+
+
+def _q_prefactor_by_intervals(j: int) -> bool:
+    lhs = F(math.factorial(9 * j),
+            math.factorial(j - 1) * math.factorial(4 * j) ** 2)
+    target = F(3 ** (18 * j + 1), 8 * lhs * 2 ** (16 * j))
+    return rigor.decide(built(lambda: +iv.pi), built(iv_fraction, target)) \
+        is rigor.Comparison.LESS
+
+
+def test_pi_verdicts_match_the_interval_builders():
+    # the grid of test_factorial_ratio_reports_pinned, and j <= 120
+    grid = [(A, B) for A in range(1, 30) for B in range(1, 30)]
+    grid += itertools.product(range(1, 12), repeat=3)
+    for args in grid:
+        assert factorial_ratio_bounds(*args).ok \
+            == _factorial_ratio_by_intervals(*args), args
+    for j in range(1, 121):
+        assert q_prefactor_bound(j) == _q_prefactor_by_intervals(j), j
 
 
 def test_bound_constant_consistency():

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv, mp
 
+from iv_oracle import built, iv_fraction
 from rnlab import rigor
-from rnlab.bounds import _at_working_prec, iv_fraction
 from rnlab.rigor import (_GUARD_BITS, Comparison, PowProd, _bits, _iv_log,
                          _times, decide, enclosure_str, rigorous_compare,
                          sign_change, working_prec)
@@ -27,15 +27,6 @@ def _rigor_at(dps: int):
         yield
     finally:
         rigor._prec = saved
-
-
-def _built(make, *args):
-    # a decide builder: make(*args) on iv at rigor's working precision
-    def build():
-        with _at_working_prec():
-            return make(*args)
-
-    return build
 
 
 def test_exact_fast_path_never_escalates():
@@ -72,12 +63,12 @@ def test_a_cap_below_30_digits_means_30(monkeypatch):
         return iv.sqrt(iv.mpf(2))
 
     monkeypatch.setenv("RNLAB_PRECISION_CAP", "10")
-    assert decide(_built(sqrt2), _built(iv_fraction, approx)) \
+    assert decide(built(sqrt2), built(iv_fraction, approx)) \
         is Comparison.UNDECIDABLE
     assert seen == [_bits(30)]
     monkeypatch.delenv("RNLAB_PRECISION_CAP")
     seen.clear()
-    assert decide(_built(sqrt2), _built(iv_fraction, approx)) \
+    assert decide(built(sqrt2), built(iv_fraction, approx)) \
         is Comparison.GREATER
     assert seen == [_bits(30), _bits(60)]
 
@@ -124,8 +115,8 @@ def test_log_domain_agrees_with_linear_domain(lhs, rhs, digits, flip):
         patch.setenv("RNLAB_PRECISION_CAP", "120")
         log_verdict = rigorous_compare(lhs, rhs)
         # the linear-domain reference: enclosures of the products themselves
-        lin_verdict = decide(_built(_linear_enclosure, lhs),
-                             _built(_linear_enclosure, rhs))
+        lin_verdict = decide(built(_linear_enclosure, lhs),
+                             built(_linear_enclosure, rhs))
     decided = {Comparison.LESS, Comparison.GREATER}
     if log_verdict in decided and lin_verdict in decided:
         assert log_verdict is lin_verdict
@@ -260,22 +251,12 @@ def test_times_matches_fraction_floor_and_ceil():
                                         math.ceil(ends[1])), (lo, hi, u, v)
 
 
-def test_decide_reads_integer_ends_and_mpmath_ends_exactly(monkeypatch):
+def test_decide_reads_integer_ends_exactly(monkeypatch):
     monkeypatch.setenv("RNLAB_PRECISION_CAP", "60")
     assert decide(lambda: (1, 2), lambda: (3, 4)) is Comparison.LESS
     assert decide(lambda: (3, 4), lambda: (-1, 2)) is Comparison.GREATER
     # touching ends never separate
     assert decide(lambda: (1, 3), lambda: (3, 4)) is Comparison.UNDECIDABLE
-    # the ends of mpmath intervals, 3000 binary places apart, read exactly
-    tiny = iv.mpf(2) ** -3000
-    lhs, rhs = iv.mpf([-1, tiny.b]), iv.mpf([(2 * tiny).a, 3])
-    assert decide(lambda: lhs, lambda: rhs) is Comparison.LESS
-    assert decide(lambda: rhs, lambda: -lhs) is Comparison.UNDECIDABLE
-    assert decide(lambda: rhs, lambda: iv.mpf([-2, tiny.b])) \
-        is Comparison.GREATER
-    # an end that is not finite decides nothing
-    assert decide(lambda: iv.mpf([1, "inf"]), lambda: iv.mpf(0)) \
-        is Comparison.UNDECIDABLE
 
 
 def _rational_ends(x: Fraction) -> tuple[int, int]:
@@ -409,7 +390,7 @@ def test_every_verdict_climbs_the_one_ladder(monkeypatch, logged):
         seen.append(working_prec())
         return iv.mpf(1)
 
-    assert decide(one, lambda: iv.mpf(1)) is Comparison.UNDECIDABLE
+    assert decide(built(one), built(iv.mpf, 1)) is Comparison.UNDECIDABLE
     assert seen == ladder
     assert working_prec() == ambient
 
@@ -440,7 +421,7 @@ def test_ladder_restores_precision_when_a_builder_raises():
         return iv.mpf(1)
 
     with pytest.raises(RuntimeError, match="builder failed"):
-        decide(fails_at_60, lambda: iv.mpf(1))
+        decide(built(fails_at_60), built(iv.mpf, 1))
     assert working_prec() == ambient
     with pytest.raises(RuntimeError, match="builder failed"):
         # the zero at s_1 = 1/3 sends the ladder on to 60 digits
@@ -518,39 +499,6 @@ def test_enclosure_str_matches_nearest_where_it_rounds_outward():
             assert new[1] == old[1], (pp, new, old)
             compared += 1
     assert compared > 200
-
-
-def _quotient_of_iv_mpf(fr: Fraction):
-    # the form iv_fraction replaces, kept here as its oracle
-    return iv.mpf(fr.numerator) / iv.mpf(fr.denominator)
-
-
-def _differential_fractions() -> list:
-    # negative, zero and integer values, and operands of up to 4100 digits,
-    # wider than every precision below
-    rng = random.Random(16)
-    out = [F(0), F(1), F(-1), F(5), F(-7, 3), F(1, 3), F(-10 ** 400 - 1),
-           F(3 ** 9000), F(10 ** 400 + 1, 3 ** 700)]
-    for digits in (5, 20, 80, 400, 4100):
-        for _ in range(25):
-            n = rng.randrange(-10 ** digits, 10 ** digits)
-            d = rng.randrange(1, 10 ** rng.randrange(1, digits + 1) + 1)
-            out += [F(n, d), F(n * d, d)]
-    return out
-
-
-_DIFFERENTIAL_FRACTIONS = _differential_fractions()
-
-
-@pytest.mark.parametrize("dps", [15, 30, 60, 4000])
-def test_iv_fraction_matches_quotient_of_iv_mpf(dps):
-    saved = iv.dps
-    try:
-        iv.dps = dps
-        for fr in _DIFFERENTIAL_FRACTIONS:
-            assert iv_fraction(fr)._mpi_ == _quotient_of_iv_mpf(fr)._mpi_, fr
-    finally:
-        iv.dps = saved
 
 
 # ---------------------------------------------------------------------------
@@ -719,6 +667,38 @@ def test_ln2_encloses_ln2():
         ref = _reference(lambda: iv.log(2), w)
         assert lo <= ref[0] * 2 ** w and ref[1] * 2 ** w <= hi
         assert hi - lo <= 2
+
+
+def test_pi_ends_enclose_pi(monkeypatch):
+    # at every precision of the default ladder, 30 to 4000 digits, against
+    # a 4200-digit interval pi
+    monkeypatch.delenv("RNLAB_PRECISION_CAP", raising=False)
+    saved = iv.dps
+    try:
+        iv.dps = 4200
+        ref = [_exact(end) for end in iv.pi._mpi_]
+    finally:
+        iv.dps = saved
+    ladder = list(rigor._precisions())
+    assert ladder[0] == 30 and ladder[-1] == 4000
+    for dps in ladder:
+        w = _bits(dps)
+        lo, hi = rigor.pi_ends(w)
+        assert lo <= ref[0] * 2 ** w and ref[1] * 2 ** w <= hi, dps
+        assert hi - lo <= 3, dps
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 26, 239, 4801])
+def test_acoth_series_encloses_atanh_and_atan(q):
+    # the one series loop, with and without alternating signs, at widths
+    # from a few bits to past the ladder's top
+    for x in (8, 20, 61, 103, 160, 1000, 4003, 13500):
+        atanh = _reference(lambda: iv.log(iv.mpf(q + 1) / (q - 1)) / 2, x)
+        atan = _reference(lambda: iv.atan2(1, q), x)
+        for sign, ref in ((1, atanh), (-1, atan)):
+            lo, hi = rigor._acoth(q, x, sign)
+            assert lo <= ref[0] * 2 ** x and ref[1] * 2 ** x <= hi, \
+                (q, x, sign)
 
 
 _LOG_ARGUMENTS = [
