@@ -22,8 +22,8 @@ Modern Computer Algebra, ch. 6).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import rigor
 from .pade import (BOUNDS, IntPolynomial, PadeError, binom, build_diagonal,
@@ -59,8 +59,7 @@ def _compare_pi(k: int, target: Fraction) -> rigor.Comparison:
 # bound checks
 
 
-@dataclass(frozen=True)
-class QBoundReport:
+class QBoundReport(NamedTuple):
     j: int
     D: int
     beta_norm: int
@@ -105,8 +104,7 @@ def check_q_bound(j: int, D: int, beta_norm: int) -> QBoundReport:
                         margin_log10=margin)
 
 
-@dataclass(frozen=True)
-class EBoundReport:
+class EBoundReport(NamedTuple):
     j: int
     g: int
     ratio: int
@@ -247,8 +245,7 @@ def _isolate_roots(chain, lo: Fraction, hi: Fraction,
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class KernelReport:
+class KernelReport(NamedTuple):
     b: Fraction
     integral: Fraction
     integral_ok: bool
@@ -312,8 +309,7 @@ def kernel_extrema(b: Fraction) -> KernelReport:
 # factorial-ratio inequalities (Stirling-type)
 
 
-@dataclass(frozen=True)
-class FactorialBoundReport:
+class FactorialBoundReport(NamedTuple):
     A: int
     B: int
     C: int | None

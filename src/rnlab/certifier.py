@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .hensel import require_prime
 from .pade import BOUNDS
@@ -54,10 +54,7 @@ class NotMonotoneError(RuntimeError):
     """The exact proof that the threshold increases in sigma failed."""
 
 
-@dataclass(frozen=True)
-class VariantConstants:
-    """Rational data of one approximation variant of the size condition."""
-
+class _VariantFields(NamedTuple):
     eta_const: Fraction
     eta_slope: Fraction
     den_const: Fraction
@@ -67,6 +64,17 @@ class VariantConstants:
     base_two: Fraction
     beta_floor: Fraction
     floor_strict: bool
+
+
+class VariantConstants(_VariantFields):
+    """Rational data of one approximation variant of the size condition.
+    No __slots__: the monotonicity facts are memoized in the instance dict,
+    which _replace does not copy."""
+
+    # cached_property writes the instance dict directly, not through this
+    def __setattr__(self, name, value):
+        raise AttributeError(f"VariantConstants is immutable: cannot set "
+                             f"{name}")
 
     def denominator(self, sigma: Fraction) -> Fraction:
         return self.den_const - self.den_slope * sigma
@@ -105,8 +113,7 @@ VARIANTS = {
 }
 
 
-@dataclass(frozen=True)
-class HugeSolutionCertificate:
+class HugeSolutionCertificate(NamedTuple):
     D: int
     p: int
     x0: int
@@ -124,7 +131,7 @@ class HugeSolutionCertificate:
     beta_enclosure: tuple[str, str] = ("", "")
     threshold_enclosure: tuple[str, str] = ("", "")
     margin_log10: float = 0.0
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    notes: tuple[str, ...] = ()
 
     @property
     def certified(self) -> bool:
@@ -246,8 +253,7 @@ def thresholds(cert: HugeSolutionCertificate) -> tuple[int, int, int]:
     return cert.M, cert.X_star, cert.x_min_inference
 
 
-@dataclass(frozen=True)
-class MaxSigmaResult:
+class MaxSigmaResult(NamedTuple):
     D: int
     p: int
     x0: int

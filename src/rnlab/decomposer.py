@@ -23,8 +23,8 @@ The one inexact verdict, q-lambda, runs on rigor.rigorous_compare.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import rigor
 from .hensel import require_prime
@@ -35,8 +35,7 @@ from .pade import (BOUNDS, _unverified_diagonal, build_diagonal, eval_at_z0,
 from .quadring import QuadInt
 
 
-@dataclass(frozen=True)
-class AuditConstants:
+class AuditConstants(NamedTuple):
     """Literal constants of the downstream inequality chain (audit only)."""
 
     q_lambda_coeff: Fraction = Fraction("0.238074")
@@ -68,8 +67,7 @@ class BothBranchesVanishError(RuntimeError):
     """Q mu - P conj(mu) vanished for both g values (should be impossible)."""
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     D: int
     p: int
     x0: int
@@ -148,8 +146,7 @@ def decompose(D: int, p: int, x0: int, n0: int, x: int, n: int) -> Decomposition
                          mu=mu, lam=lam, m=m, norm_exponent=norm_exponent)
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     j: int
     g: int
     k: int

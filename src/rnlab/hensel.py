@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class HenselError(Exception):
@@ -169,40 +169,57 @@ def _stored(i: int, r: int) -> str:
     return f"stored root {i} ({r.bit_length()} bits)"
 
 
-@dataclass(frozen=True)
-class LiftState:
+class _LiftFields(NamedTuple):
+    p: int
+    D: int
+    n: int
+    min_roots: tuple[int, ...]
+    cofactors: tuple[int, ...] | None = None
+    pn: int = 0
+
+
+class LiftState(_LiftFields):
     """Roots of x^2 + D = 0 (mod p^n), one stored per +/- pair.
 
     cofactors[i] is the exact m with min_roots[i]^2 + D = p^n m and pn is
     p^n.  Each is derived when not given; deriving a cofactor is an exact
     division that raises HenselError if the root is not one.  Given ones are
-    not checked: verify() is the check.  Equality compares (p, D, n,
-    min_roots) only.
+    not checked: verify() is the check, and _replace derives nothing.
+    Equality, hash and repr read (p, D, n, min_roots) only.
     """
 
-    p: int
-    D: int
-    n: int
-    min_roots: tuple[int, ...]
-    cofactors: tuple[int, ...] | None = field(default=None, compare=False,
-                                              repr=False)
-    pn: int = field(default=0, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.pn:
-            object.__setattr__(self, "pn", self.p ** self.n)
-        if self.cofactors is None:
+    def __new__(cls, p: int, D: int, n: int, min_roots: tuple[int, ...],
+                cofactors: tuple[int, ...] | None = None, pn: int = 0):
+        pn = pn or p ** n
+        if cofactors is None:
             cofs = []
-            for i, r in enumerate(self.min_roots):
-                x = r * r + self.D
+            for i, r in enumerate(min_roots):
+                x = r * r + D
                 # divmod does not shift for a power of two
-                m, rem = ((x >> self.n, x & (self.pn - 1)) if self.p == 2
-                          else divmod(x, self.pn))
+                m, rem = (x >> n, x & (pn - 1)) if p == 2 else divmod(x, pn)
                 if rem:
                     raise HenselError(f"{_stored(i, r)} is invalid at level "
-                                      f"{self.n}")
+                                      f"{n}")
                 cofs.append(m)
-            object.__setattr__(self, "cofactors", tuple(cofs))
+            cofactors = tuple(cofs)
+        return tuple.__new__(cls, (p, D, n, min_roots, cofactors, pn))
+
+    # tuple's own __eq__, __ne__ and __hash__ read all six fields, and its
+    # __eq__ equates a plain tuple of the same items
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self[:4] == other[:4]
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    def __hash__(self):
+        return hash(self[:4])
+
+    def __repr__(self):
+        return (f"LiftState(p={self.p!r}, D={self.D!r}, n={self.n!r}, "
+                f"min_roots={self.min_roots!r})")
 
     def all_roots(self) -> tuple[int, ...]:
         mod = self.pn
@@ -245,13 +262,9 @@ class LiftState:
                                   f"{self.n}")
 
     @classmethod
-    def _of(cls, p: int, D: int, n: int, min_roots: tuple[int, ...],
-            cofactors: tuple[int, ...], pn: int) -> LiftState:
+    def _of(cls, *fields) -> LiftState:
         """From all six fields: nothing is derived or checked."""
-        state = object.__new__(cls)
-        state.__dict__.update(p=p, D=D, n=n, min_roots=min_roots,
-                              cofactors=cofactors, pn=pn)
-        return state
+        return tuple.__new__(cls, fields)
 
 
 def lift_step_odd(state: LiftState) -> LiftState:

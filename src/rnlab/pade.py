@@ -78,10 +78,10 @@ in rnlab.bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
+from typing import NamedTuple
 
 from .quadring import QuadInt
 
@@ -337,18 +337,7 @@ def one_minus_z_pow(k: int) -> IntPolynomial:
 # system construction
 
 
-@dataclass(frozen=True)
-class PadeSystem:
-    """A matched (P, Q, E) triple approximating (1-z)^k, k = B + C + 1,
-    with P - (1-z)^k Q = sign z^(A+C+1) E.
-
-    kind is "general" (sign +1) or "diagonal" (params j, g with k = 5j,
-    r = 4j - g, built at (A, B, C) = (r, j+g-1, r), sign (-1)^r).  content
-    is the content of the raw Q, which the builders divide out of P, Q and
-    E (c_g(j) for a diagonal system): the raw triple is content times the
-    stored one.  A triple given as is keeps content 1.
-    """
-
+class _PadeFields(NamedTuple):
     kind: str
     A: int
     B: int
@@ -359,6 +348,24 @@ class PadeSystem:
     content: int = 1
     j: int | None = None
     g: int | None = None
+
+
+class PadeSystem(_PadeFields):
+    """A matched (P, Q, E) triple approximating (1-z)^k, k = B + C + 1,
+    with P - (1-z)^k Q = sign z^(A+C+1) E.
+
+    kind is "general" (sign +1) or "diagonal" (params j, g with k = 5j,
+    r = 4j - g, built at (A, B, C) = (r, j+g-1, r), sign (-1)^r).  content
+    is the content of the raw Q, which the builders divide out of P, Q and
+    E (c_g(j) for a diagonal system): the raw triple is content times the
+    stored one.  A triple given as is keeps content 1.  No __slots__: the
+    identity verdict is memoized in the instance dict, which _replace does
+    not copy.
+    """
+
+    # cached_property writes the instance dict directly, not through this
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PadeSystem is immutable: cannot set {name}")
 
     @property
     def k(self) -> int:
@@ -664,8 +671,7 @@ def assembled_identity_holds(j: int, g: int, beta: QuadInt) -> bool:
 # literal constants attached to the bounds
 
 
-@dataclass(frozen=True)
-class BoundConstants:
+class BoundConstants(NamedTuple):
     """The paper's bound constants: every check and report reads them here."""
 
     q_coeff: Fraction = Fraction("0.308")

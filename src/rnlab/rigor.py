@@ -96,9 +96,8 @@ import enum
 import functools
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 DEFAULT_PRECISION_CAP = 4000  # decimal digits
 _START_DPS = 30
@@ -335,8 +334,7 @@ def _times(lo: int, hi: int, u: int, v: int) -> tuple[int, int]:
     return lo * u // v, -(-hi * u // v)
 
 
-@dataclass(frozen=True)
-class PowProd:
+class PowProd(NamedTuple):
     """coeff * prod(base_i ** exp_i) with rational coeff, bases, exponents."""
 
     coeff: Fraction

@@ -31,8 +31,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 # lift_step_odd is not called here: the benchmark self-test traces it here
 from .hensel import (HenselError, LiftInvariantError, LiftState, NoRootError,
@@ -137,8 +137,7 @@ def _round(u: int, s: int, k: int, up: bool) -> tuple[int, int]:
     return s + shift, v
 
 
-@dataclass(frozen=True)
-class SurveyRecord:
+class SurveyRecord(NamedTuple):
     n: int
     x: int
     m: int
@@ -150,8 +149,7 @@ class SurveyRecord:
                 "digits_x": len(x), "passed": self.passed}
 
 
-@dataclass(frozen=True)
-class SurveyReport:
+class SurveyReport(NamedTuple):
     D: int
     p: int
     sigma: Fraction

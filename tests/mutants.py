@@ -258,6 +258,16 @@ MUTANTS = (
      "pn - 2 * R + m",
      "pn - R + m",
      [f"{_HENSEL}::test_roots_mod_pn_matches_ladder_to_level_600"]),
+    ("LiftState: a bare root's remainder not tested", "hensel.py",
+     "                if rem:\n",
+     "                if False:\n",
+     [f"{_HENSEL}::test_cofactors_derived_from_bare_roots",
+      f"{_SURVEY}::test_restore_rejects_garbage"]),
+    ("padic_root: the 2-adic mask one bit short", "hensel.py",
+     "x & ((1 << N) - 1)",
+     "x & ((1 << (N - 1)) - 1)",
+     [f"{_HENSEL}::test_tampered_newton_root_raises",
+      "tests/test_survey_two.py::test_tampered_two_adic_root_raises"]),
     ("restore: a root's complement passes check_ladder", "hensel.py",
      "if not 0 < r <= self.pn - r:",
      "if not 0 < r < self.pn:",

@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -57,7 +56,7 @@ def test_certify_b_ok_follows_b_min(monkeypatch):
     low = certify(76, 101, 1, 1, F(1, 10))  # b = -51/101: not a base, b low
     assert not low.b_ok
     assert low.notes == ("b below 0.953: the Q-value bound is not claimed here",)
-    monkeypatch.setattr(certifier, "BOUNDS", replace(BOUNDS, b_min=F(1)))
+    monkeypatch.setattr(certifier, "BOUNDS", BOUNDS._replace(b_min=F(1)))
     cert = certify(76, 101, 1015, 3, F(1, 10))
     assert cert.certified and not cert.b_ok  # b = 1030149/1030301 < 1
     assert cert.notes == ("b below 1.0: the Q-value bound is not claimed here",)
@@ -263,7 +262,7 @@ def test_monotonicity_facts_of_both_variants():
 def test_doctored_variant_is_not_monotone(monkeypatch, doctored):
     # the facts are proved once per variant and C, and a failure is raised
     # on every call
-    monkeypatch.setitem(VARIANTS, "5j", replace(VARIANTS["5j"], **doctored))
+    monkeypatch.setitem(VARIANTS, "5j", VARIANTS["5j"]._replace(**doctored))
     messages = set()
     for _ in range(3):
         with pytest.raises(NotMonotoneError) as err:
@@ -282,7 +281,7 @@ def test_monotone_proof_reads_d_on_every_call():
             with pytest.raises(NotMonotoneError, match=f"D = {D} is below 1"):
                 check_threshold_monotone(D, 101, var)
     # the p = 2 constant C = 7.847 has its own proof
-    doctored = replace(var, base_two=F(1))
+    doctored = var._replace(base_two=F(1))
     check_threshold_monotone(76, 101, doctored)
     with pytest.raises(NotMonotoneError, match="C = 1 is not above 1"):
         check_threshold_monotone(7, 2, doctored)

@@ -5,7 +5,6 @@ import random
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
 
 import pytest
 from hypothesis import Phase, given, seed, settings, strategies as st
@@ -263,8 +262,8 @@ def test_max_sigma_not_monotone_exit_4(capsys, monkeypatch):
     from fractions import Fraction
     from rnlab import certifier
     monkeypatch.setitem(certifier.VARIANTS, "5j",
-                        replace(certifier.VARIANTS["5j"],
-                                exp_const=Fraction(1, 2)))
+                        certifier.VARIANTS["5j"]._replace(
+                            exp_const=Fraction(1, 2)))
     code, payload = run_json(capsys, "max-sigma", "--D", "76", "--p", "101",
                              "--x0", "1015", "--n0", "3")
     assert code == 4
@@ -803,7 +802,7 @@ def test_tampered_cofactor_exit_4(capsys, monkeypatch):
 
     def tampered(D, p, n):
         state = real(D, p, n)
-        return replace(state, cofactors=(state.cofactors[0] + 1,))
+        return state._replace(cofactors=(state.cofactors[0] + 1,))
 
     monkeypatch.setattr(survey, "roots_mod_pn", tampered)
     code, payload = run_json(capsys, "survey", "--D", "76", "--p", "101",
@@ -820,7 +819,7 @@ def test_tampered_survey_error_line_is_short(capsys, monkeypatch):
 
     def tampered(D, p, n):
         state = real(D, p, n)
-        return replace(state, cofactors=(state.cofactors[0] + 1,))
+        return state._replace(cofactors=(state.cofactors[0] + 1,))
 
     monkeypatch.setattr(survey, "roots_mod_pn", tampered)
     code, out = run_cli(capsys, "survey", "--D", "76", "--p", "101",

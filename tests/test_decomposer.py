@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -133,13 +132,13 @@ def test_audit_verdicts_follow_their_constants(monkeypatch):
     assert [r.q_lambda_ok for r in reports] == [False, True]
     assert [r.nine_tenths_ok for r in reports] == [False, True]
     monkeypatch.setattr(decomposer, "BOUNDS",
-                        replace(decomposer.BOUNDS, q_base=F(10 ** 6)))
+                        decomposer.BOUNDS._replace(q_base=F(10 ** 6)))
     assert all(r.q_lambda_ok for r in audit_theorem1_chain(dec))
     monkeypatch.setattr(decomposer, "BOUNDS",
-                        replace(decomposer.BOUNDS, q_base=F(1)))
+                        decomposer.BOUNDS._replace(q_base=F(1)))
     assert not any(r.q_lambda_ok for r in audit_theorem1_chain(dec))
     monkeypatch.setattr(decomposer, "AUDIT_CONSTANTS",
-                        replace(decomposer.AUDIT_CONSTANTS, nine_tenths=F(2)))
+                        decomposer.AUDIT_CONSTANTS._replace(nine_tenths=F(2)))
     reports = audit_theorem1_chain(dec)
     assert all(r.nine_tenths_ok for r in reports)
     assert reports[0].margins["nine_tenths_log10_slack"] > 0
@@ -206,7 +205,7 @@ def test_audit_lambda_norm_enters_exactly():
 def _doctored(j, g):
     """The starred system at (j, g) with 1 added to one P* coefficient."""
     sys = build_diagonal(j, g)
-    return replace(sys, P=sys.P + IntPolynomial.monomial(1, 0))
+    return sys._replace(P=sys.P + IntPolynomial.monomial(1, 0))
 
 
 def test_audit_rejects_doctored_system():
@@ -239,7 +238,7 @@ def _mutants(sys):
         poly = getattr(sys, part)
         for i in range(poly.degree + 1):
             for delta in (1, -1):
-                yield replace(sys, **{
+                yield sys._replace(**{
                     part: poly + IntPolynomial.monomial(delta, i)})
 
 
@@ -281,7 +280,7 @@ def test_cli_audit_mutant_system_exit_4(capsys, monkeypatch, instance, g,
         if g_ != g:
             return sys
         fault = IntPolynomial.monomial(delta, i)
-        return replace(sys, **{part: getattr(sys, part) + fault})
+        return sys._replace(**{part: getattr(sys, part) + fault})
 
     monkeypatch.setattr(decomposer, "_unverified_diagonal", mutated)
     code = main(["audit", *instance, "--format", "json"])

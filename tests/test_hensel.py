@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -218,10 +217,10 @@ TAMPER_LEVELS = {(76, 101): (12, 300, 600), (23, 3): (12,)}
 
 # one corruption of each field of an odd state
 TAMPERS = {
-    "cofactor": lambda s: replace(s, cofactors=(s.cofactors[0] + 1,)),
-    "root": lambda s: replace(s, min_roots=(s.min_roots[0] + s.pn,)),
-    "pn": lambda s: replace(s, pn=s.pn // s.p,
-                            cofactors=(s.cofactors[0] * s.p,)),
+    "cofactor": lambda s: s._replace(cofactors=(s.cofactors[0] + 1,)),
+    "root": lambda s: s._replace(min_roots=(s.min_roots[0] + s.pn,)),
+    "pn": lambda s: s._replace(pn=s.pn // s.p,
+                               cofactors=(s.cofactors[0] * s.p,)),
 }
 
 
@@ -260,7 +259,7 @@ def test_tampered_cofactor_fails_the_final_check(monkeypatch, D, p):
     for n in TAMPER_LEVELS[D, p]:
         state = roots_mod_pn(D, p, n)
         for delta in (1, -1, 2, p ** n):
-            bad = replace(state, cofactors=(state.cofactors[0] + delta,))
+            bad = state._replace(cofactors=(state.cofactors[0] + delta,))
             _fails_the_final_check(monkeypatch, state, bad, -delta * p ** n)
 
 
@@ -323,8 +322,8 @@ def _fields(state):
 
 @pytest.mark.parametrize("D,p", DIFFERENTIAL_CASES)
 def test_lifted_state_equals_state_from_bare_roots(D, p):
-    # each lifted state skips __post_init__; the public constructor derives
-    # pn and every cofactor again, by exact division
+    # each lifted state skips the constructor's derivation; the public
+    # constructor derives pn and every cofactor again, by exact division
     state = roots_mod_pn(D, p, 1)
     step = two_ladder_step if p == 2 else lift_step
     while state.n < 4000:
@@ -333,7 +332,7 @@ def test_lifted_state_equals_state_from_bare_roots(D, p):
             assert _fields(state) == _fields(bare), (D, p, state.n)
             assert state == bare and hash(state) == hash(bare)
             assert repr(state) == repr(bare)
-            copy = replace(state)
+            copy = state._replace()
             assert copy == state and _fields(copy) == _fields(state)
             state.verify()
         state = step(state)
@@ -383,6 +382,33 @@ def test_cofactors_derived_from_bare_roots():
     assert bare.cofactors == state.cofactors and bare.pn == 101 ** 30
     with pytest.raises(HenselError):
         LiftState(p=101, D=76, n=30, min_roots=(state.min_roots[0] + 1,))
+
+
+def test_equality_reads_p_d_n_and_roots_only():
+    state = roots_mod_pn(76, 101, 30)
+    (m,), pn = state.cofactors, state.pn
+    for other in (state._replace(cofactors=(m + 1,)),
+                  state._replace(pn=pn * 101),
+                  state._replace(cofactors=None, pn=0)):
+        assert other == state and not other != state
+        assert hash(other) == hash(state) and repr(other) == repr(state)
+    assert repr(state) == (f"LiftState(p=101, D=76, n=30, "
+                           f"min_roots={state.min_roots!r})")
+    for other in (state._replace(n=31), state._replace(D=77),
+                  state._replace(min_roots=(state.min_roots[0] + pn,)),
+                  tuple(state)):
+        assert other != state and not other == state
+
+
+def test_replace_keeps_given_fields():
+    # the tamper tests rely on this: nothing is derived or checked again
+    state = roots_mod_pn(76, 101, 30)
+    bad = state._replace(cofactors=(state.cofactors[0] + 1,))
+    assert type(bad) is LiftState and bad.pn == state.pn
+    assert bad.cofactors == (state.cofactors[0] + 1,)
+    assert state._replace(pn=7).pn == 7
+    with pytest.raises(HenselError):
+        bad.verify()
 
 
 def test_lift_two_is_the_ladder_at_p_2():

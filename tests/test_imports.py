@@ -1,6 +1,9 @@
 """The package's import layout: the paper's bound checks live in rnlab.bounds,
 which rnlab.cli does not import, and rnlab serves their names lazily.  No
-module of rnlab imports mpmath: the tests alone use it, as their oracle."""
+module of rnlab imports mpmath: the tests alone use it, as their oracle.
+Nor does any import dataclasses, whose class synthesis, and the inspect
+module it loads, would be paid at every process start: the records are
+named tuples."""
 
 import ast
 import json
@@ -61,15 +64,21 @@ print(json.dumps(loaded))
 """) == [False, False, False]
 
 
+# modules that no subcommand may load
+UNLOADED = ("mpmath", "dataclasses", "inspect")
+
+
 def test_no_subcommand_imports_mpmath():
-    # rigor's logs and exps are integer arithmetic: one process runs every
-    # subcommand, and mpmath is loaded after none of them
-    assert _fresh("""
+    # rigor's logs and exps are integer arithmetic and the records are named
+    # tuples: one process runs every subcommand, and none of UNLOADED is
+    # loaded after any of them
+    assert _fresh(f"""
 import contextlib, io, json, sys
 import rnlab.cli
 instance = ["--D", "76", "--p", "101"]
 base = instance + ["--x0", "1015", "--n0", "3"]
-loaded = ["mpmath" in sys.modules]
+unloaded = {UNLOADED!r}
+loaded = [[name in sys.modules for name in unloaded]]
 for argv in (["survey"] + instance + ["--sigma", "9/10", "--n-max", "30"],
              ["hensel"] + instance + ["--n", "30"],
              ["pade", "verify", "--j-max", "2", "--abc-max", "2"],
@@ -80,9 +89,9 @@ for argv in (["survey"] + instance + ["--sigma", "9/10", "--n-max", "30"],
              ["scan-huge"] + instance + ["--n0-max", "4"]):
     with contextlib.redirect_stdout(io.StringIO()):
         rnlab.cli.main(argv + ["--format", "json"])
-    loaded.append("mpmath" in sys.modules)
+    loaded.append([name in sys.modules for name in unloaded])
 print(json.dumps(loaded))
-""") == [False] * 9
+""") == [[False] * len(UNLOADED)] * 9
 
 
 def test_lazy_bound_checks_load_bounds_and_not_mpmath():
@@ -120,14 +129,15 @@ def _imported(module: str) -> set:
 
 
 def test_pade_imports_neither_mpmath_nor_rigor():
-    # nor does any module of the package import mpmath
+    # nor does any module of the package import mpmath or dataclasses
     assert not {name for name in _imported("pade")
                 if name.split(".")[-1] == "rigor"}
     modules = _modules()
     assert {"bounds", "cli", "pade", "rigor"} <= set(modules)
     for module in modules:
         assert not {name for name in _imported(module)
-                    if name.split(".")[0] == "mpmath"}, module
+                    if name.split(".")[0] in ("mpmath", "dataclasses")}, \
+            module
 
 
 def test_all_and_dir_unchanged():

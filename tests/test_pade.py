@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -100,7 +99,7 @@ def _raw(sys):
 def _raw_system(sys):
     """sys with its raw triple stored, at content 1."""
     P, Q, E = _raw(sys)
-    return replace(sys, P=P, Q=Q, E=E, content=1)
+    return sys._replace(P=P, Q=Q, E=E, content=1)
 
 
 def _as_fractions(poly):
@@ -351,14 +350,14 @@ def test_identity_check_sees_every_coefficient(g):
             delta = 1 if (i + g) % 2 == 0 else -1
             bent = coeffs[:]
             bent[i] += delta
-            mutant = replace(sys, **{name: IntPolynomial(bent)})
+            mutant = sys._replace(**{name: IntPolynomial(bent)})
             assert not mutant.identity_holds(), (name, i, delta)
 
 
 def _bent(sys, name, i, delta):
     coeffs = list(getattr(sys, name).coeffs)
     coeffs[i] += delta
-    return replace(sys, **{name: IntPolynomial(coeffs)})
+    return sys._replace(**{name: IntPolynomial(coeffs)})
 
 
 @pytest.mark.parametrize("j,g", [(8, 1), (12, 0), (40, 0), (60, 1)])
@@ -387,13 +386,13 @@ def test_identity_check_with_zero_q():
     # Q = 0: the identity is 0 = P - sign z^m E
     sys = build_diagonal(3, 0)
     zero = IntPolynomial.zero()
-    no_q = replace(sys, Q=zero)
+    no_q = sys._replace(Q=zero)
     assert not no_q.identity_holds()
-    assert replace(sys, P=zero, Q=zero, E=zero).identity_holds()
+    assert sys._replace(P=zero, Q=zero, E=zero).identity_holds()
     # P = sign z^m E holds it with Q = 0
     remainder = IntPolynomial.monomial(sys.identity_sign(),
                                        sys.remainder_degree())
-    assert replace(no_q, P=_schoolbook(remainder, sys.E)).identity_holds()
+    assert no_q._replace(P=_schoolbook(remainder, sys.E)).identity_holds()
 
 
 @pytest.mark.parametrize("j,g", [(3, 0), (3, 1)])
@@ -402,8 +401,8 @@ def test_identity_check_with_p_reaching_z_m(j, g):
     # sign z^m to P and 1 to E leaves T, and the identity, as they were
     sys = build_diagonal(j, g)
     m, sign = sys.remainder_degree(), sys.identity_sign()
-    longer = replace(sys, P=sys.P + IntPolynomial.monomial(sign, m),
-                     E=sys.E + IntPolynomial((1,)))
+    longer = sys._replace(P=sys.P + IntPolynomial.monomial(sign, m),
+                          E=sys.E + IntPolynomial((1,)))
     assert longer.P.degree == m and longer.identity_holds()
     assert longer._t() == sys._t() == sys.P - _schoolbook(
         IntPolynomial.monomial(sign, m), sys.E)
@@ -465,7 +464,7 @@ def test_identity_holds_matches_the_raw_product(four_point_calls):
     # of P or E below the four-point cutoff, at j = 8 and 12
     systems = [pade._unverified_diagonal(j, g)
                for j in range(1, 61) for g in (0, 1)]
-    systems += [replace(build_general(a, b, c))
+    systems += [build_general(a, b, c)._replace()
                 for a in range(1, 7) for b in range(1, 7) for c in range(1, 7)]
     for sys in systems:
         assert sys.identity_holds() is _raw_identity(sys) is True, sys.kind
@@ -741,7 +740,7 @@ def test_cross_constant_order_enforced():
 
 def test_cross_constant_rejects_corrupt_system():
     lo, hi = build_diagonal(1, 1), build_diagonal(1, 0)
-    bad = replace(lo, P=lo.P + lo.Q)
+    bad = lo._replace(P=lo.P + lo.Q)
     with pytest.raises(NotMonomialError):
         cross_constant(bad, hi)
 
@@ -806,8 +805,8 @@ def test_cross_constant_matches_direct_residual_on_mutants(j):
                     bent = list(coeffs)
                     bent[i] += delta
                     mutant = pair[:]
-                    mutant[side] = replace(pair[side],
-                                           **{name: IntPolynomial(bent)})
+                    mutant[side] = pair[side]._replace(
+                        **{name: IntPolynomial(bent)})
                     assert (_cross_outcome(*mutant)
                             == _direct_outcome(*mutant)), (side, name, i, delta)
 
@@ -829,7 +828,7 @@ def test_defect_matches_direct_identity():
                 for t in itertools.product(range(1, 5), repeat=3)]
     for sys in systems:
         assert sys.identity_holds() and _direct_defect(sys).is_zero()
-        bent = replace(sys, Q=sys.Q + IntPolynomial.monomial(1, sys.B))
+        bent = sys._replace(Q=sys.Q + IntPolynomial.monomial(1, sys.B))
         assert not _direct_defect(bent).is_zero()
         assert not bent.identity_holds()
 
@@ -840,7 +839,7 @@ def test_replaced_system_does_not_inherit_cached_defect():
     sys = build_diagonal(3, 1)
     assert "_identity" in vars(sys) and sys.identity_holds()  # cached by build
     assert normalize(sys) is sys and sys.content > 1
-    bent = replace(sys, P=sys.P + IntPolynomial((1,)))
+    bent = sys._replace(P=sys.P + IntPolynomial((1,)))
     raw = _raw_system(sys)
     for derived in (bent, raw):
         assert "_identity" not in vars(derived)
@@ -854,8 +853,8 @@ def test_cross_constant_zero_c_takes_the_residual():
     # c = 0: the residual decides, and it is no monomial
     lo, hi = build_diagonal(2, 1), build_diagonal(2, 0)
     zero = IntPolynomial.zero()
-    for pair in ((lo, replace(hi, P=zero, Q=zero, E=zero)),
-                 (replace(lo, P=zero, Q=zero, E=zero), hi)):
+    for pair in ((lo, hi._replace(P=zero, Q=zero, E=zero)),
+                 (lo._replace(P=zero, Q=zero, E=zero), hi)):
         assert all(sys.identity_holds() for sys in pair)
         assert _direct_outcome(*pair) == "not a monomial"
         with pytest.raises(NotMonomialError):
@@ -1003,7 +1002,7 @@ def test_starred_at_z0_matches_three_evaluations(beta, j, g):
     assembled = _power(beta, k) * ev_p - _power(beta.conj(), k) * ev_q
     assert assembled == (-1) ** r * _power(lam, 2 * r + 1) * ev_e
     assert starred_at_z0(sys, beta) == (ev_p, ev_q, assembled, True)
-    doctored = replace(sys, P=sys.P + IntPolynomial.monomial(1, 0))
+    doctored = sys._replace(P=sys.P + IntPolynomial.monomial(1, 0))
     assert starred_at_z0(doctored, beta)[3] is False
 
 
@@ -1249,22 +1248,22 @@ def test_bound_constant_consistency():
 
 def test_q_bound_verdict_follows_q_base(monkeypatch):
     assert check_q_bound(2, 76, 1030301).ok
-    monkeypatch.setattr(bounds, "BOUNDS", replace(BOUNDS, q_base=F(40)))
+    monkeypatch.setattr(bounds, "BOUNDS", BOUNDS._replace(q_base=F(40)))
     rep = check_q_bound(2, 76, 1030301)
     assert rep.bound_sq == (F("0.308") * 40 ** 2) ** 2
     assert not rep.ok and rep.margin_log10 < 0
-    monkeypatch.setattr(bounds, "BOUNDS", replace(BOUNDS, q_base=F(1000)))
+    monkeypatch.setattr(bounds, "BOUNDS", BOUNDS._replace(q_base=F(1000)))
     assert check_q_bound(1, 76, 1030301).ok
 
 
 def test_e_bound_verdicts_follow_e_coeff(monkeypatch):
     rep = check_e_bound(1, 1)
     assert rep.raw_ok and rep.norm_ok
-    monkeypatch.setattr(bounds, "BOUNDS", replace(BOUNDS, e_coeff=F("0.2")))
+    monkeypatch.setattr(bounds, "BOUNDS", BOUNDS._replace(e_coeff=F("0.2")))
     rep = check_e_bound(1, 1)
     assert not rep.raw_ok and not rep.norm_ok
     assert rep.raw_margin_log10 < 0 and rep.norm_margin_log10 < 0
-    monkeypatch.setattr(bounds, "BOUNDS", replace(BOUNDS, e_coeff=F(2)))
+    monkeypatch.setattr(bounds, "BOUNDS", BOUNDS._replace(e_coeff=F(2)))
     assert check_e_bound(2, 1).norm_ok  # fails at 0.377
 
 
