@@ -5,6 +5,7 @@ Modules:
     pade        Pade approximants to (1-z)^k, contents, the bound constants
     bounds      the paper's bound checks (loaded on first use)
     hensel      Tonelli-Shanks and Hensel lifting mod p^n
+    dyadic      directed rounding to k bits, under every certified verdict
     certifier   huge-solution certificates and the maximal sigma
     decomposer  gamma = beta^k mu decompositions and the chain audit
     survey      the per-exponent m > x^sigma survey with checkpointing

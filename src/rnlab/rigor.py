@@ -36,19 +36,19 @@ sound, and a verdict that needs more climbs the ladder.
 
 The ends of log(n/d) (_iv_log) are made in four steps, and they are the
 ends of an interval log at prec bits: n and d are rounded down and up to
-prec bits, and the quotient of the outer pairs rounded outward
-(_fraction_ends); the log of each end is enclosed by integers over 2**W
-(_log_fixed); each end of that enclosure is rounded to prec bits and then
-to a multiple of 2**-(prec + G), down for the lower end of the log and up
-for the upper (_log_round); and the result is taken only when both ends
-of the enclosure round to the same integer.  Otherwise the enclosure is
-made again with _ZIV_BITS = 32 more bits, and so on (Ziv's rounding test,
-_ziv).  log is monotone and both roundings are, so agreeing ends give the
-rounding of the log itself, and the retry ends: the log of a dyadic other
-than 1 is irrational (Lindemann), so it lies on no boundary; log 1 = 0
-is returned as such.  A certificate prints exp of each integer log end
-rounded to prec bits, down for the lower and up for the upper (_exp_end),
-by the same test.
+prec bits (dyadic.round_bits) and the quotient of the outer pairs outward
+(round_quotient, in _fraction_ends); the log of each end is enclosed by
+integers over 2**W (_log_fixed); each end of that is rounded by round_bits
+to prec bits and then to a multiple of 2**-(prec + G), down for the lower
+end of the log and up for the upper (_log_round); and the result is taken
+only when both ends of the enclosure round to the same integer.  Else it
+is made again with _ZIV_BITS = 32 more bits, and so on (Ziv's rounding
+test, _ziv).  log is monotone and both roundings are, so agreeing ends give
+the rounding of the log itself, and the retry ends: the log of a dyadic
+other than 1 is irrational (Lindemann), so it lies on no boundary, and
+log 1 = 0 is returned as such.  A certificate prints exp of each integer
+log end rounded by round_bits, down for the lower and up for the upper
+(_exp_end), by the same test.
 
 _log_fixed writes y = 2**k t with sqrt(2)/2 <= t < sqrt(2), takes r square
 roots of t, r = isqrt(w) // 4 (measured: r root steps against the series'
@@ -99,6 +99,8 @@ import os
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
+from .dyadic import round_bits, round_quotient
+
 DEFAULT_PRECISION_CAP = 4000  # decimal digits
 _START_DPS = 30
 _REPORT_DIGITS = 20  # significant digits of each printed enclosure end
@@ -141,40 +143,16 @@ def precision_cap() -> int:
     return cap if cap > 0 else DEFAULT_PRECISION_CAP
 
 
-def _round_int(k: int, prec: int, up: bool) -> tuple[int, int]:
-    """k > 0 rounded down, or up if up, to prec bits, as (m, e) with value
-    m * 2**e."""
-    shift = k.bit_length() - prec
-    if shift <= 0:
-        return k, 0
-    m = k >> shift
-    return (m + 1 if up and m << shift != k else m), shift
-
-
-def _quotient(a: int, b: int, prec: int, up: bool) -> tuple[int, int]:
-    """a/b > 0 rounded down, or up if up, to prec bits, as (m, e)."""
-    # a * 2**s / b lies in (2**(prec - 1), 2**(prec + 1))
-    s = prec + b.bit_length() - a.bit_length()
-    q, rem = divmod(a << s, b) if s >= 0 else divmod(a, b << -s)
-    if q.bit_length() > prec:
-        q, rem, s = q >> 1, rem or q & 1, s - 1
-    return (q + 1 if up and rem else q), -s
-
-
 def _fraction_ends(n: int, d: int, prec: int
                    ) -> tuple[tuple[int, int], tuple[int, int]]:
     """The ends of an enclosure of n/d > 0 at prec bits as (m, e) pairs: n
     and d rounded down and up, the quotients of the outer pairs rounded
     outward.  These are the ends of mpmath's iv.mpf(n) / iv.mpf(d), whose
     roundings are each correct."""
-    (n_lo, e_lo), (n_hi, e_hi) = (_round_int(n, prec, up)
-                                  for up in (False, True))
-    if d == 1:  # dividing by an exact 1 moves neither end
-        return (n_lo, e_lo), (n_hi, e_hi)
-    (d_lo, f_lo), (d_hi, f_hi) = (_round_int(d, prec, up)
-                                  for up in (False, True))
-    lo, g_lo = _quotient(n_lo, d_hi, prec, False)
-    hi, g_hi = _quotient(n_hi, d_lo, prec, True)
+    (n_lo, e_lo), (n_hi, e_hi), (d_lo, f_lo), (d_hi, f_hi) = (
+        round_bits(v, prec, up) for v in (n, d) for up in (False, True))
+    lo, g_lo = round_quotient(n_lo, d_hi, prec, False)
+    hi, g_hi = round_quotient(n_hi, d_lo, prec, True)
     return (lo, g_lo + e_lo - f_hi), (hi, g_hi + e_hi - f_lo)
 
 
@@ -278,18 +256,12 @@ def _ziv(enclose: Callable[[int], tuple[int, int, int]],
             return [a for a, _ in ends]
 
 
-def _floor_bits(v: int, prec: int) -> int:
-    """v rounded down to prec significant bits."""
-    shift = v.bit_length() - prec  # the bit length of |v|
-    return v >> shift << shift if shift > 0 else v
-
-
 def _log_round(v: int, W: int, prec: int, up: bool) -> int:
     """v / 2**W rounded down to prec bits and then to an integer over
     2**(prec + G), or both up if up."""
-    if up:
-        return -_log_round(-v, W, prec, False)
-    return _floor_bits(v, prec) >> (W - prec - _GUARD_BITS)
+    m, e = round_bits(v, prec, up)
+    e -= W - prec - _GUARD_BITS
+    return m << e if e >= 0 else -(-m >> -e) if up else m >> -e
 
 
 def _log_ends(m: int, e: int, prec: int, ups: tuple[bool, ...]) -> list[int]:
@@ -321,10 +293,10 @@ def _exp_end(x: int, prec: int, up: bool) -> tuple[int, int]:
     if x == 0:
         return 1, 0
     scale = prec + _GUARD_BITS
-    return _ziv(lambda w: _exp_fixed(x, scale, w),
-                lambda v, W, up: (_floor_bits(v, prec) if not up
-                                  else -_floor_bits(-v, prec), -W),
-                scale, (up,))[0]
+    m, e, W = _ziv(lambda w: _exp_fixed(x, scale, w),
+                   lambda v, W, up: (*round_bits(v, prec, up), W),
+                   scale, (up,))[0]
+    return m, e - W
 
 
 def _times(lo: int, hi: int, u: int, v: int) -> tuple[int, int]:

@@ -34,6 +34,7 @@ import time
 from fractions import Fraction
 from typing import NamedTuple
 
+from .dyadic import round_bits
 # lift_step_odd is not called here: the benchmark self-test traces it here
 from .hensel import (HenselError, LiftInvariantError, LiftState, NoRootError,
                      NoSplitError, check_instance, least_root, lift_step,
@@ -110,31 +111,18 @@ def _power_ends(x: int, e: int, k: int) -> tuple[tuple[int, int], ...]:
     """Ends lo <= x^e <= hi, each an (exponent s, mantissa u) pair of value
     u 2^s with 2^(k-1) <= u < 2^k, so that two ends compare as tuples as
     their values do.  Square and multiply, each product rounded down for
-    lo and up for hi."""
+    lo and up for hi (dyadic.round_bits)."""
     ends = []
     for up in (False, True):
-        base = acc = _round(x, 0, k, up)
+        u, s = bu, bs = round_bits(x, k, up)
         for bit in bin(e)[3:]:
-            acc = _round(acc[1] * acc[1], 2 * acc[0], k, up)
+            u, t = round_bits(u * u, k, up)
+            s = 2 * s + t
             if bit == "1":
-                acc = _round(acc[1] * base[1], acc[0] + base[0], k, up)
-        ends.append(acc)
+                u, t = round_bits(u * bu, k, up)
+                s += bs + t
+        ends.append((s, u))
     return tuple(ends)
-
-
-def _round(u: int, s: int, k: int, up: bool) -> tuple[int, int]:
-    """u 2^s, u >= 1, as (exponent, mantissa of k bits), rounded down, or
-    up if up."""
-    shift = u.bit_length() - k
-    if shift <= 0:
-        return s + shift, u << -shift
-    v = u >> shift
-    if up and u & ((1 << shift) - 1):
-        v += 1
-        if v >> k:  # 2^k: one bit more
-            v >>= 1
-            shift += 1
-    return s + shift, v
 
 
 class SurveyRecord(NamedTuple):

@@ -41,6 +41,9 @@ _SURVEY = "tests/test_survey.py"
 _HENSEL = "tests/test_hensel.py"
 _DECOMPOSER = "tests/test_decomposer.py"
 _CERTIFIER = "tests/test_certifier.py"
+_BITS = "tests/test_dyadic.py::test_round_bits_matches_the_removed_helpers"
+_QUOTIENT = ("tests/test_dyadic.py::"
+             "test_round_quotient_matches_the_removed_quotient")
 _WALK = "tests/test_survey_two.py::test_jumps_decide_the_walked_records"
 
 MUTANTS = (
@@ -81,11 +84,6 @@ MUTANTS = (
      "    if l_hi < r_lo:\n",
      "    if l_hi <= r_lo:\n",
      [f"{_RIGOR}::test_every_verdict_climbs_the_one_ladder"]),
-    ("ladder: no rounding for an integer wider than the precision",
-     "rigor.py",
-     "    if shift <= 0:\n        return k, 0\n",
-     "    if shift <= prec:\n        return k, 0\n",
-     [f"{_RIGOR}::test_integer_log_matches_the_interval_log"]),
     ("pi: the upper end rounded down", "rigor.py",
      "-(-(16 * b - 4 * c) >> 20)",
      "(16 * b - 4 * c) >> 20",
@@ -104,8 +102,8 @@ MUTANTS = (
      "target * 2 ** rigor.working_prec()",
      [f"{_PADE}::test_pi_power_compares_one_unit_either_side"]),
     ("ladder: the quotient n/d rounded inward", "rigor.py",
-     "lo, g_lo = _quotient(n_lo, d_hi, prec, False)",
-     "lo, g_lo = _quotient(n_lo, d_hi, prec, True)",
+     "lo, g_lo = round_quotient(n_lo, d_hi, prec, False)",
+     "lo, g_lo = round_quotient(n_lo, d_hi, prec, True)",
      [f"{_RIGOR}::test_integer_log_matches_the_interval_log",
       f"{_RIGOR}::test_log_memo_ends_round_its_interval_outward"]),
     ("log: the series' error term dropped from the upper end", "rigor.py",
@@ -170,6 +168,28 @@ MUTANTS = (
      "if verdict is Comparison.GREATER:",
      "if verdict is not Comparison.LESS:",
      ["tests/test_cli.py::test_certify_undecidable_at_the_cap_exit_3"]),
+    # the one directed-rounding kernel, under survey's and rigor's ends
+    ("dyadic: round_bits's round-up step dropped", "dyadic.py",
+     "        m += 1\n",
+     "        m += 0\n",
+     [_BITS, f"{_SURVEY}::test_power_ends_enclose_the_power"]),
+    ("dyadic: round_bits's renormalisation at 2**k dropped", "dyadic.py",
+     "        if m >> k:",
+     "        if False:",
+     [_BITS, f"{_SURVEY}::test_power_ends_enclose_the_power"]),
+    ("dyadic: a negative v rounded in the direction of -v", "dyadic.py",
+     "round_bits(-v, k, not up)",
+     "round_bits(-v, k, up)",
+     [_BITS, f"{_RIGOR}::test_log_memo_ends_round_its_interval_outward"]),
+    ("dyadic: round_quotient's round-up step dropped", "dyadic.py",
+     "        q += 1\n",
+     "        q += 0\n",
+     [_QUOTIENT, f"{_RIGOR}::test_integer_log_matches_the_interval_log"]),
+    ("dyadic: round_quotient's sticky bit reduced to the remainder",
+     "dyadic.py",
+     "rem or q & 1",
+     "rem",
+     [_QUOTIENT]),
     # the exact identity checks of the Pade systems
     ("identity: PadeSystem._identity always holds", "pade.py",
      "        return one_minus_z_pow(self.k) * self.Q == self._t()\n",
@@ -227,11 +247,6 @@ MUTANTS = (
      "if b * blm <= a * (blx - 1):",
      "if b * blm <= a * blx:",
      [f"{_SURVEY}::test_power_compare_matches_exact_on_a_small_grid"]),
-    ("power_compare: an enclosure's upper end rounded down", "survey.py",
-     "        v += 1\n",
-     "        v += 0\n",
-     [f"{_SURVEY}::test_power_ends_enclose_the_power",
-      f"{_SURVEY}::test_power_compare_near_equal_powers_matches_exact"]),
     ("power_compare: the equality test skipped", "survey.py",
      "    if _equal_powers(m, a, x, b):\n",
      "    if False:\n",

@@ -8,6 +8,7 @@ ground truth in the message; see README "Computed results vs. stated
 constants" for the analysis.
 """
 
+import math
 import time
 from fractions import Fraction
 
@@ -31,6 +32,14 @@ def _report(idx: int, name: str, ok: bool, detail: str = "") -> None:
     if detail and not ok:
         line += f" -- {detail}"
     print(line)
+
+
+def _decimal_12(x: Fraction, up: bool) -> str:
+    """x at 12 decimals, rounded down, or up if up: an end that still bounds
+    the exact value once printed."""
+    q = (math.ceil if up else math.floor)(x * 10 ** 12)
+    sign, q = ("-" if q < 0 else ""), abs(q)
+    return f"{sign}{q // 10 ** 12}.{q % 10 ** 12:012d}"
 
 
 def test_criterion_01_survey_reproduction():
@@ -139,8 +148,9 @@ def test_criterion_06_q_bound():
 def test_criterion_07_kernel_constants():
     rep = kernel_extrema(F("0.953"))
     ok = rep.max_ok and rep.integral_ok
-    detail = (f"max enclosure [{float(rep.max_lower):.12f}, "
-              f"{float(rep.max_upper):.12f}] vs 0.044479; exact integral "
+    lo = _decimal_12(rep.max_lower, False)
+    hi = _decimal_12(rep.max_upper, True)
+    detail = (f"max enclosure [{lo}, {hi}] vs 0.044479; exact integral "
               f"{rep.integral} = {float(rep.integral):.12f} vs 0.114552")
     _report(7, "kernel max <= 0.044479 and integral < 0.114552 at b=0.953",
             ok, detail)

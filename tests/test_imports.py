@@ -1,9 +1,10 @@
 """The package's import layout: the paper's bound checks live in rnlab.bounds,
-which rnlab.cli does not import, and rnlab serves their names lazily.  No
-module of rnlab imports mpmath: the tests alone use it, as their oracle.
-Nor does any import dataclasses, whose class synthesis, and the inspect
-module it loads, would be paid at every process start: the records are
-named tuples."""
+which rnlab.cli does not import, and rnlab serves their names lazily.
+rnlab.dyadic, the rounding kernel, imports nothing, and survey does not
+import rigor.  No module of rnlab imports mpmath: the tests alone use it,
+as their oracle.  Nor does any import dataclasses, whose class synthesis,
+and the inspect module it loads, would be paid at every process start:
+the records are named tuples."""
 
 import ast
 import json
@@ -33,8 +34,8 @@ ALL = [
 DIR = sorted(ALL + [
     "__all__", "__builtins__", "__cached__", "__doc__", "__file__",
     "__loader__", "__name__", "__package__", "__path__", "__spec__",
-    "__version__", "_sys", "certifier", "decomposer", "hensel", "pade",
-    "quadring", "rigor", "survey",
+    "__version__", "_sys", "certifier", "decomposer", "dyadic", "hensel",
+    "pade", "quadring", "rigor", "survey",
 ])
 
 
@@ -138,6 +139,14 @@ def test_pade_imports_neither_mpmath_nor_rigor():
         assert not {name for name in _imported(module)
                     if name.split(".")[0] in ("mpmath", "dataclasses")}, \
             module
+
+
+def test_rounding_kernel_is_a_leaf_and_survey_does_not_import_rigor():
+    # dyadic imports nothing at all, so survey reads it without rigor
+    assert "dyadic" in _modules()
+    assert _imported("dyadic") == set()
+    assert not {name for name in _imported("survey")
+                if name.split(".")[-1] == "rigor"}
 
 
 def test_all_and_dir_unchanged():
