@@ -6,6 +6,7 @@ Modules:
     bounds      the paper's bound checks (loaded on first use)
     hensel      Tonelli-Shanks and Hensel lifting mod p^n
     dyadic      directed rounding to k bits, under every certified verdict
+    rigor       certified comparisons on integer log and exp ends, and pi
     certifier   huge-solution certificates and the maximal sigma
     decomposer  gamma = beta^k mu decompositions and the chain audit
     survey      the per-exponent m > x^sigma survey with checkpointing

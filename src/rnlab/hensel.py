@@ -13,15 +13,14 @@ inverse taken is one mod p.  It starts from the Tonelli-Shanks root mod p,
 or from the 2-adic table (one root mod 2, two mod 4 when D = 3 mod 4, four
 mod 8 when D = 7 mod 8), and reduces by shifts and masks for p = 2.
 
-A LiftState stores one minimal representative r per +/- pair with its exact
-cofactor m, r^2 + D = p^n m, and p^n; callers expand the complements with
-(p^n - r)^2 + D = p^n (p^n - 2r + m).  roots_mod_pn builds its state from
-padic_root's root in one step.  At odd p the cofactor is the quotient of
-padic_root's exact check; at p = 2 each cofactor is a shift, exact, which
-verifies it.
+A LiftState holds what a checkpoint blob holds: (p, D, n) and one minimal
+representative r per +/- pair.  verify() tests p^n | r^2 + D for each, by a
+mask at p = 2, and returns the cofactors m, r^2 + D = p^n m.  roots_mod_pn
+builds the state from padic_root's root in one step.
 
-The odd ladder, which the odd-p survey walks, adds the next p-adic digit d
-of its stored root per level, in a few linear big-int operations:
+The odd ladder, which the odd-p survey walks, carries one root r with its
+exact cofactor m, r^2 + D = p^n m, and p^n, and adds the next p-adic digit
+d of r per level, in a few linear big-int operations:
 
     d  = -m (2r)^-1 mod p          (an inverse mod p only)
     m' = (m + 2dr + d^2 p^n) / p   (exact by choice of d)
@@ -30,8 +29,9 @@ of its stored root per level, in a few linear big-int operations:
 It keeps e = r^2 + D - p^n m, as (r + d p^n)^2 + D - p^n (m + 2dr +
 d^2 p^n) = e, and so does the flip to y = p^n - r with cofactor y - r + m.
 An exact start stays exact, a corrupted root or cofactor keeps its e != 0,
-and LiftState.verify of a state, which checks p^n too, proves every level
-up to it.  For p = 2, lift_two_step walks the table from level 1 to level 3.
+and one exact check of a carried (r, m, p^n), p^n included, proves every
+level up to it.  For p = 2, lift_two_step walks the table from level 1 to
+level 3.
 """
 
 from __future__ import annotations
@@ -169,67 +169,24 @@ def _stored(i: int, r: int) -> str:
     return f"stored root {i} ({r.bit_length()} bits)"
 
 
-class _LiftFields(NamedTuple):
+class LiftState(NamedTuple):
+    """Roots of x^2 + D = 0 (mod p^n), one stored per +/- pair.  Nothing is
+    derived or checked on construction: verify() is the check."""
+
     p: int
     D: int
     n: int
     min_roots: tuple[int, ...]
-    cofactors: tuple[int, ...] | None = None
-    pn: int = 0
-
-
-class LiftState(_LiftFields):
-    """Roots of x^2 + D = 0 (mod p^n), one stored per +/- pair.
-
-    cofactors[i] is the exact m with min_roots[i]^2 + D = p^n m and pn is
-    p^n.  Each is derived when not given; deriving a cofactor is an exact
-    division that raises HenselError if the root is not one.  Given ones are
-    not checked: verify() is the check, and _replace derives nothing.
-    Equality, hash and repr read (p, D, n, min_roots) only.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, p: int, D: int, n: int, min_roots: tuple[int, ...],
-                cofactors: tuple[int, ...] | None = None, pn: int = 0):
-        pn = pn or p ** n
-        if cofactors is None:
-            cofs = []
-            for i, r in enumerate(min_roots):
-                x = r * r + D
-                # divmod does not shift for a power of two
-                m, rem = (x >> n, x & (pn - 1)) if p == 2 else divmod(x, pn)
-                if rem:
-                    raise HenselError(f"{_stored(i, r)} is invalid at level "
-                                      f"{n}")
-                cofs.append(m)
-            cofactors = tuple(cofs)
-        return tuple.__new__(cls, (p, D, n, min_roots, cofactors, pn))
-
-    # tuple's own __eq__, __ne__ and __hash__ read all six fields, and its
-    # __eq__ equates a plain tuple of the same items
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and self[:4] == other[:4]
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def __hash__(self):
-        return hash(self[:4])
-
-    def __repr__(self):
-        return (f"LiftState(p={self.p!r}, D={self.D!r}, n={self.n!r}, "
-                f"min_roots={self.min_roots!r})")
 
     def all_roots(self) -> tuple[int, ...]:
-        mod = self.pn
+        mod = self.p ** self.n
         roots = set(self.min_roots)
         roots.update(mod - r for r in self.min_roots)
         return tuple(sorted(roots))
 
-    def check_ladder(self) -> None:
+    def check_ladder(self) -> int:
         """Raise unless the stored roots are a complete set of distinct
-        minimal representatives for level n (the cofactors are not read)."""
+        minimal representatives for level n; return p^n."""
         if self.n < 1:
             raise HenselError(f"level n = {self.n} < 1")
         want = self.pair_count(self.p, self.n)
@@ -238,10 +195,13 @@ class LiftState(_LiftFields):
                               f"{self.n}, the ladder has {want}")
         if len(set(self.min_roots)) != want:
             raise HenselError(f"repeated root at level {self.n}")
+        # ** does not shift for a power of two
+        pn = 1 << self.n if self.p == 2 else self.p ** self.n
         for i, r in enumerate(self.min_roots):
-            if not 0 < r <= self.pn - r:
+            if not 0 < r <= pn - r:
                 raise HenselError(f"{_stored(i, r)} is not a minimal residue "
                                   f"mod {self.p}^{self.n}")
+        return pn
 
     @staticmethod
     def pair_count(p: int, n: int) -> int:
@@ -249,38 +209,35 @@ class LiftState(_LiftFields):
         dividing D; for p = 2 one up to n = 2 and two from n = 3 on."""
         return 2 if p == 2 and n >= 3 else 1
 
-    def verify(self) -> None:
-        """check_ladder, plus pn = p^n and r^2 + D = p^n m exactly for every
-        stored pair."""
-        self.check_ladder()
-        if self.pn != self.p ** self.n:
-            raise HenselError(f"pn is not {self.p}^{self.n}")
-        for i, (r, m) in enumerate(zip(self.min_roots, self.cofactors,
-                                       strict=True)):
-            if r * r + self.D != self.pn * m:
+    def verify(self) -> tuple[int, ...]:
+        """check_ladder, plus p^n | r^2 + D exactly for every stored root r;
+        return the cofactors (r^2 + D)/p^n, derived only when asked."""
+        pn = self.check_ladder()
+        cofactors = []
+        for i, r in enumerate(self.min_roots):
+            x = r * r + self.D
+            # divmod does not shift for a power of two
+            m, rem = (x >> self.n, x & (pn - 1)) if self.p == 2 else \
+                divmod(x, pn)
+            if rem:
                 raise HenselError(f"{_stored(i, r)} is invalid at level "
                                   f"{self.n}")
-
-    @classmethod
-    def _of(cls, *fields) -> LiftState:
-        """From all six fields: nothing is derived or checked."""
-        return tuple.__new__(cls, fields)
+            cofactors.append(m)
+        return tuple(cofactors)
 
 
-def lift_step_odd(state: LiftState) -> LiftState:
-    """Lift the one stored root a level by its next p-adic digit
-    d = -m (2r)^-1 mod p, carrying the cofactor exactly, and flip it to its
-    minimal representative.  Nothing is checked here: the step keeps
-    r^2 + D - p^n m, and LiftState.verify is the check."""
-    p, pn = state.p, state.pn
-    (r,), (m,) = state.min_roots, state.cofactors
+def lift_step_odd(p: int, r: int, m: int, pn: int) -> tuple[int, int, int]:
+    """Lift the root r of level n, with r^2 + D = pn m and pn = p^n, a level
+    by its next p-adic digit d = -m (2r)^-1 mod p, carrying the cofactor
+    exactly, and flip it to its minimal representative: (r, m, pn) of level
+    n + 1.  Nothing is checked here: the step keeps r^2 + D - pn m."""
     d = -(m % p) * pow(2 * r % p, -1, p) % p
     m = (m + 2 * d * r + d * d * pn) // p
     r, pn = r + d * pn, pn * p
     if r > pn >> 1:
         y = pn - r
         r, m = y, y - r + m
-    return LiftState._of(p, state.D, state.n + 1, (r,), (m,), pn)
+    return r, m, pn
 
 
 def _two_initial(D: int, n: int) -> LiftState:
@@ -288,7 +245,9 @@ def _two_initial(D: int, n: int) -> LiftState:
         if D % q != q - 1:
             raise NoRootError(f"x^2 = -{D} (mod {q}) unsolvable "
                               f"(D = {D % q} mod {q})")
-    return LiftState(p=2, D=D, n=n, min_roots=(1, 3) if n == 3 else (1,))
+    state = LiftState(p=2, D=D, n=n, min_roots=(1, 3) if n == 3 else (1,))
+    state.verify()
+    return state
 
 
 def lift_two_step(state: LiftState) -> LiftState:
@@ -298,11 +257,6 @@ def lift_two_step(state: LiftState) -> LiftState:
         raise ValueError(f"the 2-adic ladder stops at level 3, not "
                          f"{state.n}: padic_root lifts past it")
     return _two_initial(state.D, state.n + 1)
-
-
-def lift_step(state: LiftState) -> LiftState:
-    """One level up: the one place that picks the 2-adic or odd-prime lift."""
-    return lift_two_step(state) if state.p == 2 else lift_step_odd(state)
 
 
 def check_instance(D: int, p: int) -> None:
@@ -343,25 +297,24 @@ def _newton_root(D: int, p: int, N: int) -> int:
     return mod(u, max(N - e, 1))
 
 
-def padic_root(D: int, p: int, N: int) -> tuple[int, int]:
-    """(R, m) with R^2 + D = p^N m and 0 < R < p^max(N - e, 1), where e is 1
-    for p = 2 and 0 for odd p: the root is fixed mod p^(N-e).  Gated by
+def padic_root(D: int, p: int, N: int) -> int:
+    """R with R^2 + D = 0 (mod p^N) and 0 < R < p^max(N - e, 1), where e is
+    1 for p = 2 and 0 for odd p: the root is fixed mod p^(N-e).  Gated by
     check_instance; raises NoRootError when p = 2 has no root mod 2^N.
-    R is checked here, once, exactly, so no caller can skip the check; m is
-    the quotient of that one exact division."""
+    R is checked here, once, exactly, so no caller can skip the check."""
     if N < 1:
         raise ValueError(f"n must be >= 1, got {N}")
     check_instance(D, p)
     R, two = _newton_root(D, p, N), p == 2
     top = 1 << max(N - 1, 1) if two else p ** N
     x = R * R + D
-    # divmod does not shift for a power of two
-    m, rest = (x >> N, x & ((1 << N) - 1)) if two else divmod(x, top)
+    # % does not mask for a power of two
+    rest = x & ((1 << N) - 1) if two else x % top
     if rest or not 0 < R < top:
         raise LiftInvariantError(
             f"p-adic root of {R.bit_length()} bits breaks R^2 + D = 0 "
             f"mod {p}^{N}")
-    return R, m
+    return R
 
 
 def least_root(S: int, n: int) -> int:
@@ -374,27 +327,24 @@ def least_root(S: int, n: int) -> int:
 
 def two_adic_state(D: int, n: int, S: int) -> LiftState:
     """The level-n state of a 2-adic root S that padic_root gave at a level
-    N >= n, its cofactors by exact division."""
+    N >= n, verified."""
     if n < 3:
         roots = (1,)
     else:
         r = least_root(S, n)
         roots = (r, (1 << (n - 1)) - r)
-    state = LiftState(p=2, D=D, n=n, min_roots=roots, pn=1 << n)
-    state.check_ladder()
+    state = LiftState(p=2, D=D, n=n, min_roots=roots)
+    state.verify()
     return state
 
 
 def roots_mod_pn(D: int, p: int, n: int) -> LiftState:
     """Full root set of x^2 + D = 0 (mod p^n) for a prime p not dividing D:
-    the level-n state of padic_root, at odd p with padic_root's cofactor."""
-    R, m = padic_root(D, p, n)
+    the level-n state of padic_root's root, which padic_root checked."""
+    R = padic_root(D, p, n)
     if p == 2:
         return two_adic_state(D, n, R)
-    pn = p ** n
-    if R > pn - R:  # (pn - R)^2 + D = pn (pn - 2R + m)
-        R, m = pn - R, pn - 2 * R + m
-    state = LiftState(p=p, D=D, n=n, min_roots=(R,), cofactors=(m,), pn=pn)
+    state = LiftState(p=p, D=D, n=n, min_roots=(min(R, p ** n - R),))
     state.check_ladder()
     return state
 

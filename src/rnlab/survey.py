@@ -6,10 +6,12 @@ an odd split prime, up to four for p = 2) with their exact cofactors m
 decides m > x^(a/b) exactly.  Only residues 0 < x < p^n are tested: any
 larger x in the class has m > x^2/p^n >= x > x^sigma automatically.
 
-run_survey gates (D, p) by hensel.check_instance.  For odd p it walks the
-odd ladder, hensel.lift_step, which carries each cofactor unchecked, and
-verifies exactly each state it checkpoints and the last before the report.
-For p = 2 it walks the ladder to level 3, then reads every later level
+run_survey gates (D, p) by hensel.check_instance.  For odd p it carries
+one root r, its cofactor m (from LiftState.verify) and p^n up the odd
+ladder, hensel.lift_step_odd, unchecked, and checks exactly check_ladder,
+p^n and r^2 + D = p^n m of each pair it checkpoints and of the last before
+the report.  For p = 2 it walks
+hensel's table to level 3, then reads every later level
 from the bits of the 2-adic root S of hensel.padic_root(D, 2, n_max),
 checked there exactly.  A record of bit length L at level n has
 m > 2^(2L-2-n); only records this bound cannot settle, or that could
@@ -20,10 +22,9 @@ n - 2.  The minimum margin gives a run length g below which every later
 level settles, so the survey jumps by str.find to the next run of g equal
 bits, stopping at checkpoints and n_max: a linear scan of S's bits plus
 one visit per long run, not one per level.  A checkpoint stores the lift
-state's roots as a small versioned JSON blob; restore recomputes, and so
-verifies, the cofactors.  A resumed state must be of (D, p), at
-n <= n_max and pass LiftState.verify, which run_survey checks before any
-other outcome.
+state's roots as a small versioned JSON blob; restore verifies each root.
+A resumed state must be of (D, p), at n <= n_max and pass LiftState.verify,
+which run_survey checks before any other outcome.
 """
 
 from __future__ import annotations
@@ -35,10 +36,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .dyadic import round_bits
-# lift_step_odd is not called here: the benchmark self-test traces it here
 from .hensel import (HenselError, LiftInvariantError, LiftState, NoRootError,
-                     NoSplitError, check_instance, least_root, lift_step,
-                     lift_step_odd, padic_root, roots_mod_pn,
+                     NoSplitError, _stored, check_instance, least_root,
+                     lift_step_odd, lift_two_step, padic_root, roots_mod_pn,
                      two_adic_state)
 
 BLOB_VERSION = 1
@@ -208,7 +208,7 @@ def run_survey(D: int, p: int, sigma: Fraction, n_max: int,
             raise CorruptBlobError(
                 f"resume state is at n = {resume.n}, past n_max = {n_max}")
         try:
-            resume.verify()
+            cofactors = resume.verify()
         except HenselError as exc:
             raise CorruptBlobError(f"resume state is invalid: {exc}") from exc
 
@@ -235,45 +235,59 @@ def run_survey(D: int, p: int, sigma: Fraction, n_max: int,
         if margin < least:
             least, least_at = margin, (n, x)
 
+    def decide_pair(n: int, r: int, m: int, pn: int) -> None:
+        nonlocal records
+        y = pn - r  # y^2 + D = p^n (y - r + m)
+        for x, mx in ((r, m), (y, y - r + m)) if y != r else ((r, m),):
+            records += 1
+            decide(n, x, mx)
+
     def checkpoint_due(n: int) -> bool:
         return checkpoint_cb is not None and n > n_from and \
             (n - n_from) % checkpoint_every == 0
 
-    def check_state(state: LiftState) -> None:
-        # one exact check of a ladder state proves every level before it
-        # (hensel), so no corrupted state reaches a checkpoint or the report
+    def checked(n: int, r: int, m: int, pn: int) -> LiftState:
+        # every odd lift keeps r^2 + D - p^n m (hensel), so one exact check
+        # of a carried pair proves every level before it, and no corrupted
+        # pair reaches a checkpoint or the report
+        state = LiftState(p, D, n, (r,))
         try:
-            state.verify()
+            if state.check_ladder() != pn:
+                raise HenselError(f"pn is not {p}^{n}")
+            if r * r + D != pn * m:
+                raise HenselError(f"{_stored(0, r)} is invalid at level {n}")
         except HenselError as exc:
-            raise LiftInvariantError(
-                f"ladder at level {state.n}: {exc}") from exc
+            raise LiftInvariantError(f"ladder at level {n}: {exc}") from exc
+        return state
 
-    try:
-        while True:
-            n, pn = state.n, state.pn
-            if p == 2 and n >= 3:
-                break  # the bits of one 2-adic root give every later level
-            for r, mr in zip(state.min_roots, state.cofactors, strict=True):
-                y = pn - r  # y^2 + D = p^n (y - r + m_r)
-                pairs = ((r, mr), (y, y - r + mr)) if y != r else ((r, mr),)
-                for x, m in pairs:
-                    records += 1
-                    decide(n, x, m)
-            if checkpoint_due(n):
-                check_state(state)
-                checkpoint_cb(state)
-            if n >= n_max:
-                break
-            try:
-                state = lift_step(state)
-            except NoRootError as exc:
-                ladder_end_note = f"; ladder ends at n = {n}: {exc}"
-                break
-    finally:  # also a corrupted state that stopped the walk is reported
-        if state is not resume:  # which passed verify above
-            check_state(state)
+    if p != 2:  # the odd ladder, carrying (r, m, p^n)
+        (r,), n, pn = state.min_roots, state.n, p ** state.n
+        (m,) = cofactors if state is resume else state.verify()
+        try:
+            while True:
+                decide_pair(n, r, m, pn)
+                if checkpoint_due(n):
+                    checkpoint_cb(checked(n, r, m, pn))
+                if n >= n_max:
+                    break
+                r, m, pn = lift_step_odd(p, r, m, pn)
+                n += 1
+        finally:  # also a corrupted pair that stopped the walk is reported
+            state = checked(n, r, m, pn)
+    while p == 2 and state.n < 3:  # hensel's table, each state verified
+        n, (r,) = state.n, state.min_roots
+        decide_pair(n, r, (r * r + D) >> n, 1 << n)
+        if checkpoint_due(n):
+            checkpoint_cb(state)
+        if n >= n_max:
+            break
+        try:
+            state = lift_two_step(state)
+        except NoRootError as exc:
+            ladder_end_note = f"; ladder ends at n = {n}: {exc}"
+            break
     if p == 2 and state.n >= 3:
-        S, _ = padic_root(D, 2, n_max)
+        S = padic_root(D, 2, n_max)
         bits = format(S, "b").zfill(n_max - 1)[::-1]  # bits[k] is bit k of S
         # at a level n <= n_max, x < 2^n and m < 2^n + D, so rounding moves
         # a computed margin and its computed bound below by less than
@@ -390,8 +404,8 @@ def restore(blob: str) -> LiftState:
 
     version, D, p and n must be JSON integers and the roots strings of ASCII
     digits, as checkpoint writes them.  The stored roots must be the complete
-    minimal set for level n; each cofactor is recomputed by one exact
-    division, which verifies its root.  run_survey checks the instance.
+    minimal set for level n, and LiftState.verify tests p^n | r^2 + D for
+    each root r.  run_survey checks the instance.
     """
     try:
         data = json.loads(blob)
@@ -418,9 +432,9 @@ def restore(blob: str) -> LiftState:
                                f"the ladder has {want}")
     if n * (p.bit_length() - 1) >= (max(roots) ** 2 + D).bit_length():
         raise CorruptBlobError(f"blob level n = {n} exceeds its roots' size")
+    state = LiftState(p=p, D=D, n=n, min_roots=roots)
     try:
-        state = LiftState(p=p, D=D, n=n, min_roots=roots)
-        state.check_ladder()
+        state.verify()
     except HenselError as exc:
         raise CorruptBlobError(f"blob roots are invalid: {exc}") from exc
     return state

@@ -252,31 +252,36 @@ MUTANTS = (
      "    if False:\n",
      [f"{_SURVEY}::test_power_compare_near_equal_powers_matches_exact"]),
     # the odd ladder, checked once at its end
-    ("odd ladder: the final verify() skipped", "survey.py",
-     "            check_state(state)\n    if p == 2",
-     "            pass\n    if p == 2",
+    ("odd ladder: the final check skipped", "survey.py",
+     "            state = checked(n, r, m, pn)\n",
+     "            state = LiftState(p, D, n, (r,))\n",
      [f"{_HENSEL}::test_tampered_cofactor_fails_the_final_check",
       "tests/test_cli.py::test_tampered_cofactor_exit_4"]),
     ("odd ladder: a checkpoint written unchecked", "survey.py",
-     "                check_state(state)\n",
-     "                pass\n",
+     "checkpoint_cb(checked(n, r, m, pn))",
+     "checkpoint_cb(LiftState(p, D, n, (r,)))",
      [f"{_HENSEL}::test_tampered_run_keeps_its_last_good_blob"]),
-    ("odd ladder: verify() does not test pn = p^n", "hensel.py",
-     "        if self.pn != self.p ** self.n:\n",
-     "        if False:\n",
+    ("odd ladder: the survey does not test pn = p^n", "survey.py",
+     "if state.check_ladder() != pn:",
+     "if state.check_ladder() is None:",
      [f"{_HENSEL}::test_wrong_pn_fails_the_final_check"]),
+    ("odd ladder: the survey does not test r^2 + D = p^n m", "survey.py",
+     "            if r * r + D != pn * m:\n",
+     "            if False:\n",
+     [f"{_HENSEL}::test_tampered_cofactor_fails_the_final_check",
+      "tests/test_cli.py::test_tampered_cofactor_exit_4"]),
+    ("odd ladder: verify() divides a cofactor by p, not p^n", "hensel.py",
+     "divmod(x, pn)",
+     "divmod(x, self.p)",
+     [f"{_SURVEY}::test_resume_past_n_max_rejected"]),
     ("odd ladder: the flip keeps the unflipped cofactor", "hensel.py",
      "        r, m = y, y - r + m\n",
      "        r, m = y, m\n",
      [f"{_SURVEY}::test_survey_sigma_09_finds_small_n_exceptions"]),
-    ("roots_mod_pn: the complement's cofactor p^n - R + m", "hensel.py",
-     "pn - 2 * R + m",
-     "pn - R + m",
-     [f"{_HENSEL}::test_roots_mod_pn_matches_ladder_to_level_600"]),
-    ("LiftState: a bare root's remainder not tested", "hensel.py",
-     "                if rem:\n",
-     "                if False:\n",
-     [f"{_HENSEL}::test_cofactors_derived_from_bare_roots",
+    ("LiftState: verify() does not test a root's remainder", "hensel.py",
+     "            if rem:\n",
+     "            if False:\n",
+     [f"{_HENSEL}::test_verify_tests_the_remainder_of_each_root",
       f"{_SURVEY}::test_restore_rejects_garbage"]),
     ("padic_root: the 2-adic mask one bit short", "hensel.py",
      "x & ((1 << N) - 1)",
@@ -284,8 +289,8 @@ MUTANTS = (
      [f"{_HENSEL}::test_tampered_newton_root_raises",
       "tests/test_survey_two.py::test_tampered_two_adic_root_raises"]),
     ("restore: a root's complement passes check_ladder", "hensel.py",
-     "if not 0 < r <= self.pn - r:",
-     "if not 0 < r < self.pn:",
+     "if not 0 < r <= pn - r:",
+     "if not 0 < r < pn:",
      [f"{_SURVEY}::test_restore_rejects_repeated_or_complement_roots"]),
     ("restore: a level at its roots' size bound passes", "survey.py",
      "if n * (p.bit_length() - 1) >= (max(roots) ** 2 + D).bit_length():",

@@ -17,8 +17,8 @@ import numpy as np
 from rnlab.bounds import check_q_bound, kernel_extrema
 from rnlab.certifier import certify, max_sigma
 from rnlab.decomposer import audit_theorem1_chain, decompose
-from rnlab.hensel import (NoRootError, NoSplitError, lift_step_odd,
-                          roots_mod_pn)
+from rnlab.hensel import (LiftState, NoRootError, NoSplitError,
+                          lift_step_odd, roots_mod_pn)
 from rnlab.pade import (BOUNDS, IntPolynomial, ONE_MINUS_Z, build_diagonal,
                         build_general, content, cross_constant, normalize)
 from rnlab.quadring import QuadInt
@@ -188,6 +188,8 @@ def test_criterion_08_hensel_oracle():
 def test_criterion_09_decomposition_sweep():
     lam = QuadInt.of(0, 2, 76)
     state = roots_mod_pn(76, 101, 16)
+    (r,), pn = state.min_roots, 101 ** 16
+    m = (r * r + 76) // pn
     ok = True
     for n in range(16, 61):
         for x in state.all_roots():
@@ -201,7 +203,8 @@ def test_criterion_09_decomposition_sweep():
             audits = audit_theorem1_chain(dec)
             ok &= any(a.nonzero_this_g for a in audits)
         if n < 60:
-            state = lift_step_odd(state)
+            r, m, pn = lift_step_odd(101, r, m, pn)
+            state = LiftState(101, 76, n + 1, (r,))
     _report(9, "decompositions for n in 16..60, both branches", ok)
     assert ok
 

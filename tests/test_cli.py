@@ -796,15 +796,19 @@ def test_checkpoint_write_is_atomic(tmp_path, capsys, monkeypatch):
     assert os.listdir(tmp_path) == ["survey.ckpt"]
 
 
-def test_tampered_cofactor_exit_4(capsys, monkeypatch):
+def _tamper_first_lift(monkeypatch):
+    """The survey's odd ladder lifts its level-1 root with cofactor m + 1."""
     from rnlab import survey
-    real = survey.roots_mod_pn
+    real = survey.lift_step_odd
 
-    def tampered(D, p, n):
-        state = real(D, p, n)
-        return state._replace(cofactors=(state.cofactors[0] + 1,))
+    def tampered(p, r, m, pn):
+        return real(p, r, m + (pn == p), pn)
 
-    monkeypatch.setattr(survey, "roots_mod_pn", tampered)
+    monkeypatch.setattr(survey, "lift_step_odd", tampered)
+
+
+def test_tampered_cofactor_exit_4(capsys, monkeypatch):
+    _tamper_first_lift(monkeypatch)
     code, payload = run_json(capsys, "survey", "--D", "76", "--p", "101",
                              "--sigma", "7/50", "--n-max", "5")
     assert code == 4
@@ -814,14 +818,7 @@ def test_tampered_cofactor_exit_4(capsys, monkeypatch):
 def test_tampered_survey_error_line_is_short(capsys, monkeypatch):
     # the final check names the level, the stored index and the bit length
     # of a 33 289-bit root, not its 10 021 decimal digits
-    from rnlab import survey
-    real = survey.roots_mod_pn
-
-    def tampered(D, p, n):
-        state = real(D, p, n)
-        return state._replace(cofactors=(state.cofactors[0] + 1,))
-
-    monkeypatch.setattr(survey, "roots_mod_pn", tampered)
+    _tamper_first_lift(monkeypatch)
     code, out = run_cli(capsys, "survey", "--D", "76", "--p", "101",
                         "--sigma", "1/2", "--n-max", "5000", "--format",
                         "json")

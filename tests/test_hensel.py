@@ -9,7 +9,7 @@ from rnlab.cli import main
 from rnlab.hensel import (PRIME_BOUND, CompositeModulusError, HenselError,
                           LiftInvariantError, LiftState, NoRootError,
                           NoSplitError, PrimeBoundError, is_probable_prime,
-                          legendre, lift_step, lift_step_odd, lift_two,
+                          legendre, lift_step_odd, lift_two,
                           roots_mod_pn, sqrt_mod_p)
 from rnlab.survey import CorruptBlobError, checkpoint, run_survey
 from two_adic_ladder import two_ladder_step
@@ -71,8 +71,9 @@ def test_primality_gate_refuses_beyond_proof_range():
 def test_lift_5_to_1015():
     state = roots_mod_pn(76, 101, 1)
     assert state.all_roots() == (5, 96)
-    state = lift_step_odd(state)
-    assert 1015 in state.all_roots()
+    # 5^2 + 76 = 101 * 1 and 1015^2 + 76 = 101^2 * 101
+    assert lift_step_odd(101, 5, 1, 101) == (1015, 101, 101 ** 2)
+    assert 1015 in LiftState(101, 76, 2, (1015,)).all_roots()
 
 
 def test_exact_solution_stays_fixed():
@@ -84,7 +85,7 @@ def test_exact_solution_stays_fixed():
 def test_roots_come_in_pairs():
     for n in range(1, 8):
         state = roots_mod_pn(76, 101, n)
-        mod = state.pn
+        mod = 101 ** n
         roots = set(state.all_roots())
         assert roots == {mod - r for r in roots}
 
@@ -186,6 +187,19 @@ def newton_step_reference(p, D, n, min_roots):
     return tuple(sorted(out))
 
 
+def ladder_step(state, cofactors):
+    """One level of the digit ladder, each cofactor carried: lift_step_odd
+    at odd p, two_ladder_step at p = 2.  The (state, cofactors) of level
+    n + 1."""
+    if state.p == 2:
+        return two_ladder_step(state, cofactors)
+    p, pn = state.p, state.p ** state.n
+    (r,), (m,) = state.min_roots, cofactors
+    r, m, pn = lift_step_odd(p, r, m, pn)
+    assert pn == p ** (state.n + 1)
+    return LiftState(p, state.D, state.n + 1, (r,)), (m,)
+
+
 DIFFERENTIAL_CASES = [(D, p) for p in (3, 5, 19, 101) for D in (7, 23, 47, 76)
                       if D % p and legendre(-D % p, p) == 1]
 DIFFERENTIAL_CASES += [(7, 2), (15, 2), (23, 2)]
@@ -196,17 +210,14 @@ def test_digit_recurrence_matches_newton_to_level_300(D, p):
     # below n = 3 the 2-adic ladder is a table, checked by the oracle tests
     n0 = 3 if p == 2 else 1
     state = roots_mod_pn(D, p, n0)
-    ref = state.min_roots
-    step = two_ladder_step if p == 2 else lift_step_odd
+    ref, cofactors = state.min_roots, state.verify()
     flips = 0  # levels whose lifted root is replaced by its complement
     for n in range(n0, 300):
         assert state.min_roots == ref, (D, p, n)
-        for r, m in zip(state.min_roots, state.cofactors, strict=True):
-            assert r * r + D == p ** n * m
-        assert state.pn == p ** n
+        assert cofactors == state.verify(), (D, p, n)
         ref = newton_step_reference(p, D, n, ref)
-        nxt = step(state)
-        flips += nxt.min_roots[0] % state.pn != state.min_roots[0]
+        nxt, cofactors = ladder_step(state, cofactors)
+        flips += nxt.min_roots[0] % p ** n != state.min_roots[0]
         state = nxt
     assert state.n == 300 and state.min_roots == ref
     assert flips > 0 or p == 2
@@ -215,40 +226,44 @@ def test_digit_recurrence_matches_newton_to_level_300(D, p):
 # level 12, and two deeper levels of (76, 101)
 TAMPER_LEVELS = {(76, 101): (12, 300, 600), (23, 3): (12,)}
 
-# one corruption of each field of an odd state
+# one corruption of each part of the pair (r, m, p^n) the odd ladder carries
 TAMPERS = {
-    "cofactor": lambda s: s._replace(cofactors=(s.cofactors[0] + 1,)),
-    "root": lambda s: s._replace(min_roots=(s.min_roots[0] + s.pn,)),
-    "pn": lambda s: s._replace(pn=s.pn // s.p,
-                               cofactors=(s.cofactors[0] * s.p,)),
+    "cofactor": lambda p, r, m, pn: (r, m + 1, pn),
+    "root": lambda p, r, m, pn: (r + pn, m, pn),
+    "pn": lambda p, r, m, pn: (r, m * p, pn // p),
 }
 
 
-def _error(state):
-    """e = r^2 + D - p^n m of the one stored pair, p^n as the state carries
-    it: each odd lift keeps it."""
-    (r,), (m,) = state.min_roots, state.cofactors
-    return r * r + state.D - state.pn * m
+def _carried(D, p, n):
+    """The (r, m, p^n) that the odd ladder carries at level n."""
+    (r,), pn = roots_mod_pn(D, p, n).min_roots, p ** n
+    return r, (r * r + D) // pn, pn
 
 
-def _fails_the_final_check(monkeypatch, good, bad, e):
-    """Lifting bad 50 levels keeps its error e, verify() refuses bad and the
-    state lifted from it, and run_survey raises where its report would be:
-    CorruptBlobError with bad as the resume state, and LiftInvariantError
-    when the ladder lifts bad in place of its own level good.n state."""
-    D, p, n = good.D, good.p, good.n
-    state = bad
-    assert _error(state) == e
+def _error(D, r, m, pn):
+    """e = r^2 + D - p^n m of a carried pair, p^n as carried: each odd lift
+    keeps it."""
+    return r * r + D - pn * m
+
+
+def _inject(monkeypatch, good, bad):
+    """The survey's odd ladder carries bad where it would carry good."""
+    def step(p, r, m, pn):
+        lifted = lift_step_odd(p, r, m, pn)
+        return bad if lifted == good else lifted
+    monkeypatch.setattr(survey, "lift_step_odd", step)
+
+
+def _fails_the_final_check(monkeypatch, D, p, n, bad, e):
+    """Lifting bad 50 levels keeps its error e, and run_survey raises
+    LiftInvariantError where its report would be when the ladder carries
+    bad in place of its own level-n pair."""
+    pair = bad
+    assert _error(D, *pair) == e
     for _ in range(50):
-        state = lift_step_odd(state)
-        assert _error(state) == e
-    for tampered in (bad, state):
-        with pytest.raises(HenselError):
-            tampered.verify()
-    with pytest.raises(CorruptBlobError):
-        run_survey(D, p, F(1, 2), n + 50, resume=bad)
-    monkeypatch.setattr(survey, "lift_step",
-                        lambda s: lift_step(bad if s == good else s))
+        pair = lift_step_odd(p, *pair)
+        assert _error(D, *pair) == e
+    _inject(monkeypatch, _carried(D, p, n), bad)
     with pytest.raises(LiftInvariantError):
         run_survey(D, p, F(1, 2), n + 50)
     monkeypatch.undo()
@@ -257,30 +272,36 @@ def _fails_the_final_check(monkeypatch, good, bad, e):
 @pytest.mark.parametrize("D,p", list(TAMPER_LEVELS))
 def test_tampered_cofactor_fails_the_final_check(monkeypatch, D, p):
     for n in TAMPER_LEVELS[D, p]:
-        state = roots_mod_pn(D, p, n)
+        r, m, pn = _carried(D, p, n)
         for delta in (1, -1, 2, p ** n):
-            bad = state._replace(cofactors=(state.cofactors[0] + delta,))
-            _fails_the_final_check(monkeypatch, state, bad, -delta * p ** n)
+            _fails_the_final_check(monkeypatch, D, p, n, (r, m + delta, pn),
+                                   -delta * pn)
 
 
 def test_tampered_root_fails_the_final_check(monkeypatch):
-    # at (23, 3, 12) the state lifted from r + 3^12 has a cofactor below 1,
+    # at (23, 3, 12) the pair lifted from r + 3^12 has a cofactor below 1,
     # which power_compare refuses before the walk ends: the final check
-    # still reports the corruption
+    # still reports the corruption.  As a resume state, r + p^n is refused
+    # by verify() before the walk starts
     for (D, p), levels in TAMPER_LEVELS.items():
         for n in levels:
-            state = roots_mod_pn(D, p, n)
-            (r,), pn = state.min_roots, state.pn
-            _fails_the_final_check(monkeypatch, state, TAMPERS["root"](state),
+            r, m, pn = good = _carried(D, p, n)
+            bad = TAMPERS["root"](p, *good)
+            _fails_the_final_check(monkeypatch, D, p, n, bad,
                                    2 * r * pn + pn * pn)
+            state = LiftState(p, D, n, bad[:1])
+            with pytest.raises(HenselError):
+                state.verify()
+            with pytest.raises(CorruptBlobError):
+                run_survey(D, p, F(1, 2), n + 50, resume=state)
 
 
 @pytest.mark.parametrize("D,p,n", [(76, 101, 12), (76, 101, 400)])
 def test_wrong_pn_fails_the_final_check(monkeypatch, D, p, n):
-    # pn = p^(n-1) with every cofactor times p has e = 0: only verify()'s
-    # test of pn = p^n sees it, on bad and on every state lifted from it
-    state = roots_mod_pn(D, p, n)
-    _fails_the_final_check(monkeypatch, state, TAMPERS["pn"](state), 0)
+    # pn = p^(n-1) with the cofactor times p has e = 0: only the survey's
+    # test of pn = p^n sees it, on bad and on every pair lifted from it
+    bad = TAMPERS["pn"](p, *_carried(D, p, n))
+    _fails_the_final_check(monkeypatch, D, p, n, bad, 0)
 
 
 @pytest.mark.parametrize("kind", list(TAMPERS))
@@ -289,15 +310,14 @@ def test_tampered_run_keeps_its_last_good_blob(monkeypatch, capsys, tmp_path,
     # the tampered run checkpoints levels 11, 21 and 31; the check before
     # the one at 21 ends it in exit 4, so the blob of 11 stays on disk and
     # resumes to the report of a clean run.  The blob it would have written
-    # at 31, of the state lifted from the tampered one, is refused
-    good = roots_mod_pn(76, 101, 12)
-    bad = TAMPERS[kind](good)
+    # at 31, of the root lifted from the tampered pair, is refused
+    good = _carried(76, 101, 12)
+    bad = TAMPERS[kind](101, *good)
     path = tmp_path / "survey.ckpt"
     argv = ["survey", "--D", "76", "--p", "101", "--sigma", "1/2",
             "--n-max", "40", "--checkpoint-every", "10", "--resume",
             str(path), "--format", "json"]
-    monkeypatch.setattr(survey, "lift_step",
-                        lambda s: lift_step(bad if s == good else s))
+    _inject(monkeypatch, good, bad)
     assert main(argv) == 4
     assert json.loads(capsys.readouterr().out)["error"] == \
         "internal_invariant_violation"
@@ -307,37 +327,25 @@ def test_tampered_run_keeps_its_last_good_blob(monkeypatch, capsys, tmp_path,
     resumed = capsys.readouterr().out
     path.write_text(checkpoint(roots_mod_pn(76, 101, 11)))
     assert main(argv) == 0 and capsys.readouterr().out == resumed
-    state = bad
-    while state.n < 31:
-        state = lift_step_odd(state)
-    path.write_text(checkpoint(state))
+    pair = bad
+    for _ in range(12, 31):
+        pair = lift_step_odd(101, *pair)
+    path.write_text(checkpoint(LiftState(101, 76, 31, pair[:1])))
     assert main(argv) == 2
     assert json.loads(capsys.readouterr().out)["error"] == "invalid_input"
 
 
-def _fields(state):
-    return (state.p, state.D, state.n, state.min_roots, state.cofactors,
-            state.pn)
-
-
 @pytest.mark.parametrize("D,p", DIFFERENTIAL_CASES)
 def test_lifted_state_equals_state_from_bare_roots(D, p):
-    # each lifted state skips the constructor's derivation; the public
-    # constructor derives pn and every cofactor again, by exact division
+    # the ladder carries each cofactor unchecked; verify() derives it again
+    # from the bare roots, by exact division
     state = roots_mod_pn(D, p, 1)
-    step = two_ladder_step if p == 2 else lift_step
+    cofactors = state.verify()
     while state.n < 4000:
-        if state.n <= 300 or state.n in (2000, 4000):
-            bare = LiftState(p, D, state.n, state.min_roots)
-            assert _fields(state) == _fields(bare), (D, p, state.n)
-            assert state == bare and hash(state) == hash(bare)
-            assert repr(state) == repr(bare)
-            copy = state._replace()
-            assert copy == state and _fields(copy) == _fields(state)
-            state.verify()
-        state = step(state)
-    assert state.n == 4000 and _fields(state) == _fields(
-        LiftState(p, D, 4000, state.min_roots))
+        if state.n <= 300 or state.n == 2000:
+            assert cofactors == state.verify(), (D, p, state.n)
+        state, cofactors = ladder_step(state, cofactors)
+    assert state.n == 4000 and cofactors == state.verify()
 
 
 @pytest.mark.parametrize("D,p", DIFFERENTIAL_CASES + [(2 ** 61 - 1, 2)])
@@ -345,10 +353,10 @@ def test_roots_mod_pn_matches_ladder_to_level_600(D, p):
     # the ladder starts from its own level-1 state and lifts a digit a level
     start = (1,) if p == 2 else sqrt_mod_p(-D % p, p)[:1]
     state = LiftState(p, D, 1, start)
-    step = two_ladder_step if p == 2 else lift_step_odd
+    cofactors = state.verify()
     for n in range(1, 601):
-        assert _fields(roots_mod_pn(D, p, n)) == _fields(state), (D, p, n)
-        state = step(state)
+        assert roots_mod_pn(D, p, n) == state, (D, p, n)
+        state, cofactors = ladder_step(state, cofactors)
 
 
 @pytest.mark.parametrize("D,p", [(76, 101), (23, 3), (7, 2),
@@ -376,37 +384,40 @@ def test_tampered_newton_root_raises(monkeypatch, capsys, D, p, low):
             "internal_invariant_violation"
 
 
-def test_cofactors_derived_from_bare_roots():
-    state = roots_mod_pn(76, 101, 30)
-    bare = LiftState(p=101, D=76, n=30, min_roots=state.min_roots)
-    assert bare.cofactors == state.cofactors and bare.pn == 101 ** 30
-    with pytest.raises(HenselError):
-        LiftState(p=101, D=76, n=30, min_roots=(state.min_roots[0] + 1,))
+def test_verify_tests_the_remainder_of_each_root():
+    # a minimal residue that is no root passes check_ladder, not verify():
+    # at odd p by %, at p = 2 by a mask
+    for state in (roots_mod_pn(76, 101, 30), lift_two(7, 30)):
+        state.verify()
+        r = state.min_roots[0]
+        for bad in (state._replace(min_roots=(r + 2,) + state.min_roots[1:]),
+                    state._replace(n=31)):
+            bad.check_ladder()
+            with pytest.raises(HenselError, match="is invalid at level"):
+                bad.verify()
 
 
 def test_equality_reads_p_d_n_and_roots_only():
+    # LiftState is a plain named tuple of the four fields a blob holds
+    assert LiftState._fields == ("p", "D", "n", "min_roots")
+    for name in ("__new__", "__eq__", "__ne__", "__hash__", "__repr__"):
+        code = getattr(getattr(LiftState, name), "__code__", None)
+        assert code is None or code.co_filename != hensel.__file__, name
     state = roots_mod_pn(76, 101, 30)
-    (m,), pn = state.cofactors, state.pn
-    for other in (state._replace(cofactors=(m + 1,)),
-                  state._replace(pn=pn * 101),
-                  state._replace(cofactors=None, pn=0)):
-        assert other == state and not other != state
-        assert hash(other) == hash(state) and repr(other) == repr(state)
+    assert state == (101, 76, 30, state.min_roots) == tuple(state)
     assert repr(state) == (f"LiftState(p=101, D=76, n=30, "
                            f"min_roots={state.min_roots!r})")
     for other in (state._replace(n=31), state._replace(D=77),
-                  state._replace(min_roots=(state.min_roots[0] + pn,)),
-                  tuple(state)):
+                  state._replace(min_roots=(state.min_roots[0] + 1,))):
         assert other != state and not other == state
 
 
 def test_replace_keeps_given_fields():
-    # the tamper tests rely on this: nothing is derived or checked again
+    # nothing is derived or checked on construction: verify() is the check
     state = roots_mod_pn(76, 101, 30)
-    bad = state._replace(cofactors=(state.cofactors[0] + 1,))
-    assert type(bad) is LiftState and bad.pn == state.pn
-    assert bad.cofactors == (state.cofactors[0] + 1,)
-    assert state._replace(pn=7).pn == 7
+    bad = state._replace(min_roots=(state.min_roots[0] + 1,))
+    assert type(bad) is LiftState and bad[:3] == state[:3]
+    assert bad.min_roots == (state.min_roots[0] + 1,)
     with pytest.raises(HenselError):
         bad.verify()
 
@@ -415,15 +426,16 @@ def test_lift_two_is_the_ladder_at_p_2():
     # the ladder from level 1, ending where the table finds no root
     for D in range(1, 64, 2):
         state, ended = LiftState(p=2, D=D, n=1, min_roots=(1,)), None
+        cofactors = ((1 + D) >> 1,)
         for n in range(1, 41):
             if ended is not None:
                 with pytest.raises(NoRootError) as info:
                     lift_two(D, n)
                 assert str(info.value) == ended, (D, n)
                 continue
-            assert _fields(lift_two(D, n)) == _fields(state), (D, n)
+            assert lift_two(D, n) == state, (D, n)
             try:
-                state = two_ladder_step(state)
+                state, cofactors = two_ladder_step(state, cofactors)
             except NoRootError as exc:
                 ended = str(exc)
 

@@ -79,7 +79,7 @@ def test_constructors_keep_their_defaults():
     cert = certifier.certify(76, 101, 1015, 3, F(1, 10))
     assert cert.notes == () and cert.certified
     state = hensel.LiftState(p=101, D=76, n=1, min_roots=(5,))
-    assert state.cofactors == (1,) and state.pn == 101
+    assert state == (101, 76, 1, (5,)) and state.verify() == (1,)
 
 
 def test_replace_drops_the_memo():

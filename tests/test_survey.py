@@ -523,8 +523,9 @@ def test_resume_past_n_max_rejected():
 
 
 def test_resume_state_with_wrong_cofactor_rejected():
+    # the survey takes a resume state's cofactor (r^2 + D) // p^n; the
+    # level-20 root at level 21 has none, and verify() refuses it first
     state = roots_mod_pn(76, 101, 20)
-    bad = LiftState(p=101, D=76, n=20, min_roots=state.min_roots,
-                    cofactors=(state.cofactors[0] + 1,))
+    bad = LiftState(p=101, D=76, n=21, min_roots=state.min_roots)
     with pytest.raises(CorruptBlobError):
         run_survey(76, 101, F(7, 50), 30, resume=bad)

@@ -32,7 +32,8 @@ TOP = 3000
 
 @functools.lru_cache(maxsize=1)
 def ladder(D):
-    """The 2-adic ladder states at levels 1..TOP, index n - 1."""
+    """The 2-adic ladder (state, cofactors) at levels 1..TOP, index
+    n - 1."""
     return two_ladder(D, TOP)
 
 
@@ -47,12 +48,12 @@ def ladder_survey(D, sigma, n_max, n_from=1, every=200):
     the lifted state and decided by power_compare.  Returns the report's
     JSON, the checkpoint blobs and the levels at which min_margin moved."""
     a, b = sigma.numerator, sigma.denominator
-    states = ladder(D)
+    rungs = ladder(D)
     exceptions, blobs, changes = [], [], []
     records, min_margin, least = 0, None, math.inf
-    for state in states[n_from - 1:n_max]:
-        n, pn = state.n, state.pn
-        for r, mr in zip(state.min_roots, state.cofactors, strict=True):
+    for state, cofactors in rungs[n_from - 1:n_max]:
+        n, pn = state.n, 1 << state.n
+        for r, mr in zip(state.min_roots, cofactors, strict=True):
             y = pn - r
             for x, m in ((r, mr), (y, y - r + mr)) if y != r else ((r, mr),):
                 records += 1
@@ -65,7 +66,7 @@ def ladder_survey(D, sigma, n_max, n_from=1, every=200):
                     changes.append(n)
         if (n - n_from) % every == 0 and n > n_from:
             blobs.append(checkpoint(state))
-    blobs.append(checkpoint(states[n_max - 1]))
+    blobs.append(checkpoint(rungs[n_max - 1][0]))
     report = SurveyReport(
         D=D, p=2, sigma=sigma, n_from=n_from, n_max=n_max, no_split=False,
         records_checked=records, exceptions=tuple(exceptions),
@@ -75,7 +76,8 @@ def ladder_survey(D, sigma, n_max, n_from=1, every=200):
 
 def bit_survey(D, sigma, n_max, n_from=1, every=200):
     blobs = []
-    resume = restore(checkpoint(ladder(D)[n_from - 1])) if n_from > 1 else None
+    resume = restore(checkpoint(ladder(D)[n_from - 1][0])) if n_from > 1 \
+        else None
     report = run_survey(D, 2, sigma, n_max, resume=resume,
                         checkpoint_cb=lambda s: blobs.append(checkpoint(s)),
                         checkpoint_every=every)
@@ -108,14 +110,14 @@ def test_bit_walk_matches_ladder(monkeypatch, D):
 
 @pytest.mark.parametrize("D", (7, 15, 39, 71))
 def test_walked_bit_lengths_match_ladder_records(D):
-    states = ladder(D)
-    S, _ = padic_root(D, 2, 2000)
+    rungs = ladder(D)
+    S = padic_root(D, 2, 2000)
     bits = format(S, "b").zfill(1999)[::-1]
     for n_lo in (3, 4, 17, 500):
         for n in range(n_lo, 2001):
-            state = states[n - 1]
+            state, _ = rungs[n - 1]
             want = [x.bit_length() for r in state.min_roots
-                    for x in (r, state.pn - r)]
+                    for x in (r, (1 << n) - r)]
             assert list(survey._level_lengths(bits, n)) == want, (n_lo, n)
 
 

@@ -42,15 +42,15 @@ def walk_decisions(D, sigma, n_max, n_from=1):
         calls.append((n, x))
         least = min(least, math.log10(m) - math.log10(x) * sigma_float)
 
-    for state in two_ladder(D, 2)[n_from - 1:n_max]:
-        for r, mr in zip(state.min_roots, state.cofactors, strict=True):
-            y = state.pn - r
+    for state, cofactors in two_ladder(D, 2)[n_from - 1:n_max]:
+        for r, mr in zip(state.min_roots, cofactors, strict=True):
+            y = (1 << state.n) - r
             for x, m in ((r, mr), (y, y - r + mr)) if y != r else ((r, mr),):
                 records += 1
                 decide(state.n, x, m)
     if n_max < 3:
         return calls, records
-    S, _ = padic_root(D, 2, n_max)
+    S = padic_root(D, 2, n_max)
     slack = (3 * n_max + D.bit_length() + 4) * 2.0 ** -45
     width = 4
     for n, lengths in record_lengths(S, max(n_from, 3), n_max):
