@@ -18,6 +18,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from itertools import product
+from typing import Callable, NamedTuple
 
 from . import certifier, decomposer, hensel, pade, rigor, survey
 
@@ -362,127 +363,120 @@ def _cmd_scan_huge(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# options
+
+
+class _Option(NamedTuple):
+    """One option of a subcommand, as argparse's add_argument takes it."""
+
+    flag: str
+    dest: str
+    type: Callable | None = None
+    required: bool = False
+    default: object = None
+    choices: tuple | None = None
+    help: str | None = None
+
+
+class _Command(NamedTuple):
+    help: str
+    func: Callable
+    options: tuple  # of _Option, in help order
+    positionals: tuple = ()  # of _Option with no flag, before the options
 
 
 # the instance options: each is required and has the same type wherever it
 # appears
-_INSTANCE_TYPES = {"D": int, "p": int, "x0": _parse_bigint, "n0": int,
-                   "n": int}
+_D = _Option("--D", "D", int, True)
+_P = _Option("--p", "p", int, True)
+_X0 = _Option("--x0", "x0", _parse_bigint, True)
+_N0 = _Option("--n0", "n0", int, True)
+_N = _Option("--n", "n", int, True)
+_VARIANT = _Option("--variant", "variant", default="5j",
+                   choices=tuple(certifier.VARIANTS))
+_FORMAT = _Option("--format", "format", default="human",
+                  choices=("json", "human"))
+_TSV_FORMAT = _FORMAT._replace(choices=("json", "tsv", "human"))
+_OUT = _Option("--out", "out", help="write output to a file")
 
-
-def _instance(p, *names: str) -> None:
-    for name in names:
-        p.add_argument(f"--{name}", type=_INSTANCE_TYPES[name], required=True)
-
-
-def _common(p, formats=("json", "human")) -> None:
-    p.add_argument("--format", choices=formats, default="human")
-    p.add_argument("--out", default=None, help="write output to a file")
-
-
-def _add_certify(sub) -> argparse.ArgumentParser:
-    c = sub.add_parser("certify", help="evaluate the huge-solution condition")
-    _instance(c, "D", "p", "x0", "n0")
-    c.add_argument("--sigma", type=_parse_sigma, required=True)
-    c.add_argument("--variant", choices=tuple(certifier.VARIANTS), default="5j")
-    _common(c)
-    c.set_defaults(func=_cmd_certify)
-    return c
-
-
-def _add_survey(sub) -> argparse.ArgumentParser:
-    s = sub.add_parser("survey", help="survey m = (x^2+D)/p^n against x^sigma")
-    _instance(s, "D", "p")
-    s.add_argument("--sigma", type=_parse_sigma, required=True)
-    s.add_argument("--n-max", dest="n_max", type=int, required=True)
-    s.add_argument("--resume", default=None,
-                   help="checkpoint blob path (read if present, updated)")
-    s.add_argument("--checkpoint-every", type=int, default=200)
-    _common(s, ("json", "tsv", "human"))
-    s.set_defaults(func=_cmd_survey)
-    return s
-
-
-def _add_hensel(sub) -> argparse.ArgumentParser:
-    h = sub.add_parser("hensel", help="roots of x^2 + D = 0 (mod p^n)")
-    _instance(h, "D", "p", "n")
-    _common(h, ("json", "tsv", "human"))
-    h.set_defaults(func=_cmd_hensel)
-    return h
-
-
-def _add_pade(sub) -> argparse.ArgumentParser:
-    pv = sub.add_parser("pade", help="polynomial identity sweeps")
-    pv.add_argument("pade_cmd", choices=("verify",))
-    pv.add_argument("--j-max", dest="j_max", type=int, default=8)
-    pv.add_argument("--abc-max", dest="abc_max", type=int, default=4)
-    _common(pv)
-    pv.set_defaults(func=_cmd_pade)
-    return pv
-
-
-def _add_decompose(sub) -> argparse.ArgumentParser:
-    d = sub.add_parser("decompose", help="factor gamma over the base solution")
-    _instance(d, "D", "p", "x0", "n0", "n")
-    d.add_argument("--x", type=_parse_bigint, default=None,
-                   help="specific root (default: all roots at level n)")
-    _common(d)
-    d.set_defaults(func=_cmd_decompose)
-    return d
-
-
-def _add_audit(sub) -> argparse.ArgumentParser:
-    a = sub.add_parser("audit", help="decompose + inequality-chain audit")
-    _instance(a, "D", "p", "x0", "n0", "n")
-    a.add_argument("--x", type=_parse_bigint, default=None)
-    a.add_argument("--sigma", type=_parse_sigma, default=Fraction(1, 10))
-    a.add_argument("--variant", choices=tuple(certifier.VARIANTS), default="5j")
-    _common(a)
-    a.set_defaults(func=_cmd_audit)
-    return a
-
-
-def _add_max_sigma(sub) -> argparse.ArgumentParser:
-    ms = sub.add_parser("max-sigma", help="largest certifiable sigma")
-    _instance(ms, "D", "p", "x0", "n0")
-    ms.add_argument("--variant", choices=tuple(certifier.VARIANTS), default="5j")
-    _common(ms)
-    ms.set_defaults(func=_cmd_max_sigma)
-    return ms
-
-
-def _add_scan_huge(sub) -> argparse.ArgumentParser:
-    sc = sub.add_parser("scan-huge", help="brute-force base solutions")
-    _instance(sc, "D", "p")
-    sc.add_argument("--n0-max", dest="n0_max", type=int, required=True)
-    _common(sc)
-    sc.set_defaults(func=_cmd_scan_huge)
-    return sc
-
-
-# subcommand name -> the function adding its subparser, in help order
-_SUBCOMMANDS = {
-    "certify": _add_certify, "survey": _add_survey, "hensel": _add_hensel,
-    "pade": _add_pade, "decompose": _add_decompose, "audit": _add_audit,
-    "max-sigma": _add_max_sigma, "scan-huge": _add_scan_huge,
+# subcommand name -> its help, function and options, in help order; argparse
+# builds its parsers from this table, and _table_parse reads it directly
+_COMMANDS = {
+    "certify": _Command(
+        "evaluate the huge-solution condition", _cmd_certify,
+        (_D, _P, _X0, _N0, _Option("--sigma", "sigma", _parse_sigma, True),
+         _VARIANT, _FORMAT, _OUT)),
+    "survey": _Command(
+        "survey m = (x^2+D)/p^n against x^sigma", _cmd_survey,
+        (_D, _P, _Option("--sigma", "sigma", _parse_sigma, True),
+         _Option("--n-max", "n_max", int, True),
+         _Option("--resume", "resume",
+                 help="checkpoint blob path (read if present, updated)"),
+         _Option("--checkpoint-every", "checkpoint_every", int, default=200),
+         _TSV_FORMAT, _OUT)),
+    "hensel": _Command(
+        "roots of x^2 + D = 0 (mod p^n)", _cmd_hensel,
+        (_D, _P, _N, _TSV_FORMAT, _OUT)),
+    "pade": _Command(
+        "polynomial identity sweeps", _cmd_pade,
+        (_Option("--j-max", "j_max", int, default=8),
+         _Option("--abc-max", "abc_max", int, default=4), _FORMAT, _OUT),
+        (_Option("", "pade_cmd", choices=("verify",)),)),
+    "decompose": _Command(
+        "factor gamma over the base solution", _cmd_decompose,
+        (_D, _P, _X0, _N0, _N,
+         _Option("--x", "x", _parse_bigint,
+                 help="specific root (default: all roots at level n)"),
+         _FORMAT, _OUT)),
+    "audit": _Command(
+        "decompose + inequality-chain audit", _cmd_audit,
+        (_D, _P, _X0, _N0, _N, _Option("--x", "x", _parse_bigint),
+         _Option("--sigma", "sigma", _parse_sigma, default=Fraction(1, 10)),
+         _VARIANT, _FORMAT, _OUT)),
+    "max-sigma": _Command(
+        "largest certifiable sigma", _cmd_max_sigma,
+        (_D, _P, _X0, _N0, _VARIANT, _FORMAT, _OUT)),
+    "scan-huge": _Command(
+        "brute-force base solutions", _cmd_scan_huge,
+        (_D, _P, _Option("--n0-max", "n0_max", int, True), _FORMAT, _OUT)),
 }
+
+
+def _add_command(sub, name: str) -> argparse.ArgumentParser:
+    command = _COMMANDS[name]
+    parser = sub.add_parser(name, help=command.help)
+    for opt in command.positionals:
+        parser.add_argument(opt.dest, type=opt.type, default=opt.default,
+                            choices=opt.choices, help=opt.help)
+    for opt in command.options:
+        parser.add_argument(opt.flag, dest=opt.dest, type=opt.type,
+                            required=opt.required, default=opt.default,
+                            choices=opt.choices, help=opt.help)
+    parser.set_defaults(func=command.func)
+    return parser
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The rnlab parser with every subcommand.
+    """The rnlab parser with every subcommand, built from _COMMANDS.
 
-    It is built once per process, on first use, and shared by every later
-    call, as is each _command_parser: callers must not mutate them.  Their
-    `choices`, such as those of --variant (the keys of certifier.VARIANTS),
-    are read at that first build.
+    _table_parse reads the one well-formed shape of argv (the subcommand,
+    its positionals, then exact `--flag value` pairs with valid values and
+    every required flag) without any parser.  main builds this parser, and
+    each _command_parser, only for the argv it declines: help, usage
+    errors and the forms that only argparse reads, such as --flag=value,
+    an abbreviated flag or a negative value, with argparse's own output
+    and exit codes.  Each parser is built once per process, on first use,
+    and shared by every later call: callers must not mutate them.  The
+    `choices` of --variant, the keys of certifier.VARIANTS, are read at
+    import.
     """
     ap = argparse.ArgumentParser(
         prog="rnlab",
         description="exact tools for factorizations x^2 + D = p^n * m")
     sub = ap.add_subparsers(dest="command", required=True)
-    for add in _SUBCOMMANDS.values():
-        add(sub)
+    for name in _COMMANDS:
+        _add_command(sub, name)
     return ap
 
 
@@ -490,17 +484,62 @@ def build_parser() -> argparse.ArgumentParser:
 def _command_parser(command: str) -> argparse.ArgumentParser:
     """The parser of one subcommand, with the prog ("rnlab certify") and
     usage that build_parser() gives it."""
-    sub = argparse.ArgumentParser(prog="rnlab").add_subparsers()
-    return _SUBCOMMANDS[command](sub)
+    return _add_command(argparse.ArgumentParser(prog="rnlab").add_subparsers(),
+                        command)
+
+
+def _table_parse(argv: list) -> argparse.Namespace | None:
+    """The Namespace that build_parser().parse_args(argv) returns, read off
+    _COMMANDS without argparse, or None for argv not of the one shape it
+    takes: a subcommand, its positionals, then exact `--flag value` pairs of
+    its flags, each value not starting with "-" and passing its type and
+    choices, every required flag given.  A repeated flag keeps its last
+    value, as in argparse.  Every test is an if, never an assert."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    k = len(command.positionals)
+    words = argv[1:]
+    if len(words) < k or (len(words) - k) % 2:
+        return None
+    flags = {opt.flag: opt for opt in command.options}
+    pairs = list(zip(command.positionals, words))
+    for flag, text in zip(words[k::2], words[k + 1::2]):
+        if flag not in flags:
+            return None
+        pairs.append((flags[flag], text))
+    values = {opt.dest: opt.default for opt in command.options}
+    for opt, text in pairs:
+        if text.startswith("-"):
+            return None
+        value = text
+        if opt.type is not None:
+            try:
+                value = opt.type(text)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if opt.choices is not None and value not in opt.choices:
+            return None
+        values[opt.dest] = value
+    given = {opt.flag for opt, _ in pairs}
+    if any(opt.required and opt.flag not in given for opt in command.options):
+        return None
+    args = argparse.Namespace(command=argv[0], func=command.func)
+    vars(args).update(values)
+    return args
 
 
 def _parse(argv: list) -> argparse.Namespace:
-    # argv[1:] goes straight to its subcommand's parser, as build_parser()
-    # would hand it on, so that a call builds none of the other seven and
-    # is not first scanned by the top-level parser.  Leftover arguments are
-    # reported by the full parser, so that the usage line of the error
-    # lists every subcommand.
-    if argv and argv[0] in _SUBCOMMANDS:
+    # argv of the table's shape is read off the table and builds no parser.
+    # Any other argv goes to argparse: argv[1:] to its subcommand's parser,
+    # as build_parser() would hand it on, so that a call builds none of the
+    # other seven and is not first scanned by the top-level parser.
+    # Leftover arguments are reported by the full parser, so that the usage
+    # line of the error lists every subcommand.
+    args = _table_parse(argv)
+    if args is not None:
+        return args
+    if argv and argv[0] in _COMMANDS:
         args, rest = _command_parser(argv[0]).parse_known_args(
             argv[1:], argparse.Namespace(command=argv[0]))
         if not rest:

@@ -45,6 +45,8 @@ _BITS = "tests/test_dyadic.py::test_round_bits_matches_the_removed_helpers"
 _QUOTIENT = ("tests/test_dyadic.py::"
              "test_round_quotient_matches_the_removed_quotient")
 _WALK = "tests/test_survey_two.py::test_jumps_decide_the_walked_records"
+_TABLE_PARSE = ("tests/test_cli.py::"
+                "test_table_parse_declines_or_matches_argparse")
 
 MUTANTS = (
     # the precision ladder of rigor and the verdicts on it
@@ -337,6 +339,17 @@ MUTANTS = (
      "            if not built:\n                width = 1\n",
      "            if built < 3:\n                width = 1\n",
      [_WALK]),
+    # the CLI's table parse, which must leave every argv it cannot read
+    # exactly as argparse does to argparse
+    ("table parse: a value outside its choices taken", "cli.py",
+     "        if opt.choices is not None and value not in opt.choices:\n",
+     "        if False:\n",
+     [_TABLE_PARSE]),
+    ("table parse: a required flag may be missing", "cli.py",
+     "    if any(opt.required and opt.flag not in given for opt in "
+     "command.options):\n",
+     "    if False:\n",
+     [_TABLE_PARSE]),
 )
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -462,6 +464,133 @@ def test_parse_matches_full_parser(capsys, monkeypatch, argv):
     assert outcome(_parse) == outcome(build_parser().parse_args)
 
 
+# values for the table parse's differential test: negative, non-numeric,
+# malformed and empty ones, valid and invalid choices, and ones that
+# int() reads in spite of their spelling
+_TABLE_VALUES = st.sampled_from(
+    ["-1", "-76", "0", "3", "16", "x", "12x", "1/0", "a/b", "7/50", "1.5", "",
+     " 7 ", "1_000", "+5", "5j", "7j", "9j", "json", "tsv", "human", "xml",
+     "-", "--", "verify", "extra"])
+_TABLE_INSERTS = st.sampled_from(["extra", "--", "-h", "--help", "-", "-1"])
+
+
+@st.composite
+def _table_argv(draw) -> list:
+    """A _VALID_ARGV entry with --format, changed a few times over: flags
+    reordered, repeated, joined to their value by "=" or abbreviated, a
+    value replaced, a flag dropped, or a word inserted."""
+    cmd, *rest = draw(st.sampled_from(list(_VALID_ARGV.values())))
+    head = rest[:1] if cmd == "pade" else []
+    pairs = [rest[n:n + 2] for n in range(len(head), len(rest), 2)]
+    pairs.append(["--format", draw(st.sampled_from(["json", "human", "tsv"]))])
+    inserts = []
+    for change in draw(st.lists(st.sampled_from(
+            ["reorder", "repeat", "value", "drop", "equals", "abbreviate",
+             "insert", "positional"]), max_size=3)):
+        n = draw(st.integers(0, len(pairs) - 1)) if pairs else None
+        if change == "reorder":
+            pairs = draw(st.permutations(pairs))
+        elif change == "insert":
+            inserts.append(draw(_TABLE_INSERTS))
+        elif change == "positional":
+            head = [draw(st.sampled_from(["verify", "check"]))] if head else []
+        elif n is None or len(pairs[n]) != 2:
+            continue
+        elif change == "repeat":
+            pairs.append([pairs[n][0], draw(_TABLE_VALUES)])
+        elif change == "value":
+            pairs[n] = [pairs[n][0], draw(_TABLE_VALUES)]
+        elif change == "drop":
+            del pairs[n]
+        elif change == "equals":
+            pairs[n] = ["=".join(pairs[n])]
+        else:
+            flag = pairs[n][0]
+            pairs[n] = [flag[:draw(st.integers(3, len(flag)))], pairs[n][1]]
+    words = [word for pair in pairs for word in pair]
+    for word in inserts:
+        words.insert(draw(st.integers(0, len(words))), word)
+    return [cmd, *head, *words]
+
+
+@seed(40)
+@settings(max_examples=600, deadline=None, database=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(_table_argv())
+def test_table_parse_declines_or_matches_argparse(argv):
+    # the table parse takes argv only when argparse reads it to the same
+    # namespace: anything else it must leave to argparse, whose usage
+    # error would fail this test
+    from rnlab.cli import _table_parse, build_parser
+    args = _table_parse(argv)
+    if args is not None:
+        assert vars(args) == vars(build_parser().parse_args(argv)), argv
+
+
+def _workload_argv(tmp_path) -> list:
+    """Every argv of the four benchmark job lists at small sizes, each run
+    in-process so that its follow-up calls are made too."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "bench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    small = {"survey-odd": {"n_max": 40, "leg": 20},
+             "survey-two": {"n_max": 60, "leg": 30},
+             "pade-audit": {"j_max": 4, "abc_max": 2, "levels": (16, 31)},
+             "certify-sweep": {"p_max": 110, "d_max": 100}}
+    seen = []
+
+    def call(argv, check):
+        seen.append(list(argv))
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(argv)
+        report = json.loads(out.getvalue())
+        return report if check(code, report) is None else None
+
+    for name, sizes in small.items():
+        workloads.run_jobs(name, workloads.make_inputs(
+            name, 7, str(tmp_path), **sizes), call)
+    return seen
+
+
+def test_table_takes_every_well_formed_call(tmp_path):
+    # the benchmark's calls and each valid call with --format json are
+    # read off the table, to the namespace argparse reads; a fast path that
+    # stops applying fails here by name
+    from rnlab.cli import _table_parse, build_parser
+    calls = [argv + ["--format", "json"] for argv in _VALID_ARGV.values()]
+    calls += _workload_argv(tmp_path)
+    assert {argv[0] for argv in calls} == set(_VALID_ARGV)
+    for argv in calls:
+        args = _table_parse(argv)
+        assert args is not None, argv
+        assert vars(args) == vars(build_parser().parse_args(argv)), argv
+
+
+def test_well_formed_call_builds_no_parser(capsys, monkeypatch):
+    from rnlab.cli import _command_parser, build_parser
+    monkeypatch.setenv("COLUMNS", "80")
+    _command_parser.cache_clear()
+    build_parser.cache_clear()
+    for argv in (_VALID_ARGV["hensel"], _VALID_ARGV["max-sigma"]):
+        assert run_cli(capsys, *argv, "--format", "json")[0] == 0
+    assert _command_parser.cache_info().currsize == 0
+    assert build_parser.cache_info().currsize == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["hensel", "--help"])
+    assert exc.value.code == 0
+    assert _command_parser.cache_info().currsize == 1
+    assert build_parser.cache_info().currsize == 0
+    with pytest.raises(SystemExit) as exc:
+        main([*_VALID_ARGV["hensel"], "extra"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: extra" in capsys.readouterr().err
+    assert build_parser.cache_info().currsize == 1
+
+
 _FUZZ_VALUES = {
     "--D": ["-1", "0", "1", "3", "7", "15", "76", "x"],
     "--p": ["0", "1", "2", "4", "5", "101", "103", PSI12],
@@ -566,12 +695,15 @@ def test_cached_parser_keeps_nothing_between_calls(capsys, monkeypatch):
     from rnlab.cli import _parse
     monkeypatch.setenv("COLUMNS", "80")
     audit = ["audit", *_ANCHOR, "--n", "16"]
-    code, _ = run_cli(capsys, *audit, "--sigma", "1/5", "--variant", "7j",
-                      "--format", "json")
+    # --flag=value is read by argparse alone, so this call fills the cached
+    # parser; the table parse and argparse then both read the defaults
+    code, _ = run_cli(capsys, *audit, "--sigma=1/5", "--variant=7j",
+                      "--format=json")
     assert code == 0
-    args = _parse(audit)
-    assert (args.sigma, args.variant, args.format) \
-        == (Fraction(1, 10), "5j", "human")
+    for argv in (audit, [*audit[:-2], "--n=16"]):
+        args = _parse(argv)
+        assert (args.sigma, args.variant, args.format) \
+            == (Fraction(1, 10), "5j", "human")
     code = main(audit)
     captured = capsys.readouterr()
     fresh = subprocess.run([sys.executable, "-m", "rnlab", *audit],
